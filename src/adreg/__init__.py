@@ -12,7 +12,7 @@ from .errors import (
     InvalidConfigError,
     InvalidInputError,
 )
-from .hybrid import ClockConfig, HybridArc, HybridTime, next_jump_time, simulate, validate_arc
+from .hybrid import ClockConfig, HybridArc, next_jump_time, simulate, validate_arc
 from .identifier import (
     IdentifierModel,
     LsIdentifier,
@@ -39,7 +39,6 @@ from .numerics import (
 )
 from .plant import (
     ExoSpec,
-    ExoState,
     PlantSpec,
     build_chain_matrices,
     build_vdp_scenario,
@@ -49,15 +48,9 @@ from .plant import (
 from .regulator import (
     InternalModelConfig,
     ObserverConfig,
-    RegulatorState,
     StabilizerConfig,
     build_observer_gains,
-    compute_sat_level,
-    control_output,
     default_internal_model,
-    internal_model_flow,
-    observer_flow,
-    psi_consistency,
     saturate,
 )
 from .harness import (
@@ -74,5 +67,4 @@ from .scenario import (
     run_sweep,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -13,11 +13,14 @@ import numpy as np
 
 from .errors import IntegrationBlowupError, InvalidConfigError, InvalidInputError
 from .harness import CoreProcessRun, format_report, verify_identifier_requirement
-from .hybrid import ClockConfig
 from .plant import ExoSpec
 from .scenario import ScenarioConfig, run_scenario, run_sweep
-from .scenario import build_synthetic_linear_plant, _build_identifier
-from .regulator import default_internal_model, InternalModelConfig
+from .scenario import (
+    _build_clock,
+    _build_identifier,
+    _build_internal_model,
+    build_synthetic_linear_plant,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -65,22 +68,11 @@ def cmd_check_identifier(args):
     cfg = _load_config(args.config)
     if cfg.identifier.get("kind", "none") == "none":
         raise InvalidConfigError("check-identifier needs an identifier kind != none")
-    d_eta = int(cfg.regulator.get("d_eta", 6))
-    if "F" in cfg.regulator:
-        im = InternalModelConfig(np.asarray(cfg.regulator["F"]),
-                                 np.asarray(cfg.regulator["G"]))
-    else:
-        im = default_internal_model(d_eta)
+    im = _build_internal_model(cfg.regulator)
     rho = float(cfg.plant.get("rho", 2.0))
     plant = build_synthetic_linear_plant(rho, im.F, im.G)
     ident, _ = _build_identifier(cfg.identifier, im.d_eta)
-    clock = ClockConfig(
-        t_low=float(cfg.clock.get("t_low", 0.1)),
-        t_high=float(cfg.clock.get("t_high", 0.1)),
-        strategy=cfg.clock.get("strategy", "periodic"),
-        period=cfg.clock.get("period"),
-        seed=int(cfg.clock.get("seed", 0)),
-    )
+    clock = _build_clock(cfg.clock)
     run = CoreProcessRun(
         clock=clock,
         exo=ExoSpec(d_w=2, eval_s=plant.eval_s),

@@ -17,16 +17,6 @@ STRATEGIES = ("periodic", "uniform")
 
 
 @dataclass(frozen=True)
-class HybridTime:
-    t: float
-    j: int
-
-    def __post_init__(self):
-        if self.t < 0.0 or self.j < 0:
-            raise InvalidConfigError("hybrid time requires t >= 0 and j >= 0")
-
-
-@dataclass(frozen=True)
 class ClockConfig:
     """Jump-scheduling clock with inter-jump gaps in [t_low, t_high].
 
@@ -82,10 +72,6 @@ class HybridArc:
     def __len__(self):
         return self.t.size
 
-    def samples(self):
-        for i in range(self.t.size):
-            yield HybridTime(float(self.t[i]), int(self.j[i])), self.states[i]
-
     def jump_times(self):
         return self.t[self.jump_indices]
 
@@ -118,8 +104,8 @@ def simulate(flow, jump, x0, clock, horizon, dt=None):
     """
     if dt is None:
         dt = min(1e-3, clock.t_low / 100.0)
-    if dt <= 0.0 or horizon <= 0.0:
-        raise InvalidConfigError("dt and horizon must be positive")
+    if not (0.0 < dt < np.inf and 0.0 < horizon < np.inf):
+        raise InvalidConfigError("dt and horizon must be positive and finite")
     if dt > clock.t_low / 10.0:
         raise InvalidConfigError("dt must not exceed t_low / 10")
 

@@ -15,6 +15,7 @@ tests assert).
 """
 
 from dataclasses import dataclass, field
+from math import asin, hypot
 from typing import Callable
 
 import numpy as np
@@ -34,55 +35,25 @@ class ExoSpec:
 
 
 @dataclass
-class ExoState:
-    w: np.ndarray
-    rho: float  # squared frequency, > 0
-
-    def __post_init__(self):
-        if self.rho <= 0.0:
-            raise InvalidConfigError("rho must be positive")
-        self.w = np.asarray(self.w, dtype=float)
-
-
-@dataclass
 class PlantSpec:
-    """Multivariable normal-form plant: integrator chain driven by q + b u.
+    """Normal-form plant: a chain of r integrators of dimension d_y driven by
+    q + b u, with b = b_bar.
 
-    Evaluators are pure functions; ``extras`` carries scenario-specific
-    attachments such as the ideal feedforward u*(w).
+    ``extras`` carries the scenario's evaluators: "fast_q" (q(w1, w2, x1, x2)
+    on scalars, which the closed-loop field calls), the ideal feedforward
+    "ustar" and its row-wise form "ustar_rows", and the exosystem's "rho".
     """
 
-    d_w: int
-    d_z: int
     d_y: int
     r: int
     eval_s: Callable  # s(w)
-    eval_f: Callable  # f(w, z, x)
-    eval_q: Callable  # q(w, z, x)
-    eval_b: Callable  # b(w, z, x)
     b_bar: np.ndarray
-    mu_b: float
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.b_bar = np.atleast_2d(np.asarray(self.b_bar, dtype=float))
         if abs(np.linalg.det(self.b_bar)) < 1e-14:
             raise InvalidConfigError("b_bar must be nonsingular")
-        if not (0.0 < self.mu_b < 1.0):
-            raise InvalidConfigError("mu_b must lie in (0, 1)")
-
-    @property
-    def d_x(self):
-        return self.r * self.d_y
-
-    def check_b_bound(self, test_points):
-        """Sampled check of ||(b - b_bar) b_bar^{-1}|| <= 1 - mu_b."""
-        b_bar_inv = np.linalg.inv(self.b_bar)
-        for w, z, x in test_points:
-            b = np.atleast_2d(self.eval_b(w, z, x))
-            if np.linalg.norm((b - self.b_bar) @ b_bar_inv, 2) > 1.0 - self.mu_b + 1e-12:
-                return False
-        return True
 
 
 def build_chain_matrices(r, d_y):
@@ -100,29 +71,35 @@ def build_chain_matrices(r, d_y):
     return a, b, c
 
 
+def p1star_and_lie(w1, w2, rho, sgn):
+    """(p1*, L_s p1*, L_s^2 p1*) at the scalar point w = (w1, w2), with the
+    Lie derivatives along s(w) = (w2, -rho*w1).
+
+    ``sgn`` is the value taken for sign(w2); it selects the one-sided limit
+    at the peaks w2 = 0. All three are 0 at the removable singularity w = 0.
+    Hand-derived from the p1* formula; the test suite cross-checks against
+    central finite differences.
+    """
+    rad = hypot(w1, w2)
+    if rad == 0.0:
+        return 0.0, 0.0, 0.0
+    arg = w1 / rad
+    phi = asin(1.0 if arg > 1.0 else (-1.0 if arg < -1.0 else arg))
+    one_minus_rho = 1.0 - rho
+    l1 = (2.0 * one_minus_rho * w1 * w2 * phi
+          + 2.0 * sgn * (w2 * w2 + rho * w1 * w1)) / rad
+    l2 = 2.0 * one_minus_rho * phi * (
+        (w2 * w2 - rho * w1 * w1) / rad
+        - one_minus_rho * w1 * w1 * w2 * w2 / rad**3
+    )
+    return 2.0 * rad * phi, l1, l2
+
+
 def triangular_output(w):
     """Triangular-wave reference p1*(w); 0 at the removable singularity w=0."""
     w = _check_finite(w, "w").ravel()
-    rad = float(np.hypot(w[0], w[1]))
-    if rad == 0.0:
-        return 0.0
-    return 2.0 * rad * float(np.arcsin(np.clip(w[0] / rad, -1.0, 1.0)))
-
-
-def _lie_formulas(w1, w2, rho, sgn):
-    """First and second Lie derivatives of p1* along s(w) = (w2, -rho*w1).
-
-    ``sgn`` fixes the sign(w2) convention (one-sided at the peaks). Works
-    elementwise on arrays. Hand-derived from the p1* formula; the test suite
-    cross-checks against central finite differences.
-    """
-    rad = np.hypot(w1, w2)
-    phi = np.arcsin(np.clip(w1 / rad, -1.0, 1.0))
-    l1 = 2.0 * (1.0 - rho) * w1 * w2 * phi / rad + 2.0 * sgn * (w2**2 + rho * w1**2) / rad
-    l2 = 2.0 * (1.0 - rho) * phi * (
-        (w2**2 - rho * w1**2) / rad - (1.0 - rho) * w1**2 * w2**2 / rad**3
-    )
-    return l1, l2
+    # p1* does not depend on rho or on the sign convention
+    return p1star_and_lie(float(w[0]), float(w[1]), 1.0, 1.0)[0]
 
 
 def lie_derivatives_p1star(w, rho, branch_side=None):
@@ -133,7 +110,7 @@ def lie_derivatives_p1star(w, rho, branch_side=None):
     """
     w = _check_finite(w, "w").ravel()
     w1, w2 = float(w[0]), float(w[1])
-    rad = np.hypot(w1, w2)
+    rad = hypot(w1, w2)
     if rad == 0.0:
         raise BranchPointError("Lie derivatives undefined at w = 0")
     if abs(w2) / rad <= BRANCH_TOL:
@@ -144,29 +121,20 @@ def lie_derivatives_p1star(w, rho, branch_side=None):
         sgn = float(np.sign(branch_side))
     else:
         sgn = 1.0 if w2 > 0.0 else -1.0
-    l1, l2 = _lie_formulas(w1, w2, rho, sgn)
-    return float(l1), float(l2)
-
-
-def _p1star_rows(w_rows):
-    rad = np.hypot(w_rows[:, 0], w_rows[:, 1])
-    safe = np.where(rad > 0.0, rad, 1.0)
-    out = 2.0 * rad * np.arcsin(np.clip(w_rows[:, 0] / safe, -1.0, 1.0))
-    return np.where(rad > 0.0, out, 0.0)
-
-
-def _lie_rows(w_rows, rho):
-    # vectorized one-sided convention sign(0) = +1, for post-processing only
-    w1, w2 = w_rows[:, 0], w_rows[:, 1]
-    sgn = np.where(w2 >= 0.0, 1.0, -1.0)
-    return _lie_formulas(w1, w2, rho, sgn)
+    _, l1, l2 = p1star_and_lie(w1, w2, rho, sgn)
+    return l1, l2
 
 
 def vdp_ustar_rows(w_rows, a, rho):
-    """Ideal feedforward u*(w) evaluated rowwise (n, 2) -> (n,)."""
-    p1 = _p1star_rows(w_rows)
-    l1, l2 = _lie_rows(w_rows, rho)
-    return p1 + l2 - a * (1.0 - p1**2) * l1
+    """Ideal feedforward u*(w) evaluated rowwise (n, 2) -> (n,), with the
+    one-sided convention sign(0) = +1."""
+
+    def ustar(w1, w2):
+        p1, l1, l2 = p1star_and_lie(w1, w2, rho, 1.0 if w2 >= 0.0 else -1.0)
+        return p1 + l2 - a * (1.0 - p1 * p1) * l1
+
+    w1, w2 = np.asarray(w_rows, dtype=float).T.tolist()
+    return np.fromiter(map(ustar, w1, w2), dtype=float, count=len(w1))
 
 
 def build_vdp_scenario(a, rho):
@@ -177,8 +145,9 @@ def build_vdp_scenario(a, rho):
 
         q(w, x) = -x1 - p1*(w) - L_s^2 p1* + a (1 - (x1 + p1*)^2)(x2 + L_s p1*).
 
-    extras: "ustar" (ideal feedforward evaluator), "ustar_rows" (vectorized),
-    "a", "rho". No z-dynamics, so the minimum-phase assumption is vacuous.
+    extras: "fast_q" (q on scalars, with the one-sided sign(0) = +1
+    convention), "ustar" (ideal feedforward), "ustar_rows" (row-wise), "a",
+    "rho". No zero dynamics.
     """
     if a <= 0.0 or rho <= 0.0:
         raise InvalidConfigError("require a > 0 and rho > 0")
@@ -186,69 +155,20 @@ def build_vdp_scenario(a, rho):
     def eval_s(w):
         return np.array([w[1], -rho * w[0]])
 
-    def eval_f(w, z, x):
-        return np.zeros(0)
-
-    def eval_q(w, z, x):
-        p1 = triangular_output(w)
-        l1, l2 = lie_derivatives_p1star(w, rho, branch_side=+1)
-        return np.array(
-            [-x[0] - p1 - l2 + a * (1.0 - (x[0] + p1) ** 2) * (x[1] + l1)]
-        )
-
-    def eval_b(w, z, x):
-        return np.array([[1.0]])
-
-    def ustar(w):
-        p1 = triangular_output(w)
-        l1, l2 = lie_derivatives_p1star(w, rho, branch_side=+1)
-        return np.array([p1 + l2 - a * (1.0 - p1**2) * l1])
+    def fast_q(w1, w2, x1, x2):
+        p1, l1, l2 = p1star_and_lie(w1, w2, rho, 1.0 if w2 >= 0.0 else -1.0)
+        return -x1 - p1 - l2 + a * (1.0 - (x1 + p1) ** 2) * (x2 + l1)
 
     return PlantSpec(
-        d_w=2,
-        d_z=0,
         d_y=1,
         r=2,
         eval_s=eval_s,
-        eval_f=eval_f,
-        eval_q=eval_q,
-        eval_b=eval_b,
         b_bar=np.array([[1.0]]),
-        mu_b=0.5,
         extras={
-            "ustar": ustar,
+            "ustar": lambda w: vdp_ustar_rows(np.reshape(w, (1, 2)), a, rho),
             "ustar_rows": lambda rows: vdp_ustar_rows(rows, a, rho),
-            "fast_q": _make_fast_vdp_q(a, rho),
+            "fast_q": fast_q,
             "a": a,
             "rho": rho,
         },
     )
-
-
-def _make_fast_vdp_q(a, rho):
-    """Scalar-math q(w, x) for the inner integration loop.
-
-    Same formula as eval_q with the one-sided sign(0) = +1 convention,
-    avoiding array allocation; the tests assert agreement with eval_q.
-    """
-    from math import asin, hypot
-
-    one_minus_rho = 1.0 - rho
-
-    def fast_q(w1, w2, x1, x2):
-        rad = hypot(w1, w2)
-        if rad == 0.0:
-            return -x1 + a * (1.0 - x1 * x1) * x2
-        arg = w1 / rad
-        phi = asin(1.0 if arg > 1.0 else (-1.0 if arg < -1.0 else arg))
-        p1 = 2.0 * rad * phi
-        sgn = 1.0 if w2 >= 0.0 else -1.0
-        l1 = (2.0 * one_minus_rho * w1 * w2 * phi
-              + 2.0 * sgn * (w2 * w2 + rho * w1 * w1)) / rad
-        l2 = 2.0 * one_minus_rho * phi * (
-            (w2 * w2 - rho * w1 * w1) / rad
-            - one_minus_rho * w1 * w1 * w2 * w2 / rad**3
-        )
-        return -x1 - p1 - l2 + a * (1.0 - (x1 + p1) ** 2) * (x2 + l1)
-
-    return fast_q

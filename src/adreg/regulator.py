@@ -1,5 +1,6 @@
-"""Continuous-time controller stack: stabilizer, saturation, internal-model
-unit, and the extended high-gain observer with its consistency term."""
+"""Controller configuration: saturation, the stabilizer, the internal-model
+pair (F, G) and the extended high-gain observer's gains. The closed-loop
+field that applies them is ``scenario.build_closed_loop``."""
 
 from dataclasses import dataclass
 
@@ -22,14 +23,6 @@ def saturate(s, level):
     if n <= level:
         return s.copy()
     return s * (level / n)
-
-
-def compute_sat_level(bound_c, bound_bk, rho2):
-    """Conservative saturation level: sum of the feedforward and feedback
-    bounds plus the margin rho2. Users may override with a generous constant."""
-    if bound_c < 0.0 or bound_bk < 0.0 or rho2 < 0.0:
-        raise InvalidInputError("bounds must be non-negative")
-    return bound_c + bound_bk + rho2
 
 
 @dataclass
@@ -83,10 +76,6 @@ def default_internal_model(d_eta, d_y=1):
     return InternalModelConfig(F=f, G=g)
 
 
-def internal_model_flow(eta, u, im):
-    return im.F @ eta + im.G @ np.atleast_1d(u)
-
-
 @dataclass
 class ObserverConfig:
     """Extended-observer data: gain scale ell, per-channel coefficients of the
@@ -123,28 +112,6 @@ class ObserverConfig:
                 )
 
 
-@dataclass
-class RegulatorState:
-    varsigma: float
-    eta: np.ndarray
-    x_hat: np.ndarray
-    sigma_hat: np.ndarray
-    theta: np.ndarray
-
-    def __post_init__(self):
-        self.eta = np.asarray(self.eta, dtype=float)
-        self.x_hat = np.asarray(self.x_hat, dtype=float)
-        self.sigma_hat = np.atleast_1d(np.asarray(self.sigma_hat, dtype=float))
-        self.theta = np.asarray(self.theta, dtype=float)
-
-
-def control_output(state, stab):
-    """u = b_bar^{-1} sat(-sigma_hat - K x_hat); norm bounded by
-    ||b_bar^{-1}|| * sat_level."""
-    inner = -state.sigma_hat - stab.K @ state.x_hat
-    return stab.b_bar_inv @ saturate(inner, stab.sat_level)
-
-
 def build_observer_gains(obs, r, d_y):
     """(Lambda(ell), H, H_{r+1}) for the extended observer.
 
@@ -163,22 +130,3 @@ def build_observer_gains(obs, r, d_y):
     hmat = np.vstack([np.diag(h[:, i]) for i in range(r)])
     h_rp1 = np.diag(h[:, r])
     return lam, hmat, h_rp1
-
-
-def psi_consistency(theta, eta, u, model, im, psi_bar):
-    """Saturated output derivative of the identified model:
-    sat((d gamma_hat / d eta)(theta, eta) * (F eta + G u), psi_bar)."""
-    jac = np.atleast_2d(model.eval_dgamma_deta(theta, eta))
-    return saturate(jac @ internal_model_flow(eta, u, im), psi_bar)
-
-
-def observer_flow(x_hat, sigma_hat, y, u, psi, a, b, lam, hmat, h_rp1, ell, r, b_bar):
-    """Flow of the extended observer (x_hat, sigma_hat).
-
-    Innovation is driven by y - x_hat_1 (the first d_y components of x_hat).
-    """
-    d_y = b_bar.shape[0]
-    innov = np.atleast_1d(y) - x_hat[:d_y]
-    x_hat_dot = a @ x_hat + b @ (sigma_hat + b_bar @ np.atleast_1d(u)) + lam @ (hmat @ innov)
-    sigma_hat_dot = -b_bar @ np.atleast_1d(psi) + ell ** (r + 1) * (h_rp1 @ innov)
-    return x_hat_dot, sigma_hat_dot

@@ -7,11 +7,12 @@ emits. The steady-state window is the trailing 20% of the horizon.
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_sylvester
 
-from .errors import InvalidConfigError
+from .errors import AdregError, InvalidConfigError
 from .hybrid import ClockConfig, simulate
 from .identifier import (
     LsIdentifier,
@@ -25,7 +26,6 @@ from .identifier import (
 from .numerics import place_poles
 from .plant import (
     PlantSpec,
-    build_chain_matrices,
     build_vdp_scenario,
     lie_derivatives_p1star,
     triangular_output,
@@ -126,16 +126,10 @@ def build_synthetic_linear_plant(rho, f, g):
     theta_star, *_ = np.linalg.lstsq(m.T, c, rcond=None)
 
     spec = PlantSpec(
-        d_w=2,
-        d_z=0,
         d_y=1,
         r=2,
         eval_s=lambda w: np.array([w[1], -rho * w[0]]),
-        eval_f=lambda w, z, x: np.zeros(0),
-        eval_q=lambda w, z, x: np.array([rho * w[0]]),
-        eval_b=lambda w, z, x: np.array([[1.0]]),
         b_bar=np.array([[1.0]]),
-        mu_b=0.5,
         extras={
             "ustar": lambda w: np.array([-rho * w[0]]),
             "ustar_rows": lambda rows: -rho * rows[:, 0],
@@ -228,8 +222,117 @@ def _build_identifier(ident_cfg, d_eta):
     return ident, linear_model(regressor)
 
 
-def _error_coordinates(plant, p0, w0):
-    """Map plant coordinates p = (p1, p2) to the error chain x."""
+def _build_internal_model(rcfg):
+    """(F, G) from the regulator section: both given explicitly, or the
+    default pair of dimension d_eta."""
+    if "F" in rcfg or "G" in rcfg:
+        if not ("F" in rcfg and "G" in rcfg):
+            raise InvalidConfigError("F and G must be given together")
+        return InternalModelConfig(np.asarray(rcfg["F"]), np.asarray(rcfg["G"]))
+    return default_internal_model(int(rcfg.get("d_eta", 6)))
+
+
+def _build_clock(ccfg):
+    return ClockConfig(
+        t_low=float(ccfg.get("t_low", 0.1)),
+        t_high=float(ccfg.get("t_high", 0.1)),
+        strategy=ccfg.get("strategy", "periodic"),
+        period=ccfg.get("period"),
+        seed=int(ccfg.get("seed", 0)),
+    )
+
+
+class StateLayout(NamedTuple):
+    """Blocks of the closed-loop state v = (w, x, eta, x_hat, sigma_hat).
+
+    w, x and x_hat have two components and sigma_hat one, as for every
+    shipped plant (d_w = 2, r = 2, d_y = 1); only eta's length varies.
+    """
+
+    w: slice
+    x: slice
+    eta: slice
+    x_hat: slice
+    sigma_hat: int
+    size: int
+
+
+def state_layout(d_eta):
+    e = 4 + d_eta
+    return StateLayout(slice(0, 2), slice(2, 4), slice(4, e), slice(e, e + 2), e + 2, e + 3)
+
+
+def build_closed_loop(plant, im, stab, obs, ident=None):
+    """The closed-loop field over ``state_layout(im.d_eta)`` and its controller.
+
+    Returns ``(field, control)``. ``control(xh1, xh2, sigma_hat)`` is the
+    saturated stabilizer u = b_bar^{-1} sat(-sigma_hat - K x_hat): the field
+    applies it and the reduction maps it over the arc. The internal model flows as eta' = F eta + G u, the
+    extended observer is driven by the innovation x1 - xh1, and the
+    consistency term psi = sat(d gamma_hat/d eta . eta', psi_bar) uses the
+    identifier's current theta (psi = 0 without an identifier). The field
+    calls ``plant.extras["fast_q"]`` as it is when this builder runs.
+    """
+    lay = state_layout(im.d_eta)
+    fast_q = plant.extras["fast_q"]
+    rho_exo = float(plant.extras["rho"])
+    k0, k1 = float(stab.K[0, 0]), float(stab.K[0, 1])
+    sat_level = stab.sat_level
+    bb = float(plant.b_bar[0, 0])
+    bbi = float(stab.b_bar_inv[0, 0])
+    lam, hmat, h_rp1 = build_observer_gains(obs, plant.r, plant.d_y)
+    lh = lam @ hmat
+    lh0, lh1 = float(lh[0, 0]), float(lh[1, 0])
+    l3 = obs.ell ** (plant.r + 1) * float(h_rp1[0, 0])
+    psi_bar = obs.psi_bar
+    f_im, g_col = im.F, im.G.ravel()
+    regressor = ident.regressor if ident is not None else None
+    identity_reg = regressor is not None and regressor.max_order == 1
+    i_e, i_sh = lay.eta, lay.sigma_hat
+    i_xh1, i_xh2 = lay.x_hat.start, lay.x_hat.start + 1
+
+    def control(xh1, xh2, sh):
+        inner = -sh - k0 * xh1 - k1 * xh2
+        if inner > sat_level:
+            inner = sat_level
+        elif inner < -sat_level:
+            inner = -sat_level
+        return bbi * inner
+
+    def field(v):
+        w1, w2, x1, x2 = v[0], v[1], v[2], v[3]
+        eta = v[i_e]
+        xh1, xh2, sh = v[i_xh1], v[i_xh2], v[i_sh]
+        u = control(xh1, xh2, sh)
+        eta_dot = f_im @ eta + g_col * u
+        if ident is not None:
+            theta = ident.theta
+            dg = theta if identity_reg else theta @ regressor.jacobian(eta)
+            psi = float(dg @ eta_dot)
+            if psi > psi_bar:
+                psi = psi_bar
+            elif psi < -psi_bar:
+                psi = -psi_bar
+        else:
+            psi = 0.0
+        innov = x1 - xh1
+        out = np.empty_like(v)
+        out[0] = w2
+        out[1] = -rho_exo * w1
+        out[2] = x2
+        out[3] = fast_q(w1, w2, x1, x2) + u
+        out[i_e] = eta_dot
+        out[i_xh1] = xh2 + lh0 * innov
+        out[i_xh2] = sh + bb * u + lh1 * innov
+        out[i_sh] = -bb * psi + l3 * innov
+        return out
+
+    return field, control
+
+
+def _error_coordinates(plant, p0, w0, lay):
+    """Initial closed-loop state: w0, the error chain
+    x = (p1 - p1*(w0), p2 - L_s p1*(w0)) of the plant state p0, and zeros."""
     extras = plant.extras
     if "reference" in extras:
         ref = extras["reference"](w0)
@@ -237,7 +340,10 @@ def _error_coordinates(plant, p0, w0):
     else:
         ref = triangular_output(w0)
         slope, _ = lie_derivatives_p1star(w0, extras["rho"], branch_side=+1)
-    return np.array([p0[0] - ref, p0[1] - slope])
+    v0 = np.zeros(lay.size)
+    v0[lay.w] = w0
+    v0[lay.x] = (p0[0] - ref, p0[1] - slope)
+    return v0
 
 
 def run_scenario(cfg):
@@ -255,191 +361,74 @@ def run_scenario(cfg):
     w0_default = [1.0 / np.pi, 0.0] if kind == "vdp" else [1.0, 0.0]
     w0 = np.asarray(pcfg.get("w0", w0_default), dtype=float)
 
-    d_eta = int(rcfg.get("d_eta", 6))
-    if "F" in rcfg or "G" in rcfg:
-        if not ("F" in rcfg and "G" in rcfg):
-            raise InvalidConfigError("F and G must be given together")
-        im = InternalModelConfig(np.asarray(rcfg["F"]), np.asarray(rcfg["G"]))
-    else:
-        im = default_internal_model(d_eta)
-
+    im = _build_internal_model(rcfg)
     if kind == "vdp":
         plant = build_vdp_scenario(a_par, rho)
     else:
         plant = build_synthetic_linear_plant(rho, im.F, im.G)
 
-    a_mat, b_mat, _ = build_chain_matrices(plant.r, plant.d_y)
-    poles = rcfg.get("poles", [-1.0, -2.0])
-    k_gain = place_poles(plant.r, plant.d_y, poles)
-    b_bar = plant.b_bar
-    b_bar_inv = np.linalg.inv(b_bar)
-    sat_level = float(rcfg.get("sat_level", 100.0))
-    stab = StabilizerConfig(K=k_gain, sat_level=sat_level, b_bar_inv=b_bar_inv)
-
-    ell = float(rcfg.get("ell", 20.0))
-    h_coeffs = rcfg.get("h_coeffs", [6.0, 11.0, 6.0])
-    psi_bar = float(rcfg.get("psi_bar", 100.0))
-    obs = ObserverConfig(ell=ell, h_coeffs=h_coeffs, psi_bar=psi_bar)
-    lam, hmat, h_rp1 = build_observer_gains(obs, plant.r, plant.d_y)
-    lh = lam @ hmat
-    l_rp1 = ell ** (plant.r + 1) * h_rp1
-
-    ident, model = _build_identifier(icfg, im.d_eta)
-
-    clock = ClockConfig(
-        t_low=float(cfg.clock.get("t_low", 0.1)),
-        t_high=float(cfg.clock.get("t_high", 0.1)),
-        strategy=cfg.clock.get("strategy", "periodic"),
-        period=cfg.clock.get("period"),
-        seed=int(cfg.clock.get("seed", 0)),
+    k_gain = place_poles(plant.r, plant.d_y, rcfg.get("poles", [-1.0, -2.0]))
+    stab = StabilizerConfig(K=k_gain, sat_level=float(rcfg.get("sat_level", 100.0)),
+                            b_bar_inv=np.linalg.inv(plant.b_bar))
+    obs = ObserverConfig(
+        ell=float(rcfg.get("ell", 20.0)),
+        h_coeffs=rcfg.get("h_coeffs", [6.0, 11.0, 6.0]),
+        psi_bar=float(rcfg.get("psi_bar", 100.0)),
     )
+    ident, model = _build_identifier(icfg, im.d_eta)
+    clock = _build_clock(cfg.clock)
     horizon = float(cfg.sim.get("horizon", 100.0))
     dt = float(cfg.sim.get("dt", 1e-3))
 
-    d_w, d_z, d_x, d_y = plant.d_w, plant.d_z, plant.d_x, plant.d_y
-    i_w = slice(0, d_w)
-    i_z = slice(d_w, d_w + d_z)
-    i_x = slice(d_w + d_z, d_w + d_z + d_x)
-    i_e = slice(d_w + d_z + d_x, d_w + d_z + d_x + im.d_eta)
-    i_xh = slice(i_e.stop, i_e.stop + d_x)
-    i_sh = slice(i_xh.stop, i_xh.stop + d_y)
-
-    x0_err = _error_coordinates(plant, p0, w0)
-    v0 = np.zeros(i_sh.stop)
-    v0[i_w] = w0
-    v0[i_x] = x0_err
-
-    eval_s, eval_f = plant.eval_s, plant.eval_f
-    eval_q, eval_b = plant.eval_q, plant.eval_b
-    f_im, g_im = im.F, im.G
-    theta_cell = [np.zeros(model.d_theta) if model is not None else None]
+    lay = state_layout(im.d_eta)
+    v0 = _error_coordinates(plant, p0, w0, lay)
+    field, control = build_closed_loop(plant, im, stab, obs, ident)
     theta_history = []
     jump_samples = []
 
-    def control(v):
-        inner = -v[i_sh] - k_gain @ v[i_xh]
-        n = np.linalg.norm(inner)
-        if n > sat_level:
-            inner = inner * (sat_level / n)
-        return b_bar_inv @ inner
-
-    def generic_flow(v):
-        w, z, x = v[i_w], v[i_z], v[i_x]
-        eta, xh, sh = v[i_e], v[i_xh], v[i_sh]
-        u = control(v)
-        eta_dot = f_im @ eta + g_im @ u
-        if model is not None:
-            dg = model.eval_dgamma_deta(theta_cell[0], eta)
-            psi = dg @ eta_dot
-            n = np.linalg.norm(psi)
-            if n > psi_bar:
-                psi = psi * (psi_bar / n)
-        else:
-            psi = np.zeros(d_y)
-        innov = x[:d_y] - xh[:d_y]
-        out = np.empty_like(v)
-        out[i_w] = eval_s(w)
-        out[i_z] = eval_f(w, z, x)
-        out[i_x] = a_mat @ x + b_mat @ (eval_q(w, z, x) + eval_b(w, z, x) @ u)
-        out[i_e] = eta_dot
-        out[i_xh] = a_mat @ xh + b_mat @ (sh + b_bar @ u) + lh @ innov
-        out[i_sh] = -b_bar @ psi + l_rp1 @ innov
-        return out
-
-    flow = generic_flow
-    if d_y == 1 and d_z == 0 and plant.r == 2 and "fast_q" in plant.extras:
-        # scalar-math inner loop; same semantics as generic_flow
-        fast_q = plant.extras["fast_q"]
-        rho_exo = float(plant.extras["rho"])
-        k0, k1 = float(k_gain[0, 0]), float(k_gain[0, 1])
-        g_col = g_im.ravel()
-        lh0, lh1 = float(lh[0, 0]), float(lh[1, 0])
-        l3 = float(l_rp1[0, 0])
-        bb = float(b_bar[0, 0])
-        bbi = float(b_bar_inv[0, 0])
-        n_eta = im.d_eta
-        regressor = model.regressor if model is not None else None
-        identity_reg = regressor is not None and regressor.max_order == 1
-
-        def flow(v):
-            w1, w2, x1, x2 = v[0], v[1], v[2], v[3]
-            eta = v[4:4 + n_eta]
-            xh1, xh2, sh = v[4 + n_eta], v[5 + n_eta], v[6 + n_eta]
-            inner = -sh - k0 * xh1 - k1 * xh2
-            if inner > sat_level:
-                inner = sat_level
-            elif inner < -sat_level:
-                inner = -sat_level
-            u = bbi * inner
-            eta_dot = f_im @ eta + g_col * u
-            if model is not None:
-                theta = theta_cell[0]
-                dg = theta if identity_reg else theta @ regressor.jacobian(eta)
-                psi = float(dg @ eta_dot)
-                if psi > psi_bar:
-                    psi = psi_bar
-                elif psi < -psi_bar:
-                    psi = -psi_bar
-            else:
-                psi = 0.0
-            innov = x1 - xh1
-            out = np.empty_like(v)
-            out[0] = w2
-            out[1] = -rho_exo * w1
-            out[2] = x2
-            out[3] = fast_q(w1, w2, x1, x2) + u
-            out[4:4 + n_eta] = eta_dot
-            out[4 + n_eta] = xh2 + lh0 * innov
-            out[5 + n_eta] = sh + bb * u + lh1 * innov
-            out[6 + n_eta] = -bb * psi + l3 * innov
-            return out
-
     def jump(t, j, v):
         if ident is not None:
-            eta = v[i_e].copy()
-            u = control(v)
+            eta = v[lay.eta].copy()
+            # The identifier's sample keeps the vector form of the controller
+            # (K @ x_hat, norm rescale), which can differ from control() in
+            # the last bit. At N = 5 the identifier amplifies that bit to a
+            # few 1e-6 in steady_state_max_y, beyond the 1e-6 tolerance of
+            # bench/reference.json; feed it control() when those references
+            # are next recorded.
+            inner = -v[lay.sigma_hat:lay.size] - stab.K @ v[lay.x_hat]
+            norm = np.linalg.norm(inner)
+            if norm > stab.sat_level:
+                inner = inner * (stab.sat_level / norm)
+            u = stab.b_bar_inv @ inner
             ident.jump(eta, u)
-            theta_cell[0] = ident.theta
             theta_history.append((t, ident.theta.copy()))
             jump_samples.append((j, eta, u))
         else:
             theta_history.append((t, None))
         return v
 
-    arc = simulate(flow, jump, v0, clock, horizon, dt)
-    return _reduce(arc, cfg, plant, im, stab, model, theta_history, jump_samples,
-                   i_w, i_x, i_e, i_xh, i_sh, horizon)
+    arc = simulate(field, jump, v0, clock, horizon, dt)
+    return _reduce(arc, cfg, plant, lay, control, model, theta_history, jump_samples,
+                   horizon)
 
 
-def _segment_thetas(arc, theta_history):
-    """Per-row jump index into theta_history (-1 before the first jump)."""
-    return arc.j - 1
-
-
-def _reduce(arc, cfg, plant, im, stab, model, theta_history, jump_samples,
-            i_w, i_x, i_e, i_xh, i_sh, horizon):
+def _reduce(arc, cfg, plant, lay, control, model, theta_history, jump_samples, horizon):
     states = arc.states
     n = states.shape[0]
-    w_rows = states[:, i_w]
-    x_rows = states[:, i_x]
-    eta_rows = states[:, i_e]
-    xh_rows = states[:, i_xh]
-    sh_rows = states[:, i_sh]
-    d_y = sh_rows.shape[1]
+    w_rows = states[:, lay.w]
+    x_rows = states[:, lay.x]
+    eta_rows = states[:, lay.eta]
+    xh_rows = states[:, lay.x_hat]
+    sh = states[:, lay.sigma_hat]
 
-    y = x_rows[:, 0] if d_y == 1 else np.linalg.norm(x_rows[:, :d_y], axis=1)
-
-    inner = -sh_rows - xh_rows @ stab.K.T
-    norms = np.linalg.norm(inner, axis=1)
-    scale = np.where(norms > stab.sat_level, stab.sat_level / np.where(norms > 0, norms, 1.0), 1.0)
-    u_rows = (inner * scale[:, None]) @ stab.b_bar_inv.T
-    u = u_rows[:, 0] if d_y == 1 else np.linalg.norm(u_rows, axis=1)
-
+    y = x_rows[:, 0]
+    xh1, xh2 = xh_rows.T.tolist()
+    u = np.fromiter(map(control, xh1, xh2, sh.tolist()), dtype=float, count=n)
     u_star = plant.extras["ustar_rows"](w_rows)
 
     gamma_hat = np.zeros(n)
     if model is not None and theta_history:
-        seg = _segment_thetas(arc, theta_history)
+        seg = arc.j - 1  # per-row index into theta_history, -1 before the first jump
         regressor = model.regressor
         # segment-wise evaluation: theta is constant between jumps
         bounds = np.flatnonzero(np.diff(seg) != 0) + 1
@@ -449,16 +438,10 @@ def _reduce(arc, cfg, plant, im, stab, model, theta_history, jump_samples,
             k = seg[s0]
             if k < 0:
                 continue  # theta starts at zero
-            theta = theta_history[k][1]
-            if theta is None:
-                continue
-            gamma_hat[s0:s1] = regressor.batch(eta_rows[s0:s1]) @ theta
+            gamma_hat[s0:s1] = regressor.batch(eta_rows[s0:s1]) @ theta_history[k][1]
 
     err_xhat = np.linalg.norm(x_rows - xh_rows, axis=1)
-    b_bar = np.linalg.inv(stab.b_bar_inv)
-    err_sigmahat = np.linalg.norm(
-        sh_rows + np.asarray(u_star).reshape(n, -1) @ b_bar.T, axis=1
-    )
+    err_sigmahat = np.abs(sh + u_star * plant.b_bar[0, 0])
 
     if "tau_rows" in plant.extras and "theta_star" in plant.extras and model is not None:
         tau_rows = plant.extras["tau_rows"](w_rows)
@@ -525,6 +508,6 @@ def run_sweep(base, axis, values):
                 "steady_state_max_y": res.summary["steady_state_max_y"],
                 "settling_time_s": res.summary["settling_time_s"],
             })
-        except Exception as exc:  # per-cell failure, sweep continues
+        except AdregError as exc:  # per-cell failure, sweep continues
             rows.append({"value": val, "error": f"{type(exc).__name__}: {exc}"})
     return rows

@@ -105,3 +105,9 @@ class TestCheckIdentifier:
     def test_requires_identifier(self, write_cfg, capsys):
         path = write_cfg({"sim": SHORT_SIM})
         assert main(["check-identifier", path]) == EXIT_CONFIG
+
+    def test_f_without_g_is_config_error(self, write_cfg, capsys):
+        path = write_cfg({"regulator": {"F": [[-1, 1], [0, -1]]},
+                          "identifier": {"kind": "ls", "N": 1}})
+        assert main(["check-identifier", path]) == EXIT_CONFIG
+        assert "F and G must be given together" in capsys.readouterr().err

@@ -7,7 +7,6 @@ from adreg.errors import InvalidConfigError, IntegrationBlowupError
 from adreg.hybrid import (
     ClockConfig,
     HybridArc,
-    HybridTime,
     next_jump_time,
     simulate,
     validate_arc,
@@ -45,12 +44,6 @@ class TestClockConfig:
         assert np.all(gaps >= 0.1) and np.all(gaps <= 0.3)
         rng2 = clock.make_rng()
         assert next_jump_time(clock, 0.0, rng2) == pytest.approx(gaps[0])
-
-    def test_hybrid_time_validation(self):
-        with pytest.raises(InvalidConfigError):
-            HybridTime(-1.0, 0)
-        with pytest.raises(InvalidConfigError):
-            HybridTime(0.0, -1)
 
 
 class TestSimulate:
@@ -94,6 +87,15 @@ class TestSimulate:
         with pytest.raises(InvalidConfigError):
             simulate(lambda x: -x, lambda t, j, x: x, np.array([1.0]), clock,
                      1.0, dt=0.05)
+
+    @pytest.mark.parametrize("horizon,dt", [
+        (float("nan"), 1e-3), (float("inf"), 1e-3), (1.0, float("nan")),
+    ])
+    def test_non_finite_horizon_or_dt_rejected(self, horizon, dt):
+        clock = ClockConfig(t_low=0.1, t_high=0.1)
+        with pytest.raises(InvalidConfigError):
+            simulate(lambda x: -x, lambda t, j, x: x, np.array([1.0]), clock,
+                     horizon, dt=dt)
 
     def test_blowup_carries_hybrid_time(self):
         clock = ClockConfig(t_low=0.1, t_high=0.1)

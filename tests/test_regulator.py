@@ -4,21 +4,38 @@ import numpy as np
 import pytest
 
 from adreg.errors import InvalidConfigError, InvalidInputError
+from adreg.identifier import LsIdentifier, LsIdentifierState, build_poly_regressor
 from adreg.numerics import is_controllable, is_hurwitz
-from adreg.plant import build_chain_matrices
+from adreg.plant import build_chain_matrices, build_vdp_scenario
 from adreg.regulator import (
     InternalModelConfig,
     ObserverConfig,
-    RegulatorState,
     StabilizerConfig,
     build_observer_gains,
-    compute_sat_level,
-    control_output,
     default_internal_model,
-    internal_model_flow,
-    observer_flow,
     saturate,
 )
+from adreg.scenario import build_closed_loop, state_layout
+
+
+def _closed_loop(d_eta=6, b_bar_inv=1.0, ident=None):
+    """(field, control, layout) of the oscillator loop with K = (2, 3),
+    M = psi_bar = 100, ell = 20 and h = (6, 11, 6)."""
+    stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0, b_bar_inv=[[b_bar_inv]])
+    obs = ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
+    field, control = build_closed_loop(
+        build_vdp_scenario(2.0, 2.0), default_internal_model(d_eta), stab, obs, ident)
+    return field, control, state_layout(d_eta)
+
+
+def _state(lay, x=(0.0, 0.0), eta=0.0, x_hat=(0.0, 0.0), sigma_hat=0.0):
+    v = np.zeros(lay.size)
+    v[lay.w] = (0.3, 0.5)
+    v[lay.x] = x
+    v[lay.eta] = eta
+    v[lay.x_hat] = x_hat
+    v[lay.sigma_hat] = sigma_hat
+    return v
 
 
 class TestSaturate:
@@ -54,15 +71,6 @@ class TestSaturate:
         assert s[0] == 1.0
 
 
-class TestComputeSatLevel:
-    def test_sum_of_bounds(self):
-        assert compute_sat_level(3.0, 5.0, 0.5) == pytest.approx(8.5)
-
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidInputError):
-            compute_sat_level(-1.0, 5.0, 0.5)
-
-
 class TestStabilizerConfig:
     def test_accepts_stabilizing_gain(self):
         # K places the chain poles at -1, -2
@@ -96,10 +104,12 @@ class TestInternalModel:
         assert is_controllable(im.F, im.G)
 
     def test_flow(self):
-        im = default_internal_model(3)
-        eta = np.array([1.0, 2.0, 3.0])
-        dot = internal_model_flow(eta, 5.0, im)
-        assert np.allclose(dot, [-1.0 + 2.0, -2.0 + 3.0, -3.0 + 5.0])
+        # eta' = F eta + G u, with u the controller's output (sigma_hat = -5
+        # and x_hat = 0 give u = 5)
+        field, control, lay = _closed_loop(d_eta=3)
+        v = _state(lay, eta=[1.0, 2.0, 3.0], sigma_hat=-5.0)
+        assert control(0.0, 0.0, -5.0) == 5.0
+        assert np.allclose(field(v)[lay.eta], [-1.0 + 2.0, -2.0 + 3.0, -3.0 + 5.0])
 
     def test_rejects_unstable_f(self):
         with pytest.raises(InvalidConfigError):
@@ -157,61 +167,50 @@ class TestObserverGains:
 
 
 class TestControlOutput:
-    @staticmethod
-    def _state(sigma_hat, x_hat=(0.0, 0.0)):
-        return RegulatorState(
-            varsigma=0.0,
-            eta=np.zeros(6),
-            x_hat=np.array(x_hat),
-            sigma_hat=np.array([sigma_hat]),
-            theta=np.zeros(6),
-        )
-
     def test_cancels_estimated_disturbance(self):
-        stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0, b_bar_inv=[[1.0]])
-        u = control_output(self._state(-50.0), stab)
-        assert u[0] == pytest.approx(50.0)
+        _, control, _ = _closed_loop()
+        assert control(0.0, 0.0, -50.0) == pytest.approx(50.0)
 
     def test_feedback_term(self):
-        stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0, b_bar_inv=[[1.0]])
-        u = control_output(self._state(0.0, x_hat=(1.0, 2.0)), stab)
-        assert u[0] == pytest.approx(-8.0)
+        _, control, _ = _closed_loop()
+        assert control(1.0, 2.0, 0.0) == pytest.approx(-8.0)
 
     def test_norm_bound(self):
-        stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0, b_bar_inv=[[0.5]])
+        _, control, _ = _closed_loop(b_bar_inv=0.5)
         rng = np.random.default_rng(4)
         for _ in range(100):
-            st = self._state(rng.normal() * 1e4, x_hat=rng.normal(size=2) * 1e3)
-            u = control_output(st, stab)
-            assert np.linalg.norm(u) <= 0.5 * 100.0 + 1e-9
+            xh1, xh2 = rng.normal(size=2) * 1e3
+            assert abs(control(xh1, xh2, rng.normal() * 1e4)) <= 0.5 * 100.0
 
 
 class TestObserverFlow:
     def test_zero_innovation_reduces_to_model(self):
-        # with y = x_hat_1 the observer flows like the nominal chain
-        a, b, _ = build_chain_matrices(2, 1)
-        obs = ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
-        lam, hmat, h_rp1 = build_observer_gains(obs, 2, 1)
-        x_hat = np.array([1.0, 2.0])
-        sigma_hat = np.array([3.0])
-        xd, sd = observer_flow(
-            x_hat, sigma_hat, y=1.0, u=4.0, psi=7.0,
-            a=a, b=b, lam=lam, hmat=hmat, h_rp1=h_rp1,
-            ell=20.0, r=2, b_bar=np.array([[1.0]]),
-        )
-        assert np.allclose(xd, [2.0, 3.0 + 4.0])
-        assert sd[0] == pytest.approx(-7.0)
+        # with x1 = x_hat_1 the observer flows like the nominal chain driven
+        # by the applied u; without an identifier psi = 0
+        field, control, lay = _closed_loop()
+        v = _state(lay, x=(1.0, 0.0), x_hat=(1.0, 2.0), sigma_hat=3.0)
+        out = field(v)
+        u = control(1.0, 2.0, 3.0)
+        assert np.allclose(out[lay.x_hat], [2.0, 3.0 + u])
+        assert out[lay.sigma_hat] == 0.0
 
     def test_innovation_gains_enter_at_powers_of_ell(self):
-        a, b, _ = build_chain_matrices(2, 1)
-        obs = ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
-        lam, hmat, h_rp1 = build_observer_gains(obs, 2, 1)
-        zero2, zero1 = np.zeros(2), np.zeros(1)
-        xd, sd = observer_flow(
-            zero2, zero1, y=1.0, u=0.0, psi=0.0,
-            a=a, b=b, lam=lam, hmat=hmat, h_rp1=h_rp1,
-            ell=20.0, r=2, b_bar=np.array([[1.0]]),
-        )
-        assert xd[0] == pytest.approx(20.0 * 6.0)
-        assert xd[1] == pytest.approx(400.0 * 11.0)
-        assert sd[0] == pytest.approx(20.0**3 * 6.0)
+        field, _, lay = _closed_loop()
+        out = field(_state(lay, x=(1.0, 0.0)))
+        assert out[lay.x_hat][0] == pytest.approx(20.0 * 6.0)
+        assert out[lay.x_hat][1] == pytest.approx(400.0 * 11.0)
+        assert out[lay.sigma_hat] == pytest.approx(20.0**3 * 6.0)
+
+    @pytest.mark.parametrize("scale", [0.1, 100.0])
+    def test_consistency_term_drives_sigma_hat(self, scale):
+        # sigma_hat' = -b_bar psi at zero innovation, psi = theta . eta' for
+        # the linear regressor, clamped at psi_bar = 100
+        reg = build_poly_regressor(6, 1)
+        ident = LsIdentifier(LsIdentifierState.zero(6, 0.99, 1e-3), reg)
+        ident.state.theta = scale * np.arange(1.0, 7.0)
+        field, control, lay = _closed_loop(ident=ident)
+        eta = np.linspace(-1.0, 1.0, 6)
+        v = _state(lay, eta=eta, x_hat=(0.0, 1.0), sigma_hat=-2.0)
+        im = default_internal_model(6)
+        psi = ident.theta @ (im.F @ eta + im.G.ravel() * control(0.0, 1.0, -2.0))
+        assert field(v)[lay.sigma_hat] == pytest.approx(-float(np.clip(psi, -100.0, 100.0)))

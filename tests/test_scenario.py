@@ -7,14 +7,19 @@ import json
 import numpy as np
 import pytest
 
+from adreg import scenario
 from adreg.errors import InvalidConfigError
-from adreg.regulator import default_internal_model
+from adreg.numerics import place_poles
+from adreg.plant import build_vdp_scenario
+from adreg.regulator import ObserverConfig, StabilizerConfig, default_internal_model
 from adreg.scenario import (
     CSV_HEADER,
     ScenarioConfig,
+    build_closed_loop,
     build_synthetic_linear_plant,
     run_scenario,
     run_sweep,
+    state_layout,
 )
 
 
@@ -213,6 +218,22 @@ class TestRunScenario:
         assert settling == pytest.approx(res.summary["settling_time_s"])
         assert int(j[-1]) == res.summary["jumps_total"]
 
+    @pytest.mark.parametrize("identifier", [{}, {"kind": "ls", "N": 1}])
+    def test_csv_u_is_the_applied_u(self, identifier):
+        # the u column is the field's controller on each stored state, and
+        # the saturation bound holds exactly
+        res = run_scenario(self._short_cfg(**identifier))
+        stab = StabilizerConfig(K=place_poles(2, 1, [-1.0, -2.0]), sat_level=100.0,
+                                b_bar_inv=[[1.0]])
+        obs = ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
+        _, control = build_closed_loop(build_vdp_scenario(2.0, 2.0),
+                                       default_internal_model(6), stab, obs)
+        lay = state_layout(6)
+        applied = [control(*v[lay.x_hat], v[lay.sigma_hat]) for v in res.states]
+        assert np.array_equal(res.u, applied)
+        assert np.max(np.abs(res.u)) <= 100.0
+        assert np.any(np.abs(res.u) == 100.0)  # the bound is reached
+
     def test_bad_internal_model_pairing(self):
         cfg = ScenarioConfig(regulator={"F": [[-1.0]]})
         with pytest.raises(InvalidConfigError):
@@ -239,3 +260,11 @@ class TestRunSweep:
         rows = run_sweep(base, "ell", [0.5, 20.0])  # ell < 1 is invalid
         assert "error" in rows[0]
         assert "steady_state_max_y" in rows[1]
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(cfg):
+            raise TypeError("broken cell")
+
+        monkeypatch.setattr(scenario, "run_scenario", broken)
+        with pytest.raises(TypeError):
+            run_sweep(ScenarioConfig(), "ell", [20.0])
