@@ -14,20 +14,12 @@ from .errors import (
 )
 from .hybrid import ClockConfig, HybridArc, next_jump_time, simulate, validate_arc
 from .identifier import (
-    IdentifierModel,
     LsIdentifier,
-    LsIdentifierState,
     MiniBatchIdentifier,
-    MiniBatchState,
     PolyRegressor,
     batch_solver_ls,
     build_poly_regressor,
-    linear_model,
-    ls_jump,
-    mb_jump,
     pe_check,
-    prediction_error,
-    theta_map_ls,
 )
 from .numerics import (
     is_controllable,

@@ -71,7 +71,7 @@ def cmd_check_identifier(args):
     im = _build_internal_model(cfg.regulator)
     rho = float(cfg.plant.get("rho", 2.0))
     plant = build_synthetic_linear_plant(rho, im.F, im.G)
-    ident, _ = _build_identifier(cfg.identifier, im.d_eta)
+    ident = _build_identifier(cfg.identifier, im.d_eta)
     clock = _build_clock(cfg.clock)
     run = CoreProcessRun(
         clock=clock,

@@ -1,5 +1,5 @@
 """Core-process data generation, identifier-requirement verification, and the
-brute-force cost oracles used by the acceptance tests.
+brute-force cost oracle used by the acceptance tests.
 
 The maps tau and u* are existential in general, so the harness accepts
 user-supplied evaluators; the closed-loop simulator never needs them. Their
@@ -7,14 +7,13 @@ sole role is posing a well-defined optimization problem for testing.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidConfigError
 from .hybrid import ClockConfig, simulate
-from .identifier import pseudoinverse
-from .numerics import DEFAULT_CUTOFF_REL
+from .numerics import DEFAULT_CUTOFF_REL, pseudoinverse
 from .plant import ExoSpec
 
 
@@ -81,29 +80,15 @@ def brute_force_cost_minimizer(samples, regressor, mu_f, omega,
     return pseudoinverse(gram, cutoff_rel) @ rhs
 
 
-def _ls_oracle(identifier, samples, upto):
-    return brute_force_cost_minimizer(
-        samples[:upto], identifier.regressor, identifier.state.mu_f,
-        identifier.state.omega, identifier.state.cutoff_rel,
-    )
-
-
-def _mb_oracle(identifier, samples, upto):
-    # independent re-derivation: unweighted regularized normal equations over
-    # the trailing window (forgetting weight 1 inside the window)
-    n_w = identifier.state.n_window
-    window = samples[max(0, upto - n_w):upto]
-    omega = getattr(identifier, "omega", 0.0)
-    return brute_force_cost_minimizer(window, identifier.regressor, 1.0, omega)
-
-
 def verify_identifier_requirement(identifier, run, horizon=10.0, trials=5, seed=0,
                                   tol=1e-8):
     """Empirical check of the optimality / stability / regularity triple.
 
-    Returns a report dict with three booleans plus supporting numbers. The
-    internal gain estimates are empirical stand-ins for the existential gain
-    functions, not asserted bounds.
+    Works for any identifier exposing ``regressor``, ``theta``, ``mu_f``,
+    ``n_window``, ``omega``, ``cutoff_rel``, ``jump``, ``clone``,
+    ``perturbed`` and ``gap``. Returns a report dict with three booleans plus
+    supporting numbers. The internal gain estimates are empirical stand-ins
+    for the existential gain functions, not asserted bounds.
     """
     rng = np.random.default_rng(seed)
     report = {"optimality": True, "stability": True, "regularity": True, "notes": []}
@@ -111,53 +96,40 @@ def verify_identifier_requirement(identifier, run, horizon=10.0, trials=5, seed=
     samples = run_core_process(run, horizon)
     if not samples:
         raise InvalidConfigError("core process produced no samples")
+    reg = identifier.regressor
 
-    # --- optimality: theta(j) vs brute-force minimizer from j*
-    if identifier.kind == "ls":
-        j_star, oracle = 0, _ls_oracle
-    else:
-        j_star, oracle = identifier.state.n_window, _mb_oracle
+    # --- optimality: theta(j) vs the brute-force minimizer of the same cost,
+    # from j* on; a window of n_window samples is full from j* = n_window
+    j_star = identifier.n_window or 0
     ident = identifier.clone()
     worst = 0.0
-    for j, (jj, win, wout) in enumerate(samples, start=1):
+    for j, (_, win, wout) in enumerate(samples, start=1):
         ident.jump(win, wout)
-        if j >= max(j_star, 1):
-            th_star = oracle(identifier, samples, j)
+        if j >= j_star:
+            window = samples[j - j_star:j] if j_star else samples[:j]
+            th_star = brute_force_cost_minimizer(window, reg, identifier.mu_f,
+                                                 identifier.omega, identifier.cutoff_rel)
             dev = np.linalg.norm(ident.theta - th_star) / (1.0 + np.linalg.norm(th_star))
             worst = max(worst, dev)
     report["optimality"] = worst <= tol
     report["optimality_worst_dev"] = worst
     report["j_star"] = j_star
 
-    # --- stability: contraction of the state gap on identical streams, plus
+    # --- stability: on identical streams the state gap contracts at the
+    # forgetting rate and vanishes once a window has been replaced; plus an
     # empirical ISS gain under bounded input disturbances
     contraction_ok = True
     for _ in range(trials):
         a = identifier.clone()
-        b = identifier.clone()
-        if identifier.kind == "ls":
-            d = a.state.xi1.shape[0]
-            pert = rng.standard_normal((d, d))
-            pert = 0.5 * (pert + pert.T)
-            b.state.xi1 = b.state.xi1 + pert
-            b.state.xi2 = b.state.xi2 + rng.standard_normal(d)
-            gap0 = np.linalg.norm(pert) + np.linalg.norm(b.state.xi2 - a.state.xi2)
-            for j, (_, win, wout) in enumerate(samples, start=1):
-                a.jump(win, wout)
-                b.jump(win, wout)
-                gap = (np.linalg.norm(b.state.xi1 - a.state.xi1)
-                       + np.linalg.norm(b.state.xi2 - a.state.xi2))
-                if gap > a.state.mu_f ** j * gap0 * (1.0 + 1e-9) + 1e-12:
-                    contraction_ok = False
-        else:
-            # shift registers forget exactly after n_window samples
-            b.state.theta = b.state.theta + rng.standard_normal(b.state.theta.shape)
-            for _, win, wout in samples:
-                a.jump(win, wout)
-                b.jump(win, wout)
-            if len(samples) >= b.state.n_window and not np.allclose(
-                a.theta, b.theta, atol=1e-10
-            ):
+        b = identifier.perturbed(rng)
+        gap0 = b.gap(a)
+        for j, (_, win, wout) in enumerate(samples, start=1):
+            a.jump(win, wout)
+            b.jump(win, wout)
+            gap = b.gap(a)
+            if gap > identifier.mu_f ** j * gap0 * (1.0 + 1e-9) + 1e-12:
+                contraction_ok = False
+            if 0 < j_star <= j and gap > 1e-10:
                 contraction_ok = False
     report["stability"] = contraction_ok
 
@@ -172,33 +144,23 @@ def verify_identifier_requirement(identifier, run, horizon=10.0, trials=5, seed=
         for i, (_, win, wout) in enumerate(samples):
             a.jump(win, wout)
             b.jump(win + d_in[i], wout + d_out[i])
-            if identifier.kind == "ls":
-                dev = max(dev, np.linalg.norm(b.state.xi1 - a.state.xi1)
-                          + np.linalg.norm(b.state.xi2 - a.state.xi2))
-            else:
-                dev = max(dev, np.linalg.norm(b.theta - a.theta))
+            dev = max(dev, b.gap(a))
         gains.append(dev / amp)
     report["iss_gain_estimate"] = float(max(gains))
     if not np.isfinite(report["iss_gain_estimate"]):
         report["stability"] = False
 
-    # --- regularity: finite Lipschitz estimate of the Theta-map and model
-    # Jacobian vs central finite differences
-    model = identifier.model()
+    # --- regularity: the model Jacobian theta . d sigma/d eta vs central
+    # finite differences of theta . sigma
     jac_ok = True
+    h = 1e-6
     for _ in range(trials):
-        theta = rng.standard_normal(model.d_theta)
+        theta = rng.standard_normal(reg.d_sigma)
         eta = rng.uniform(-1.0, 1.0, size=samples[0][1].size)
-        jac = np.atleast_2d(model.eval_dgamma_deta(theta, eta))
-        h = 1e-6
-        fd = np.zeros_like(jac)
-        for i in range(eta.size):
-            ep = eta.copy(); ep[i] += h
-            em = eta.copy(); em[i] -= h
-            fd[:, i] = (np.atleast_1d(model.eval_gamma_hat(theta, ep))
-                        - np.atleast_1d(model.eval_gamma_hat(theta, em))) / (2 * h)
-        denom = 1.0 + np.abs(fd).max()
-        if np.abs(jac - fd).max() / denom > 1e-5:
+        jac = theta @ reg.jacobian(eta)
+        fd = np.array([theta @ reg(eta + e) - theta @ reg(eta - e)
+                       for e in h * np.eye(eta.size)]) / (2 * h)
+        if np.abs(jac - fd).max() / (1.0 + np.abs(fd).max()) > 1e-5:
             jac_ok = False
     report["regularity"] = jac_ok
     return report

@@ -1,15 +1,19 @@
 """Discrete-time identifiers: recursive least squares with forgetting and a
-mini-batch (moving window) scheme, plus polynomial regressors and the
-parameter output map.
+mini-batch (moving window) scheme, plus polynomial regressors.
 
-The saturated continuous extensions of the update ingredients are realized as
-norm clamps with configurable radii (default 1e6): generous enough to stay
+Each identifier is one class that holds its state and the parameters of the
+cost it minimizes: the forgetting factor ``mu_f``, the window length
+``n_window`` (None when every past sample counts) and the regularizer
+``omega`` (Omega = omega I). ``jump`` rebinds the state and never mutates it
+in place, so a shallow copy is an independent clone.
+
+The saturated continuous extensions of the LS update ingredients are realized
+as norm clamps with configurable radii (default 1e6): generous enough to stay
 inactive on sane data while preserving the boundedness contract.
 """
 
-from dataclasses import dataclass, field, replace
+import copy
 from itertools import combinations_with_replacement
-from typing import Callable
 
 import numpy as np
 
@@ -19,15 +23,6 @@ from .regulator import saturate
 
 REGRESSOR_MODES = ("full-multiset", "pure-powers")
 DEFAULT_CLAMP = 1e6
-
-
-@dataclass
-class IdentifierModel:
-    """Parametrized model gamma_hat(theta, eta) with Jacobian in eta."""
-
-    d_theta: int
-    eval_gamma_hat: Callable
-    eval_dgamma_deta: Callable
 
 
 class PolyRegressor:
@@ -59,15 +54,12 @@ class PolyRegressor:
             for i in idx:
                 exps[k, i] += 1
         self._exps = exps
-        self._cols = np.arange(d_eta)
-        # flattened gather indices into the power table for sigma and d sigma
-        stride = max_order + 1
-        self._flat_pow = self._cols[None, :] * stride + exps
-        # transposed copies keep the jacobian cumprods on the long axis
-        self._flat_pow_t = np.ascontiguousarray(self._flat_pow.T)
-        self._flat_dpow_t = np.ascontiguousarray(
-            (self._cols[None, :] * stride + np.maximum(exps - 1, 0)).T
-        )
+        # flattened gather indices into the power table for sigma and d sigma,
+        # transposed to (d_eta, d_sigma) so that each gather and the jacobian
+        # cumprods run along the long axis
+        offsets = np.arange(d_eta)[None, :] * (max_order + 1)
+        self._flat_pow_t = np.ascontiguousarray((offsets + exps).T)
+        self._flat_dpow_t = np.ascontiguousarray((offsets + np.maximum(exps - 1, 0)).T)
         self._exps_ft = np.ascontiguousarray(exps.T.astype(float))
 
     @property
@@ -75,25 +67,27 @@ class PolyRegressor:
         return self._exps.shape[0]
 
     def _power_table(self, eta):
-        # p[i, m] = eta_i^m for m = 0..max_order
-        p = np.ones((self.d_eta, self.max_order + 1))
+        # p[..., i, m] = eta_i^m for m = 0..max_order, over eta's leading axes
+        p = np.ones(eta.shape + (self.max_order + 1,))
         for m in range(1, self.max_order + 1):
-            p[:, m] = p[:, m - 1] * eta
+            p[..., m] = p[..., m - 1] * eta
         return p
 
     def __call__(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        if eta.ndim == 2:
-            return self.batch(eta)
-        p = self._power_table(eta)
-        return np.take(p.ravel(), self._flat_pow).prod(axis=1)
+        """sigma over the leading axes of eta: (..., d_eta) -> (..., d_sigma).
 
-    def batch(self, eta_rows):
-        """sigma evaluated rowwise: (n, d_eta) -> (n, d_sigma)."""
-        out = np.ones((eta_rows.shape[0], self.d_sigma))
-        for i in range(self.d_eta):
-            out *= eta_rows[:, i, None] ** self._exps[None, :, i]
+        Each component is the product of its power-table entries, taken one
+        eta coordinate at a time, so a row of a batch evaluates exactly as
+        the same eta alone.
+        """
+        eta = np.asarray(eta, dtype=float)
+        flat = self._power_table(eta).reshape(eta.shape[:-1] + (-1,))
+        out = flat[..., self._flat_pow_t[0]]
+        for idx in self._flat_pow_t[1:]:
+            out *= flat[..., idx]
         return out
+
+    batch = __call__  # on (n, d_eta) rows; a name of its own lets profiles count rows apart
 
     def jacobian(self, eta):
         """d sigma / d eta, shape (d_sigma, d_eta)."""
@@ -118,76 +112,10 @@ def build_poly_regressor(d_eta, N, mode="full-multiset"):
     return PolyRegressor(d_eta, N, mode)
 
 
-def linear_model(regressor):
-    """gamma_hat(theta, eta) = theta . sigma(eta) for a scalar output."""
-
-    def gamma_hat(theta, eta):
-        return np.atleast_1d(float(np.dot(theta, regressor(eta))))
-
-    def dgamma_deta(theta, eta):
-        return (theta @ regressor.jacobian(eta))[None, :]
-
-    model = IdentifierModel(
-        d_theta=regressor.d_sigma,
-        eval_gamma_hat=gamma_hat,
-        eval_dgamma_deta=dgamma_deta,
-    )
-    model.regressor = regressor
-    return model
-
-
-def theta_map_ls(xi1, xi2, omega, theta_bound, cutoff_rel=DEFAULT_CUTOFF_REL):
-    """theta = (xi1 + Omega)^+ xi2, norm-clamped at theta_bound."""
-    theta = pseudoinverse(xi1 + omega, cutoff_rel) @ xi2
-    return saturate(theta, theta_bound)
-
-
-@dataclass
-class LsIdentifierState:
-    """State of the recursive least-squares identifier with forgetting."""
-
-    xi1: np.ndarray
-    xi2: np.ndarray
-    theta: np.ndarray
-    mu_f: float
-    omega: np.ndarray
-    rho_sigma: float = DEFAULT_CLAMP
-    rho_lambda: float = DEFAULT_CLAMP
-    theta_bound: float = DEFAULT_CLAMP
-    cutoff_rel: float = DEFAULT_CUTOFF_REL
-
-    def __post_init__(self):
-        if not (0.0 < self.mu_f < 1.0):
-            raise InvalidConfigError("mu_f must lie in (0, 1)")
-
-    @classmethod
-    def zero(cls, d_theta, mu_f, omega, **kw):
-        omega = np.asarray(omega, dtype=float)
-        if omega.ndim == 0:
-            omega = float(omega) * np.eye(d_theta)
-        return cls(
-            xi1=np.zeros((d_theta, d_theta)),
-            xi2=np.zeros(d_theta),
-            theta=np.zeros(d_theta),
-            mu_f=mu_f,
-            omega=omega,
-            **kw,
-        )
-
-
-def ls_jump(state, eta_in, u_out, regressor):
-    """One identifier update: geometric forgetting plus the clamped rank-one
-    accumulation, then the parameter output map."""
-    sig = regressor(eta_in)
-    big_sigma = saturate(np.outer(sig, sig).ravel(), state.rho_sigma).reshape(
-        sig.size, sig.size
-    )
-    lam = saturate(sig * float(np.atleast_1d(u_out)[0]), state.rho_lambda)
-    xi1 = state.mu_f * state.xi1 + big_sigma
-    xi1 = 0.5 * (xi1 + xi1.T)  # suppress drift from the PSD cone
-    xi2 = state.mu_f * state.xi2 + lam
-    theta = theta_map_ls(xi1, xi2, state.omega, state.theta_bound, state.cutoff_rel)
-    return replace(state, xi1=xi1, xi2=xi2, theta=theta)
+def _omega_matrix(omega, d):
+    if not omega >= 0.0:
+        raise InvalidConfigError(f"omega must be >= 0, got {omega!r}")
+    return float(omega) * np.eye(d)
 
 
 def pe_check(samples, mu_f, omega, epsilon, cutoff_rel=DEFAULT_CUTOFF_REL):
@@ -202,58 +130,24 @@ def pe_check(samples, mu_f, omega, epsilon, cutoff_rel=DEFAULT_CUTOFF_REL):
     return min_nonzero_singular_value(gram, cutoff_rel) >= epsilon
 
 
-@dataclass
-class MiniBatchState:
-    """Shift-register window of the last n_window (eta, u) samples plus the
-    batch solver producing theta once the window is full."""
-
-    n_window: int
-    solver: Callable  # (window_in, window_out) -> theta
-    theta: np.ndarray
-    window_in: list = field(default_factory=list)
-    window_out: list = field(default_factory=list)
-    fill_count: int = 0
-
-
-def mb_jump(state, eta_in, u_out):
-    """Drop the oldest sample, append the newest; re-solve once full."""
-    win_in = list(state.window_in)
-    win_out = list(state.window_out)
-    win_in.append(np.asarray(eta_in, dtype=float).copy())
-    win_out.append(np.atleast_1d(np.asarray(u_out, dtype=float)).copy())
-    if len(win_in) > state.n_window:
-        win_in.pop(0)
-        win_out.pop(0)
-    fill = state.fill_count + 1
-    theta = state.theta
-    if fill >= state.n_window:
-        theta = state.solver(win_in, win_out)
-    return replace(
-        state, window_in=win_in, window_out=win_out, fill_count=fill, theta=theta
-    )
-
-
-def batch_solver_ls(window_in, window_out, regressor, omega, weights=None,
+def batch_solver_ls(window_in, window_out, regressor, omega,
                     cutoff_rel=DEFAULT_CUTOFF_REL):
-    """Regularized weighted linear least squares on the window.
+    """Regularized linear least squares on the window.
 
-    Minimizes sum_i w_i |u_i - theta . sigma(eta_i)|^2 + theta' Omega theta
+    Minimizes sum_i |u_i - theta . sigma(eta_i)|^2 + theta' Omega theta
     via the normal equations and the pseudoinverse (minimum-norm minimizer
     when rank-deficient). The first-order optimality residual is checked
     a posteriori.
     """
-    n = len(window_in)
-    if weights is None:
-        weights = np.ones(n)
     omega = np.asarray(omega, dtype=float)
     if omega.ndim == 0:
         omega = float(omega) * np.eye(regressor.d_sigma)
     gram = omega.copy()
     rhs = np.zeros(regressor.d_sigma)
-    for wgt, eta, u in zip(weights, window_in, window_out):
+    for eta, u in zip(window_in, window_out):
         sig = regressor(eta)
-        gram += wgt * np.outer(sig, sig)
-        rhs += wgt * sig * float(np.atleast_1d(u)[0])
+        gram += np.outer(sig, sig)
+        rhs += sig * float(np.atleast_1d(u)[0])
     theta = pseudoinverse(gram, cutoff_rel) @ rhs
     resid = gram @ theta - rhs
     scale = 1.0 + np.linalg.norm(rhs)
@@ -267,63 +161,103 @@ def batch_solver_ls(window_in, window_out, regressor, omega, weights=None,
     return theta
 
 
-def prediction_error(model, theta, tau_w, ustar_w):
-    """u*(w) - gamma_hat(theta, tau(w))."""
-    return np.atleast_1d(ustar_w) - np.atleast_1d(model.eval_gamma_hat(theta, tau_w))
-
-
 class LsIdentifier:
-    """Stateful wrapper pairing an LsIdentifierState with its regressor."""
+    """Recursive least squares with geometric forgetting.
 
-    kind = "ls"
+    After j jumps theta minimizes
+    sum_i mu_f^(j-1-i) |u_i - theta . sigma(eta_i)|^2 + theta' Omega theta
+    through the accumulators xi1 (weighted Gram matrix) and xi2 (weighted
+    regressor-output sum).
+    """
 
-    def __init__(self, state, regressor):
-        self.state = state
+    n_window = None
+
+    def __init__(self, regressor, mu_f=0.99, omega=1e-3, clamp=DEFAULT_CLAMP,
+                 theta_bound=DEFAULT_CLAMP, cutoff_rel=DEFAULT_CUTOFF_REL):
+        if not (0.0 < mu_f < 1.0):
+            raise InvalidConfigError("mu_f must lie in (0, 1)")
+        d = regressor.d_sigma
         self.regressor = regressor
-
-    @property
-    def theta(self):
-        return self.state.theta
+        self.mu_f = mu_f
+        self.omega = _omega_matrix(omega, d)
+        self.clamp = clamp
+        self.theta_bound = theta_bound
+        self.cutoff_rel = cutoff_rel
+        self.xi1 = np.zeros((d, d))
+        self.xi2 = np.zeros(d)
+        self.theta = np.zeros(d)
 
     def jump(self, eta_in, u_out):
-        self.state = ls_jump(self.state, eta_in, u_out, self.regressor)
+        """Geometric forgetting plus the clamped rank-one accumulation, then
+        the output map theta = (xi1 + Omega)^+ xi2, norm-clamped at
+        theta_bound."""
+        sig = self.regressor(eta_in)
+        big_sigma = saturate(np.outer(sig, sig).ravel(), self.clamp).reshape(
+            sig.size, sig.size
+        )
+        lam = saturate(sig * float(np.atleast_1d(u_out)[0]), self.clamp)
+        xi1 = self.mu_f * self.xi1 + big_sigma
+        xi1 = 0.5 * (xi1 + xi1.T)  # suppress drift from the PSD cone
+        xi2 = self.mu_f * self.xi2 + lam
+        theta = pseudoinverse(xi1 + self.omega, self.cutoff_rel) @ xi2
+        self.xi1, self.xi2, self.theta = xi1, xi2, saturate(theta, self.theta_bound)
 
     def clone(self):
-        return LsIdentifier(
-            replace(self.state, xi1=self.state.xi1.copy(), xi2=self.state.xi2.copy(),
-                    theta=self.state.theta.copy()),
-            self.regressor,
-        )
+        return copy.copy(self)
 
-    def model(self):
-        return linear_model(self.regressor)
+    def perturbed(self, rng):
+        """A clone with a symmetric normal perturbation of xi1 and a normal
+        perturbation of xi2."""
+        twin = self.clone()
+        d = self.xi1.shape[0]
+        pert = rng.standard_normal((d, d))
+        twin.xi1 = self.xi1 + 0.5 * (pert + pert.T)
+        twin.xi2 = self.xi2 + rng.standard_normal(d)
+        return twin
+
+    def gap(self, other):
+        """Distance of the accumulator states: |dxi1|_F + |dxi2|."""
+        return np.linalg.norm(self.xi1 - other.xi1) + np.linalg.norm(self.xi2 - other.xi2)
 
 
 class MiniBatchIdentifier:
-    """Stateful wrapper around the moving-window identifier."""
+    """Moving-window least squares: once n_window samples have arrived,
+    theta minimizes sum |u_i - theta . sigma(eta_i)|^2 + theta' Omega theta
+    over the last n_window of them; until then theta stays at zero."""
 
-    kind = "mini-batch"
+    mu_f = 1.0
 
-    def __init__(self, state, regressor, omega=0.0):
-        self.state = state
+    def __init__(self, regressor, n_window=10, omega=1e-3, cutoff_rel=DEFAULT_CUTOFF_REL):
+        n_window = int(n_window)
+        if n_window < 1:
+            raise InvalidConfigError(f"n_window must be >= 1, got {n_window}")
         self.regressor = regressor
-        self.omega = omega
-
-    @property
-    def theta(self):
-        return self.state.theta
+        self.n_window = n_window
+        self.omega = _omega_matrix(omega, regressor.d_sigma)
+        self.cutoff_rel = cutoff_rel
+        self.window_in = []
+        self.window_out = []
+        self.theta = np.zeros(regressor.d_sigma)
 
     def jump(self, eta_in, u_out):
-        self.state = mb_jump(self.state, eta_in, u_out)
+        """Drop the oldest sample, append the newest; re-solve once full."""
+        win_in = (self.window_in + [np.array(eta_in, dtype=float)])[-self.n_window:]
+        win_out = (self.window_out + [np.array(u_out, dtype=float, ndmin=1)])[-self.n_window:]
+        theta = self.theta
+        if len(win_in) == self.n_window:
+            theta = batch_solver_ls(win_in, win_out, self.regressor, self.omega,
+                                    self.cutoff_rel)
+        self.window_in, self.window_out, self.theta = win_in, win_out, theta
 
     def clone(self):
-        return MiniBatchIdentifier(
-            replace(self.state, window_in=list(self.state.window_in),
-                    window_out=list(self.state.window_out),
-                    theta=self.state.theta.copy()),
-            self.regressor,
-            omega=self.omega,
-        )
+        return copy.copy(self)
 
-    def model(self):
-        return linear_model(self.regressor)
+    def perturbed(self, rng):
+        """A clone with a normal perturbation of theta."""
+        twin = self.clone()
+        twin.theta = self.theta + rng.standard_normal(self.theta.shape)
+        return twin
+
+    def gap(self, other):
+        """Distance of the parameter estimates: |dtheta|."""
+        return np.linalg.norm(self.theta - other.theta)

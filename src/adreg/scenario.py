@@ -6,6 +6,8 @@ emits. The steady-state window is the trailing 20% of the horizon.
 """
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -14,15 +16,7 @@ from scipy.linalg import solve_sylvester
 
 from .errors import AdregError, InvalidConfigError
 from .hybrid import ClockConfig, simulate
-from .identifier import (
-    LsIdentifier,
-    LsIdentifierState,
-    MiniBatchIdentifier,
-    MiniBatchState,
-    batch_solver_ls,
-    build_poly_regressor,
-    linear_model,
-)
+from .identifier import LsIdentifier, MiniBatchIdentifier, build_poly_regressor
 from .numerics import place_poles
 from .plant import (
     PlantSpec,
@@ -52,6 +46,13 @@ def _take(d, allowed, section):
     return d
 
 
+def _finite_numbers(v):
+    """True for a finite real number or a (nested) list of them."""
+    if isinstance(v, (list, tuple)):
+        return all(_finite_numbers(x) for x in v)
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass
 class ScenarioConfig:
     plant: dict = field(default_factory=dict)
@@ -68,6 +69,8 @@ class ScenarioConfig:
     CLOCK_KEYS = ("t_low", "t_high", "strategy", "period", "seed")
     SIM_KEYS = ("horizon", "dt")
     OUTPUT_KEYS = ("csv", "summary")
+    # every other key except output.* holds a number or a list of numbers
+    STRING_KEYS = {"plant": ("kind",), "identifier": ("kind", "mode"), "clock": ("strategy",)}
 
     def __post_init__(self):
         _take(self.plant, self.PLANT_KEYS, "plant")
@@ -76,6 +79,12 @@ class ScenarioConfig:
         _take(self.clock, self.CLOCK_KEYS, "clock")
         _take(self.sim, self.SIM_KEYS, "sim")
         _take(self.output, self.OUTPUT_KEYS, "output")
+        for section in ("plant", "regulator", "identifier", "clock", "sim"):
+            for key, val in getattr(self, section).items():
+                if key not in self.STRING_KEYS.get(section, ()) and not _finite_numbers(val):
+                    raise InvalidConfigError(
+                        f"{section}.{key} must be a finite number or a list of finite "
+                        f"numbers, got {val!r}")
         kind = self.identifier.get("kind", "none")
         if kind not in ("none", "ls", "mini-batch"):
             raise InvalidConfigError(f"unknown identifier kind {kind!r}")
@@ -186,40 +195,26 @@ class ScenarioResult:
             fh.write("\n")
 
 
+# config key -> constructor argument of each identifier class
+_IDENTIFIER_ARGS = {
+    "ls": (LsIdentifier, {"mu_f": "mu_f", "omega_scale": "omega", "clamp": "clamp",
+                          "theta_bound": "theta_bound", "cutoff_rel": "cutoff_rel"}),
+    "mini-batch": (MiniBatchIdentifier, {"N_w": "n_window", "omega_scale": "omega",
+                                         "cutoff_rel": "cutoff_rel"}),
+}
+
+
 def _build_identifier(ident_cfg, d_eta):
+    """The configured identifier, or None for kind "none"; keys left out take
+    the constructor's defaults."""
     kind = ident_cfg.get("kind", "none")
     if kind == "none":
-        return None, None
-    n_order = int(ident_cfg.get("N", 1))
-    mode = ident_cfg.get("mode", "full-multiset")
-    regressor = build_poly_regressor(d_eta, n_order, mode)
-    omega_scale = float(ident_cfg.get("omega_scale", 1e-3))
-    omega = omega_scale * np.eye(regressor.d_sigma)
-    clamp = float(ident_cfg.get("clamp", 1e6))
-    theta_bound = float(ident_cfg.get("theta_bound", 1e6))
-    cutoff = float(ident_cfg.get("cutoff_rel", 1e-12))
-    if kind == "ls":
-        state = LsIdentifierState.zero(
-            regressor.d_sigma,
-            float(ident_cfg.get("mu_f", 0.99)),
-            omega,
-            rho_sigma=clamp,
-            rho_lambda=clamp,
-            theta_bound=theta_bound,
-            cutoff_rel=cutoff,
-        )
-        ident = LsIdentifier(state, regressor)
-    else:
-        n_w = int(ident_cfg.get("N_w", 10))
-
-        def solver(win, wout):
-            return batch_solver_ls(win, wout, regressor, omega, cutoff_rel=cutoff)
-
-        state = MiniBatchState(
-            n_window=n_w, solver=solver, theta=np.zeros(regressor.d_sigma)
-        )
-        ident = MiniBatchIdentifier(state, regressor, omega=omega)
-    return ident, linear_model(regressor)
+        return None
+    regressor = build_poly_regressor(d_eta, int(ident_cfg.get("N", 1)),
+                                     ident_cfg.get("mode", "full-multiset"))
+    cls, args = _IDENTIFIER_ARGS[kind]
+    return cls(regressor, **{arg: ident_cfg[key] for key, arg in args.items()
+                             if key in ident_cfg})
 
 
 def _build_internal_model(rcfg):
@@ -375,7 +370,7 @@ def run_scenario(cfg):
         h_coeffs=rcfg.get("h_coeffs", [6.0, 11.0, 6.0]),
         psi_bar=float(rcfg.get("psi_bar", 100.0)),
     )
-    ident, model = _build_identifier(icfg, im.d_eta)
+    ident = _build_identifier(icfg, im.d_eta)
     clock = _build_clock(cfg.clock)
     horizon = float(cfg.sim.get("horizon", 100.0))
     dt = float(cfg.sim.get("dt", 1e-3))
@@ -408,11 +403,11 @@ def run_scenario(cfg):
         return v
 
     arc = simulate(field, jump, v0, clock, horizon, dt)
-    return _reduce(arc, cfg, plant, lay, control, model, theta_history, jump_samples,
+    return _reduce(arc, cfg, plant, lay, control, ident, theta_history, jump_samples,
                    horizon)
 
 
-def _reduce(arc, cfg, plant, lay, control, model, theta_history, jump_samples, horizon):
+def _reduce(arc, cfg, plant, lay, control, ident, theta_history, jump_samples, horizon):
     states = arc.states
     n = states.shape[0]
     w_rows = states[:, lay.w]
@@ -427,9 +422,8 @@ def _reduce(arc, cfg, plant, lay, control, model, theta_history, jump_samples, h
     u_star = plant.extras["ustar_rows"](w_rows)
 
     gamma_hat = np.zeros(n)
-    if model is not None and theta_history:
+    if ident is not None and theta_history:
         seg = arc.j - 1  # per-row index into theta_history, -1 before the first jump
-        regressor = model.regressor
         # segment-wise evaluation: theta is constant between jumps
         bounds = np.flatnonzero(np.diff(seg) != 0) + 1
         starts = np.concatenate(([0], bounds))
@@ -438,18 +432,16 @@ def _reduce(arc, cfg, plant, lay, control, model, theta_history, jump_samples, h
             k = seg[s0]
             if k < 0:
                 continue  # theta starts at zero
-            gamma_hat[s0:s1] = regressor.batch(eta_rows[s0:s1]) @ theta_history[k][1]
+            gamma_hat[s0:s1] = ident.regressor.batch(eta_rows[s0:s1]) @ theta_history[k][1]
 
     err_xhat = np.linalg.norm(x_rows - xh_rows, axis=1)
     err_sigmahat = np.abs(sh + u_star * plant.b_bar[0, 0])
 
-    if "tau_rows" in plant.extras and "theta_star" in plant.extras and model is not None:
+    if "tau_rows" in plant.extras and "theta_star" in plant.extras and ident is not None:
+        # the true map is linear, and the regressor's first d_eta components
+        # are eta itself, so u* - gamma_hat(theta*, tau) is u* - theta* . tau
         tau_rows = plant.extras["tau_rows"](w_rows)
-        theta_star = plant.extras["theta_star"]
-        # the true map is linear; pad with zeros for higher-order terms
-        theta_full = np.zeros(model.d_theta)
-        theta_full[: theta_star.size] = theta_star
-        eps_star = u_star - model.regressor.batch(tau_rows) @ theta_full
+        eps_star = u_star - tau_rows @ plant.extras["theta_star"]
     else:
         eps_star = np.zeros(0)
 

@@ -17,13 +17,11 @@ import pytest
 
 from adreg.harness import brute_force_cost_minimizer
 from adreg.identifier import (
-    LsIdentifierState,
+    LsIdentifier,
+    MiniBatchIdentifier,
     PolyRegressor,
     batch_solver_ls,
     build_poly_regressor,
-    ls_jump,
-    mb_jump,
-    MiniBatchState,
 )
 from adreg.numerics import is_controllable, is_hurwitz, place_poles
 from adreg.plant import build_chain_matrices
@@ -155,9 +153,8 @@ class TestCriterion3Contraction:
         mu_f = 0.99
         reg = PolyRegressor(3, 1)
         rng = np.random.default_rng(0)
-        omega = 1e-3 * np.eye(3)
-        a = LsIdentifierState.zero(3, mu_f, omega)
-        b = LsIdentifierState.zero(3, mu_f, omega)
+        a = LsIdentifier(reg, mu_f=mu_f, omega=1e-3)
+        b = LsIdentifier(reg, mu_f=mu_f, omega=1e-3)
         pert = rng.standard_normal((3, 3))
         pert = 0.5 * (pert + pert.T)
         dxi2 = rng.standard_normal(3)
@@ -168,8 +165,8 @@ class TestCriterion3Contraction:
         for j in range(1, 201):
             eta = rng.standard_normal(3)
             u = rng.standard_normal()
-            a = ls_jump(a, eta, u, reg)
-            b = ls_jump(b, eta, u, reg)
+            a.jump(eta, u)
+            b.jump(eta, u)
             gap = np.sqrt(np.linalg.norm(b.xi1 - a.xi1, "fro") ** 2
                           + np.linalg.norm(b.xi2 - a.xi2) ** 2)
             assert gap <= mu_f**j * gap0 * (1.0 + 1e-12)
@@ -184,14 +181,11 @@ class TestCriterion4MiniBatchExactness:
     def test_window_is_trailing_samples(self, n_w):
         t0 = time.perf_counter()
         reg = PolyRegressor(2, 1)
-        state = MiniBatchState(
-            n_window=n_w, solver=lambda wi, wo: np.zeros(2),
-            theta=np.zeros(2),
-        )
+        state = MiniBatchIdentifier(reg, n_window=n_w)
         rng = np.random.default_rng(1)
         stream = [(rng.normal(size=2), rng.normal()) for _ in range(n_w + 25)]
         for eta, u in stream:
-            state = mb_jump(state, eta, u)
+            state.jump(eta, u)
         expected = stream[-n_w:]
         assert len(state.window_in) == n_w
         for (got_eta, got_u), (exp_eta, exp_u) in zip(

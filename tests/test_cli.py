@@ -45,6 +45,34 @@ class TestValidate:
         assert main(["validate", str(path)]) == EXIT_CONFIG
 
 
+NAN = float("nan")
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("section,key,value", [
+        ("regulator", "ell", "x"),
+        ("regulator", "ell", None),
+        ("regulator", "ell", NAN),
+        ("regulator", "poles", ["x", -2]),
+        ("regulator", "d_eta", "six"),
+        ("regulator", "h_coeffs", [6, NAN, 6]),
+        ("regulator", "sat_level", NAN),
+        ("regulator", "psi_bar", NAN),
+        ("plant", "rho", NAN),
+        ("plant", "p0", [NAN, 0.0]),
+        ("identifier", "theta_bound", NAN),
+        ("clock", "seed", "a"),
+        ("clock", "period", "x"),
+        ("sim", "horizon", "x"),
+    ])
+    def test_config_error(self, write_cfg, capsys, command, section, key, value):
+        cfg = {"sim": dict(SHORT_SIM), "identifier": {"kind": "ls", "N": 1}}
+        cfg.setdefault(section, {})[key] = value
+        assert main([command, write_cfg(cfg)]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_prints_summary(self, write_cfg, capsys):
         path = write_cfg({"sim": SHORT_SIM})
@@ -76,6 +104,17 @@ class TestSimulate:
         path = write_cfg({"regulator": {"ell": 0.5}, "sim": SHORT_SIM})
         assert main(["simulate", path]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("identifier", [
+        {"kind": "ls", "omega_scale": -1.0},
+        {"kind": "mini-batch", "omega_scale": -1.0},
+        {"kind": "mini-batch", "N_w": 0},
+        {"kind": "mini-batch", "N_w": -3},
+    ])
+    def test_bad_identifier_value(self, write_cfg, capsys, identifier):
+        path = write_cfg({"identifier": {"N": 1, **identifier}, "sim": SHORT_SIM})
+        assert main(["simulate", path]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_ell_sweep_csv(self, write_cfg, capsys):
@@ -101,6 +140,15 @@ class TestCheckIdentifier:
         assert "optimality: PASS" in out
         assert "stability: PASS" in out
         assert "regularity: PASS" in out
+
+    def test_mini_batch_identifier_passes(self, write_cfg, capsys):
+        path = write_cfg({"identifier": {"kind": "mini-batch", "N": 1, "N_w": 10}})
+        assert main(["check-identifier", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "optimality: PASS" in out
+        assert "stability: PASS" in out
+        assert "regularity: PASS" in out
+        assert "j_star: 10" in out
 
     def test_requires_identifier(self, write_cfg, capsys):
         path = write_cfg({"sim": SHORT_SIM})

@@ -13,14 +13,7 @@ from adreg.harness import (
     verify_identifier_requirement,
 )
 from adreg.hybrid import ClockConfig
-from adreg.identifier import (
-    LsIdentifier,
-    LsIdentifierState,
-    MiniBatchIdentifier,
-    MiniBatchState,
-    PolyRegressor,
-    batch_solver_ls,
-)
+from adreg.identifier import LsIdentifier, MiniBatchIdentifier, PolyRegressor
 from adreg.plant import ExoSpec
 
 
@@ -106,10 +99,7 @@ class TestVerifyIdentifierRequirement:
 
     def test_ls_identifier_passes(self):
         reg = PolyRegressor(2, 3)
-        ident = LsIdentifier(
-            LsIdentifierState.zero(reg.d_sigma, 0.95, 1e-3 * np.eye(reg.d_sigma)),
-            reg,
-        )
+        ident = LsIdentifier(reg, mu_f=0.95, omega=1e-3)
         report = verify_identifier_requirement(ident, self._run_for(reg), horizon=5.0)
         assert report["optimality"] and report["stability"] and report["regularity"]
         assert report["optimality_worst_dev"] <= 1e-8
@@ -117,11 +107,7 @@ class TestVerifyIdentifierRequirement:
 
     def test_mini_batch_identifier_passes(self):
         reg = PolyRegressor(2, 3)
-        omega = 1e-6
-        solver = lambda wi, wo: batch_solver_ls(wi, wo, reg, omega)
-        state = MiniBatchState(n_window=10, solver=solver,
-                               theta=np.zeros(reg.d_sigma))
-        ident = MiniBatchIdentifier(state, reg, omega=omega)
+        ident = MiniBatchIdentifier(reg, n_window=10, omega=1e-6)
         report = verify_identifier_requirement(ident, self._run_for(reg), horizon=5.0)
         assert report["optimality"] and report["stability"] and report["regularity"]
         assert report["j_star"] == 10
@@ -132,18 +118,26 @@ class TestVerifyIdentifierRequirement:
         class Broken(LsIdentifier):
             def jump(self, eta_in, u_out):
                 super().jump(eta_in, u_out)
-                self.state.theta = self.state.theta + 0.1  # systematic bias
+                self.theta = self.theta + 0.1  # systematic bias
 
-            def clone(self):
-                twin = super().clone()
-                return Broken(twin.state, twin.regressor)
-
-        ident = Broken(
-            LsIdentifierState.zero(reg.d_sigma, 0.95, 1e-3 * np.eye(reg.d_sigma)),
-            reg,
-        )
+        ident = Broken(reg, mu_f=0.95, omega=1e-3)
         report = verify_identifier_requirement(ident, self._run_for(reg), horizon=2.0)
         assert not report["optimality"]
+
+    def test_blended_mini_batch_fails_stability(self):
+        # theta <- (theta_old + theta_solve) / 2 halves a perturbation of theta
+        # at each jump instead of forgetting it once the window is replaced
+        reg = PolyRegressor(2, 1)
+
+        class Blended(MiniBatchIdentifier):
+            def jump(self, eta_in, u_out):
+                old = self.theta
+                super().jump(eta_in, u_out)
+                self.theta = 0.5 * old + 0.5 * self.theta
+
+        ident = Blended(reg, n_window=10, omega=1e-6)
+        report = verify_identifier_requirement(ident, self._run_for(reg), horizon=5.0)
+        assert not report["stability"]
 
     def test_format_report(self):
         report = {"optimality": True, "stability": False, "regularity": True,

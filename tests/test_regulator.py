@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adreg.errors import InvalidConfigError, InvalidInputError
-from adreg.identifier import LsIdentifier, LsIdentifierState, build_poly_regressor
+from adreg.identifier import LsIdentifier, build_poly_regressor
 from adreg.numerics import is_controllable, is_hurwitz
 from adreg.plant import build_chain_matrices, build_vdp_scenario
 from adreg.regulator import (
@@ -206,8 +206,8 @@ class TestObserverFlow:
         # sigma_hat' = -b_bar psi at zero innovation, psi = theta . eta' for
         # the linear regressor, clamped at psi_bar = 100
         reg = build_poly_regressor(6, 1)
-        ident = LsIdentifier(LsIdentifierState.zero(6, 0.99, 1e-3), reg)
-        ident.state.theta = scale * np.arange(1.0, 7.0)
+        ident = LsIdentifier(reg, mu_f=0.99, omega=1e-3)
+        ident.theta = scale * np.arange(1.0, 7.0)
         field, control, lay = _closed_loop(ident=ident)
         eta = np.linspace(-1.0, 1.0, 6)
         v = _state(lay, eta=eta, x_hat=(0.0, 1.0), sigma_hat=-2.0)
