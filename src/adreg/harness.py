@@ -91,7 +91,7 @@ def verify_identifier_requirement(identifier, run, horizon=10.0, trials=5, seed=
     for the existential gain functions, not asserted bounds.
     """
     rng = np.random.default_rng(seed)
-    report = {"optimality": True, "stability": True, "regularity": True, "notes": []}
+    report = {"optimality": True, "stability": True, "regularity": True}
 
     samples = run_core_process(run, horizon)
     if not samples:
@@ -172,9 +172,6 @@ def format_report(report):
     for key in ("optimality", "stability", "regularity"):
         lines.append(f"{key}: {'PASS' if report[key] else 'FAIL'}")
     for key, val in report.items():
-        if key in ("optimality", "stability", "regularity", "notes"):
-            continue
-        lines.append(f"{key}: {val}")
-    for note in report.get("notes", []):
-        lines.append(f"note: {note}")
+        if key not in ("optimality", "stability", "regularity"):
+            lines.append(f"{key}: {val}")
     return "\n".join(lines)

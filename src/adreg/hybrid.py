@@ -6,6 +6,7 @@ stepping onto known jump instants. The final flow step of each interval is
 shortened, never overshot.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,11 +97,26 @@ def validate_arc(arc, clock=None, atol=1e-9):
     return True
 
 
+def arc_row_bound(clock, horizon, dt):
+    """Rows ``simulate`` records on [0, horizon] at step dt, at most.
+
+    The initial row, ceil(horizon/dt) full steps, two more steps per flow
+    interval (its shortened last step, and one more should the rounding of
+    t leave it short of the interval's end), and each jump's post-jump row.
+    Gaps are at least t_low, so there are at most floor(horizon/t_low) + 1
+    jumps and one more flow interval.
+    """
+    jumps = int(horizon // clock.t_low) + 1
+    return 1 + math.ceil(horizon / dt) + 2 * (jumps + 1) + jumps
+
+
 def simulate(flow, jump, x0, clock, horizon, dt=None):
     """Integrate a clock-triggered hybrid system and record the full arc.
 
     flow(x) -> dx/dt; jump(t, j, x) -> x_plus. Components the jump map wants
-    held must be copied through by the caller's jump function.
+    held must be copied through by the caller's jump function. The states
+    are written into one buffer of ``arc_row_bound`` rows; the arc holds a
+    view of the rows used.
     """
     if dt is None:
         dt = min(1e-3, clock.t_low / 100.0)
@@ -111,8 +127,10 @@ def simulate(flow, jump, x0, clock, horizon, dt=None):
 
     rng = clock.make_rng()
     x = np.array(x0, dtype=float)
+    states = np.empty((arc_row_bound(clock, horizon, dt),) + x.shape)
+    states[0] = x
     t, jcnt = 0.0, 0
-    ts, js, xs = [0.0], [0], [x.copy()]
+    ts, js = [0.0], [0]
     jump_rows = []
 
     next_t = next_jump_time(clock, 0.0, rng)
@@ -128,18 +146,18 @@ def simulate(flow, jump, x0, clock, horizon, dt=None):
             t += h
             if t_end - t <= 1e-12:
                 t = t_end
+            states[len(ts)] = x
             ts.append(t)
             js.append(jcnt)
-            xs.append(x.copy())
         if next_t > horizon:
             break
         # clock tick: record pre-jump, apply jump, record post-jump
         jump_rows.append(len(ts) - 1)
         x = np.asarray(jump(t, jcnt, x), dtype=float)
         jcnt += 1
+        states[len(ts)] = x
         ts.append(t)
         js.append(jcnt)
-        xs.append(x.copy())
         if next_t >= horizon:
             break
         next_t = next_jump_time(clock, next_t, rng)
@@ -147,6 +165,6 @@ def simulate(flow, jump, x0, clock, horizon, dt=None):
     return HybridArc(
         t=np.asarray(ts),
         j=np.asarray(js, dtype=int),
-        states=np.asarray(xs),
+        states=states[:len(ts)],
         jump_indices=np.asarray(jump_rows, dtype=int),
     )

@@ -67,11 +67,12 @@ class PolyRegressor:
         return self._exps.shape[0]
 
     def _power_table(self, eta):
-        # p[..., i, m] = eta_i^m for m = 0..max_order, over eta's leading axes
-        p = np.ones(eta.shape + (self.max_order + 1,))
-        for m in range(1, self.max_order + 1):
-            p[..., m] = p[..., m - 1] * eta
-        return p
+        # p[..., i, m] = eta_i^m for m = 0..max_order, over eta's leading axes,
+        # as the running product 1, eta, eta*eta, ... along the order axis
+        p = np.empty(eta.shape + (self.max_order + 1,))
+        p[..., 0] = 1.0
+        p[..., 1:] = eta[..., None]
+        return np.multiply.accumulate(p, axis=-1, out=p)
 
     def __call__(self, eta):
         """sigma over the leading axes of eta: (..., d_eta) -> (..., d_sigma).

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import solve_sylvester
 
 from .errors import AdregError, InvalidConfigError
-from .hybrid import ClockConfig, simulate
+from .hybrid import ClockConfig, HybridArc, simulate
 from .identifier import LsIdentifier, MiniBatchIdentifier, build_poly_regressor
 from .numerics import place_poles
 from .plant import (
@@ -237,6 +237,15 @@ def _build_clock(ccfg):
     )
 
 
+def _clamp(x, level):
+    """x clipped to [-level, level]."""
+    if x > level:
+        return level
+    if x < -level:
+        return -level
+    return x
+
+
 class StateLayout(NamedTuple):
     """Blocks of the closed-loop state v = (w, x, eta, x_hat, sigma_hat).
 
@@ -261,65 +270,96 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
     """The closed-loop field over ``state_layout(im.d_eta)`` and its controller.
 
     Returns ``(field, control)``. ``control(xh1, xh2, sigma_hat)`` is the
-    saturated stabilizer u = b_bar^{-1} sat(-sigma_hat - K x_hat): the field
-    applies it and the reduction maps it over the arc. The internal model flows as eta' = F eta + G u, the
-    extended observer is driven by the innovation x1 - xh1, and the
-    consistency term psi = sat(d gamma_hat/d eta . eta', psi_bar) uses the
-    identifier's current theta (psi = 0 without an identifier). The field
-    calls ``plant.extras["fast_q"]`` as it is when this builder runs.
+    saturated stabilizer u = b_bar^{-1} sat(-sigma_hat - K x_hat) on one
+    cell's scalars: the field applies it and the reduction maps it over the
+    arc. The internal model flows as eta' = F eta + G u, the extended
+    observer is driven by the innovation x1 - xh1, and the consistency term
+    psi = sat(d gamma_hat/d eta . eta', psi_bar) uses the identifier's
+    current theta (psi = 0 without an identifier). The field calls
+    ``plant.extras["fast_q"]`` as it is when this builder runs.
+
+    An ensemble of K cells that share the plant, the internal model and the
+    stabilizer passes ``obs`` and ``ident`` as lists of K, one entry per
+    cell. The field then acts on the cells' states stacked component-major,
+    an (n, K) array flattened to length n*K: the observer gains are rows of
+    K, psi is taken cell by cell and ``fast_q`` is mapped over the cells.
+    One cell is the plain state of length n, evaluated on numpy scalars.
     """
+    observers = list(obs) if isinstance(obs, (list, tuple)) else [obs]
+    idents = list(ident) if isinstance(ident, (list, tuple)) else [ident] * len(observers)
+    n_cells = len(observers)
     lay = state_layout(im.d_eta)
+    shape = (lay.size,) if n_cells == 1 else (lay.size, n_cells)
     fast_q = plant.extras["fast_q"]
     rho_exo = float(plant.extras["rho"])
     k0, k1 = float(stab.K[0, 0]), float(stab.K[0, 1])
     sat_level = stab.sat_level
     bb = float(plant.b_bar[0, 0])
     bbi = float(stab.b_bar_inv[0, 0])
-    lam, hmat, h_rp1 = build_observer_gains(obs, plant.r, plant.d_y)
-    lh = lam @ hmat
-    lh0, lh1 = float(lh[0, 0]), float(lh[1, 0])
-    l3 = obs.ell ** (plant.r + 1) * float(h_rp1[0, 0])
-    psi_bar = obs.psi_bar
-    f_im, g_col = im.F, im.G.ravel()
-    regressor = ident.regressor if ident is not None else None
-    identity_reg = regressor is not None and regressor.max_order == 1
+    gains = []
+    for o in observers:
+        lam, hmat, h_rp1 = build_observer_gains(o, plant.r, plant.d_y)
+        lh = lam @ hmat
+        gains.append((float(lh[0, 0]), float(lh[1, 0]),
+                      o.ell ** (plant.r + 1) * float(h_rp1[0, 0]), o.psi_bar))
+    lh0, lh1, l3, psi_bar = gains[0] if n_cells == 1 else np.array(gains).T
+    f_im = im.F
+    g_col = im.G.ravel() if n_cells == 1 else im.G
     i_e, i_sh = lay.eta, lay.sigma_hat
     i_xh1, i_xh2 = lay.x_hat.start, lay.x_hat.start + 1
 
     def control(xh1, xh2, sh):
-        inner = -sh - k0 * xh1 - k1 * xh2
-        if inner > sat_level:
-            inner = sat_level
-        elif inner < -sat_level:
-            inner = -sat_level
-        return bbi * inner
+        return bbi * _clamp(-sh - k0 * xh1 - k1 * xh2, sat_level)
+
+    def psi_cell(idn, eta, eta_dot, bar):
+        """psi of one cell, from its identifier's current theta."""
+        theta = idn.theta
+        dg = theta if idn.regressor.max_order == 1 else theta @ idn.regressor.jacobian(eta)
+        return _clamp(float(dg @ eta_dot), bar)
+
+    if n_cells == 1:
+        u_of, q_of = control, fast_q
+
+        def psi_of(eta, eta_dot):
+            return psi_cell(idents[0], eta, eta_dot, psi_bar)
+    else:
+        def u_of(xh1, xh2, sh):
+            cols = (xh1.tolist(), xh2.tolist(), sh.tolist())
+            return np.fromiter(map(control, *cols), dtype=float, count=n_cells)
+
+        def q_of(w1, w2, x1, x2):
+            cols = (w1.tolist(), w2.tolist(), x1.tolist(), x2.tolist())
+            try:
+                return np.fromiter(map(fast_q, *cols), dtype=float, count=n_cells)
+            except OverflowError:  # a Python float overflowed where a numpy scalar gives inf
+                return np.fromiter(map(fast_q, w1, w2, x1, x2), dtype=float, count=n_cells)
+
+        def psi_of(eta, eta_dot):
+            # contiguous rows per cell, so each dot sums as in a one-cell run
+            return np.array([0.0 if idn is None else psi_cell(idn, e, d, bar) for idn, e, d, bar
+                             in zip(idents, eta.T.copy(), eta_dot.T.copy(), psi_bar)])
+    if all(idn is None for idn in idents):
+        psi_of = None  # psi = 0
 
     def field(v):
-        w1, w2, x1, x2 = v[0], v[1], v[2], v[3]
-        eta = v[i_e]
-        xh1, xh2, sh = v[i_xh1], v[i_xh2], v[i_sh]
-        u = control(xh1, xh2, sh)
+        c = v.reshape(shape)
+        w1, w2, x1, x2 = c[0], c[1], c[2], c[3]
+        eta = c[i_e]
+        xh1, xh2, sh = c[i_xh1], c[i_xh2], c[i_sh]
+        u = u_of(xh1, xh2, sh)
         eta_dot = f_im @ eta + g_col * u
-        if ident is not None:
-            theta = ident.theta
-            dg = theta if identity_reg else theta @ regressor.jacobian(eta)
-            psi = float(dg @ eta_dot)
-            if psi > psi_bar:
-                psi = psi_bar
-            elif psi < -psi_bar:
-                psi = -psi_bar
-        else:
-            psi = 0.0
+        psi = 0.0 if psi_of is None else psi_of(eta, eta_dot)
         innov = x1 - xh1
         out = np.empty_like(v)
-        out[0] = w2
-        out[1] = -rho_exo * w1
-        out[2] = x2
-        out[3] = fast_q(w1, w2, x1, x2) + u
-        out[i_e] = eta_dot
-        out[i_xh1] = xh2 + lh0 * innov
-        out[i_xh2] = sh + bb * u + lh1 * innov
-        out[i_sh] = -bb * psi + l3 * innov
+        o = out.reshape(shape)
+        o[0] = w2
+        o[1] = -rho_exo * w1
+        o[2] = x2
+        o[3] = q_of(w1, w2, x1, x2) + u
+        o[i_e] = eta_dot
+        o[i_xh1] = xh2 + lh0 * innov
+        o[i_xh2] = sh + bb * u + lh1 * innov
+        o[i_sh] = -bb * psi + l3 * innov
         return out
 
     return field, control
@@ -341,8 +381,24 @@ def _error_coordinates(plant, p0, w0, lay):
     return v0
 
 
-def run_scenario(cfg):
-    """Simulate the closed loop described by ``cfg`` and reduce the arc."""
+class _Cell(NamedTuple):
+    """One wired scenario: what the closed loop of ``cfg`` integrates."""
+
+    cfg: ScenarioConfig
+    plant: PlantSpec
+    im: InternalModelConfig
+    stab: StabilizerConfig
+    obs: ObserverConfig
+    ident: object  # an identifier, or None
+    clock: ClockConfig
+    horizon: float
+    dt: float
+    v0: np.ndarray
+
+
+def _wire(cfg):
+    """Build the plant, controller, identifier, clock and initial state of
+    ``cfg``; raises the config's errors before anything is integrated."""
     pcfg, rcfg, icfg = cfg.plant, cfg.regulator, cfg.identifier
     kind = pcfg.get("kind", "vdp")
     a_par = float(pcfg.get("a", 2.0))
@@ -374,37 +430,66 @@ def run_scenario(cfg):
     clock = _build_clock(cfg.clock)
     horizon = float(cfg.sim.get("horizon", 100.0))
     dt = float(cfg.sim.get("dt", 1e-3))
+    v0 = _error_coordinates(plant, p0, w0, state_layout(im.d_eta))
+    return _Cell(cfg, plant, im, stab, obs, ident, clock, horizon, dt, v0)
 
-    lay = state_layout(im.d_eta)
-    v0 = _error_coordinates(plant, p0, w0, lay)
-    field, control = build_closed_loop(plant, im, stab, obs, ident)
-    theta_history = []
-    jump_samples = []
+
+def _run_cells(cells):
+    """Integrate wired cells as one ensemble and reduce each cell's arc.
+
+    The cells must differ only in their observer and identifier (as the
+    cells of a sweep do): the plant, internal model, stabilizer, clock,
+    horizon, dt and initial state are taken from the first. One ``simulate``
+    call integrates the stacked (n, K) state; the jump updates each cell's
+    identifier in turn. Yields one ScenarioResult per cell, in order, each
+    reduced on a view of that cell's columns when it is asked for.
+    """
+    first = cells[0]
+    stab = first.stab
+    lay = state_layout(first.im.d_eta)
+    n_cells = len(cells)
+    field, control = build_closed_loop(first.plant, first.im, stab,
+                                       [c.obs for c in cells], [c.ident for c in cells])
+    theta_histories = [[] for _ in cells]
+    jump_samples = [[] for _ in cells]
 
     def jump(t, j, v):
-        if ident is not None:
-            eta = v[lay.eta].copy()
+        cols = v.reshape(lay.size, n_cells)
+        for k, cell in enumerate(cells):
+            ident = cell.ident
+            if ident is None:
+                theta_histories[k].append((t, None))
+                continue
+            col = cols[:, k].copy()
+            eta = col[lay.eta]
             # The identifier's sample keeps the vector form of the controller
             # (K @ x_hat, norm rescale), which can differ from control() in
             # the last bit. At N = 5 the identifier amplifies that bit to a
             # few 1e-6 in steady_state_max_y, beyond the 1e-6 tolerance of
             # bench/reference.json; feed it control() when those references
             # are next recorded.
-            inner = -v[lay.sigma_hat:lay.size] - stab.K @ v[lay.x_hat]
+            inner = -col[lay.sigma_hat:lay.size] - stab.K @ col[lay.x_hat]
             norm = np.linalg.norm(inner)
             if norm > stab.sat_level:
                 inner = inner * (stab.sat_level / norm)
             u = stab.b_bar_inv @ inner
             ident.jump(eta, u)
-            theta_history.append((t, ident.theta.copy()))
-            jump_samples.append((j, eta, u))
-        else:
-            theta_history.append((t, None))
+            theta_histories[k].append((t, ident.theta.copy()))
+            jump_samples[k].append((j, eta, u))
         return v
 
-    arc = simulate(field, jump, v0, clock, horizon, dt)
-    return _reduce(arc, cfg, plant, lay, control, ident, theta_history, jump_samples,
-                   horizon)
+    v0 = np.stack([c.v0 for c in cells], axis=1).ravel()
+    arc = simulate(field, jump, v0, first.clock, first.horizon, first.dt)
+    per_cell = arc.states.reshape(len(arc), lay.size, n_cells)
+    for k, cell in enumerate(cells):
+        cell_arc = HybridArc(arc.t, arc.j, per_cell[:, :, k], arc.jump_indices)
+        yield _reduce(cell_arc, cell.cfg, cell.plant, lay, control, cell.ident,
+                      theta_histories[k], jump_samples[k], cell.horizon)
+
+
+def run_scenario(cfg):
+    """Simulate the closed loop described by ``cfg`` and reduce the arc."""
+    return next(_run_cells([_wire(cfg)]))
 
 
 def _reduce(arc, cfg, plant, lay, control, ident, theta_history, jump_samples, horizon):
@@ -476,30 +561,52 @@ def _reduce(arc, cfg, plant, lay, control, ident, theta_history, jump_samples, h
     return result
 
 
+def _sweep_entry(res):
+    return {"steady_state_max_y": res.summary["steady_state_max_y"],
+            "settling_time_s": res.summary["settling_time_s"]}
+
+
+def _error_entry(exc):
+    return {"error": f"{type(exc).__name__}: {exc}"}
+
+
 def run_sweep(base, axis, values):
     """Vary one axis (ell or N) and tabulate the steady-state metrics.
 
+    The cells that wire without error run as one ensemble (``_run_cells``).
     Returns a list of row dicts; per-cell failures are recorded in the row
-    and the sweep continues.
+    and the sweep continues. A cell whose wiring fails gets its error row at
+    once; if the ensemble fails, every cell is re-run on its own, so each
+    gets the row of its own run.
     """
     if axis not in ("ell", "N"):
         raise InvalidConfigError("sweep axis must be 'ell' or 'N'")
     if not values:
         raise InvalidConfigError("sweep needs at least one value")
-    rows = []
+    base = ScenarioConfig.from_dict({**base.to_dict(), "output": {}})  # no per-cell files
+    rows, cells = [], []
     for val in values:
         if axis == "ell":
             cfg = base.replace_in("regulator", ell=float(val))
         else:
             cfg = base.replace_in("identifier", N=int(val))
-        cfg = cfg.replace_in("output")  # sweeps do not write per-cell files here
+        row = {"value": val}
         try:
-            res = run_scenario(cfg)
-            rows.append({
-                "value": val,
-                "steady_state_max_y": res.summary["steady_state_max_y"],
-                "settling_time_s": res.summary["settling_time_s"],
-            })
+            cells.append(_wire(cfg))
         except AdregError as exc:  # per-cell failure, sweep continues
-            rows.append({"value": val, "error": f"{type(exc).__name__}: {exc}"})
+            row.update(_error_entry(exc))
+        rows.append(row)
+    if not cells:
+        return rows
+    try:
+        entries = [_sweep_entry(res) for res in _run_cells(cells)]
+    except AdregError:
+        entries = []
+        for cell in cells:
+            try:
+                entries.append(_sweep_entry(run_scenario(cell.cfg)))
+            except AdregError as exc:
+                entries.append(_error_entry(exc))
+    for row, entry in zip([r for r in rows if "error" not in r], entries):
+        row.update(entry)
     return rows

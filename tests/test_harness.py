@@ -141,9 +141,8 @@ class TestVerifyIdentifierRequirement:
 
     def test_format_report(self):
         report = {"optimality": True, "stability": False, "regularity": True,
-                  "optimality_worst_dev": 1.2e-9, "notes": ["window too short"]}
+                  "optimality_worst_dev": 1.2e-9}
         text = format_report(report)
         assert "optimality: PASS" in text
         assert "stability: FAIL" in text
         assert "optimality_worst_dev: 1.2e-09" in text
-        assert "note: window too short" in text

@@ -7,10 +7,46 @@ from adreg.errors import InvalidConfigError, IntegrationBlowupError
 from adreg.hybrid import (
     ClockConfig,
     HybridArc,
+    arc_row_bound,
     next_jump_time,
     simulate,
     validate_arc,
 )
+
+
+def _list_built_arc(flow, jump, x0, clock, horizon, dt):
+    """The arc recorded one row copy at a time into Python lists: the
+    reference the preallocated buffer of ``simulate`` must reproduce."""
+    from adreg.numerics import rk4_step
+
+    rng = clock.make_rng()
+    x = np.array(x0, dtype=float)
+    t, jcnt = 0.0, 0
+    ts, js, xs, jump_rows = [0.0], [0], [x.copy()], []
+    next_t = next_jump_time(clock, 0.0, rng)
+    while True:
+        t_end = min(next_t, horizon)
+        while t_end - t > 1e-12:
+            h = min(dt, t_end - t)
+            x = rk4_step(flow, x, h, t=t)
+            t += h
+            if t_end - t <= 1e-12:
+                t = t_end
+            ts.append(t)
+            js.append(jcnt)
+            xs.append(x.copy())
+        if next_t > horizon:
+            break
+        jump_rows.append(len(ts) - 1)
+        x = np.asarray(jump(t, jcnt, x), dtype=float)
+        jcnt += 1
+        ts.append(t)
+        js.append(jcnt)
+        xs.append(x.copy())
+        if next_t >= horizon:
+            break
+        next_t = next_jump_time(clock, next_t, rng)
+    return np.asarray(ts), np.asarray(js, dtype=int), np.asarray(xs), np.asarray(jump_rows, dtype=int)
 
 
 class TestClockConfig:
@@ -110,6 +146,37 @@ class TestSimulate:
         arc = simulate(lambda x: -x, lambda t, j, x: x, np.array([1.0]),
                        clock, 2.0, dt=1e-3)
         assert validate_arc(arc, clock)
+
+
+class TestPreallocatedArc:
+    @staticmethod
+    def _flow(x):
+        return np.array([x[1], -x[0] - 0.1 * x[1], -0.5 * x[2]])
+
+    @staticmethod
+    def _jump(t, j, x):
+        return x + np.array([0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("clock,horizon,dt", [
+        # uniform gaps, t_low well below the mean gap
+        (ClockConfig(t_low=0.02, t_high=0.3, strategy="uniform", seed=5), 3.0, 1e-3),
+        # a horizon that is not a multiple of dt
+        (ClockConfig(t_low=0.1, t_high=0.1), 1.0037, 1e-3),
+        (ClockConfig(t_low=0.07, t_high=0.13, strategy="uniform", seed=2), 2.34567, 3e-3),
+        # a horizon shorter than t_low: one flow interval, no jump
+        (ClockConfig(t_low=0.1, t_high=0.1), 0.0456, 1e-3),
+    ])
+    def test_equals_list_built_arc_within_bound(self, clock, horizon, dt):
+        x0 = np.array([1.0, 0.0, 0.5])
+        arc = simulate(self._flow, self._jump, x0, clock, horizon, dt)
+        t, j, states, jump_rows = _list_built_arc(self._flow, self._jump, x0, clock,
+                                                  horizon, dt)
+        assert len(arc) <= arc_row_bound(clock, horizon, dt)
+        assert np.array_equal(arc.t, t)
+        assert np.array_equal(arc.j, j)
+        assert np.array_equal(arc.states, states)
+        assert np.array_equal(arc.jump_indices, jump_rows)
+        assert arc.states.shape == states.shape and arc.j.dtype == j.dtype
 
 
 class TestValidateArc:

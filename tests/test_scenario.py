@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from adreg import scenario
-from adreg.errors import InvalidConfigError
+from adreg.errors import AdregError, InvalidConfigError
+from adreg.identifier import LsIdentifier, PolyRegressor
 from adreg.numerics import place_poles
 from adreg.plant import build_vdp_scenario
 from adreg.regulator import ObserverConfig, StabilizerConfig, default_internal_model
@@ -265,6 +266,96 @@ class TestRunSweep:
         def broken(cfg):
             raise TypeError("broken cell")
 
-        monkeypatch.setattr(scenario, "run_scenario", broken)
+        monkeypatch.setattr(scenario, "_wire", broken)
         with pytest.raises(TypeError):
             run_sweep(ScenarioConfig(), "ell", [20.0])
+
+
+class TestEnsembleSweep:
+    """A sweep integrates its cells as one ensemble; each cell's row equals
+    run_scenario on that cell's config."""
+
+    @staticmethod
+    def _base(**identifier):
+        return ScenarioConfig(identifier=identifier, sim={"horizon": 1.05, "dt": 1e-3})
+
+    @staticmethod
+    def _serial_row(base, axis, val):
+        if axis == "ell":
+            cfg = base.replace_in("regulator", ell=float(val))
+        else:
+            cfg = base.replace_in("identifier", N=int(val))
+        try:
+            s = run_scenario(cfg).summary
+        except AdregError as exc:
+            return {"value": val, "error": f"{type(exc).__name__}: {exc}"}
+        return {"value": val, "steady_state_max_y": s["steady_state_max_y"],
+                "settling_time_s": s["settling_time_s"]}
+
+    def _check(self, base, axis, values):
+        rows = run_sweep(base, axis, values)
+        assert [r["value"] for r in rows] == values
+        for row in rows:
+            want = self._serial_row(base, axis, row["value"])
+            assert row.keys() == want.keys()
+            if "error" in want:
+                assert row["error"] == want["error"]
+                continue
+            for key in ("steady_state_max_y", "settling_time_s"):
+                assert row[key] == pytest.approx(want[key], rel=1e-9, abs=0.0)
+        return rows
+
+    def test_ell_sweep_without_identifier(self):
+        self._check(self._base(), "ell", [5.0, 10.0, 20.0, 40.0])
+
+    def test_ell_sweep_with_ls(self):
+        self._check(self._base(kind="ls", N=1), "ell", [5.0, 20.0, 40.0])
+
+    def test_n_sweep_with_ls(self):
+        self._check(self._base(kind="ls"), "N", [1, 3])
+
+    def test_invalid_cell_next_to_valid_ones(self):
+        rows = self._check(self._base(), "ell", [10.0, 0.5, 20.0])
+        assert "ell must be >= 1" in rows[1]["error"]
+        assert "error" not in rows[0] and "error" not in rows[2]
+
+    def test_blowup_cell_gets_its_serial_row(self):
+        # at ell = 1e4 the observer's gains put RK4 at dt = 1e-3 far outside
+        # its stability region, so that cell overflows; the ensemble fails
+        # and every cell is re-run on its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = self._check(self._base(), "ell", [10.0, 1e4, 20.0])
+        assert rows[1]["error"].startswith("IntegrationBlowupError")
+        assert "error" not in rows[0] and "error" not in rows[2]
+
+    def test_field_columns_equal_one_cell_fields(self):
+        # the ensemble field on stacked (n, K) states equals each cell's own
+        # field on its column, bit for bit, also where a cell overflows
+        plant = build_vdp_scenario(2.0, 2.0)
+        im = default_internal_model(6)
+        stab = StabilizerConfig(K=place_poles(2, 1, [-1.0, -2.0]), sat_level=100.0,
+                                b_bar_inv=[[1.0]])
+        observers = [ObserverConfig(ell=ell, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
+                     for ell in (5.0, 20.0, 40.0)]
+        rng = np.random.default_rng(3)
+        idents = [None, LsIdentifier(PolyRegressor(6, 1)), LsIdentifier(PolyRegressor(6, 3))]
+        for ident in idents[1:]:
+            ident.theta = rng.standard_normal(ident.regressor.d_sigma)
+        field, _ = build_closed_loop(plant, im, stab, observers, idents)
+        lay = state_layout(6)
+        for scale in (0.5, 50.0):
+            states = rng.standard_normal((lay.size, 3)) * scale
+            states[2, 2] = 1e200  # x1 of the last cell: (x1 + p1*)**2 overflows
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = field(states.ravel()).reshape(lay.size, 3)
+                for k, (obs, ident) in enumerate(zip(observers, idents)):
+                    one, _ = build_closed_loop(plant, im, stab, obs, ident)
+                    assert np.array_equal(got[:, k], one(states[:, k].copy()), equal_nan=True)
+
+    def test_sweep_writes_no_files(self, tmp_path):
+        base = ScenarioConfig(sim={"horizon": 0.3, "dt": 1e-3},
+                              output={"csv": str(tmp_path / "run.csv"),
+                                      "summary": str(tmp_path / "run.json")})
+        rows = run_sweep(base, "ell", [10.0, 20.0])
+        assert all("error" not in r for r in rows)
+        assert list(tmp_path.iterdir()) == []
