@@ -16,14 +16,18 @@ class InvalidConfigError(AdregError):
 class IntegrationBlowupError(AdregError):
     """Raised when the integrator produces a non-finite state.
 
-    Carries the hybrid time and the last finite state for diagnosis.
+    Carries the hybrid time, the last finite state and the non-finite
+    ``output`` for diagnosis; ``block`` names the part of the state that
+    went non-finite, where the caller knows the state's layout.
     """
 
-    def __init__(self, t, j, state):
+    def __init__(self, t, j, state, output=None, block="state"):
         self.t = t
         self.j = j
         self.state = state
-        super().__init__(f"non-finite state at t={t:.6g}, j={j}")
+        self.output = output
+        self.block = block
+        super().__init__(f"non-finite {block} at t={t:.6g}, j={j}")
 
 
 class BranchPointError(AdregError):

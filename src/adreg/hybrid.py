@@ -142,7 +142,7 @@ def simulate(flow, jump, x0, clock, horizon, dt=None):
             try:
                 x = rk4_step(flow, x, h, t=t)
             except IntegrationBlowupError as exc:
-                raise IntegrationBlowupError(exc.t, jcnt, exc.state) from None
+                raise IntegrationBlowupError(exc.t, jcnt, exc.state, exc.output) from None
             t += h
             if t_end - t <= 1e-12:
                 t = t_end

@@ -94,12 +94,12 @@ class PolyRegressor:
         """d sigma / d eta, shape (d_sigma, d_eta)."""
         eta = np.asarray(eta, dtype=float)
         flat = self._power_table(eta).ravel()
-        t = np.take(flat, self._flat_pow_t)  # (d_eta, d_sigma) factor table
-        out = np.take(flat, self._flat_dpow_t)
+        t = flat.take(self._flat_pow_t)  # (d_eta, d_sigma) factor table
+        out = flat.take(self._flat_dpow_t)
         out *= self._exps_ft
-        if eta.all():
+        if all(eta.tolist()):  # on Python floats: cheaper than eta.all() at this size
             # prod over j != k of t_j as a total product divided by t_k
-            out *= np.prod(t, axis=0)
+            out *= np.multiply.reduce(t, axis=0)
             out /= t
         else:
             left = np.cumprod(t[:-1], axis=0)

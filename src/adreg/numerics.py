@@ -96,14 +96,25 @@ def is_controllable(f, g, cutoff_rel=DEFAULT_CUTOFF_REL):
 
 
 def rk4_step(field, state, dt, t=0.0):
-    """One classical fourth-order Runge-Kutta step of size dt."""
+    """One classical fourth-order Runge-Kutta step of size dt.
+
+    ``field(state)`` must return a new array on each call: the stages are
+    combined in the arrays it returns. ``state`` is left as it is.
+    """
     if dt <= 0.0:
         raise InvalidInputError("dt must be positive")
     k1 = field(state)
     k2 = field(state + 0.5 * dt * k1)
     k3 = field(state + 0.5 * dt * k2)
     k4 = field(state + dt * k3)
-    out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise IntegrationBlowupError(t + dt, 0, state)
-    return out
+    # state + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), summed in that order
+    k2 *= 2.0
+    k1 += k2
+    k3 *= 2.0
+    k1 += k3
+    k1 += k4
+    k1 *= dt / 6.0
+    k1 += state
+    if not np.isfinite(k1).all():
+        raise IntegrationBlowupError(t + dt, 0, state, k1)
+    return k1

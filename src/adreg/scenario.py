@@ -8,13 +8,13 @@ emits. The steady-state window is the trailing 20% of the horizon.
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_sylvester
 
-from .errors import AdregError, InvalidConfigError
+from .errors import AdregError, IntegrationBlowupError, InvalidConfigError
 from .hybrid import ClockConfig, HybridArc, simulate
 from .identifier import LsIdentifier, MiniBatchIdentifier, build_poly_regressor
 from .numerics import place_poles
@@ -125,13 +125,19 @@ def build_synthetic_linear_plant(rho, f, g):
     internal-model map tau(w) = M w solves the Sylvester equation
     F M - M S = -G c' with S the exosystem matrix and u* = c' w, and the true
     parameter is the minimum-norm solution of M' theta = c.
+
+    The Sylvester equation is solved in its Kronecker form
+    (I_2 (x) F - S' (x) I) vec(M) = vec(-G c'), with column-major vec.
     """
     if rho <= 0.0:
         raise InvalidConfigError("rho must be positive")
     s_mat = np.array([[0.0, 1.0], [-rho, 0.0]])
     c = np.array([-rho, 0.0])
+    f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float).reshape(-1, 1)
-    m = solve_sylvester(np.asarray(f, dtype=float), -s_mat, -g @ c[None, :])
+    lhs = np.kron(np.eye(2), f) - np.kron(s_mat.T, np.eye(f.shape[0]))
+    vec_m = np.linalg.solve(lhs, (-g @ c[None, :]).ravel(order="F"))
+    m = vec_m.reshape((f.shape[0], 2), order="F")
     theta_star, *_ = np.linalg.lstsq(m.T, c, rcond=None)
 
     spec = PlantSpec(
@@ -260,6 +266,13 @@ class StateLayout(NamedTuple):
     sigma_hat: int
     size: int
 
+    def block_of(self, i):
+        """Name of the block that holds component i of the state."""
+        for name in ("w", "x", "eta", "x_hat"):
+            if i < getattr(self, name).stop:
+                return name
+        return "sigma_hat"
+
 
 def state_layout(d_eta):
     e = 4 + d_eta
@@ -283,7 +296,9 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
     cell. The field then acts on the cells' states stacked component-major,
     an (n, K) array flattened to length n*K: the observer gains are rows of
     K, psi is taken cell by cell and ``fast_q`` is mapped over the cells.
-    One cell is the plain state of length n, evaluated on numpy scalars.
+    One cell is the plain state of length n, whose scalar blocks are
+    evaluated on Python floats: the same IEEE operations as on numpy
+    scalars, at less cost per operation.
     """
     observers = list(obs) if isinstance(obs, (list, tuple)) else [obs]
     idents = list(ident) if isinstance(ident, (list, tuple)) else [ident] * len(observers)
@@ -307,6 +322,8 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
     g_col = im.G.ravel() if n_cells == 1 else im.G
     i_e, i_sh = lay.eta, lay.sigma_hat
     i_xh1, i_xh2 = lay.x_hat.start, lay.x_hat.start + 1
+    # w1, w2, x1, x2, xh1, xh2, sigma_hat: floats of one cell, rows of K cells
+    pick = operator.itemgetter(0, 1, 2, 3, i_xh1, i_xh2, i_sh)
 
     def control(xh1, xh2, sh):
         return bbi * _clamp(-sh - k0 * xh1 - k1 * xh2, sat_level)
@@ -317,12 +334,24 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
         dg = theta if idn.regressor.max_order == 1 else theta @ idn.regressor.jacobian(eta)
         return _clamp(float(dg @ eta_dot), bar)
 
+    def q_cell(w1, w2, x1, x2):
+        """fast_q on one cell's floats."""
+        try:
+            return fast_q(w1, w2, x1, x2)
+        except OverflowError:  # a Python float overflowed where a numpy scalar gives inf
+            return fast_q(*map(np.float64, (w1, w2, x1, x2)))
+
     if n_cells == 1:
-        u_of, q_of = control, fast_q
+        u_of, q_of = control, q_cell
+
+        def scalars(c):
+            return pick(c.tolist())
 
         def psi_of(eta, eta_dot):
             return psi_cell(idents[0], eta, eta_dot, psi_bar)
     else:
+        scalars = pick
+
         def u_of(xh1, xh2, sh):
             cols = (xh1.tolist(), xh2.tolist(), sh.tolist())
             return np.fromiter(map(control, *cols), dtype=float, count=n_cells)
@@ -331,8 +360,8 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
             cols = (w1.tolist(), w2.tolist(), x1.tolist(), x2.tolist())
             try:
                 return np.fromiter(map(fast_q, *cols), dtype=float, count=n_cells)
-            except OverflowError:  # a Python float overflowed where a numpy scalar gives inf
-                return np.fromiter(map(fast_q, w1, w2, x1, x2), dtype=float, count=n_cells)
+            except OverflowError:  # a cell overflowed: q_cell retries cell by cell
+                return np.fromiter(map(q_cell, *cols), dtype=float, count=n_cells)
 
         def psi_of(eta, eta_dot):
             # contiguous rows per cell, so each dot sums as in a one-cell run
@@ -343,9 +372,8 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
 
     def field(v):
         c = v.reshape(shape)
-        w1, w2, x1, x2 = c[0], c[1], c[2], c[3]
+        w1, w2, x1, x2, xh1, xh2, sh = scalars(c)
         eta = c[i_e]
-        xh1, xh2, sh = c[i_xh1], c[i_xh2], c[i_sh]
         u = u_of(xh1, xh2, sh)
         eta_dot = f_im @ eta + g_col * u
         psi = 0.0 if psi_of is None else psi_of(eta, eta_dot)
@@ -479,7 +507,13 @@ def _run_cells(cells):
         return v
 
     v0 = np.stack([c.v0 for c in cells], axis=1).ravel()
-    arc = simulate(field, jump, v0, first.clock, first.horizon, first.dt)
+    try:
+        arc = simulate(field, jump, v0, first.clock, first.horizon, first.dt)
+    except IntegrationBlowupError as exc:
+        # component-major: entry i of the flat state is component i // K
+        bad = int(np.flatnonzero(~np.isfinite(exc.output))[0]) // n_cells
+        raise IntegrationBlowupError(exc.t, exc.j, exc.state, exc.output,
+                                     lay.block_of(bad)) from None
     per_cell = arc.states.reshape(len(arc), lay.size, n_cells)
     for k, cell in enumerate(cells):
         cell_arc = HybridArc(arc.t, arc.j, per_cell[:, :, k], arc.jump_indices)

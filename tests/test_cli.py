@@ -5,10 +5,14 @@ exit codes are asserted on the returned value.
 """
 
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from adreg.cli import EXIT_CONFIG, EXIT_OK, EXIT_THRESHOLD, main
+from adreg.cli import EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK, EXIT_THRESHOLD, main
 
 
 @pytest.fixture
@@ -114,6 +118,33 @@ class TestSimulate:
         path = write_cfg({"identifier": {"N": 1, **identifier}, "sim": SHORT_SIM})
         assert main(["simulate", path]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg,block", [
+        # the observer's gains at ell = 1e4 put RK4 at dt = 1e-3 far outside
+        # its stability region
+        ({"regulator": {"ell": 1e4}}, "x"),
+        # (x1 + p1*)**2 overflows in fast_q, which on Python floats raises
+        # OverflowError where a numpy scalar gives inf
+        ({"plant": {"p0": [1e200, 0.0]}}, "x"),
+    ])
+    def test_blowup_is_integration_failure_naming_its_block(self, write_cfg, capsys,
+                                                            cfg, block):
+        path = write_cfg({**cfg, "sim": SHORT_SIM})
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["simulate", path]) == EXIT_INTEGRATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"integration failure: non-finite {block} at t=")
+
+
+class TestImport:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy serves only the test suite; a run never imports it
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import adreg.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-I", "-c", code, src], check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.strip() == "[]"
 
 
 class TestSweep:

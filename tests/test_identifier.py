@@ -90,6 +90,52 @@ class TestPolyRegressor:
             fd = (reg(eta + e) - reg(eta - e)) / (2 * h)
             assert np.allclose(jac[:, k], fd, atol=1e-5)
 
+    @staticmethod
+    def _reference_jacobian(reg, eta):
+        """The per-entry formula: entry (k, i) is (eta_i^(e_i - 1) * e_i)
+        times prod_j t_j / t_i (all eta_i nonzero) or times the products of
+        t_j left and right of i, each factor gathered entry by entry from
+        the power table into C-ordered (d_eta, d_sigma) arrays."""
+        exps = reg._exps
+        p = np.multiply.accumulate(
+            np.concatenate([np.ones((reg.d_eta, 1)),
+                            np.repeat(eta[:, None], reg.max_order, axis=1)], axis=1), axis=1)
+        flat = p.ravel()
+        offsets = np.arange(reg.d_eta)[None, :] * (reg.max_order + 1)
+        t = np.take(flat, np.ascontiguousarray((offsets + exps).T))
+        out = np.take(flat, np.ascontiguousarray((offsets + np.maximum(exps - 1, 0)).T))
+        out *= exps.T
+        if eta.all():
+            out *= np.prod(t, axis=0)
+            out /= t
+        else:
+            out[1:] *= np.cumprod(t[:-1], axis=0)
+            out[:-1] *= np.cumprod(t[:0:-1], axis=0)[::-1]
+        return out.T
+
+    @pytest.mark.parametrize("d_eta,order,mode", [
+        (6, 5, "full-multiset"), (6, 3, "full-multiset"), (6, 1, "full-multiset"),
+        (4, 5, "pure-powers"), (2, 7, "full-multiset"),
+    ])
+    def test_jacobian_bits_equal_reference_formula(self, d_eta, order, mode):
+        # random eta, eta with exact (signed) zeros, and eta whose powers
+        # overflow to inf and give NaN entries
+        reg = PolyRegressor(d_eta, order, mode)
+        rng = np.random.default_rng(7)
+        theta = rng.standard_normal(reg.d_sigma)
+        for it in range(300):
+            eta = rng.standard_normal(d_eta) * (1.0, 1e-3, 1e70, 1e100)[it % 4]
+            if it % 3 == 1:
+                eta[rng.integers(d_eta)] = 0.0
+            if it % 3 == 2:
+                eta[rng.integers(d_eta)] = -0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = reg.jacobian(eta), self._reference_jacobian(reg, eta)
+                psi_got, psi_want = theta @ got, theta @ want
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(psi_got, psi_want, equal_nan=True)
+
     def test_invalid_parameters(self):
         with pytest.raises(InvalidConfigError):
             PolyRegressor(3, 2)  # even order

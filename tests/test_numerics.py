@@ -136,10 +136,31 @@ class TestRk4Step:
         e1, e2 = run(50), run(100)
         assert 12.0 < e1 / e2 < 20.0
 
+    def test_step_equals_textbook_expression_bit_for_bit(self):
+        a = np.random.default_rng(4).standard_normal((7, 7))
+
+        def field(s):
+            return np.sin(a @ s) - s * s[::-1]
+
+        state = np.random.default_rng(5).standard_normal(7)
+        before = state.tobytes()
+        for dt in (1e-3, 0.37, 2.0 / 3.0):
+            got = rk4_step(field, state, dt)
+            k1 = field(state)
+            k2 = field(state + 0.5 * dt * k1)
+            k3 = field(state + 0.5 * dt * k2)
+            k4 = field(state + dt * k3)
+            want = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            assert got.tobytes() == want.tobytes()
+            assert state.tobytes() == before
+
     def test_blowup_raises(self):
+        state = np.array([1e160])
         with pytest.raises(IntegrationBlowupError) as exc, np.errstate(over="ignore"):
-            rk4_step(lambda s: s**3, np.array([1e160]), 1.0, t=2.5)
+            rk4_step(lambda s: s**3, state, 1.0, t=2.5)
         assert exc.value.t == pytest.approx(3.5)
+        assert exc.value.state is state
+        assert not np.isfinite(exc.value.output).all()
 
     def test_bad_dt_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -78,6 +78,18 @@ class TestSyntheticLinearPlant:
         lhs = im.F @ m - m @ s_mat
         assert np.allclose(lhs, -im.G @ c[None, :], atol=1e-10)
 
+    @pytest.mark.parametrize("d_eta", [2, 4, 6, 9])
+    @pytest.mark.parametrize("rho", [0.5, 2.0, 7.0])
+    def test_tau_matches_scipy_solve_sylvester(self, d_eta, rho):
+        solve_sylvester = pytest.importorskip("scipy.linalg").solve_sylvester
+        im = default_internal_model(d_eta)
+        plant = build_synthetic_linear_plant(rho, im.F, im.G)
+        m = plant.extras["tau_rows"](np.eye(2)).T
+        s_mat = np.array([[0.0, 1.0], [-rho, 0.0]])
+        c = np.array([-rho, 0.0])
+        want = solve_sylvester(im.F, -s_mat, -im.G.reshape(-1, 1) @ c[None, :])
+        assert np.allclose(m, want, rtol=1e-12, atol=1e-14)
+
     def test_theta_star_reproduces_ustar_on_tau(self):
         rho = 2.0
         im = default_internal_model(6)
