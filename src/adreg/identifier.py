@@ -193,12 +193,15 @@ class LsIdentifier:
         the output map theta = (xi1 + Omega)^+ xi2, norm-clamped at
         theta_bound."""
         sig = self.regressor(eta_in)
-        big_sigma = saturate(np.outer(sig, sig).ravel(), self.clamp).reshape(
-            sig.size, sig.size
-        )
         lam = saturate(sig * float(np.atleast_1d(u_out)[0]), self.clamp)
-        xi1 = self.mu_f * self.xi1 + big_sigma
-        xi1 = 0.5 * (xi1 + xi1.T)  # suppress drift from the PSD cone
+        big_sigma = np.outer(sig, sig)
+        sq = float(sig @ sig)  # |sigma|^2 = |sigma sigma'|_F
+        if not sq <= self.clamp:  # as saturate: a NaN norm rescales too
+            big_sigma *= self.clamp / sq
+        # a fresh array: clones share the old one. Exactly symmetric, as
+        # mu X, sigma sigma' and its rescale are.
+        xi1 = self.mu_f * self.xi1
+        xi1 += big_sigma
         xi2 = self.mu_f * self.xi2 + lam
         theta = pseudoinverse(xi1 + self.omega, self.cutoff_rel) @ xi2
         self.xi1, self.xi2, self.theta = xi1, xi2, saturate(theta, self.theta_bound)

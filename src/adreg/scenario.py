@@ -294,17 +294,19 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
     An ensemble of K cells that share the plant, the internal model and the
     stabilizer passes ``obs`` and ``ident`` as lists of K, one entry per
     cell. The field then acts on the cells' states stacked component-major,
-    an (n, K) array flattened to length n*K: the observer gains are rows of
-    K, psi is taken cell by cell and ``fast_q`` is mapped over the cells.
-    One cell is the plain state of length n, whose scalar blocks are
-    evaluated on Python floats: the same IEEE operations as on numpy
-    scalars, at less cost per operation.
+    an (n, K) array flattened to length n*K: F eta + G u is one matrix
+    product over the cells, psi is taken cell by cell on contiguous copies
+    of the cell's eta and eta', and every other block is computed per cell
+    on lists of Python floats, with the operations of the one-cell field in
+    its order, so each column equals the one-cell field of its cell bit for
+    bit. One cell is the plain state of length n, whose scalar blocks are
+    also Python floats: the same IEEE operations as on numpy scalars, at
+    less cost per operation.
     """
     observers = list(obs) if isinstance(obs, (list, tuple)) else [obs]
     idents = list(ident) if isinstance(ident, (list, tuple)) else [ident] * len(observers)
     n_cells = len(observers)
     lay = state_layout(im.d_eta)
-    shape = (lay.size,) if n_cells == 1 else (lay.size, n_cells)
     fast_q = plant.extras["fast_q"]
     rho_exo = float(plant.extras["rho"])
     k0, k1 = float(stab.K[0, 0]), float(stab.K[0, 1])
@@ -317,12 +319,10 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
         lh = lam @ hmat
         gains.append((float(lh[0, 0]), float(lh[1, 0]),
                       o.ell ** (plant.r + 1) * float(h_rp1[0, 0]), o.psi_bar))
-    lh0, lh1, l3, psi_bar = gains[0] if n_cells == 1 else np.array(gains).T
     f_im = im.F
-    g_col = im.G.ravel() if n_cells == 1 else im.G
     i_e, i_sh = lay.eta, lay.sigma_hat
     i_xh1, i_xh2 = lay.x_hat.start, lay.x_hat.start + 1
-    # w1, w2, x1, x2, xh1, xh2, sigma_hat: floats of one cell, rows of K cells
+    # w1, w2, x1, x2, xh1, xh2, sigma_hat: floats of one cell, lists of K cells
     pick = operator.itemgetter(0, 1, 2, 3, i_xh1, i_xh2, i_sh)
 
     def control(xh1, xh2, sh):
@@ -342,52 +342,61 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
             return fast_q(*map(np.float64, (w1, w2, x1, x2)))
 
     if n_cells == 1:
-        u_of, q_of = control, q_cell
+        lh0, lh1, l3, psi_bar = gains[0]
+        idn = idents[0]
+        g_col = im.G.ravel()
 
-        def scalars(c):
-            return pick(c.tolist())
+        def field(v):
+            w1, w2, x1, x2, xh1, xh2, sh = pick(v.tolist())
+            eta = v[i_e]
+            u = control(xh1, xh2, sh)
+            eta_dot = f_im @ eta + g_col * u
+            psi = 0.0 if idn is None else psi_cell(idn, eta, eta_dot, psi_bar)
+            innov = x1 - xh1
+            out = np.empty_like(v)
+            out[0] = w2
+            out[1] = -rho_exo * w1
+            out[2] = x2
+            out[3] = q_cell(w1, w2, x1, x2) + u
+            out[i_e] = eta_dot
+            out[i_xh1] = xh2 + lh0 * innov
+            out[i_xh2] = sh + bb * u + lh1 * innov
+            out[i_sh] = -bb * psi + l3 * innov
+            return out
 
-        def psi_of(eta, eta_dot):
-            return psi_cell(idents[0], eta, eta_dot, psi_bar)
-    else:
-        scalars = pick
+        return field, control
 
-        def u_of(xh1, xh2, sh):
-            cols = (xh1.tolist(), xh2.tolist(), sh.tolist())
-            return np.fromiter(map(control, *cols), dtype=float, count=n_cells)
-
-        def q_of(w1, w2, x1, x2):
-            cols = (w1.tolist(), w2.tolist(), x1.tolist(), x2.tolist())
-            try:
-                return np.fromiter(map(fast_q, *cols), dtype=float, count=n_cells)
-            except OverflowError:  # a cell overflowed: q_cell retries cell by cell
-                return np.fromiter(map(q_cell, *cols), dtype=float, count=n_cells)
-
-        def psi_of(eta, eta_dot):
-            # contiguous rows per cell, so each dot sums as in a one-cell run
-            return np.array([0.0 if idn is None else psi_cell(idn, e, d, bar) for idn, e, d, bar
-                             in zip(idents, eta.T.copy(), eta_dot.T.copy(), psi_bar)])
-    if all(idn is None for idn in idents):
-        psi_of = None  # psi = 0
+    lh0, lh1, l3, psi_bar = (list(g) for g in zip(*gains))
+    g_col = im.G
+    shape = (lay.size, n_cells)
+    has_psi = any(idn is not None for idn in idents)
+    no_psi = [0.0] * n_cells
+    e_lo, e_hi = i_e.start * n_cells, i_e.stop * n_cells
 
     def field(v):
         c = v.reshape(shape)
-        w1, w2, x1, x2, xh1, xh2, sh = scalars(c)
+        w1, w2, x1, x2, xh1, xh2, sh = pick(c.tolist())
         eta = c[i_e]
-        u = u_of(xh1, xh2, sh)
+        u = list(map(control, xh1, xh2, sh))
         eta_dot = f_im @ eta + g_col * u
-        psi = 0.0 if psi_of is None else psi_of(eta, eta_dot)
-        innov = x1 - xh1
+        if has_psi:
+            # contiguous rows per cell, so each dot sums as in a one-cell run
+            psi = [0.0 if idn is None else psi_cell(idn, e, d, bar) for idn, e, d, bar
+                   in zip(idents, eta.T.copy(), eta_dot.T.copy(), psi_bar)]
+        else:
+            psi = no_psi
+        try:
+            q = list(map(fast_q, w1, w2, x1, x2))
+        except OverflowError:  # a cell overflowed: q_cell retries cell by cell
+            q = list(map(q_cell, w1, w2, x1, x2))
+        innov = list(map(operator.sub, x1, xh1))
+        # component-major: w and x fill out[:e_lo], x_hat and sigma_hat out[e_hi:]
         out = np.empty_like(v)
-        o = out.reshape(shape)
-        o[0] = w2
-        o[1] = -rho_exo * w1
-        o[2] = x2
-        o[3] = q_of(w1, w2, x1, x2) + u
-        o[i_e] = eta_dot
-        o[i_xh1] = xh2 + lh0 * innov
-        o[i_xh2] = sh + bb * u + lh1 * innov
-        o[i_sh] = -bb * psi + l3 * innov
+        out[:e_lo] = w2 + [-rho_exo * a for a in w1] + x2 + list(map(operator.add, q, u))
+        out[e_lo:e_hi] = eta_dot.ravel()
+        out[e_hi:] = ([a + g * e for a, g, e in zip(xh2, lh0, innov)]
+                      + [a + bb * b + g * e for a, b, g, e in zip(sh, u, lh1, innov)]
+                      + [-bb * p + g * e for p, g, e in zip(psi, l3, innov)])
         return out
 
     return field, control
@@ -465,10 +474,11 @@ def _wire(cfg):
 def _run_cells(cells):
     """Integrate wired cells as one ensemble and reduce each cell's arc.
 
-    The cells must differ only in their observer and identifier (as the
-    cells of a sweep do): the plant, internal model, stabilizer, clock,
-    horizon, dt and initial state are taken from the first. One ``simulate``
-    call integrates the stacked (n, K) state; the jump updates each cell's
+    The cells must differ only in their observer, identifier and initial
+    state (as the cells of a sweep do): the plant, internal model,
+    stabilizer, clock, horizon and dt are taken from the first, and the
+    initial state stacks every cell's own ``v0``. One ``simulate`` call
+    integrates the stacked (n, K) state; the jump updates each cell's
     identifier in turn. Yields one ScenarioResult per cell, in order, each
     reduced on a view of that cell's columns when it is asked for.
     """

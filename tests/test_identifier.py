@@ -14,6 +14,8 @@ from adreg.identifier import (
     batch_solver_ls,
     pe_check,
 )
+from adreg.numerics import pseudoinverse
+from adreg.regulator import saturate
 
 
 def _multiset_count(d, n):
@@ -226,6 +228,56 @@ class TestLsJump:
         # Xi1 + Omega is indefinite for omega < 0
         with pytest.raises(InvalidConfigError):
             LsIdentifier(PolyRegressor(2, 1), omega=omega)
+
+    @staticmethod
+    def _reference_jump(ident, eta, u):
+        """(xi1, xi2, theta) after a jump, by the update's first formula:
+        sigma sigma' saturated by its Frobenius norm, xi1 symmetrized."""
+        sig = ident.regressor(eta)
+        big_sigma = saturate(np.outer(sig, sig).ravel(), ident.clamp).reshape(
+            sig.size, sig.size)
+        lam = saturate(sig * u, ident.clamp)
+        xi1 = ident.mu_f * ident.xi1 + big_sigma
+        xi1 = 0.5 * (xi1 + xi1.T)
+        xi2 = ident.mu_f * ident.xi2 + lam
+        theta = pseudoinverse(xi1 + ident.omega, ident.cutoff_rel) @ xi2
+        return xi1, xi2, saturate(theta, ident.theta_bound)
+
+    @pytest.mark.parametrize("d_eta,order", [(6, 3), (4, 5)])
+    def test_jump_bits_equal_reference_formula(self, d_eta, order):
+        ident = LsIdentifier(PolyRegressor(d_eta, order), mu_f=0.95, omega=1e-3)
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            eta = 0.5 * rng.standard_normal(d_eta)
+            u = float(rng.standard_normal())
+            sig = ident.regressor(eta)
+            assert np.linalg.norm(np.outer(sig, sig)) < ident.clamp
+            want = self._reference_jump(ident, eta, u)
+            before = [a.copy() for a in (ident.xi1, ident.xi2, ident.theta)]
+            held = (ident.xi1, ident.xi2, ident.theta)
+            ident.jump(eta, u)
+            for got, ref in zip((ident.xi1, ident.xi2, ident.theta), want):
+                assert np.array_equal(got, ref)
+            assert np.array_equal(ident.xi1, ident.xi1.T)
+            # the jump rebinds its state: arrays a clone shares stay as they were
+            for a, b in zip(held, before):
+                assert np.array_equal(a, b)
+
+    def test_active_clamp_bounds_the_rank_one_term(self):
+        clamp = 1.0
+        ident = LsIdentifier(PolyRegressor(3, 3), mu_f=0.9, omega=1e-3, clamp=clamp)
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            eta = rng.choice([-1.0, 1.0], 3) * (1.0 + rng.random(3))
+            sig = ident.regressor(eta)
+            assert np.linalg.norm(np.outer(sig, sig)) > clamp
+            scaled = ident.mu_f * ident.xi1
+            want = self._reference_jump(ident, eta, 0.0)
+            ident.jump(eta, 0.0)
+            added = np.linalg.norm(ident.xi1 - scaled)
+            assert added == pytest.approx(clamp, rel=1e-12)
+            assert np.array_equal(ident.xi1, ident.xi1.T)
+            assert np.allclose(ident.xi1, want[0], rtol=1e-12, atol=0.0)
 
     def test_wrapper_clone_is_independent(self):
         ident = LsIdentifier(PolyRegressor(2, 1), mu_f=0.9, omega=1e-3)

@@ -364,6 +364,38 @@ class TestEnsembleSweep:
                     one, _ = build_closed_loop(plant, im, stab, obs, ident)
                     assert np.array_equal(got[:, k], one(states[:, k].copy()), equal_nan=True)
 
+    def test_field_columns_equal_one_cell_fields_with_saturated_controls(self):
+        # the K-cell field's per-cell scalar blocks against the one-cell
+        # field, with cells that hold their own gains, cells with and without
+        # an identifier, and controls saturated at +sat_level and -sat_level
+        plant = build_vdp_scenario(2.0, 2.0)
+        im = default_internal_model(6)
+        sat_level = 100.0
+        stab = StabilizerConfig(K=place_poles(2, 1, [-1.0, -2.0]), sat_level=sat_level,
+                                b_bar_inv=[[1.0]])
+        observers = [ObserverConfig(ell=ell, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
+                     for ell in (5.0, 10.0, 20.0, 40.0)]
+        rng = np.random.default_rng(4)
+        idents = [None, LsIdentifier(PolyRegressor(6, 1)), LsIdentifier(PolyRegressor(6, 3)),
+                  None]
+        for ident in idents[1:3]:
+            ident.theta = rng.standard_normal(ident.regressor.d_sigma)
+        field, control = build_closed_loop(plant, im, stab, observers, idents)
+        lay = state_layout(6)
+        for _ in range(20):
+            states = rng.standard_normal((lay.size, 4))
+            states[lay.sigma_hat, 1] = -1e3  # drives cell 1's control to +sat_level
+            states[lay.sigma_hat, 2] = 1e3  # and cell 2's to -sat_level
+            xh1, xh2 = states[lay.x_hat]
+            sh = states[lay.sigma_hat]
+            assert control(xh1[1], xh2[1], sh[1]) == sat_level
+            assert control(xh1[2], xh2[2], sh[2]) == -sat_level
+            got = field(states.ravel()).reshape(lay.size, 4)
+            for k, (obs, ident) in enumerate(zip(observers, idents)):
+                one, _ = build_closed_loop(plant, im, stab, obs, ident)
+                want = one(states[:, k].copy())
+                assert got[:, k].tobytes() == want.tobytes()
+
     def test_sweep_writes_no_files(self, tmp_path):
         base = ScenarioConfig(sim={"horizon": 0.3, "dt": 1e-3},
                               output={"csv": str(tmp_path / "run.csv"),
