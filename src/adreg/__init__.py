@@ -30,7 +30,6 @@ from .numerics import (
     rk4_step,
 )
 from .plant import (
-    ExoSpec,
     PlantSpec,
     build_chain_matrices,
     build_vdp_scenario,
@@ -41,7 +40,6 @@ from .regulator import (
     InternalModelConfig,
     ObserverConfig,
     StabilizerConfig,
-    build_observer_gains,
     default_internal_model,
     saturate,
 )

@@ -9,18 +9,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .errors import IntegrationBlowupError, InvalidConfigError, InvalidInputError
 from .harness import CoreProcessRun, format_report, verify_identifier_requirement
-from .plant import ExoSpec
-from .scenario import ScenarioConfig, run_scenario, run_sweep
-from .scenario import (
-    _build_clock,
-    _build_identifier,
-    _build_internal_model,
-    build_synthetic_linear_plant,
-)
+from .scenario import ScenarioConfig, _wire, run_scenario, run_sweep, state_layout
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -66,28 +57,23 @@ def cmd_sweep(args):
 def cmd_check_identifier(args):
     """Verify the configured identifier on the synthetic core process."""
     cfg = _load_config(args.config)
-    if cfg.identifier.get("kind", "none") == "none":
+    if cfg.identifier["kind"] == "none":
         raise InvalidConfigError("check-identifier needs an identifier kind != none")
-    im = _build_internal_model(cfg.regulator)
-    rho = float(cfg.plant.get("rho", 2.0))
-    plant = build_synthetic_linear_plant(rho, im.F, im.G)
-    ident = _build_identifier(cfg.identifier, im.d_eta)
-    clock = _build_clock(cfg.clock)
-    run = CoreProcessRun(
-        clock=clock,
-        exo=ExoSpec(d_w=2, eval_s=plant.eval_s),
-        w0=np.asarray(cfg.plant.get("w0", [1.0, 0.0]), dtype=float),
-        tau_eval=plant.extras["tau"],
-        ustar_eval=plant.extras["ustar"],
-    )
-    report = verify_identifier_requirement(ident, run, horizon=10.0)
+    cell = _wire(cfg.replace_in("plant", kind="synthetic-linear"))
+    plant, lay = cell.plant, state_layout(cell.im.d_eta)
+    run = CoreProcessRun(clock=cell.clock, exo=plant.eval_s, w0=cell.v0[lay.w],
+                         tau_eval=plant.extras["tau"], ustar_eval=plant.extras["ustar"])
+    report = verify_identifier_requirement(cell.ident, run, horizon=10.0)
     print(format_report(report))
     ok = report["optimality"] and report["stability"] and report["regularity"]
     return EXIT_OK if ok else EXIT_THRESHOLD
 
 
 def cmd_validate(args):
+    """Resolve and wire the config, as ``simulate`` does before its first
+    step, and print the resolved config."""
     cfg = _load_config(args.config)
+    _wire(cfg)
     print(f"config ok: {args.config}")
     print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
@@ -128,8 +114,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidConfigError, InvalidInputError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (InvalidConfigError, InvalidInputError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationBlowupError as exc:

@@ -14,7 +14,6 @@ import numpy as np
 from .errors import InvalidConfigError
 from .hybrid import ClockConfig, simulate
 from .numerics import DEFAULT_CUTOFF_REL, pseudoinverse
-from .plant import ExoSpec
 
 
 @dataclass
@@ -22,13 +21,10 @@ class CoreProcessRun:
     """Exosystem plus clock emitting the ideal data pairs (tau(w), u*(w))."""
 
     clock: ClockConfig
-    exo: ExoSpec
+    exo: Callable  # s(w), the exosystem's flow
     w0: np.ndarray
     tau_eval: Callable  # w -> R^{d_eta}
-    ustar_eval: Callable  # w -> R^{d_y}
-
-    def __post_init__(self):
-        self.w0 = np.asarray(self.w0, dtype=float)
+    ustar_eval: Callable  # w -> R^1
 
 
 def run_core_process(run, horizon, dt=1e-3, disturbance=None):
@@ -38,10 +34,6 @@ def run_core_process(run, horizon, dt=1e-3, disturbance=None):
     added to the emitted pairs.
     """
     samples = []
-    eval_s = run.exo.eval_s if hasattr(run.exo, "eval_s") else run.exo
-
-    def flow(w):
-        return eval_s(w)
 
     def jump(t, j, w):
         win = np.atleast_1d(run.tau_eval(w)).astype(float)
@@ -53,7 +45,7 @@ def run_core_process(run, horizon, dt=1e-3, disturbance=None):
         samples.append((j, win, wout))
         return w
 
-    simulate(flow, jump, run.w0, run.clock, horizon, dt)
+    simulate(run.exo, jump, run.w0, run.clock, horizon, dt)
     return samples
 
 

@@ -23,7 +23,7 @@ class ClockConfig:
 
     strategy "periodic" jumps every ``period`` seconds (defaults to t_low);
     strategy "uniform" draws each gap uniformly from [t_low, t_high] with a
-    seeded generator, so runs are reproducible.
+    seeded generator, so runs are reproducible, and takes no period.
     """
 
     t_low: float
@@ -42,17 +42,18 @@ class ClockConfig:
             if not (self.t_low <= p <= self.t_high):
                 raise InvalidConfigError("periodic period must lie in [t_low, t_high]")
             object.__setattr__(self, "period", p)
+        elif self.period is not None:
+            raise InvalidConfigError("period applies to the periodic strategy only")
 
     def make_rng(self):
         return np.random.default_rng(self.seed)
 
 
-def next_jump_time(clock, last_jump_t, rng=None):
-    """Next jump instant after last_jump_t according to the clock strategy."""
+def next_jump_time(clock, last_jump_t, rng):
+    """Next jump instant after last_jump_t according to the clock strategy;
+    ``rng`` is the run's generator from ``clock.make_rng()``."""
     if clock.strategy == "periodic":
         return last_jump_t + clock.period
-    if rng is None:
-        rng = clock.make_rng()
     return last_jump_t + rng.uniform(clock.t_low, clock.t_high)
 
 
@@ -110,7 +111,15 @@ def arc_row_bound(clock, horizon, dt):
     return 1 + math.ceil(horizon / dt) + 2 * (jumps + 1) + jumps
 
 
-def simulate(flow, jump, x0, clock, horizon, dt=None):
+def check_step(clock, horizon, dt):
+    """Raise InvalidConfigError unless ``simulate`` can run to horizon at step dt."""
+    if not (0.0 < dt < np.inf and 0.0 < horizon < np.inf):
+        raise InvalidConfigError("dt and horizon must be positive and finite")
+    if dt > clock.t_low / 10.0:
+        raise InvalidConfigError("dt must not exceed t_low / 10")
+
+
+def simulate(flow, jump, x0, clock, horizon, dt):
     """Integrate a clock-triggered hybrid system and record the full arc.
 
     flow(x) -> dx/dt; jump(t, j, x) -> x_plus. Components the jump map wants
@@ -118,12 +127,7 @@ def simulate(flow, jump, x0, clock, horizon, dt=None):
     are written into one buffer of ``arc_row_bound`` rows; the arc holds a
     view of the rows used.
     """
-    if dt is None:
-        dt = min(1e-3, clock.t_low / 100.0)
-    if not (0.0 < dt < np.inf and 0.0 < horizon < np.inf):
-        raise InvalidConfigError("dt and horizon must be positive and finite")
-    if dt > clock.t_low / 10.0:
-        raise InvalidConfigError("dt must not exceed t_low / 10")
+    check_step(clock, horizon, dt)
 
     rng = clock.make_rng()
     x = np.array(x0, dtype=float)

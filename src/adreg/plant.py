@@ -1,4 +1,5 @@
-"""Normal-form plant and exosystem abstractions plus the Van der Pol scenario.
+"""The normal-form plant spec, the chain-of-integrators matrices, and the Van der
+Pol scenario.
 
 The tracked reference is the triangular-wave output of a harmonic exosystem,
 
@@ -27,25 +28,16 @@ BRANCH_TOL = 1e-9
 
 
 @dataclass
-class ExoSpec:
-    """Autonomous exosystem w' = s(w)."""
-
-    d_w: int
-    eval_s: Callable
-
-
-@dataclass
 class PlantSpec:
-    """Normal-form plant: a chain of r integrators of dimension d_y driven by
-    q + b u, with b = b_bar.
+    """Normal-form plant: a chain of two integrators with one output, driven
+    by q + b u, with b = b_bar, and the exosystem w' = s(w) that forces it.
 
     ``extras`` carries the scenario's evaluators: "fast_q" (q(w1, w2, x1, x2)
     on scalars, which the closed-loop field calls), the ideal feedforward
-    "ustar" and its row-wise form "ustar_rows", and the exosystem's "rho".
+    "ustar" and its row-wise form "ustar_rows", the reference p1*(w) and its
+    slope as "reference" and "reference_slope", and the exosystem's "rho".
     """
 
-    d_y: int
-    r: int
     eval_s: Callable  # s(w)
     b_bar: np.ndarray
     extras: dict = field(default_factory=dict)
@@ -147,22 +139,17 @@ def build_vdp_scenario(a, rho):
 
     extras: "fast_q" (q on scalars, with the one-sided sign(0) = +1
     convention), "ustar" (ideal feedforward), "ustar_rows" (row-wise), "a",
-    "rho". No zero dynamics.
+    "rho", "reference" and "reference_slope". No zero dynamics.
     """
     if a <= 0.0 or rho <= 0.0:
         raise InvalidConfigError("require a > 0 and rho > 0")
-
-    def eval_s(w):
-        return np.array([w[1], -rho * w[0]])
 
     def fast_q(w1, w2, x1, x2):
         p1, l1, l2 = p1star_and_lie(w1, w2, rho, 1.0 if w2 >= 0.0 else -1.0)
         return -x1 - p1 - l2 + a * (1.0 - (x1 + p1) ** 2) * (x2 + l1)
 
     return PlantSpec(
-        d_y=1,
-        r=2,
-        eval_s=eval_s,
+        eval_s=lambda w: np.array([w[1], -rho * w[0]]),
         b_bar=np.array([[1.0]]),
         extras={
             "ustar": lambda w: vdp_ustar_rows(np.reshape(w, (1, 2)), a, rho),
@@ -170,5 +157,7 @@ def build_vdp_scenario(a, rho):
             "fast_q": fast_q,
             "a": a,
             "rho": rho,
+            "reference": triangular_output,
+            "reference_slope": lambda w: lie_derivatives_p1star(w, rho, branch_side=+1)[0],
         },
     )

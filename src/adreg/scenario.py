@@ -9,26 +9,20 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AdregError, IntegrationBlowupError, InvalidConfigError
-from .hybrid import ClockConfig, HybridArc, simulate
+from .errors import AdregError, BranchPointError, IntegrationBlowupError, InvalidConfigError
+from .hybrid import ClockConfig, HybridArc, check_step, simulate
 from .identifier import LsIdentifier, MiniBatchIdentifier, build_poly_regressor
 from .numerics import place_poles
-from .plant import (
-    PlantSpec,
-    build_vdp_scenario,
-    lie_derivatives_p1star,
-    triangular_output,
-)
+from .plant import PlantSpec, build_vdp_scenario
 from .regulator import (
     InternalModelConfig,
     ObserverConfig,
     StabilizerConfig,
-    build_observer_gains,
     default_internal_model,
 )
 
@@ -39,22 +33,102 @@ CSV_HEADER = "t,j,y,u,u_star,gamma_hat,err_xhat,err_sigmahat,eps_star"
 # configuration
 
 
-def _take(d, allowed, section):
-    unknown = set(d) - set(allowed)
+def _finite(v):
+    """True for a finite real number; a bool is not one."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def _list_of(v, n, ok):
+    return isinstance(v, (list, tuple)) and len(v) == n and all(map(ok, v))
+
+
+def _is_matrix(v):
+    """A non-empty list of rows of finite numbers, all of one non-zero length."""
+    return (isinstance(v, (list, tuple)) and len(v) > 0 and isinstance(v[0], (list, tuple))
+            and len(v[0]) > 0 and all(_list_of(row, len(v[0]), _finite) for row in v))
+
+
+def _choice(*options):
+    what = "one of " + ", ".join(map(repr, options))
+    return what, lambda v: isinstance(v, str) and v in options, None
+
+
+def _numbers(n):
+    return (f"a list of {n} finite numbers", lambda v: _list_of(v, n, _finite),
+            lambda v: [float(x) for x in v])
+
+
+# A kind: what an error calls it, whether a value is of it, and how the value
+# is stored (as it is, for None).
+NUMBER = ("a finite number", _finite, float)
+INTEGER = ("a non-negative integer", lambda v: _finite(v) and v >= 0 and v == int(v), int)
+MATRIX = ("a matrix: a list of equal-length lists of finite numbers", _is_matrix,
+          lambda v: [[float(x) for x in row] for row in v])
+PATH = ("a file path (a non-empty string) or null",
+        lambda v: v is None or (isinstance(v, str) and v != ""), None)
+
+# The config schema: section -> key -> (kind, default). Left out of a
+# section, a key takes its default. A key whose default is OPTIONAL stays left
+# out, and the code that consumes it supplies one: w0's default depends on the
+# plant kind, mu_f, omega_scale and N_w default in the identifiers'
+# constructors, period in ClockConfig, and F and G come together or the
+# default pair of dimension d_eta is used.
+OPTIONAL = object()
+SCHEMA = {
+    "plant": {"kind": (_choice("vdp", "synthetic-linear"), "vdp"),
+              "a": (NUMBER, 2.0), "rho": (NUMBER, 2.0),
+              "p0": (_numbers(2), [0.1, 0.0]), "w0": (_numbers(2), OPTIONAL)},
+    "regulator": {"poles": (_numbers(2), [-1.0, -2.0]), "sat_level": (NUMBER, 100.0),
+                  "d_eta": (INTEGER, 6), "F": (MATRIX, OPTIONAL), "G": (MATRIX, OPTIONAL),
+                  "ell": (NUMBER, 20.0), "h_coeffs": (_numbers(3), [6.0, 11.0, 6.0]),
+                  "psi_bar": (NUMBER, 100.0)},
+    "identifier": {"kind": (_choice("none", "ls", "mini-batch"), "none"),
+                   "mu_f": (NUMBER, OPTIONAL), "omega_scale": (NUMBER, OPTIONAL),
+                   "N": (INTEGER, 1),
+                   "mode": (_choice("full-multiset", "pure-powers"), "full-multiset"),
+                   "N_w": (INTEGER, OPTIONAL)},
+    "clock": {"t_low": (NUMBER, 0.1), "t_high": (NUMBER, 0.1),
+              "strategy": (_choice("periodic", "uniform"), "periodic"),
+              "period": (NUMBER, OPTIONAL), "seed": (INTEGER, 0)},
+    "sim": {"horizon": (NUMBER, 100.0), "dt": (NUMBER, 1e-3)},
+    "output": {"csv": (PATH, None), "summary": (PATH, None)},
+}
+
+
+def _object(name, given, allowed):
+    """``given``, checked to be an object whose keys are all in ``allowed``."""
+    if not isinstance(given, dict):
+        raise InvalidConfigError(f"{name} must be an object, got {given!r}")
+    unknown = set(given) - set(allowed)
     if unknown:
-        raise InvalidConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
-    return d
+        raise InvalidConfigError(f"unknown keys in {name}: {sorted(unknown)}")
+    return given
 
 
-def _finite_numbers(v):
-    """True for a finite real number or a (nested) list of them."""
-    if isinstance(v, (list, tuple)):
-        return all(_finite_numbers(x) for x in v)
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+def _resolve(section, given):
+    """``given`` checked against the schema of ``section``, with the defaults
+    of the keys it leaves out, as a new dict."""
+    table = SCHEMA[section]
+    _object(repr(section), given, table)
+    out = {}
+    for key, ((what, ok, store), default) in table.items():
+        value = given[key] if key in given else default
+        if value is OPTIONAL:
+            continue
+        if not ok(value):
+            raise InvalidConfigError(f"{section}.{key} must be {what}, got {value!r}")
+        out[key] = value if store is None else store(value)
+    return out
 
 
 @dataclass
 class ScenarioConfig:
+    """A scenario's config: one dict per section, resolved against SCHEMA
+    when the config is made."""
+
     plant: dict = field(default_factory=dict)
     regulator: dict = field(default_factory=dict)
     identifier: dict = field(default_factory=dict)
@@ -62,39 +136,13 @@ class ScenarioConfig:
     sim: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
 
-    PLANT_KEYS = ("kind", "a", "rho", "p0", "w0")
-    REGULATOR_KEYS = ("poles", "sat_level", "d_eta", "F", "G", "ell", "h_coeffs", "psi_bar")
-    IDENTIFIER_KEYS = ("kind", "mu_f", "omega_scale", "N", "mode", "N_w", "clamp",
-                       "theta_bound", "cutoff_rel")
-    CLOCK_KEYS = ("t_low", "t_high", "strategy", "period", "seed")
-    SIM_KEYS = ("horizon", "dt")
-    OUTPUT_KEYS = ("csv", "summary")
-    # every other key except output.* holds a number or a list of numbers
-    STRING_KEYS = {"plant": ("kind",), "identifier": ("kind", "mode"), "clock": ("strategy",)}
-
     def __post_init__(self):
-        _take(self.plant, self.PLANT_KEYS, "plant")
-        _take(self.regulator, self.REGULATOR_KEYS, "regulator")
-        _take(self.identifier, self.IDENTIFIER_KEYS, "identifier")
-        _take(self.clock, self.CLOCK_KEYS, "clock")
-        _take(self.sim, self.SIM_KEYS, "sim")
-        _take(self.output, self.OUTPUT_KEYS, "output")
-        for section in ("plant", "regulator", "identifier", "clock", "sim"):
-            for key, val in getattr(self, section).items():
-                if key not in self.STRING_KEYS.get(section, ()) and not _finite_numbers(val):
-                    raise InvalidConfigError(
-                        f"{section}.{key} must be a finite number or a list of finite "
-                        f"numbers, got {val!r}")
-        kind = self.identifier.get("kind", "none")
-        if kind not in ("none", "ls", "mini-batch"):
-            raise InvalidConfigError(f"unknown identifier kind {kind!r}")
-        if self.plant.get("kind", "vdp") not in ("vdp", "synthetic-linear"):
-            raise InvalidConfigError(f"unknown plant kind {self.plant.get('kind')!r}")
+        for section in SCHEMA:
+            setattr(self, section, _resolve(section, getattr(self, section)))
 
     @classmethod
     def from_dict(cls, d):
-        _take(d, ("plant", "regulator", "identifier", "clock", "sim", "output"), "config")
-        return cls(**{k: dict(v) for k, v in d.items()})
+        return cls(**_object("the config", d, SCHEMA))
 
     @classmethod
     def from_json(cls, path):
@@ -102,19 +150,10 @@ class ScenarioConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self):
-        return {
-            "plant": dict(self.plant),
-            "regulator": dict(self.regulator),
-            "identifier": dict(self.identifier),
-            "clock": dict(self.clock),
-            "sim": dict(self.sim),
-            "output": dict(self.output),
-        }
+        return asdict(self)
 
     def replace_in(self, section, **kw):
-        d = self.to_dict()
-        d[section] = {**d[section], **kw}
-        return ScenarioConfig.from_dict(d)
+        return replace(self, **{section: {**getattr(self, section), **kw}})
 
 
 def build_synthetic_linear_plant(rho, f, g):
@@ -140,9 +179,7 @@ def build_synthetic_linear_plant(rho, f, g):
     m = vec_m.reshape((f.shape[0], 2), order="F")
     theta_star, *_ = np.linalg.lstsq(m.T, c, rcond=None)
 
-    spec = PlantSpec(
-        d_y=1,
-        r=2,
+    return PlantSpec(
         eval_s=lambda w: np.array([w[1], -rho * w[0]]),
         b_bar=np.array([[1.0]]),
         extras={
@@ -157,7 +194,6 @@ def build_synthetic_linear_plant(rho, f, g):
             "reference_slope": lambda w: float(w[1]),
         },
     )
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +215,6 @@ class ScenarioResult:
     states: np.ndarray
     theta_history: list  # (t_jump, theta) per jump
     jump_samples: list  # (j, eta, u) fed to the identifier
-    config: ScenarioConfig = None
 
     def write_csv(self, path):
         with open(path, "w") as fh:
@@ -203,24 +238,19 @@ class ScenarioResult:
 
 # config key -> constructor argument of each identifier class
 _IDENTIFIER_ARGS = {
-    "ls": (LsIdentifier, {"mu_f": "mu_f", "omega_scale": "omega", "clamp": "clamp",
-                          "theta_bound": "theta_bound", "cutoff_rel": "cutoff_rel"}),
-    "mini-batch": (MiniBatchIdentifier, {"N_w": "n_window", "omega_scale": "omega",
-                                         "cutoff_rel": "cutoff_rel"}),
+    "ls": (LsIdentifier, {"mu_f": "mu_f", "omega_scale": "omega"}),
+    "mini-batch": (MiniBatchIdentifier, {"N_w": "n_window", "omega_scale": "omega"}),
 }
 
 
-def _build_identifier(ident_cfg, d_eta):
+def _build_identifier(icfg, d_eta):
     """The configured identifier, or None for kind "none"; keys left out take
     the constructor's defaults."""
-    kind = ident_cfg.get("kind", "none")
-    if kind == "none":
+    if icfg["kind"] == "none":
         return None
-    regressor = build_poly_regressor(d_eta, int(ident_cfg.get("N", 1)),
-                                     ident_cfg.get("mode", "full-multiset"))
-    cls, args = _IDENTIFIER_ARGS[kind]
-    return cls(regressor, **{arg: ident_cfg[key] for key, arg in args.items()
-                             if key in ident_cfg})
+    regressor = build_poly_regressor(d_eta, icfg["N"], icfg["mode"])
+    cls, args = _IDENTIFIER_ARGS[icfg["kind"]]
+    return cls(regressor, **{arg: icfg[key] for key, arg in args.items() if key in icfg})
 
 
 def _build_internal_model(rcfg):
@@ -229,18 +259,8 @@ def _build_internal_model(rcfg):
     if "F" in rcfg or "G" in rcfg:
         if not ("F" in rcfg and "G" in rcfg):
             raise InvalidConfigError("F and G must be given together")
-        return InternalModelConfig(np.asarray(rcfg["F"]), np.asarray(rcfg["G"]))
-    return default_internal_model(int(rcfg.get("d_eta", 6)))
-
-
-def _build_clock(ccfg):
-    return ClockConfig(
-        t_low=float(ccfg.get("t_low", 0.1)),
-        t_high=float(ccfg.get("t_high", 0.1)),
-        strategy=ccfg.get("strategy", "periodic"),
-        period=ccfg.get("period"),
-        seed=int(ccfg.get("seed", 0)),
-    )
+        return InternalModelConfig(rcfg["F"], rcfg["G"])
+    return default_internal_model(rcfg["d_eta"])
 
 
 def _clamp(x, level):
@@ -313,12 +333,7 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
     sat_level = stab.sat_level
     bb = float(plant.b_bar[0, 0])
     bbi = float(stab.b_bar_inv[0, 0])
-    gains = []
-    for o in observers:
-        lam, hmat, h_rp1 = build_observer_gains(o, plant.r, plant.d_y)
-        lh = lam @ hmat
-        gains.append((float(lh[0, 0]), float(lh[1, 0]),
-                      o.ell ** (plant.r + 1) * float(h_rp1[0, 0]), o.psi_bar))
+    gains = [(*o.gains, o.psi_bar) for o in observers]
     f_im = im.F
     i_e, i_sh = lay.eta, lay.sigma_hat
     i_xh1, i_xh2 = lay.x_hat.start, lay.x_hat.start + 1
@@ -338,7 +353,8 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
         """fast_q on one cell's floats."""
         try:
             return fast_q(w1, w2, x1, x2)
-        except OverflowError:  # a Python float overflowed where a numpy scalar gives inf
+        except ArithmeticError:
+            # a Python float overflowed or divided by zero where numpy gives inf or nan
             return fast_q(*map(np.float64, (w1, w2, x1, x2)))
 
     if n_cells == 1:
@@ -387,7 +403,7 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
             psi = no_psi
         try:
             q = list(map(fast_q, w1, w2, x1, x2))
-        except OverflowError:  # a cell overflowed: q_cell retries cell by cell
+        except ArithmeticError:  # in some cell: q_cell retries cell by cell
             q = list(map(q_cell, w1, w2, x1, x2))
         innov = list(map(operator.sub, x1, xh1))
         # component-major: w and x fill out[:e_lo], x_hat and sigma_hat out[e_hi:]
@@ -405,13 +421,12 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
 def _error_coordinates(plant, p0, w0, lay):
     """Initial closed-loop state: w0, the error chain
     x = (p1 - p1*(w0), p2 - L_s p1*(w0)) of the plant state p0, and zeros."""
-    extras = plant.extras
-    if "reference" in extras:
-        ref = extras["reference"](w0)
-        slope = extras["reference_slope"](w0)
-    else:
-        ref = triangular_output(w0)
-        slope, _ = lie_derivatives_p1star(w0, extras["rho"], branch_side=+1)
+    try:
+        ref = plant.extras["reference"](w0)
+        slope = plant.extras["reference_slope"](w0)
+    except (BranchPointError, ArithmeticError) as exc:
+        # the oscillator's reference at w0 = 0, or where |w0|**3 leaves the float range
+        raise InvalidConfigError(f"no initial error coordinates at w0 = {w0}: {exc}") from None
     v0 = np.zeros(lay.size)
     v0[lay.w] = w0
     v0[lay.x] = (p0[0] - ref, p0[1] - slope)
@@ -428,47 +443,36 @@ class _Cell(NamedTuple):
     obs: ObserverConfig
     ident: object  # an identifier, or None
     clock: ClockConfig
-    horizon: float
-    dt: float
     v0: np.ndarray
 
 
 def _wire(cfg):
     """Build the plant, controller, identifier, clock and initial state of
     ``cfg``; raises the config's errors before anything is integrated."""
-    pcfg, rcfg, icfg = cfg.plant, cfg.regulator, cfg.identifier
-    kind = pcfg.get("kind", "vdp")
-    a_par = float(pcfg.get("a", 2.0))
-    rho = float(pcfg.get("rho", 2.0))
-    p0 = np.asarray(pcfg.get("p0", [0.1, 0.0]), dtype=float)
-    # Default exosystem start: for the oscillator benchmark, unit triangular-
-    # wave amplitude (|w1| peak = 1/pi). At the wave peaks the feedforward
-    # term a*(1 - p1*^2)*L1 then vanishes exactly, so u*(w(t)) is continuous
-    # and a continuous model output can reproduce it; larger amplitudes make
-    # u* jump at every peak and cap the achievable error reduction.
-    w0_default = [1.0 / np.pi, 0.0] if kind == "vdp" else [1.0, 0.0]
-    w0 = np.asarray(pcfg.get("w0", w0_default), dtype=float)
-
+    pcfg, rcfg = cfg.plant, cfg.regulator
     im = _build_internal_model(rcfg)
-    if kind == "vdp":
-        plant = build_vdp_scenario(a_par, rho)
+    if pcfg["kind"] == "vdp":
+        plant = build_vdp_scenario(pcfg["a"], pcfg["rho"])
+        # Default exosystem start: for the oscillator benchmark, unit
+        # triangular-wave amplitude (|w1| peak = 1/pi). At the wave peaks the
+        # feedforward term a*(1 - p1*^2)*L1 then vanishes exactly, so u*(w(t))
+        # is continuous and a continuous model output can reproduce it; larger
+        # amplitudes make u* jump at every peak and cap the achievable error
+        # reduction.
+        w0_default = [1.0 / math.pi, 0.0]
     else:
-        plant = build_synthetic_linear_plant(rho, im.F, im.G)
+        plant = build_synthetic_linear_plant(pcfg["rho"], im.F, im.G)
+        w0_default = [1.0, 0.0]
+    w0 = pcfg["w0"] if "w0" in pcfg else w0_default
 
-    k_gain = place_poles(plant.r, plant.d_y, rcfg.get("poles", [-1.0, -2.0]))
-    stab = StabilizerConfig(K=k_gain, sat_level=float(rcfg.get("sat_level", 100.0)),
+    stab = StabilizerConfig(K=place_poles(2, 1, rcfg["poles"]), sat_level=rcfg["sat_level"],
                             b_bar_inv=np.linalg.inv(plant.b_bar))
-    obs = ObserverConfig(
-        ell=float(rcfg.get("ell", 20.0)),
-        h_coeffs=rcfg.get("h_coeffs", [6.0, 11.0, 6.0]),
-        psi_bar=float(rcfg.get("psi_bar", 100.0)),
-    )
-    ident = _build_identifier(icfg, im.d_eta)
-    clock = _build_clock(cfg.clock)
-    horizon = float(cfg.sim.get("horizon", 100.0))
-    dt = float(cfg.sim.get("dt", 1e-3))
-    v0 = _error_coordinates(plant, p0, w0, state_layout(im.d_eta))
-    return _Cell(cfg, plant, im, stab, obs, ident, clock, horizon, dt, v0)
+    obs = ObserverConfig(ell=rcfg["ell"], h_coeffs=rcfg["h_coeffs"], psi_bar=rcfg["psi_bar"])
+    ident = _build_identifier(cfg.identifier, im.d_eta)
+    clock = ClockConfig(**cfg.clock)
+    check_step(clock, cfg.sim["horizon"], cfg.sim["dt"])
+    v0 = _error_coordinates(plant, pcfg["p0"], w0, state_layout(im.d_eta))
+    return _Cell(cfg, plant, im, stab, obs, ident, clock, v0)
 
 
 def _run_cells(cells):
@@ -518,7 +522,8 @@ def _run_cells(cells):
 
     v0 = np.stack([c.v0 for c in cells], axis=1).ravel()
     try:
-        arc = simulate(field, jump, v0, first.clock, first.horizon, first.dt)
+        arc = simulate(field, jump, v0, first.clock, first.cfg.sim["horizon"],
+                       first.cfg.sim["dt"])
     except IntegrationBlowupError as exc:
         # component-major: entry i of the flat state is component i // K
         bad = int(np.flatnonzero(~np.isfinite(exc.output))[0]) // n_cells
@@ -528,7 +533,7 @@ def _run_cells(cells):
     for k, cell in enumerate(cells):
         cell_arc = HybridArc(arc.t, arc.j, per_cell[:, :, k], arc.jump_indices)
         yield _reduce(cell_arc, cell.cfg, cell.plant, lay, control, cell.ident,
-                      theta_histories[k], jump_samples[k], cell.horizon)
+                      theta_histories[k], jump_samples[k])
 
 
 def run_scenario(cfg):
@@ -536,7 +541,7 @@ def run_scenario(cfg):
     return next(_run_cells([_wire(cfg)]))
 
 
-def _reduce(arc, cfg, plant, lay, control, ident, theta_history, jump_samples, horizon):
+def _reduce(arc, cfg, plant, lay, control, ident, theta_history, jump_samples):
     states = arc.states
     n = states.shape[0]
     w_rows = states[:, lay.w]
@@ -574,7 +579,7 @@ def _reduce(arc, cfg, plant, lay, control, ident, theta_history, jump_samples, h
     else:
         eps_star = np.zeros(0)
 
-    tail = arc.t >= 0.8 * horizon
+    tail = arc.t >= 0.8 * cfg.sim["horizon"]
     ss_max = float(np.max(np.abs(y[tail]))) if np.any(tail) else float(np.max(np.abs(y)))
     band = 2.0 * ss_max
     exceed = np.abs(y) > band
@@ -594,13 +599,12 @@ def _reduce(arc, cfg, plant, lay, control, ident, theta_history, jump_samples, h
     result = ScenarioResult(
         t=arc.t, j=arc.j, y=y, u=u, u_star=np.asarray(u_star), gamma_hat=gamma_hat,
         err_xhat=err_xhat, err_sigmahat=err_sigmahat, eps_star=eps_star,
-        summary=summary, states=states, theta_history=theta_history,
-        jump_samples=jump_samples, config=cfg,
+        summary=summary, states=states, theta_history=theta_history, jump_samples=jump_samples,
     )
     out = cfg.output
-    if out.get("csv"):
+    if out["csv"] is not None:
         result.write_csv(out["csv"])
-    if out.get("summary"):
+    if out["summary"] is not None:
         result.write_summary(out["summary"])
     return result
 
@@ -627,16 +631,13 @@ def run_sweep(base, axis, values):
         raise InvalidConfigError("sweep axis must be 'ell' or 'N'")
     if not values:
         raise InvalidConfigError("sweep needs at least one value")
-    base = ScenarioConfig.from_dict({**base.to_dict(), "output": {}})  # no per-cell files
+    base = replace(base, output={})  # no per-cell files
+    section = "regulator" if axis == "ell" else "identifier"
     rows, cells = [], []
     for val in values:
-        if axis == "ell":
-            cfg = base.replace_in("regulator", ell=float(val))
-        else:
-            cfg = base.replace_in("identifier", N=int(val))
         row = {"value": val}
         try:
-            cells.append(_wire(cfg))
+            cells.append(_wire(base.replace_in(section, **{axis: val})))
         except AdregError as exc:  # per-cell failure, sweep continues
             row.update(_error_entry(exc))
         rows.append(row)

@@ -40,6 +40,33 @@ class TestValidate:
         assert main(["validate", path]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("key", ["clamp", "theta_bound", "cutoff_rel"])
+    def test_removed_identifier_key_is_unknown(self, write_cfg, capsys, key, command):
+        # the identifiers take these as constructor arguments; a config does not
+        cfg = {"sim": SHORT_SIM, "identifier": {"kind": "ls", "N": 1, key: NAN}}
+        assert main([command, write_cfg(cfg)]) == EXIT_CONFIG
+        assert "unknown keys in 'identifier'" in capsys.readouterr().err
+
+    def test_prints_resolved_config(self, write_cfg, capsys):
+        path = write_cfg({"identifier": {"kind": "ls", "N": 3}, "regulator": {"ell": 10}})
+        assert main(["validate", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        resolved = json.loads(out[out.index("{"):])
+        assert resolved["regulator"]["ell"] == 10.0
+        assert resolved["regulator"]["d_eta"] == 6
+        assert resolved["identifier"] == {"kind": "ls", "N": 3, "mode": "full-multiset"}
+        assert resolved["clock"] == {"t_low": 0.1, "t_high": 0.1, "strategy": "periodic",
+                                     "seed": 0}
+        assert resolved["output"] == {"csv": None, "summary": None}
+
+    def test_rejects_what_simulate_rejects_before_its_first_step(self, write_cfg, capsys):
+        # dt > t_low / 10 and an observer polynomial with complex roots are
+        # found by wiring the config, not by resolving it
+        for cfg in ({"sim": {"dt": 0.05}}, {"regulator": {"h_coeffs": [1, 1, 1]}}):
+            assert main(["validate", write_cfg(cfg)]) == EXIT_CONFIG
+            assert "config error:" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
@@ -65,7 +92,6 @@ class TestNonFiniteConfig:
         ("regulator", "psi_bar", NAN),
         ("plant", "rho", NAN),
         ("plant", "p0", [NAN, 0.0]),
-        ("identifier", "theta_bound", NAN),
         ("clock", "seed", "a"),
         ("clock", "period", "x"),
         ("sim", "horizon", "x"),
@@ -73,6 +99,62 @@ class TestNonFiniteConfig:
     def test_config_error(self, write_cfg, capsys, command, section, key, value):
         cfg = {"sim": dict(SHORT_SIM), "identifier": {"kind": "ls", "N": 1}}
         cfg.setdefault(section, {})[key] = value
+        assert main([command, write_cfg(cfg)]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
+
+def _with(section, key, value):
+    cfg = {"sim": dict(SHORT_SIM), "identifier": {"kind": "ls", "N": 1}}
+    cfg.setdefault(section, {})[key] = value
+    return cfg
+
+
+class TestMalformedConfig:
+    """Configs that raised a traceback or were silently truncated or ignored;
+    each is a config error from ``validate`` and from ``simulate`` alike."""
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("cfg", [
+        # raised a traceback
+        _with("plant", "p0", [0.1]),
+        _with("plant", "w0", [1, 0, 0]),
+        _with("plant", "w0", [0, 0]),  # the reference has no slope at w = 0
+        _with("plant", "w0", [1e200, 1]),  # |w0|**3 overflows
+        _with("plant", "a", 10**400),  # an int past the float range
+        _with("regulator", "d_eta", 0),
+        {"regulator": {"F": [[-1, 1], [0]], "G": [[0], [1]]}, "sim": SHORT_SIM},
+        {"regulator": {"F": [[-1, 1], [0, -1]], "G": 5}, "sim": SHORT_SIM},
+        {"regulator": {"F": [[-1, 1], [0, -1]], "G": [[0, 1], [1, 0]]}, "sim": SHORT_SIM},
+        _with("regulator", "h_coeffs", 6),
+        _with("regulator", "ell", [20]),
+        _with("regulator", "ell", 1e200),  # ell**3 overflows
+        _with("clock", "t_low", [0.1]),
+        _with("clock", "seed", -1),
+        _with("sim", "horizon", [1]),
+        {"plant": [1, 2]},
+        {"identifier": "ls"},
+        5,
+        None,
+        # a path, not a file descriptor: 10**6 is open nowhere, where 1 or 2
+        # would write into this process's stdout or stderr and close it
+        _with("output", "csv", 10**6),
+        _with("output", "summary", 10**6),
+        # silently truncated or ignored
+        _with("plant", "p0", [0.1, 0.0, 0.0]),
+        _with("identifier", "N", 3.9),
+        {"identifier": {"kind": "mini-batch", "N": 1, "N_w": 10.5}, "sim": SHORT_SIM},
+        _with("regulator", "d_eta", 6.7),
+        _with("clock", "seed", 1.5),
+        {"clock": {"t_low": 0.05, "t_high": 0.15, "strategy": "uniform", "period": 0.1},
+         "sim": SHORT_SIM},
+    ], ids=[
+        "p0-short", "w0-long", "w0-zero", "w0-huge", "a-huge-int", "d_eta-0", "F-ragged",
+        "G-scalar", "G-two-columns", "h_coeffs-scalar", "ell-list", "ell-huge",
+        "t_low-list", "seed-negative", "horizon-list", "plant-list", "identifier-string",
+        "config-int", "config-null", "csv-int", "summary-int", "p0-long", "N-fraction",
+        "N_w-fraction", "d_eta-fraction", "seed-fraction", "uniform-with-period",
+    ])
+    def test_config_error(self, write_cfg, capsys, command, cfg):
         assert main([command, write_cfg(cfg)]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
@@ -103,6 +185,11 @@ class TestSimulate:
         capsys.readouterr()
         assert main(["simulate", path, "--assert-max-y", "1e-12"]) == EXIT_THRESHOLD
         assert "exceeds threshold" in capsys.readouterr().err
+
+    def test_output_path_that_is_a_directory(self, write_cfg, tmp_path, capsys):
+        path = write_cfg({"sim": SHORT_SIM, "output": {"csv": str(tmp_path)}})
+        assert main(["simulate", path]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
 
     def test_bad_config_value(self, write_cfg, capsys):
         path = write_cfg({"regulator": {"ell": 0.5}, "sim": SHORT_SIM})

@@ -14,14 +14,12 @@ from adreg.harness import (
 )
 from adreg.hybrid import ClockConfig
 from adreg.identifier import LsIdentifier, MiniBatchIdentifier, PolyRegressor
-from adreg.plant import ExoSpec
 
 
 def _harmonic_run(tau_eval, ustar_eval, w0=(1.0, 0.0), period=0.1):
-    exo = ExoSpec(d_w=2, eval_s=lambda w: np.array([w[1], -w[0]]))
     clock = ClockConfig(t_low=period, t_high=period)
     return CoreProcessRun(
-        clock=clock, exo=exo, w0=np.array(w0), tau_eval=tau_eval,
+        clock=clock, exo=lambda w: np.array([w[1], -w[0]]), w0=np.array(w0), tau_eval=tau_eval,
         ustar_eval=ustar_eval,
     )
 

@@ -58,6 +58,12 @@ class TestClockConfig:
         with pytest.raises(InvalidConfigError):
             ClockConfig(t_low=0.1, t_high=0.2, period=0.3)
 
+    def test_uniform_rejects_period(self):
+        # a uniform clock draws its gaps, so a period would be ignored
+        with pytest.raises(InvalidConfigError, match="periodic strategy only"):
+            ClockConfig(t_low=0.05, t_high=0.15, strategy="uniform", period=0.1)
+        assert ClockConfig(t_low=0.05, t_high=0.15, strategy="uniform").period is None
+
     def test_bad_bounds_rejected(self):
         with pytest.raises(InvalidConfigError):
             ClockConfig(t_low=0.0, t_high=0.1)

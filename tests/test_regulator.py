@@ -11,7 +11,6 @@ from adreg.regulator import (
     InternalModelConfig,
     ObserverConfig,
     StabilizerConfig,
-    build_observer_gains,
     default_internal_model,
     saturate,
 )
@@ -82,6 +81,14 @@ class TestStabilizerConfig:
         with pytest.raises(InvalidConfigError):
             StabilizerConfig(K=[[-1.0, -1.0]], sat_level=100.0, b_bar_inv=[[1.0]])
 
+    @pytest.mark.parametrize("k", [[[0.0, 3.0]], [[2.0, 0.0]], [[2.0, -3.0]]])
+    def test_rejects_nonpositive_gain(self, k):
+        # A - B K = [[0, 1], [-k0, -k1]] is Hurwitz iff k0 > 0 and k1 > 0
+        a, b, _ = build_chain_matrices(2, 1)
+        assert not is_hurwitz(a - b @ np.array(k))
+        with pytest.raises(InvalidConfigError):
+            StabilizerConfig(K=k, sat_level=100.0, b_bar_inv=[[1.0]])
+
     def test_rejects_bad_shapes_and_level(self):
         with pytest.raises(InvalidConfigError):
             StabilizerConfig(K=[[2.0, 3.0]], sat_level=0.0, b_bar_inv=[[1.0]])
@@ -119,28 +126,34 @@ class TestInternalModel:
         with pytest.raises(InvalidConfigError):
             InternalModelConfig(F=-np.eye(2), G=np.array([[1.0], [0.0]]))
 
+    def test_rejects_g_of_two_columns(self):
+        with pytest.raises(InvalidConfigError, match="G must be 2 x 1"):
+            InternalModelConfig(F=-np.eye(2), G=np.eye(2))
+
+    def test_rejects_empty_default(self):
+        with pytest.raises(InvalidConfigError, match="d_eta must be >= 1"):
+            default_internal_model(0)
+
 
 class TestObserverConfig:
     def test_worked_coefficients_have_real_negative_roots(self):
-        obs = ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
-        obs.check_roots(2)  # lambda^3 + 6 lambda^2 + 11 lambda + 6: {-1,-2,-3}
+        # lambda^3 + 6 lambda^2 + 11 lambda + 6: {-1,-2,-3}
+        ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
         roots = np.roots([1.0, 6.0, 11.0, 6.0])
         assert np.allclose(sorted(roots.real), [-3.0, -2.0, -1.0], atol=1e-9)
 
     def test_complex_roots_rejected(self):
-        obs = ObserverConfig(ell=20.0, h_coeffs=[1.0, 1.0, 1.0], psi_bar=100.0)
         with pytest.raises(InvalidConfigError):
-            obs.check_roots(2)
+            ObserverConfig(ell=20.0, h_coeffs=[1.0, 1.0, 1.0], psi_bar=100.0)
 
     def test_unstable_roots_rejected(self):
-        obs = ObserverConfig(ell=20.0, h_coeffs=[-6.0, 11.0, -6.0], psi_bar=100.0)
         with pytest.raises(InvalidConfigError):
-            obs.check_roots(2)
+            ObserverConfig(ell=20.0, h_coeffs=[-6.0, 11.0, -6.0], psi_bar=100.0)
 
     def test_wrong_length_rejected(self):
-        obs = ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
-        with pytest.raises(InvalidConfigError):
-            obs.check_roots(3)
+        for h_coeffs in ([6.0, 11.0], [1.0, 4.0, 6.0, 4.0], [[6.0, 11.0, 6.0]]):
+            with pytest.raises(InvalidConfigError):
+                ObserverConfig(ell=20.0, h_coeffs=h_coeffs, psi_bar=100.0)
 
     def test_parameter_bounds(self):
         with pytest.raises(InvalidConfigError):
@@ -151,19 +164,15 @@ class TestObserverConfig:
 
 class TestObserverGains:
     def test_scalar_channel_shapes_and_scaling(self):
+        # (ell h1, ell^2 h2, ell^3 h3): Lambda(ell) = diag(20, 400) on
+        # H = (6, 11), and ell^3 on H_3 = 6
         obs = ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
-        lam, hmat, h_rp1 = build_observer_gains(obs, 2, 1)
-        assert np.allclose(lam, np.diag([20.0, 400.0]))
-        assert np.allclose(hmat.ravel(), [6.0, 11.0])
-        assert np.allclose(h_rp1, [[6.0]])
+        assert len(obs.gains) == 3
+        assert np.allclose(obs.gains, [20.0 * 6.0, 400.0 * 11.0, 8000.0 * 6.0])
 
-    def test_multichannel_broadcast(self):
-        obs = ObserverConfig(ell=2.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
-        lam, hmat, h_rp1 = build_observer_gains(obs, 2, 2)
-        assert lam.shape == (4, 4)
-        assert np.allclose(lam, np.diag([2.0, 2.0, 4.0, 4.0]))
-        assert hmat.shape == (4, 2)
-        assert np.allclose(h_rp1, 6.0 * np.eye(2))
+    def test_gain_overflow_is_config_error(self):
+        with pytest.raises(InvalidConfigError, match="overflows the observer gains"):
+            ObserverConfig(ell=1e150, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
 
 
 class TestControlOutput:
