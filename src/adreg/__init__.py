@@ -19,12 +19,10 @@ from .identifier import (
     PolyRegressor,
     batch_solver_ls,
     build_poly_regressor,
-    pe_check,
 )
 from .numerics import (
     is_controllable,
     is_hurwitz,
-    min_nonzero_singular_value,
     place_poles,
     pseudoinverse,
     rk4_step,

@@ -111,12 +111,22 @@ def arc_row_bound(clock, horizon, dt):
     return 1 + math.ceil(horizon / dt) + 2 * (jumps + 1) + jumps
 
 
+def _arc_too_large(horizon, dt):
+    return InvalidConfigError(f"sim.horizon / sim.dt = {horizon!r} / {dt!r} asks for an arc "
+                              "buffer larger than can be allocated")
+
+
 def check_step(clock, horizon, dt):
-    """Raise InvalidConfigError unless ``simulate`` can run to horizon at step dt."""
+    """Raise InvalidConfigError unless ``simulate`` can run to horizon at step dt
+    and its arc buffer, ``arc_row_bound`` rows of 8-byte floats, can be indexed."""
     if not (0.0 < dt < np.inf and 0.0 < horizon < np.inf):
         raise InvalidConfigError("dt and horizon must be positive and finite")
     if dt > clock.t_low / 10.0:
         raise InvalidConfigError("dt must not exceed t_low / 10")
+    most = np.iinfo(np.intp).max // 8  # rows of 8-byte floats an array can index
+    # the first test also keeps an infinite horizon / dt out of arc_row_bound
+    if horizon / dt > most or arc_row_bound(clock, horizon, dt) > most:
+        raise _arc_too_large(horizon, dt)
 
 
 def simulate(flow, jump, x0, clock, horizon, dt):
@@ -131,7 +141,10 @@ def simulate(flow, jump, x0, clock, horizon, dt):
 
     rng = clock.make_rng()
     x = np.array(x0, dtype=float)
-    states = np.empty((arc_row_bound(clock, horizon, dt),) + x.shape)
+    try:
+        states = np.empty((arc_row_bound(clock, horizon, dt),) + x.shape)
+    except (MemoryError, ValueError):  # more bytes than memory, or than an array can index
+        raise _arc_too_large(horizon, dt) from None
     states[0] = x
     t, jcnt = 0.0, 0
     ts, js = [0.0], [0]

@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import InvalidConfigError
-from .numerics import DEFAULT_CUTOFF_REL, min_nonzero_singular_value, pseudoinverse
+from .numerics import DEFAULT_CUTOFF_REL, pseudoinverse
 from .regulator import saturate
 
 REGRESSOR_MODES = ("full-multiset", "pure-powers")
@@ -117,18 +117,6 @@ def _omega_matrix(omega, d):
     if not omega >= 0.0:
         raise InvalidConfigError(f"omega must be >= 0, got {omega!r}")
     return float(omega) * np.eye(d)
-
-
-def pe_check(samples, mu_f, omega, epsilon, cutoff_rel=DEFAULT_CUTOFF_REL):
-    """Persistence-of-excitation test on the weighted regressor Gram matrix."""
-    samples = [np.asarray(s, dtype=float) for s in samples]
-    if not samples:
-        raise InvalidConfigError("pe_check needs at least one sample")
-    j = len(samples)
-    gram = np.asarray(omega, dtype=float).copy()
-    for i, sig in enumerate(samples):
-        gram += mu_f ** (j - i - 1) * np.outer(sig, sig)
-    return min_nonzero_singular_value(gram, cutoff_rel) >= epsilon
 
 
 def batch_solver_ls(window_in, window_out, regressor, omega,

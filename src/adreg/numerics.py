@@ -1,8 +1,8 @@
 """Small dense linear-algebra and integration kernel.
 
-Pseudoinverse and singular-value helpers wrap numpy's SVD with an explicit
-relative cutoff; pole placement exploits the chain-of-integrators structure
-so only real negative poles are needed.
+The pseudoinverse wraps numpy's SVD with an explicit relative cutoff; pole
+placement exploits the chain-of-integrators structure so only real negative
+poles are needed.
 """
 
 import numpy as np
@@ -34,18 +34,6 @@ def pseudoinverse(m, cutoff_rel=DEFAULT_CUTOFF_REL):
         return np.zeros((m.shape[1], m.shape[0]))
     inv_s = np.where(s > cutoff_rel * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
     return (vt.T * inv_s) @ u.T
-
-
-def min_nonzero_singular_value(m, cutoff_rel=DEFAULT_CUTOFF_REL):
-    """Smallest singular value above cutoff_rel times the largest; 0 if none."""
-    m = _check_finite(m, "matrix")
-    s = np.linalg.svd(np.atleast_2d(m), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0.0
-    keep = s[s > cutoff_rel * s[0]]
-    if keep.size == 0:
-        return 0.0
-    return float(keep[-1])
 
 
 def place_poles(r, d_y, desired):

@@ -17,7 +17,6 @@ tests assert).
 
 from dataclasses import dataclass, field
 from math import asin, hypot
-from typing import Callable
 
 import numpy as np
 
@@ -30,22 +29,21 @@ BRANCH_TOL = 1e-9
 @dataclass
 class PlantSpec:
     """Normal-form plant: a chain of two integrators with one output, driven
-    by q + b u, with b = b_bar, and the exosystem w' = s(w) that forces it.
+    by q + u (the input gain b is 1), and the harmonic exosystem
+    w' = s(w) = (w2, -rho w1) that forces it.
 
     ``extras`` carries the scenario's evaluators: "fast_q" (q(w1, w2, x1, x2)
     on scalars, which the closed-loop field calls), the ideal feedforward
-    "ustar" and its row-wise form "ustar_rows", the reference p1*(w) and its
-    slope as "reference" and "reference_slope", and the exosystem's "rho".
+    "ustar" and its row-wise form "ustar_rows", and the reference p1*(w) and
+    its slope as "reference" and "reference_slope".
     """
 
-    eval_s: Callable  # s(w)
-    b_bar: np.ndarray
+    rho: float
     extras: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.b_bar = np.atleast_2d(np.asarray(self.b_bar, dtype=float))
-        if abs(np.linalg.det(self.b_bar)) < 1e-14:
-            raise InvalidConfigError("b_bar must be nonsingular")
+    def eval_s(self, w):
+        """s(w), the exosystem's flow."""
+        return np.array([w[1], -self.rho * w[0]])
 
 
 def build_chain_matrices(r, d_y):
@@ -138,8 +136,8 @@ def build_vdp_scenario(a, rho):
         q(w, x) = -x1 - p1*(w) - L_s^2 p1* + a (1 - (x1 + p1*)^2)(x2 + L_s p1*).
 
     extras: "fast_q" (q on scalars, with the one-sided sign(0) = +1
-    convention), "ustar" (ideal feedforward), "ustar_rows" (row-wise), "a",
-    "rho", "reference" and "reference_slope". No zero dynamics.
+    convention), "ustar" (ideal feedforward), "ustar_rows" (row-wise),
+    "reference" and "reference_slope". No zero dynamics.
     """
     if a <= 0.0 or rho <= 0.0:
         raise InvalidConfigError("require a > 0 and rho > 0")
@@ -149,14 +147,11 @@ def build_vdp_scenario(a, rho):
         return -x1 - p1 - l2 + a * (1.0 - (x1 + p1) ** 2) * (x2 + l1)
 
     return PlantSpec(
-        eval_s=lambda w: np.array([w[1], -rho * w[0]]),
-        b_bar=np.array([[1.0]]),
+        rho=rho,
         extras={
             "ustar": lambda w: vdp_ustar_rows(np.reshape(w, (1, 2)), a, rho),
             "ustar_rows": lambda rows: vdp_ustar_rows(rows, a, rho),
             "fast_q": fast_q,
-            "a": a,
-            "rho": rho,
             "reference": triangular_output,
             "reference_slope": lambda w: lie_derivatives_p1star(w, rho, branch_side=+1)[0],
         },

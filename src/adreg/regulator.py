@@ -33,11 +33,9 @@ class StabilizerConfig:
 
     K: np.ndarray
     sat_level: float
-    b_bar_inv: np.ndarray
 
     def __post_init__(self):
         self.K = np.atleast_2d(np.asarray(self.K, dtype=float))
-        self.b_bar_inv = np.atleast_2d(np.asarray(self.b_bar_inv, dtype=float))
         if self.sat_level <= 0.0:
             raise InvalidConfigError("sat_level must be positive")
         if self.K.shape != (1, 2):

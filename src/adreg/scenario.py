@@ -180,8 +180,7 @@ def build_synthetic_linear_plant(rho, f, g):
     theta_star, *_ = np.linalg.lstsq(m.T, c, rcond=None)
 
     return PlantSpec(
-        eval_s=lambda w: np.array([w[1], -rho * w[0]]),
-        b_bar=np.array([[1.0]]),
+        rho=rho,
         extras={
             "ustar": lambda w: np.array([-rho * w[0]]),
             "ustar_rows": lambda rows: -rho * rows[:, 0],
@@ -189,7 +188,6 @@ def build_synthetic_linear_plant(rho, f, g):
             "tau": lambda w: m @ w,
             "tau_rows": lambda rows: rows @ m.T,
             "theta_star": theta_star,
-            "rho": rho,
             "reference": lambda w: float(w[0]),
             "reference_slope": lambda w: float(w[1]),
         },
@@ -213,7 +211,7 @@ class ScenarioResult:
     eps_star: np.ndarray  # may be empty (size 0) when not configured
     summary: dict
     states: np.ndarray
-    theta_history: list  # (t_jump, theta) per jump
+    theta_history: list  # (t_jump, theta) per jump; empty without an identifier
     jump_samples: list  # (j, eta, u) fed to the identifier
 
     def write_csv(self, path):
@@ -238,6 +236,7 @@ class ScenarioResult:
 
 # config key -> constructor argument of each identifier class
 _IDENTIFIER_ARGS = {
+    "none": (None, {}),
     "ls": (LsIdentifier, {"mu_f": "mu_f", "omega_scale": "omega"}),
     "mini-batch": (MiniBatchIdentifier, {"N_w": "n_window", "omega_scale": "omega"}),
 }
@@ -245,11 +244,16 @@ _IDENTIFIER_ARGS = {
 
 def _build_identifier(icfg, d_eta):
     """The configured identifier, or None for kind "none"; keys left out take
-    the constructor's defaults."""
-    if icfg["kind"] == "none":
+    the constructor's defaults, and a constructor key of another kind is an
+    error."""
+    cls, args = _IDENTIFIER_ARGS[icfg["kind"]]
+    unused = [key for _, other in _IDENTIFIER_ARGS.values() for key in other
+              if key in icfg and key not in args]
+    if unused:
+        raise InvalidConfigError(f"identifier.{unused[0]} does not apply to kind {icfg['kind']}")
+    if cls is None:
         return None
     regressor = build_poly_regressor(d_eta, icfg["N"], icfg["mode"])
-    cls, args = _IDENTIFIER_ARGS[icfg["kind"]]
     return cls(regressor, **{arg: icfg[key] for key, arg in args.items() if key in icfg})
 
 
@@ -303,7 +307,7 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
     """The closed-loop field over ``state_layout(im.d_eta)`` and its controller.
 
     Returns ``(field, control)``. ``control(xh1, xh2, sigma_hat)`` is the
-    saturated stabilizer u = b_bar^{-1} sat(-sigma_hat - K x_hat) on one
+    saturated stabilizer u = sat(-sigma_hat - K x_hat) on one
     cell's scalars: the field applies it and the reduction maps it over the
     arc. The internal model flows as eta' = F eta + G u, the extended
     observer is driven by the innovation x1 - xh1, and the consistency term
@@ -328,11 +332,9 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
     n_cells = len(observers)
     lay = state_layout(im.d_eta)
     fast_q = plant.extras["fast_q"]
-    rho_exo = float(plant.extras["rho"])
+    rho_exo = float(plant.rho)
     k0, k1 = float(stab.K[0, 0]), float(stab.K[0, 1])
     sat_level = stab.sat_level
-    bb = float(plant.b_bar[0, 0])
-    bbi = float(stab.b_bar_inv[0, 0])
     gains = [(*o.gains, o.psi_bar) for o in observers]
     f_im = im.F
     i_e, i_sh = lay.eta, lay.sigma_hat
@@ -341,7 +343,7 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
     pick = operator.itemgetter(0, 1, 2, 3, i_xh1, i_xh2, i_sh)
 
     def control(xh1, xh2, sh):
-        return bbi * _clamp(-sh - k0 * xh1 - k1 * xh2, sat_level)
+        return _clamp(-sh - k0 * xh1 - k1 * xh2, sat_level)
 
     def psi_cell(idn, eta, eta_dot, bar):
         """psi of one cell, from its identifier's current theta."""
@@ -376,8 +378,8 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
             out[3] = q_cell(w1, w2, x1, x2) + u
             out[i_e] = eta_dot
             out[i_xh1] = xh2 + lh0 * innov
-            out[i_xh2] = sh + bb * u + lh1 * innov
-            out[i_sh] = -bb * psi + l3 * innov
+            out[i_xh2] = sh + u + lh1 * innov
+            out[i_sh] = -psi + l3 * innov
             return out
 
         return field, control
@@ -411,8 +413,8 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
         out[:e_lo] = w2 + [-rho_exo * a for a in w1] + x2 + list(map(operator.add, q, u))
         out[e_lo:e_hi] = eta_dot.ravel()
         out[e_hi:] = ([a + g * e for a, g, e in zip(xh2, lh0, innov)]
-                      + [a + bb * b + g * e for a, b, g, e in zip(sh, u, lh1, innov)]
-                      + [-bb * p + g * e for p, g, e in zip(psi, l3, innov)])
+                      + [a + b + g * e for a, b, g, e in zip(sh, u, lh1, innov)]
+                      + [-p + g * e for p, g, e in zip(psi, l3, innov)])
         return out
 
     return field, control
@@ -465,8 +467,7 @@ def _wire(cfg):
         w0_default = [1.0, 0.0]
     w0 = pcfg["w0"] if "w0" in pcfg else w0_default
 
-    stab = StabilizerConfig(K=place_poles(2, 1, rcfg["poles"]), sat_level=rcfg["sat_level"],
-                            b_bar_inv=np.linalg.inv(plant.b_bar))
+    stab = StabilizerConfig(K=place_poles(2, 1, rcfg["poles"]), sat_level=rcfg["sat_level"])
     obs = ObserverConfig(ell=rcfg["ell"], h_coeffs=rcfg["h_coeffs"], psi_bar=rcfg["psi_bar"])
     ident = _build_identifier(cfg.identifier, im.d_eta)
     clock = ClockConfig(**cfg.clock)
@@ -500,7 +501,6 @@ def _run_cells(cells):
         for k, cell in enumerate(cells):
             ident = cell.ident
             if ident is None:
-                theta_histories[k].append((t, None))
                 continue
             col = cols[:, k].copy()
             eta = col[lay.eta]
@@ -510,11 +510,10 @@ def _run_cells(cells):
             # few 1e-6 in steady_state_max_y, beyond the 1e-6 tolerance of
             # bench/reference.json; feed it control() when those references
             # are next recorded.
-            inner = -col[lay.sigma_hat:lay.size] - stab.K @ col[lay.x_hat]
-            norm = np.linalg.norm(inner)
+            u = -col[lay.sigma_hat:lay.size] - stab.K @ col[lay.x_hat]
+            norm = np.linalg.norm(u)
             if norm > stab.sat_level:
-                inner = inner * (stab.sat_level / norm)
-            u = stab.b_bar_inv @ inner
+                u = u * (stab.sat_level / norm)
             ident.jump(eta, u)
             theta_histories[k].append((t, ident.theta.copy()))
             jump_samples[k].append((j, eta, u))
@@ -556,7 +555,7 @@ def _reduce(arc, cfg, plant, lay, control, ident, theta_history, jump_samples):
     u_star = plant.extras["ustar_rows"](w_rows)
 
     gamma_hat = np.zeros(n)
-    if ident is not None and theta_history:
+    if theta_history:
         seg = arc.j - 1  # per-row index into theta_history, -1 before the first jump
         # segment-wise evaluation: theta is constant between jumps
         bounds = np.flatnonzero(np.diff(seg) != 0) + 1
@@ -569,7 +568,7 @@ def _reduce(arc, cfg, plant, lay, control, ident, theta_history, jump_samples):
             gamma_hat[s0:s1] = ident.regressor.batch(eta_rows[s0:s1]) @ theta_history[k][1]
 
     err_xhat = np.linalg.norm(x_rows - xh_rows, axis=1)
-    err_sigmahat = np.abs(sh + u_star * plant.b_bar[0, 0])
+    err_sigmahat = np.abs(sh + u_star)
 
     if "tau_rows" in plant.extras and "theta_star" in plant.extras and ident is not None:
         # the true map is linear, and the regressor's first d_eta components
@@ -584,15 +583,10 @@ def _reduce(arc, cfg, plant, lay, control, ident, theta_history, jump_samples):
     band = 2.0 * ss_max
     exceed = np.abs(y) > band
     settling = float(arc.t[exceed][-1]) if np.any(exceed) else 0.0
-    final_theta = []
-    for t_j, th in reversed(theta_history):
-        if th is not None:
-            final_theta = [float(v) for v in th]
-            break
     summary = {
         "steady_state_max_y": ss_max,
         "settling_time_s": settling,
-        "final_theta": final_theta,
+        "final_theta": [float(v) for v in theta_history[-1][1]] if theta_history else [],
         "jumps_total": int(arc.jump_indices.size),
     }
 

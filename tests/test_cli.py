@@ -147,12 +147,18 @@ class TestMalformedConfig:
         _with("clock", "seed", 1.5),
         {"clock": {"t_low": 0.05, "t_high": 0.15, "strategy": "uniform", "period": 0.1},
          "sim": SHORT_SIM},
+        {"identifier": {"kind": "ls", "N": 1, "N_w": 5}, "sim": SHORT_SIM},
+        {"identifier": {"kind": "mini-batch", "N": 1, "mu_f": 0.5}, "sim": SHORT_SIM},
+        {"identifier": {"kind": "none", "omega_scale": 1e-3}, "sim": SHORT_SIM},
+        # an arc buffer past what an array can index: fails before any allocation
+        _with("sim", "horizon", 1e300),
     ], ids=[
         "p0-short", "w0-long", "w0-zero", "w0-huge", "a-huge-int", "d_eta-0", "F-ragged",
         "G-scalar", "G-two-columns", "h_coeffs-scalar", "ell-list", "ell-huge",
         "t_low-list", "seed-negative", "horizon-list", "plant-list", "identifier-string",
         "config-int", "config-null", "csv-int", "summary-int", "p0-long", "N-fraction",
         "N_w-fraction", "d_eta-fraction", "seed-fraction", "uniform-with-period",
+        "ls-with-N_w", "mini-batch-with-mu_f", "none-with-omega_scale", "horizon-huge",
     ])
     def test_config_error(self, write_cfg, capsys, command, cfg):
         assert main([command, write_cfg(cfg)]) == EXIT_CONFIG

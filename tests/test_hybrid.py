@@ -139,6 +139,13 @@ class TestSimulate:
             simulate(lambda x: -x, lambda t, j, x: x, np.array([1.0]), clock,
                      horizon, dt=dt)
 
+    def test_arc_past_what_an_array_can_index_rejected(self):
+        # 1e303 rows: rejected before anything is allocated, naming the keys
+        clock = ClockConfig(t_low=0.1, t_high=0.1)
+        with pytest.raises(InvalidConfigError, match="sim.horizon / sim.dt"):
+            simulate(lambda x: -x, lambda t, j, x: x, np.array([1.0]), clock,
+                     1e300, dt=1e-3)
+
     def test_blowup_carries_hybrid_time(self):
         clock = ClockConfig(t_low=0.1, t_high=0.1)
         with pytest.raises(IntegrationBlowupError) as exc, np.errstate(over="ignore"):

@@ -12,7 +12,6 @@ from adreg.identifier import (
     MiniBatchIdentifier,
     PolyRegressor,
     batch_solver_ls,
-    pe_check,
 )
 from adreg.numerics import pseudoinverse
 from adreg.regulator import saturate
@@ -286,29 +285,6 @@ class TestLsJump:
         ident.jump(np.array([0.0, 1.0]), -1.0)
         assert not np.allclose(twin.theta, ident.theta)
         assert type(twin) is LsIdentifier
-
-
-class TestPeCheck:
-    def test_excited_samples_pass(self):
-        rng = np.random.default_rng(8)
-        samples = [rng.normal(size=3) for _ in range(20)]
-        assert pe_check(samples, 0.9, 1e-3 * np.eye(3), epsilon=1e-2)
-
-    def test_weak_excitation_fails(self):
-        sig = 1e-6 * np.array([1.0, 0.0, 0.0])
-        samples = [sig] * 20
-        assert not pe_check(samples, 0.9, np.zeros((3, 3)), epsilon=1e-2)
-
-    def test_unexcited_directions_are_ignored(self):
-        # the check mirrors the pseudoinverse: directions never excited are
-        # outside the identifiable subspace and do not count against PE
-        sig = np.array([1.0, 0.0, 0.0])
-        samples = [sig] * 20
-        assert pe_check(samples, 0.9, np.zeros((3, 3)), epsilon=1e-2)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            pe_check([], 0.9, np.eye(3), epsilon=1e-2)
 
 
 class TestMiniBatch:

@@ -12,7 +12,6 @@ from adreg.errors import IntegrationBlowupError, InvalidInputError
 from adreg.numerics import (
     is_controllable,
     is_hurwitz,
-    min_nonzero_singular_value,
     place_poles,
     pseudoinverse,
     rk4_step,
@@ -51,15 +50,6 @@ class TestPseudoinverse:
     def test_bad_cutoff_rejected(self):
         with pytest.raises(InvalidInputError):
             pseudoinverse(np.eye(2), cutoff_rel=0.0)
-
-
-class TestMinNonzeroSingularValue:
-    def test_known_diagonal(self):
-        m = np.diag([3.0, 2.0, 1e-14])
-        assert min_nonzero_singular_value(m) == pytest.approx(2.0)
-
-    def test_zero_matrix(self):
-        assert min_nonzero_singular_value(np.zeros((2, 2))) == 0.0
 
 
 class TestPlacePoles:

@@ -126,7 +126,7 @@ class TestVdpScenario:
         # checked on the closed-loop field: with x = x_hat = 0 and
         # sigma_hat = -u*(w) the controller applies u*(w), so x2' = 0
         plant = build_vdp_scenario(2.0, 2.0)
-        stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0, b_bar_inv=[[1.0]])
+        stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0)
         obs = ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
         field, control = build_closed_loop(plant, default_internal_model(6), stab, obs)
         lay = state_layout(6)

@@ -17,10 +17,10 @@ from adreg.regulator import (
 from adreg.scenario import build_closed_loop, state_layout
 
 
-def _closed_loop(d_eta=6, b_bar_inv=1.0, ident=None):
+def _closed_loop(d_eta=6, ident=None):
     """(field, control, layout) of the oscillator loop with K = (2, 3),
     M = psi_bar = 100, ell = 20 and h = (6, 11, 6)."""
-    stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0, b_bar_inv=[[b_bar_inv]])
+    stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0)
     obs = ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
     field, control = build_closed_loop(
         build_vdp_scenario(2.0, 2.0), default_internal_model(d_eta), stab, obs, ident)
@@ -73,13 +73,13 @@ class TestSaturate:
 class TestStabilizerConfig:
     def test_accepts_stabilizing_gain(self):
         # K places the chain poles at -1, -2
-        stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0, b_bar_inv=[[1.0]])
+        stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0)
         a, b, _ = build_chain_matrices(2, 1)
         assert is_hurwitz(a - b @ stab.K)
 
     def test_rejects_destabilizing_gain(self):
         with pytest.raises(InvalidConfigError):
-            StabilizerConfig(K=[[-1.0, -1.0]], sat_level=100.0, b_bar_inv=[[1.0]])
+            StabilizerConfig(K=[[-1.0, -1.0]], sat_level=100.0)
 
     @pytest.mark.parametrize("k", [[[0.0, 3.0]], [[2.0, 0.0]], [[2.0, -3.0]]])
     def test_rejects_nonpositive_gain(self, k):
@@ -87,13 +87,13 @@ class TestStabilizerConfig:
         a, b, _ = build_chain_matrices(2, 1)
         assert not is_hurwitz(a - b @ np.array(k))
         with pytest.raises(InvalidConfigError):
-            StabilizerConfig(K=k, sat_level=100.0, b_bar_inv=[[1.0]])
+            StabilizerConfig(K=k, sat_level=100.0)
 
     def test_rejects_bad_shapes_and_level(self):
         with pytest.raises(InvalidConfigError):
-            StabilizerConfig(K=[[2.0, 3.0]], sat_level=0.0, b_bar_inv=[[1.0]])
+            StabilizerConfig(K=[[2.0, 3.0]], sat_level=0.0)
         with pytest.raises(InvalidConfigError):
-            StabilizerConfig(K=np.ones((2, 3)), sat_level=1.0, b_bar_inv=np.eye(2))
+            StabilizerConfig(K=np.ones((2, 3)), sat_level=1.0)
 
 
 class TestInternalModel:
@@ -185,11 +185,11 @@ class TestControlOutput:
         assert control(1.0, 2.0, 0.0) == pytest.approx(-8.0)
 
     def test_norm_bound(self):
-        _, control, _ = _closed_loop(b_bar_inv=0.5)
+        _, control, _ = _closed_loop()
         rng = np.random.default_rng(4)
         for _ in range(100):
             xh1, xh2 = rng.normal(size=2) * 1e3
-            assert abs(control(xh1, xh2, rng.normal() * 1e4)) <= 0.5 * 100.0
+            assert abs(control(xh1, xh2, rng.normal() * 1e4)) <= 100.0
 
 
 class TestObserverFlow:
@@ -212,7 +212,7 @@ class TestObserverFlow:
 
     @pytest.mark.parametrize("scale", [0.1, 100.0])
     def test_consistency_term_drives_sigma_hat(self, scale):
-        # sigma_hat' = -b_bar psi at zero innovation, psi = theta . eta' for
+        # sigma_hat' = -psi at zero innovation, psi = theta . eta' for
         # the linear regressor, clamped at psi_bar = 100
         reg = build_poly_regressor(6, 1)
         ident = LsIdentifier(reg, mu_f=0.99, omega=1e-3)

@@ -116,6 +116,31 @@ class TestSyntheticLinearPlant:
             build_synthetic_linear_plant(-1.0, im.F, im.G)
 
 
+class TestExosystem:
+    @pytest.mark.parametrize("kind", ["vdp", "synthetic-linear"])
+    def test_eval_s_equals_the_fields_w_rows(self, kind):
+        # check-identifier integrates plant.eval_s and the closed loop the w
+        # rows of its field: one exosystem, bit for bit, for one cell and two
+        rho = 1.7
+        im = default_internal_model(4)
+        plant = (build_vdp_scenario(2.0, rho) if kind == "vdp"
+                 else build_synthetic_linear_plant(rho, im.F, im.G))
+        stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0)
+        observers = [ObserverConfig(ell=ell, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
+                     for ell in (5.0, 20.0)]
+        one, _ = build_closed_loop(plant, im, stab, observers[0])
+        two, _ = build_closed_loop(plant, im, stab, observers)
+        lay = state_layout(4)
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            states = rng.standard_normal((lay.size, 2)) * 10.0 ** rng.integers(-3, 4)
+            got = two(states.ravel()).reshape(lay.size, 2)
+            for k in range(2):
+                want = plant.eval_s(states[lay.w, k]).tobytes()
+                assert one(states[:, k].copy())[lay.w].tobytes() == want
+                assert got[lay.w, k].tobytes() == want
+
+
 class TestRunScenario:
     @staticmethod
     def _short_cfg(**identifier):
@@ -236,8 +261,7 @@ class TestRunScenario:
         # the u column is the field's controller on each stored state, and
         # the saturation bound holds exactly
         res = run_scenario(self._short_cfg(**identifier))
-        stab = StabilizerConfig(K=place_poles(2, 1, [-1.0, -2.0]), sat_level=100.0,
-                                b_bar_inv=[[1.0]])
+        stab = StabilizerConfig(K=place_poles(2, 1, [-1.0, -2.0]), sat_level=100.0)
         obs = ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
         _, control = build_closed_loop(build_vdp_scenario(2.0, 2.0),
                                        default_internal_model(6), stab, obs)
@@ -345,8 +369,7 @@ class TestEnsembleSweep:
         # field on its column, bit for bit, also where a cell overflows
         plant = build_vdp_scenario(2.0, 2.0)
         im = default_internal_model(6)
-        stab = StabilizerConfig(K=place_poles(2, 1, [-1.0, -2.0]), sat_level=100.0,
-                                b_bar_inv=[[1.0]])
+        stab = StabilizerConfig(K=place_poles(2, 1, [-1.0, -2.0]), sat_level=100.0)
         observers = [ObserverConfig(ell=ell, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
                      for ell in (5.0, 20.0, 40.0)]
         rng = np.random.default_rng(3)
@@ -371,8 +394,7 @@ class TestEnsembleSweep:
         plant = build_vdp_scenario(2.0, 2.0)
         im = default_internal_model(6)
         sat_level = 100.0
-        stab = StabilizerConfig(K=place_poles(2, 1, [-1.0, -2.0]), sat_level=sat_level,
-                                b_bar_inv=[[1.0]])
+        stab = StabilizerConfig(K=place_poles(2, 1, [-1.0, -2.0]), sat_level=sat_level)
         observers = [ObserverConfig(ell=ell, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
                      for ell in (5.0, 10.0, 20.0, 40.0)]
         rng = np.random.default_rng(4)
