@@ -40,7 +40,11 @@ def cmd_simulate(args):
 
 def cmd_sweep(args):
     cfg = _load_config(args.config)
-    values = [float(v) for v in args.values.split(",")]
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError:
+        raise InvalidConfigError(f"--values must be comma-separated numbers, "
+                                 f"got {args.values!r}") from None
     rows = run_sweep(cfg, args.axis, values)
     print("value,steady_state_max_y,settling_time_s,error")
     for row in rows:

@@ -116,14 +116,15 @@ def _arc_too_large(horizon, dt):
                               "buffer larger than can be allocated")
 
 
-def check_step(clock, horizon, dt):
+def check_step(clock, horizon, dt, width):
     """Raise InvalidConfigError unless ``simulate`` can run to horizon at step dt
-    and its arc buffer, ``arc_row_bound`` rows of 8-byte floats, can be indexed."""
+    and its arc buffer, ``arc_row_bound`` rows of ``width`` 8-byte floats, has
+    no more bytes than an array can index."""
     if not (0.0 < dt < np.inf and 0.0 < horizon < np.inf):
         raise InvalidConfigError("dt and horizon must be positive and finite")
     if dt > clock.t_low / 10.0:
         raise InvalidConfigError("dt must not exceed t_low / 10")
-    most = np.iinfo(np.intp).max // 8  # rows of 8-byte floats an array can index
+    most = np.iinfo(np.intp).max // (8 * width)  # rows the buffer can have
     # the first test also keeps an infinite horizon / dt out of arc_row_bound
     if horizon / dt > most or arc_row_bound(clock, horizon, dt) > most:
         raise _arc_too_large(horizon, dt)
@@ -137,10 +138,10 @@ def simulate(flow, jump, x0, clock, horizon, dt):
     are written into one buffer of ``arc_row_bound`` rows; the arc holds a
     view of the rows used.
     """
-    check_step(clock, horizon, dt)
+    x = np.array(x0, dtype=float)
+    check_step(clock, horizon, dt, x.size)
 
     rng = clock.make_rng()
-    x = np.array(x0, dtype=float)
     try:
         states = np.empty((arc_row_bound(clock, horizon, dt),) + x.shape)
     except (MemoryError, ValueError):  # more bytes than memory, or than an array can index

@@ -70,7 +70,14 @@ def default_internal_model(d_eta):
     the worked example at d_eta = 6."""
     if d_eta < 1:
         raise InvalidConfigError(f"d_eta must be >= 1, got {d_eta}")
-    f = -np.eye(d_eta) + np.diag(np.ones(d_eta - 1), k=1)
+    too_large = InvalidConfigError(f"d_eta = {d_eta:.6g} asks for an F (d_eta x d_eta) "
+                                   "larger than can be allocated")
+    if d_eta * d_eta > np.iinfo(np.intp).max // 8:  # more bytes than an array can index
+        raise too_large
+    try:
+        f = -np.eye(d_eta) + np.diag(np.ones(d_eta - 1), k=1)
+    except (MemoryError, ValueError):  # more bytes than memory
+        raise too_large from None
     g = np.zeros((d_eta, 1))
     g[-1, 0] = 1.0
     return InternalModelConfig(F=f, G=g)

@@ -280,7 +280,9 @@ class StateLayout(NamedTuple):
     """Blocks of the closed-loop state v = (w, x, eta, x_hat, sigma_hat).
 
     w, x and x_hat have two components and sigma_hat one, as for every
-    shipped plant (d_w = 2, r = 2, d_y = 1); only eta's length varies.
+    shipped plant (d_w = 2, r = 2, d_y = 1); only eta's length varies. An
+    ensemble of K cells stacks K such blocks cell-major, so entry i of its
+    state is component i % size of cell i // size.
     """
 
     w: slice
@@ -304,7 +306,8 @@ def state_layout(d_eta):
 
 
 def build_closed_loop(plant, im, stab, obs, ident=None):
-    """The closed-loop field over ``state_layout(im.d_eta)`` and its controller.
+    """The closed-loop field over K cells of ``state_layout(im.d_eta)`` and
+    its controller.
 
     Returns ``(field, control)``. ``control(xh1, xh2, sigma_hat)`` is the
     saturated stabilizer u = sat(-sigma_hat - K x_hat) on one
@@ -315,32 +318,30 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
     current theta (psi = 0 without an identifier). The field calls
     ``plant.extras["fast_q"]`` as it is when this builder runs.
 
-    An ensemble of K cells that share the plant, the internal model and the
-    stabilizer passes ``obs`` and ``ident`` as lists of K, one entry per
-    cell. The field then acts on the cells' states stacked component-major,
-    an (n, K) array flattened to length n*K: F eta + G u is one matrix
-    product over the cells, psi is taken cell by cell on contiguous copies
-    of the cell's eta and eta', and every other block is computed per cell
-    on lists of Python floats, with the operations of the one-cell field in
-    its order, so each column equals the one-cell field of its cell bit for
-    bit. One cell is the plain state of length n, whose scalar blocks are
-    also Python floats: the same IEEE operations as on numpy scalars, at
-    less cost per operation.
+    ``obs`` and ``ident`` are one observer and identifier, for one cell, or
+    lists of K, one entry per cell of an ensemble that shares the plant, the
+    internal model and the stabilizer. The field acts on the cells' states
+    stacked cell-major, K consecutive blocks of n = ``lay.size``. F eta is
+    one product over the cells' eta rows; the rest is computed cell by cell
+    on Python floats (the same IEEE operations as on numpy scalars, at less
+    cost per operation). With the default F, a cell's derivative is the same
+    bits in any ensemble.
     """
     observers = list(obs) if isinstance(obs, (list, tuple)) else [obs]
     idents = list(ident) if isinstance(ident, (list, tuple)) else [ident] * len(observers)
-    n_cells = len(observers)
     lay = state_layout(im.d_eta)
+    n = lay.size
     fast_q = plant.extras["fast_q"]
     rho_exo = float(plant.rho)
     k0, k1 = float(stab.K[0, 0]), float(stab.K[0, 1])
     sat_level = stab.sat_level
-    gains = [(*o.gains, o.psi_bar) for o in observers]
-    f_im = im.F
+    f_t, g_col = im.F.T, im.G.ravel().tolist()
     i_e, i_sh = lay.eta, lay.sigma_hat
     i_xh1, i_xh2 = lay.x_hat.start, lay.x_hat.start + 1
-    # w1, w2, x1, x2, xh1, xh2, sigma_hat: floats of one cell, lists of K cells
+    # w1, w2, x1, x2, xh1, xh2, sigma_hat of one cell's row
     pick = operator.itemgetter(0, 1, 2, 3, i_xh1, i_xh2, i_sh)
+    # per cell: innovation gains, psi_bar and identifier
+    cells = [(*o.gains, o.psi_bar, idn) for o, idn in zip(observers, idents)]
 
     def control(xh1, xh2, sh):
         return _clamp(-sh - k0 * xh1 - k1 * xh2, sat_level)
@@ -359,63 +360,21 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
             # a Python float overflowed or divided by zero where numpy gives inf or nan
             return fast_q(*map(np.float64, (w1, w2, x1, x2)))
 
-    if n_cells == 1:
-        lh0, lh1, l3, psi_bar = gains[0]
-        idn = idents[0]
-        g_col = im.G.ravel()
-
-        def field(v):
-            w1, w2, x1, x2, xh1, xh2, sh = pick(v.tolist())
-            eta = v[i_e]
-            u = control(xh1, xh2, sh)
-            eta_dot = f_im @ eta + g_col * u
-            psi = 0.0 if idn is None else psi_cell(idn, eta, eta_dot, psi_bar)
-            innov = x1 - xh1
-            out = np.empty_like(v)
-            out[0] = w2
-            out[1] = -rho_exo * w1
-            out[2] = x2
-            out[3] = q_cell(w1, w2, x1, x2) + u
-            out[i_e] = eta_dot
-            out[i_xh1] = xh2 + lh0 * innov
-            out[i_xh2] = sh + u + lh1 * innov
-            out[i_sh] = -psi + l3 * innov
-            return out
-
-        return field, control
-
-    lh0, lh1, l3, psi_bar = (list(g) for g in zip(*gains))
-    g_col = im.G
-    shape = (lay.size, n_cells)
-    has_psi = any(idn is not None for idn in idents)
-    no_psi = [0.0] * n_cells
-    e_lo, e_hi = i_e.start * n_cells, i_e.stop * n_cells
-
     def field(v):
-        c = v.reshape(shape)
-        w1, w2, x1, x2, xh1, xh2, sh = pick(c.tolist())
-        eta = c[i_e]
-        u = list(map(control, xh1, xh2, sh))
-        eta_dot = f_im @ eta + g_col * u
-        if has_psi:
-            # contiguous rows per cell, so each dot sums as in a one-cell run
-            psi = [0.0 if idn is None else psi_cell(idn, e, d, bar) for idn, e, d, bar
-                   in zip(idents, eta.T.copy(), eta_dot.T.copy(), psi_bar)]
-        else:
-            psi = no_psi
-        try:
-            q = list(map(fast_q, w1, w2, x1, x2))
-        except ArithmeticError:  # in some cell: q_cell retries cell by cell
-            q = list(map(q_cell, w1, w2, x1, x2))
-        innov = list(map(operator.sub, x1, xh1))
-        # component-major: w and x fill out[:e_lo], x_hat and sigma_hat out[e_hi:]
-        out = np.empty_like(v)
-        out[:e_lo] = w2 + [-rho_exo * a for a in w1] + x2 + list(map(operator.add, q, u))
-        out[e_lo:e_hi] = eta_dot.ravel()
-        out[e_hi:] = ([a + g * e for a, g, e in zip(xh2, lh0, innov)]
-                      + [a + b + g * e for a, b, g, e in zip(sh, u, lh1, innov)]
-                      + [-p + g * e for p, g, e in zip(psi, l3, innov)])
-        return out
+        c = v.reshape(-1, n)
+        eta = c[:, i_e]
+        out = []
+        for (lh0, lh1, l3, bar, idn), r, e, f_eta in zip(cells, c.tolist(), eta,
+                                                         (eta @ f_t).tolist()):
+            w1, w2, x1, x2, xh1, xh2, sh = pick(r)
+            u = control(xh1, xh2, sh)
+            eta_dot = [a + g * u for a, g in zip(f_eta, g_col)]
+            psi = 0.0 if idn is None else psi_cell(idn, e, eta_dot, bar)
+            innov = x1 - xh1
+            # the cell's block: w, x, eta, x_hat, sigma_hat
+            out += (w2, -rho_exo * w1, x2, q_cell(w1, w2, x1, x2) + u, *eta_dot,
+                    xh2 + lh0 * innov, sh + u + lh1 * innov, -psi + l3 * innov)
+        return np.array(out)
 
     return field, control
 
@@ -471,8 +430,9 @@ def _wire(cfg):
     obs = ObserverConfig(ell=rcfg["ell"], h_coeffs=rcfg["h_coeffs"], psi_bar=rcfg["psi_bar"])
     ident = _build_identifier(cfg.identifier, im.d_eta)
     clock = ClockConfig(**cfg.clock)
-    check_step(clock, cfg.sim["horizon"], cfg.sim["dt"])
-    v0 = _error_coordinates(plant, pcfg["p0"], w0, state_layout(im.d_eta))
+    lay = state_layout(im.d_eta)
+    check_step(clock, cfg.sim["horizon"], cfg.sim["dt"], lay.size)
+    v0 = _error_coordinates(plant, pcfg["p0"], w0, lay)
     return _Cell(cfg, plant, im, stab, obs, ident, clock, v0)
 
 
@@ -482,35 +442,35 @@ def _run_cells(cells):
     The cells must differ only in their observer, identifier and initial
     state (as the cells of a sweep do): the plant, internal model,
     stabilizer, clock, horizon and dt are taken from the first, and the
-    initial state stacks every cell's own ``v0``. One ``simulate`` call
-    integrates the stacked (n, K) state; the jump updates each cell's
-    identifier in turn. Yields one ScenarioResult per cell, in order, each
-    reduced on a view of that cell's columns when it is asked for.
+    initial state stacks every cell's own ``v0``, cell-major. One
+    ``simulate`` call integrates the stacked state; the jump updates each
+    cell's identifier in turn. Yields one ScenarioResult per cell, in order,
+    each reduced on a view of that cell's block of the arc when it is asked
+    for.
     """
     first = cells[0]
     stab = first.stab
     lay = state_layout(first.im.d_eta)
-    n_cells = len(cells)
+    n = lay.size
     field, control = build_closed_loop(first.plant, first.im, stab,
                                        [c.obs for c in cells], [c.ident for c in cells])
     theta_histories = [[] for _ in cells]
     jump_samples = [[] for _ in cells]
 
     def jump(t, j, v):
-        cols = v.reshape(lay.size, n_cells)
         for k, cell in enumerate(cells):
             ident = cell.ident
             if ident is None:
                 continue
-            col = cols[:, k].copy()
-            eta = col[lay.eta]
+            row = v.reshape(-1, n)[k].copy()
+            eta = row[lay.eta]
             # The identifier's sample keeps the vector form of the controller
             # (K @ x_hat, norm rescale), which can differ from control() in
             # the last bit. At N = 5 the identifier amplifies that bit to a
             # few 1e-6 in steady_state_max_y, beyond the 1e-6 tolerance of
             # bench/reference.json; feed it control() when those references
             # are next recorded.
-            u = -col[lay.sigma_hat:lay.size] - stab.K @ col[lay.x_hat]
+            u = -row[lay.sigma_hat:n] - stab.K @ row[lay.x_hat]
             norm = np.linalg.norm(u)
             if norm > stab.sat_level:
                 u = u * (stab.sat_level / norm)
@@ -519,18 +479,18 @@ def _run_cells(cells):
             jump_samples[k].append((j, eta, u))
         return v
 
-    v0 = np.stack([c.v0 for c in cells], axis=1).ravel()
+    v0 = np.concatenate([c.v0 for c in cells])
     try:
         arc = simulate(field, jump, v0, first.clock, first.cfg.sim["horizon"],
                        first.cfg.sim["dt"])
     except IntegrationBlowupError as exc:
-        # component-major: entry i of the flat state is component i // K
-        bad = int(np.flatnonzero(~np.isfinite(exc.output))[0]) // n_cells
+        # cell-major: entry i of the flat state is component i % n of cell i // n
+        bad = int(np.flatnonzero(~np.isfinite(exc.output))[0]) % n
         raise IntegrationBlowupError(exc.t, exc.j, exc.state, exc.output,
                                      lay.block_of(bad)) from None
-    per_cell = arc.states.reshape(len(arc), lay.size, n_cells)
+    per_cell = arc.states.reshape(len(arc), len(cells), n)
     for k, cell in enumerate(cells):
-        cell_arc = HybridArc(arc.t, arc.j, per_cell[:, :, k], arc.jump_indices)
+        cell_arc = HybridArc(arc.t, arc.j, per_cell[:, k, :], arc.jump_indices)
         yield _reduce(cell_arc, cell.cfg, cell.plant, lay, control, cell.ident,
                       theta_histories[k], jump_samples[k])
 

@@ -152,6 +152,10 @@ class TestMalformedConfig:
         {"identifier": {"kind": "none", "omega_scale": 1e-3}, "sim": SHORT_SIM},
         # an arc buffer past what an array can index: fails before any allocation
         _with("sim", "horizon", 1e300),
+        # rows an array can index, but rows x 13 state floats x 8 bytes it cannot
+        _with("sim", "horizon", 1e14),
+        # d_eta x d_eta floats of F past what an array can index
+        _with("regulator", "d_eta", 1e300),
     ], ids=[
         "p0-short", "w0-long", "w0-zero", "w0-huge", "a-huge-int", "d_eta-0", "F-ragged",
         "G-scalar", "G-two-columns", "h_coeffs-scalar", "ell-list", "ell-huge",
@@ -159,6 +163,7 @@ class TestMalformedConfig:
         "config-int", "config-null", "csv-int", "summary-int", "p0-long", "N-fraction",
         "N_w-fraction", "d_eta-fraction", "seed-fraction", "uniform-with-period",
         "ls-with-N_w", "mini-batch-with-mu_f", "none-with-omega_scale", "horizon-huge",
+        "horizon-past-bytes", "d_eta-huge",
     ])
     def test_config_error(self, write_cfg, capsys, command, cfg):
         assert main([command, write_cfg(cfg)]) == EXIT_CONFIG
@@ -248,6 +253,12 @@ class TestSweep:
         assert lines[0] == "value,steady_state_max_y,settling_time_s,error"
         assert len(lines) == 3
         assert lines[1].startswith("5,")
+
+    @pytest.mark.parametrize("values", ["5,abc", "", "5,,10"])
+    def test_malformed_values_are_config_error(self, write_cfg, capsys, values):
+        path = write_cfg({"sim": SHORT_SIM})
+        assert main(["sweep", path, "--axis", "ell", "--values", values]) == EXIT_CONFIG
+        assert "config error: --values" in capsys.readouterr().err
 
     def test_per_cell_error_reported_in_csv(self, write_cfg, capsys):
         path = write_cfg({"sim": SHORT_SIM})

@@ -8,6 +8,7 @@ from adreg.hybrid import (
     ClockConfig,
     HybridArc,
     arc_row_bound,
+    check_step,
     next_jump_time,
     simulate,
     validate_arc,
@@ -145,6 +146,16 @@ class TestSimulate:
         with pytest.raises(InvalidConfigError, match="sim.horizon / sim.dt"):
             simulate(lambda x: -x, lambda t, j, x: x, np.array([1.0]), clock,
                      1e300, dt=1e-3)
+
+    def test_arc_past_the_bytes_an_array_can_index_rejected(self):
+        # 1e16 rows can be indexed; 1e16 rows of 1000 8-byte floats cannot
+        clock = ClockConfig(t_low=0.1, t_high=0.1)
+        check_step(clock, 1e13, 1e-3, 1)
+        with pytest.raises(InvalidConfigError, match="sim.horizon / sim.dt"):
+            check_step(clock, 1e13, 1e-3, 1000)
+        with pytest.raises(InvalidConfigError, match="sim.horizon / sim.dt"):
+            simulate(lambda x: -x, lambda t, j, x: x, np.zeros(1000), clock,
+                     1e13, dt=1e-3)
 
     def test_blowup_carries_hybrid_time(self):
         clock = ClockConfig(t_low=0.1, t_high=0.1)

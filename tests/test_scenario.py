@@ -133,12 +133,12 @@ class TestExosystem:
         lay = state_layout(4)
         rng = np.random.default_rng(5)
         for _ in range(50):
-            states = rng.standard_normal((lay.size, 2)) * 10.0 ** rng.integers(-3, 4)
-            got = two(states.ravel()).reshape(lay.size, 2)
+            states = rng.standard_normal((2, lay.size)) * 10.0 ** rng.integers(-3, 4)
+            got = two(states.ravel()).reshape(2, lay.size)
             for k in range(2):
-                want = plant.eval_s(states[lay.w, k]).tobytes()
-                assert one(states[:, k].copy())[lay.w].tobytes() == want
-                assert got[lay.w, k].tobytes() == want
+                want = plant.eval_s(states[k, lay.w]).tobytes()
+                assert one(states[k].copy())[lay.w].tobytes() == want
+                assert got[k, lay.w].tobytes() == want
 
 
 class TestRunScenario:
@@ -338,7 +338,7 @@ class TestEnsembleSweep:
                 assert row["error"] == want["error"]
                 continue
             for key in ("steady_state_max_y", "settling_time_s"):
-                assert row[key] == pytest.approx(want[key], rel=1e-9, abs=0.0)
+                assert row[key] == want[key]
         return rows
 
     def test_ell_sweep_without_identifier(self):
@@ -346,6 +346,14 @@ class TestEnsembleSweep:
 
     def test_ell_sweep_with_ls(self):
         self._check(self._base(kind="ls", N=1), "ell", [5.0, 20.0, 40.0])
+
+    def test_ell_sweep_with_mini_batch(self):
+        self._check(self._base(kind="mini-batch", N=3, N_w=5), "ell", [5.0, 20.0, 40.0])
+
+    def test_ell_sweep_with_ls_and_a_blowup_cell(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = self._check(self._base(kind="ls", N=3), "ell", [5.0, 1e4, 20.0])
+        assert rows[1]["error"].startswith("IntegrationBlowupError")
 
     def test_n_sweep_with_ls(self):
         self._check(self._base(kind="ls"), "N", [1, 3])
@@ -365,8 +373,8 @@ class TestEnsembleSweep:
         assert "error" not in rows[0] and "error" not in rows[2]
 
     def test_field_columns_equal_one_cell_fields(self):
-        # the ensemble field on stacked (n, K) states equals each cell's own
-        # field on its column, bit for bit, also where a cell overflows
+        # the ensemble field on stacked (K, n) states equals each cell's own
+        # field on its row, bit for bit, also where a cell overflows
         plant = build_vdp_scenario(2.0, 2.0)
         im = default_internal_model(6)
         stab = StabilizerConfig(K=place_poles(2, 1, [-1.0, -2.0]), sat_level=100.0)
@@ -379,13 +387,13 @@ class TestEnsembleSweep:
         field, _ = build_closed_loop(plant, im, stab, observers, idents)
         lay = state_layout(6)
         for scale in (0.5, 50.0):
-            states = rng.standard_normal((lay.size, 3)) * scale
+            states = rng.standard_normal((3, lay.size)) * scale
             states[2, 2] = 1e200  # x1 of the last cell: (x1 + p1*)**2 overflows
             with np.errstate(over="ignore", invalid="ignore"):
-                got = field(states.ravel()).reshape(lay.size, 3)
+                got = field(states.ravel()).reshape(3, lay.size)
                 for k, (obs, ident) in enumerate(zip(observers, idents)):
                     one, _ = build_closed_loop(plant, im, stab, obs, ident)
-                    assert np.array_equal(got[:, k], one(states[:, k].copy()), equal_nan=True)
+                    assert np.array_equal(got[k], one(states[k].copy()), equal_nan=True)
 
     def test_field_columns_equal_one_cell_fields_with_saturated_controls(self):
         # the K-cell field's per-cell scalar blocks against the one-cell
@@ -405,18 +413,18 @@ class TestEnsembleSweep:
         field, control = build_closed_loop(plant, im, stab, observers, idents)
         lay = state_layout(6)
         for _ in range(20):
-            states = rng.standard_normal((lay.size, 4))
-            states[lay.sigma_hat, 1] = -1e3  # drives cell 1's control to +sat_level
-            states[lay.sigma_hat, 2] = 1e3  # and cell 2's to -sat_level
-            xh1, xh2 = states[lay.x_hat]
-            sh = states[lay.sigma_hat]
+            states = rng.standard_normal((4, lay.size))
+            states[1, lay.sigma_hat] = -1e3  # drives cell 1's control to +sat_level
+            states[2, lay.sigma_hat] = 1e3  # and cell 2's to -sat_level
+            xh1, xh2 = states[:, lay.x_hat].T
+            sh = states[:, lay.sigma_hat]
             assert control(xh1[1], xh2[1], sh[1]) == sat_level
             assert control(xh1[2], xh2[2], sh[2]) == -sat_level
-            got = field(states.ravel()).reshape(lay.size, 4)
+            got = field(states.ravel()).reshape(4, lay.size)
             for k, (obs, ident) in enumerate(zip(observers, idents)):
                 one, _ = build_closed_loop(plant, im, stab, obs, ident)
-                want = one(states[:, k].copy())
-                assert got[:, k].tobytes() == want.tobytes()
+                want = one(states[k].copy())
+                assert got[k].tobytes() == want.tobytes()
 
     def test_sweep_writes_no_files(self, tmp_path):
         base = ScenarioConfig(sim={"horizon": 0.3, "dt": 1e-3},
