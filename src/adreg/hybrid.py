@@ -133,17 +133,19 @@ def check_step(clock, horizon, dt, width):
 def simulate(flow, jump, x0, clock, horizon, dt):
     """Integrate a clock-triggered hybrid system and record the full arc.
 
-    flow(x) -> dx/dt; jump(t, j, x) -> x_plus. Components the jump map wants
-    held must be copied through by the caller's jump function. The states
-    are written into one buffer of ``arc_row_bound`` rows; the arc holds a
-    view of the rows used.
+    The state is carried as a list of Python floats through flows and jumps:
+    flow(x) -> dx/dt, as a sequence of floats; jump(t, j, x) -> x_plus, a
+    list of floats. Components the jump map wants held must be copied
+    through by the caller's jump function. Each state is written into its
+    row of one buffer of ``arc_row_bound`` rows; the arc holds a view of the
+    rows used.
     """
-    x = np.array(x0, dtype=float)
-    check_step(clock, horizon, dt, x.size)
+    x = [float(v) for v in x0]
+    check_step(clock, horizon, dt, len(x))
 
     rng = clock.make_rng()
     try:
-        states = np.empty((arc_row_bound(clock, horizon, dt),) + x.shape)
+        states = np.empty((arc_row_bound(clock, horizon, dt), len(x)))
     except (MemoryError, ValueError):  # more bytes than memory, or than an array can index
         raise _arc_too_large(horizon, dt) from None
     states[0] = x
@@ -171,7 +173,7 @@ def simulate(flow, jump, x0, clock, horizon, dt):
             break
         # clock tick: record pre-jump, apply jump, record post-jump
         jump_rows.append(len(ts) - 1)
-        x = np.asarray(jump(t, jcnt, x), dtype=float)
+        x = jump(t, jcnt, x)
         jcnt += 1
         states[len(ts)] = x
         ts.append(t)

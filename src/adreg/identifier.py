@@ -13,6 +13,7 @@ inactive on sane data while preserving the boundedness contract.
 """
 
 import copy
+import math
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -107,6 +108,16 @@ class PolyRegressor:
             out[1:] *= left
             out[:-1] *= right
         return out.T
+
+
+def poly_regressor_size(d_eta, max_order, mode="full-multiset"):
+    """d_sigma of ``PolyRegressor(d_eta, max_order, mode)``, counted without
+    building it: for each odd order n <= max_order, d_eta pure powers or
+    C(d_eta + n - 1, n) non-decreasing multi-indices."""
+    orders = range(1, max_order + 1, 2)
+    if mode == "pure-powers":
+        return d_eta * len(orders)
+    return sum(math.comb(d_eta + n - 1, n) for n in orders)
 
 
 def build_poly_regressor(d_eta, N, mode="full-multiset"):

@@ -42,8 +42,8 @@ class PlantSpec:
     extras: dict = field(default_factory=dict)
 
     def eval_s(self, w):
-        """s(w), the exosystem's flow."""
-        return np.array([w[1], -self.rho * w[0]])
+        """s(w), the exosystem's flow, as a list of floats."""
+        return [w[1], -self.rho * w[0]]
 
 
 def build_chain_matrices(r, d_y):

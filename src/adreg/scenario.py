@@ -8,15 +8,17 @@ emits. The steady-state window is the trailing 20% of the horizon.
 import json
 import math
 import numbers
-import operator
+import os
 from dataclasses import asdict, dataclass, field, replace
+from operator import add, mul
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AdregError, BranchPointError, IntegrationBlowupError, InvalidConfigError
-from .hybrid import ClockConfig, HybridArc, check_step, simulate
-from .identifier import LsIdentifier, MiniBatchIdentifier, build_poly_regressor
+from .hybrid import ClockConfig, check_step, simulate
+from .identifier import (LsIdentifier, MiniBatchIdentifier, build_poly_regressor,
+                         poly_regressor_size)
 from .numerics import place_poles
 from .plant import PlantSpec, build_vdp_scenario
 from .regulator import (
@@ -242,6 +244,35 @@ _IDENTIFIER_ARGS = {
 }
 
 
+# d_sigma x d_sigma float arrays live at once in an LS jump: xi1 before and after,
+# Omega, sigma sigma', xi1 + Omega, and the SVD's copy of it, U, V' and workspace
+# (a peak of 10.4 to 11.4 of them measured at d_sigma = 1,106 and 3,108)
+JUMP_MATRICES = 12
+
+
+def physical_memory():
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_identifier_memory(icfg, d_eta):
+    """Raise InvalidConfigError when an identifier jump at this N would hold
+    more bytes than physical memory; nothing is allocated to find out."""
+    n, memory = icfg["N"], physical_memory()
+    most = math.isqrt(memory // (8 * JUMP_MATRICES))  # the largest d_sigma that fits
+    # every odd order adds at least d_eta components: a bound that rejects a
+    # huge N without summing over its orders
+    if d_eta * ((n + 1) // 2) > most:
+        d_sigma, at_least = most + 1, "at least "
+    else:
+        d_sigma, at_least = poly_regressor_size(d_eta, n, icfg["mode"]), ""
+    if d_sigma > most:
+        raise InvalidConfigError(
+            f"identifier.N = {n:.6g} gives {at_least}d_sigma = {d_sigma} regressor components: "
+            f"an identifier jump holds {at_least or 'about '}{JUMP_MATRICES * 8 * d_sigma**2} "
+            f"bytes, more than the {memory} bytes of physical memory")
+
+
 def _build_identifier(icfg, d_eta):
     """The configured identifier, or None for kind "none"; keys left out take
     the constructor's defaults, and a constructor key of another kind is an
@@ -253,6 +284,7 @@ def _build_identifier(icfg, d_eta):
         raise InvalidConfigError(f"identifier.{unused[0]} does not apply to kind {icfg['kind']}")
     if cls is None:
         return None
+    _check_identifier_memory(icfg, d_eta)
     regressor = build_poly_regressor(d_eta, icfg["N"], icfg["mode"])
     return cls(regressor, **{arg: icfg[key] for key, arg in args.items() if key in icfg})
 
@@ -280,9 +312,7 @@ class StateLayout(NamedTuple):
     """Blocks of the closed-loop state v = (w, x, eta, x_hat, sigma_hat).
 
     w, x and x_hat have two components and sigma_hat one, as for every
-    shipped plant (d_w = 2, r = 2, d_y = 1); only eta's length varies. An
-    ensemble of K cells stacks K such blocks cell-major, so entry i of its
-    state is component i % size of cell i // size.
+    shipped plant (d_w = 2, r = 2, d_y = 1); only eta's length varies.
     """
 
     w: slice
@@ -306,75 +336,71 @@ def state_layout(d_eta):
 
 
 def build_closed_loop(plant, im, stab, obs, ident=None):
-    """The closed-loop field over K cells of ``state_layout(im.d_eta)`` and
-    its controller.
+    """The closed-loop field over ``state_layout(im.d_eta)`` and its
+    controller.
 
     Returns ``(field, control)``. ``control(xh1, xh2, sigma_hat)`` is the
-    saturated stabilizer u = sat(-sigma_hat - K x_hat) on one
-    cell's scalars: the field applies it and the reduction maps it over the
-    arc. The internal model flows as eta' = F eta + G u, the extended
-    observer is driven by the innovation x1 - xh1, and the consistency term
+    saturated stabilizer u = sat(-sigma_hat - K x_hat) on scalars: the field
+    applies it and the reduction maps it over the arc. The internal model
+    flows as eta' = F eta + G u, the extended observer is driven by the
+    innovation x1 - xh1, and the consistency term
     psi = sat(d gamma_hat/d eta . eta', psi_bar) uses the identifier's
     current theta (psi = 0 without an identifier). The field calls
     ``plant.extras["fast_q"]`` as it is when this builder runs.
 
-    ``obs`` and ``ident`` are one observer and identifier, for one cell, or
-    lists of K, one entry per cell of an ensemble that shares the plant, the
-    internal model and the stabilizer. The field acts on the cells' states
-    stacked cell-major, K consecutive blocks of n = ``lay.size``. F eta is
-    one product over the cells' eta rows; the rest is computed cell by cell
-    on Python floats (the same IEEE operations as on numpy scalars, at less
-    cost per operation). With the default F, a cell's derivative is the same
-    bits in any ensemble.
+    ``field(v)`` reads the state's floats by position and returns its
+    derivative as a list of Python floats (the same IEEE operations as on
+    numpy scalars, at less cost per operation). eta' is [F G] (eta, u),
+    summed one non-zero diagonal of [F G] at a time, so each row adds its
+    terms in column order, u last. With the default (F, G) every product is
+    exact, and eta' has the bits of F eta + G u formed with BLAS.
     """
-    observers = list(obs) if isinstance(obs, (list, tuple)) else [obs]
-    idents = list(ident) if isinstance(ident, (list, tuple)) else [ident] * len(observers)
     lay = state_layout(im.d_eta)
-    n = lay.size
     fast_q = plant.extras["fast_q"]
     rho_exo = float(plant.rho)
     k0, k1 = float(stab.K[0, 0]), float(stab.K[0, 1])
     sat_level = stab.sat_level
-    f_t, g_col = im.F.T, im.G.ravel().tolist()
-    i_e, i_sh = lay.eta, lay.sigma_hat
-    i_xh1, i_xh2 = lay.x_hat.start, lay.x_hat.start + 1
-    # w1, w2, x1, x2, xh1, xh2, sigma_hat of one cell's row
-    pick = operator.itemgetter(0, 1, 2, 3, i_xh1, i_xh2, i_sh)
-    # per cell: innovation gains, psi_bar and identifier
-    cells = [(*o.gains, o.psi_bar, idn) for o, idn in zip(observers, idents)]
+    lh0, lh1, l3 = obs.gains
+    psi_bar = obs.psi_bar
+    d, e = im.d_eta, lay.eta.stop
+    # Diagonal k of [F G] holds the entries (i, i + k), i = 0 .. d - 1, with
+    # zeros where i + k is not a column: it multiplies (eta, u) shifted by k,
+    # padded with zeros at each end as far as the diagonals reach.
+    fg = np.hstack([im.F, im.G])
+    ks = [k for k in range(1 - d, d + 1) if fg.diagonal(k).any()]
+    lead, trail = [0.0] * max(0, -ks[0]), [0.0] * max(0, ks[-1] - 1)
+    padded = np.hstack([np.zeros((d, len(lead))), fg, np.zeros((d, len(trail)))])
+    (s0, c0), *diagonals = [(k + len(lead), padded.diagonal(k + len(lead)).tolist())
+                            for k in ks]
 
     def control(xh1, xh2, sh):
         return _clamp(-sh - k0 * xh1 - k1 * xh2, sat_level)
 
-    def psi_cell(idn, eta, eta_dot, bar):
-        """psi of one cell, from its identifier's current theta."""
-        theta = idn.theta
-        dg = theta if idn.regressor.max_order == 1 else theta @ idn.regressor.jacobian(eta)
-        return _clamp(float(dg @ eta_dot), bar)
-
-    def q_cell(w1, w2, x1, x2):
-        """fast_q on one cell's floats."""
-        try:
-            return fast_q(w1, w2, x1, x2)
-        except ArithmeticError:
-            # a Python float overflowed or divided by zero where numpy gives inf or nan
-            return fast_q(*map(np.float64, (w1, w2, x1, x2)))
+    def psi(eta, eta_dot):
+        """The consistency term, from the identifier's current theta."""
+        theta = ident.theta
+        reg = ident.regressor
+        dg = theta if reg.max_order == 1 else theta @ reg.jacobian(np.array(eta))
+        return _clamp(float(dg @ eta_dot), psi_bar)
 
     def field(v):
-        c = v.reshape(-1, n)
-        eta = c[:, i_e]
-        out = []
-        for (lh0, lh1, l3, bar, idn), r, e, f_eta in zip(cells, c.tolist(), eta,
-                                                         (eta @ f_t).tolist()):
-            w1, w2, x1, x2, xh1, xh2, sh = pick(r)
-            u = control(xh1, xh2, sh)
-            eta_dot = [a + g * u for a, g in zip(f_eta, g_col)]
-            psi = 0.0 if idn is None else psi_cell(idn, e, eta_dot, bar)
-            innov = x1 - xh1
-            # the cell's block: w, x, eta, x_hat, sigma_hat
-            out += (w2, -rho_exo * w1, x2, q_cell(w1, w2, x1, x2) + u, *eta_dot,
-                    xh2 + lh0 * innov, sh + u + lh1 * innov, -psi + l3 * innov)
-        return np.array(out)
+        w1, w2, x1, x2 = v[:4]
+        xh1, xh2, sh = v[e:]
+        u = control(xh1, xh2, sh)
+        eta_u = [*lead, *v[4:e], u, *trail]
+        terms = map(mul, c0, eta_u[s0:])
+        for s, c in diagonals:
+            terms = map(add, terms, map(mul, c, eta_u[s:]))
+        eta_dot = list(terms)
+        try:
+            q = fast_q(w1, w2, x1, x2)
+        except ArithmeticError:
+            # a Python float overflowed or divided by zero where numpy gives inf or nan
+            q = fast_q(*map(np.float64, (w1, w2, x1, x2)))
+        innov = x1 - xh1
+        p = 0.0 if ident is None else psi(v[4:e], eta_dot)
+        return [w2, -rho_exo * w1, x2, q + u, *eta_dot,
+                xh2 + lh0 * innov, sh + u + lh1 * innov, -p + l3 * innov]
 
     return field, control
 
@@ -395,9 +421,8 @@ def _error_coordinates(plant, p0, w0, lay):
 
 
 class _Cell(NamedTuple):
-    """One wired scenario: what the closed loop of ``cfg`` integrates."""
+    """One wired scenario: what the closed loop of a config integrates."""
 
-    cfg: ScenarioConfig
     plant: PlantSpec
     im: InternalModelConfig
     stab: StabilizerConfig
@@ -433,36 +458,24 @@ def _wire(cfg):
     lay = state_layout(im.d_eta)
     check_step(clock, cfg.sim["horizon"], cfg.sim["dt"], lay.size)
     v0 = _error_coordinates(plant, pcfg["p0"], w0, lay)
-    return _Cell(cfg, plant, im, stab, obs, ident, clock, v0)
+    return _Cell(plant, im, stab, obs, ident, clock, v0)
 
 
-def _run_cells(cells):
-    """Integrate wired cells as one ensemble and reduce each cell's arc.
+def run_scenario(cfg):
+    """Simulate the closed loop described by ``cfg`` and reduce the arc.
 
-    The cells must differ only in their observer, identifier and initial
-    state (as the cells of a sweep do): the plant, internal model,
-    stabilizer, clock, horizon and dt are taken from the first, and the
-    initial state stacks every cell's own ``v0``, cell-major. One
-    ``simulate`` call integrates the stacked state; the jump updates each
-    cell's identifier in turn. Yields one ScenarioResult per cell, in order,
-    each reduced on a view of that cell's block of the arc when it is asked
-    for.
+    At each clock jump the identifier, if any, takes the pre-jump eta and u;
+    ``theta_history`` and ``jump_samples`` record what it got and gave.
     """
-    first = cells[0]
-    stab = first.stab
-    lay = state_layout(first.im.d_eta)
-    n = lay.size
-    field, control = build_closed_loop(first.plant, first.im, stab,
-                                       [c.obs for c in cells], [c.ident for c in cells])
-    theta_histories = [[] for _ in cells]
-    jump_samples = [[] for _ in cells]
+    cell = _wire(cfg)
+    lay = state_layout(cell.im.d_eta)
+    stab, ident = cell.stab, cell.ident
+    field, control = build_closed_loop(cell.plant, cell.im, stab, cell.obs, ident)
+    theta_history, jump_samples = [], []
 
     def jump(t, j, v):
-        for k, cell in enumerate(cells):
-            ident = cell.ident
-            if ident is None:
-                continue
-            row = v.reshape(-1, n)[k].copy()
+        if ident is not None:
+            row = np.array(v)
             eta = row[lay.eta]
             # The identifier's sample keeps the vector form of the controller
             # (K @ x_hat, norm rescale), which can differ from control() in
@@ -470,34 +483,22 @@ def _run_cells(cells):
             # few 1e-6 in steady_state_max_y, beyond the 1e-6 tolerance of
             # bench/reference.json; feed it control() when those references
             # are next recorded.
-            u = -row[lay.sigma_hat:n] - stab.K @ row[lay.x_hat]
+            u = -row[lay.sigma_hat:] - stab.K @ row[lay.x_hat]
             norm = np.linalg.norm(u)
             if norm > stab.sat_level:
                 u = u * (stab.sat_level / norm)
             ident.jump(eta, u)
-            theta_histories[k].append((t, ident.theta.copy()))
-            jump_samples[k].append((j, eta, u))
+            theta_history.append((t, ident.theta.copy()))
+            jump_samples.append((j, eta, u))
         return v
 
-    v0 = np.concatenate([c.v0 for c in cells])
     try:
-        arc = simulate(field, jump, v0, first.clock, first.cfg.sim["horizon"],
-                       first.cfg.sim["dt"])
+        arc = simulate(field, jump, cell.v0, cell.clock, cfg.sim["horizon"], cfg.sim["dt"])
     except IntegrationBlowupError as exc:
-        # cell-major: entry i of the flat state is component i % n of cell i // n
-        bad = int(np.flatnonzero(~np.isfinite(exc.output))[0]) % n
+        bad = int(np.flatnonzero(~np.isfinite(exc.output))[0])
         raise IntegrationBlowupError(exc.t, exc.j, exc.state, exc.output,
                                      lay.block_of(bad)) from None
-    per_cell = arc.states.reshape(len(arc), len(cells), n)
-    for k, cell in enumerate(cells):
-        cell_arc = HybridArc(arc.t, arc.j, per_cell[:, k, :], arc.jump_indices)
-        yield _reduce(cell_arc, cell.cfg, cell.plant, lay, control, cell.ident,
-                      theta_histories[k], jump_samples[k])
-
-
-def run_scenario(cfg):
-    """Simulate the closed loop described by ``cfg`` and reduce the arc."""
-    return next(_run_cells([_wire(cfg)]))
+    return _reduce(arc, cfg, cell.plant, lay, control, ident, theta_history, jump_samples)
 
 
 def _reduce(arc, cfg, plant, lay, control, ident, theta_history, jump_samples):
@@ -563,23 +564,12 @@ def _reduce(arc, cfg, plant, lay, control, ident, theta_history, jump_samples):
     return result
 
 
-def _sweep_entry(res):
-    return {"steady_state_max_y": res.summary["steady_state_max_y"],
-            "settling_time_s": res.summary["settling_time_s"]}
-
-
-def _error_entry(exc):
-    return {"error": f"{type(exc).__name__}: {exc}"}
-
-
 def run_sweep(base, axis, values):
     """Vary one axis (ell or N) and tabulate the steady-state metrics.
 
-    The cells that wire without error run as one ensemble (``_run_cells``).
-    Returns a list of row dicts; per-cell failures are recorded in the row
-    and the sweep continues. A cell whose wiring fails gets its error row at
-    once; if the ensemble fails, every cell is re-run on its own, so each
-    gets the row of its own run.
+    Each cell is one ``run_scenario`` call on ``base`` with the axis set to
+    the cell's value, so its row is that run's. Returns a list of row dicts;
+    a cell that fails gets its error in its row and the sweep continues.
     """
     if axis not in ("ell", "N"):
         raise InvalidConfigError("sweep axis must be 'ell' or 'N'")
@@ -587,25 +577,13 @@ def run_sweep(base, axis, values):
         raise InvalidConfigError("sweep needs at least one value")
     base = replace(base, output={})  # no per-cell files
     section = "regulator" if axis == "ell" else "identifier"
-    rows, cells = [], []
+    rows = []
     for val in values:
         row = {"value": val}
         try:
-            cells.append(_wire(base.replace_in(section, **{axis: val})))
+            summary = run_scenario(base.replace_in(section, **{axis: val})).summary
+            row.update({k: summary[k] for k in ("steady_state_max_y", "settling_time_s")})
         except AdregError as exc:  # per-cell failure, sweep continues
-            row.update(_error_entry(exc))
+            row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
-    if not cells:
-        return rows
-    try:
-        entries = [_sweep_entry(res) for res in _run_cells(cells)]
-    except AdregError:
-        entries = []
-        for cell in cells:
-            try:
-                entries.append(_sweep_entry(run_scenario(cell.cfg)))
-            except AdregError as exc:
-                entries.append(_error_entry(exc))
-    for row, entry in zip([r for r in rows if "error" not in r], entries):
-        row.update(entry)
     return rows

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from adreg import scenario
 from adreg.cli import EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK, EXIT_THRESHOLD, main
 
 
@@ -232,6 +233,36 @@ class TestSimulate:
             assert main(["simulate", path]) == EXIT_INTEGRATION
         err = capsys.readouterr().err
         assert err.startswith(f"integration failure: non-finite {block} at t=")
+
+
+class TestIdentifierMemory:
+    """An identifier whose jump would hold more bytes than physical memory is
+    a config error, found before anything is allocated."""
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_order_past_memory_is_config_error(self, write_cfg, capsys, monkeypatch,
+                                               command):
+        monkeypatch.setattr(scenario, "physical_memory", lambda: 64 * 2**20)
+        path = write_cfg({"identifier": {"kind": "ls", "N": 9}, "sim": SHORT_SIM})
+        assert main([command, path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: identifier.N = 9 gives d_sigma = 3108 ")
+        # 12 arrays of d_sigma^2 8-byte floats
+        assert f"holds about {12 * 8 * 3108**2} bytes, more than the {64 * 2**20} " in err
+
+    def test_order_that_fits_runs(self, write_cfg, capsys, monkeypatch):
+        # N = 5: d_sigma = 314, about 9.5 MB of jump arrays
+        monkeypatch.setattr(scenario, "physical_memory", lambda: 64 * 2**20)
+        path = write_cfg({"identifier": {"kind": "ls", "N": 5}, "sim": SHORT_SIM})
+        assert main(["validate", path]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize("n,d_sigma", [(21, "d_sigma = 166166 "),
+                                           (1e300, "at least d_sigma = ")])
+    def test_huge_order_is_config_error(self, write_cfg, capsys, command, n, d_sigma):
+        path = write_cfg({"identifier": {"kind": "mini-batch", "N": n}, "sim": SHORT_SIM})
+        assert main([command, path]) == EXIT_CONFIG
+        assert d_sigma in capsys.readouterr().err
 
 
 class TestImport:

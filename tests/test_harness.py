@@ -43,7 +43,7 @@ class TestRunCoreProcess:
     def test_accepts_bare_callable_exosystem(self):
         clock = ClockConfig(t_low=0.1, t_high=0.1)
         run = CoreProcessRun(
-            clock=clock, exo=lambda w: -w, w0=np.array([1.0]),
+            clock=clock, exo=lambda w: [-v for v in w], w0=np.array([1.0]),
             tau_eval=lambda w: w, ustar_eval=lambda w: w,
         )
         samples = run_core_process(run, horizon=0.35, dt=1e-3)

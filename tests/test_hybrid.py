@@ -21,9 +21,9 @@ def _list_built_arc(flow, jump, x0, clock, horizon, dt):
     from adreg.numerics import rk4_step
 
     rng = clock.make_rng()
-    x = np.array(x0, dtype=float)
+    x = [float(v) for v in x0]
     t, jcnt = 0.0, 0
-    ts, js, xs, jump_rows = [0.0], [0], [x.copy()], []
+    ts, js, xs, jump_rows = [0.0], [0], [list(x)], []
     next_t = next_jump_time(clock, 0.0, rng)
     while True:
         t_end = min(next_t, horizon)
@@ -35,15 +35,15 @@ def _list_built_arc(flow, jump, x0, clock, horizon, dt):
                 t = t_end
             ts.append(t)
             js.append(jcnt)
-            xs.append(x.copy())
+            xs.append(list(x))
         if next_t > horizon:
             break
         jump_rows.append(len(ts) - 1)
-        x = np.asarray(jump(t, jcnt, x), dtype=float)
+        x = jump(t, jcnt, x)
         jcnt += 1
         ts.append(t)
         js.append(jcnt)
-        xs.append(x.copy())
+        xs.append(list(x))
         if next_t >= horizon:
             break
         next_t = next_jump_time(clock, next_t, rng)
@@ -92,7 +92,7 @@ class TestClockConfig:
 class TestSimulate:
     def test_jump_count_periodic(self):
         clock = ClockConfig(t_low=0.1, t_high=0.1)
-        arc = simulate(lambda x: -x, lambda t, j, x: x, np.array([1.0]), clock, 1.0,
+        arc = simulate(lambda x: [-v for v in x], lambda t, j, x: x, np.array([1.0]), clock, 1.0,
                        dt=1e-3)
         # jumps at 0.1, 0.2, ..., 1.0
         assert arc.j[-1] == 10
@@ -100,7 +100,7 @@ class TestSimulate:
 
     def test_pre_and_post_jump_samples(self):
         clock = ClockConfig(t_low=0.5, t_high=0.5)
-        arc = simulate(lambda x: 0.0 * x, lambda t, j, x: x + 1.0,
+        arc = simulate(lambda x: [0.0 * v for v in x], lambda t, j, x: [v + 1.0 for v in x],
                        np.array([0.0]), clock, 1.2, dt=1e-2)
         i = arc.jump_indices[0]
         assert arc.t[i] == pytest.approx(arc.t[i + 1])
@@ -110,7 +110,7 @@ class TestSimulate:
     def test_flow_accuracy_with_jump_reset(self):
         # xdot = -x flowing 0.5 s, then reset to 1; closed form on each leg
         clock = ClockConfig(t_low=0.5, t_high=0.5)
-        arc = simulate(lambda x: -x, lambda t, j, x: np.array([1.0]),
+        arc = simulate(lambda x: [-v for v in x], lambda t, j, x: [1.0],
                        np.array([1.0]), clock, 1.0, dt=1e-3)
         i = arc.jump_indices[0]
         assert arc.states[i, 0] == pytest.approx(np.exp(-0.5), abs=1e-9)
@@ -120,7 +120,7 @@ class TestSimulate:
 
     def test_exact_landing_on_jump_times(self):
         clock = ClockConfig(t_low=0.25, t_high=0.25)
-        arc = simulate(lambda x: -x, lambda t, j, x: x, np.array([1.0]),
+        arc = simulate(lambda x: [-v for v in x], lambda t, j, x: x, np.array([1.0]),
                        clock, 1.0, dt=1e-3)
         for tj in arc.jump_times():
             assert tj / 0.25 == pytest.approx(round(tj / 0.25), abs=1e-12)
@@ -128,7 +128,7 @@ class TestSimulate:
     def test_dt_too_large_rejected(self):
         clock = ClockConfig(t_low=0.1, t_high=0.1)
         with pytest.raises(InvalidConfigError):
-            simulate(lambda x: -x, lambda t, j, x: x, np.array([1.0]), clock,
+            simulate(lambda x: [-v for v in x], lambda t, j, x: x, np.array([1.0]), clock,
                      1.0, dt=0.05)
 
     @pytest.mark.parametrize("horizon,dt", [
@@ -137,14 +137,14 @@ class TestSimulate:
     def test_non_finite_horizon_or_dt_rejected(self, horizon, dt):
         clock = ClockConfig(t_low=0.1, t_high=0.1)
         with pytest.raises(InvalidConfigError):
-            simulate(lambda x: -x, lambda t, j, x: x, np.array([1.0]), clock,
+            simulate(lambda x: [-v for v in x], lambda t, j, x: x, np.array([1.0]), clock,
                      horizon, dt=dt)
 
     def test_arc_past_what_an_array_can_index_rejected(self):
         # 1e303 rows: rejected before anything is allocated, naming the keys
         clock = ClockConfig(t_low=0.1, t_high=0.1)
         with pytest.raises(InvalidConfigError, match="sim.horizon / sim.dt"):
-            simulate(lambda x: -x, lambda t, j, x: x, np.array([1.0]), clock,
+            simulate(lambda x: [-v for v in x], lambda t, j, x: x, np.array([1.0]), clock,
                      1e300, dt=1e-3)
 
     def test_arc_past_the_bytes_an_array_can_index_rejected(self):
@@ -154,20 +154,20 @@ class TestSimulate:
         with pytest.raises(InvalidConfigError, match="sim.horizon / sim.dt"):
             check_step(clock, 1e13, 1e-3, 1000)
         with pytest.raises(InvalidConfigError, match="sim.horizon / sim.dt"):
-            simulate(lambda x: -x, lambda t, j, x: x, np.zeros(1000), clock,
+            simulate(lambda x: [-v for v in x], lambda t, j, x: x, np.zeros(1000), clock,
                      1e13, dt=1e-3)
 
     def test_blowup_carries_hybrid_time(self):
         clock = ClockConfig(t_low=0.1, t_high=0.1)
         with pytest.raises(IntegrationBlowupError) as exc, np.errstate(over="ignore"):
-            simulate(lambda x: x**2, lambda t, j, x: x, np.array([10.0]),
+            simulate(lambda x: [v * v for v in x], lambda t, j, x: x, np.array([10.0]),
                      clock, 5.0, dt=1e-3)
         assert exc.value.j >= 0
         assert exc.value.t > 0.0
 
     def test_produced_arc_validates(self):
         clock = ClockConfig(t_low=0.1, t_high=0.3, strategy="uniform", seed=3)
-        arc = simulate(lambda x: -x, lambda t, j, x: x, np.array([1.0]),
+        arc = simulate(lambda x: [-v for v in x], lambda t, j, x: x, np.array([1.0]),
                        clock, 2.0, dt=1e-3)
         assert validate_arc(arc, clock)
 
@@ -175,11 +175,11 @@ class TestSimulate:
 class TestPreallocatedArc:
     @staticmethod
     def _flow(x):
-        return np.array([x[1], -x[0] - 0.1 * x[1], -0.5 * x[2]])
+        return [x[1], -x[0] - 0.1 * x[1], -0.5 * x[2]]
 
     @staticmethod
     def _jump(t, j, x):
-        return x + np.array([0.0, 0.0, 1.0])
+        return [x[0], x[1], x[2] + 1.0]
 
     @pytest.mark.parametrize("clock,horizon,dt", [
         # uniform gaps, t_low well below the mean gap

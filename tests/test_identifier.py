@@ -12,6 +12,7 @@ from adreg.identifier import (
     MiniBatchIdentifier,
     PolyRegressor,
     batch_solver_ls,
+    poly_regressor_size,
 )
 from adreg.numerics import pseudoinverse
 from adreg.regulator import saturate
@@ -39,6 +40,15 @@ class TestPolyRegressor:
 
     def test_pure_powers_count(self):
         assert PolyRegressor(6, 5, mode="pure-powers").d_sigma == 18
+
+    @pytest.mark.parametrize("mode", ["full-multiset", "pure-powers"])
+    def test_size_counted_without_building(self, mode):
+        for d_eta in (1, 2, 3, 6):
+            for order in (1, 3, 5, 7):
+                assert poly_regressor_size(d_eta, order, mode) == \
+                    PolyRegressor(d_eta, order, mode).d_sigma
+        # sizes past what the checks build: the config bound rejects them
+        assert [poly_regressor_size(6, n) for n in (9, 15, 21)] == [3108, 31548, 166166]
 
     def test_order_one_is_identity(self):
         reg = PolyRegressor(3, 1)

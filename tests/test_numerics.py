@@ -118,9 +118,9 @@ class TestRk4Step:
     def test_fourth_order_convergence(self):
         # scalar xdot = -x: error at t=1 should shrink ~16x per halving
         def run(n):
-            x = np.array([1.0])
+            x = [1.0]
             for _ in range(n):
-                x = rk4_step(lambda s: -s, x, 1.0 / n)
+                x = rk4_step(lambda s: [-v for v in s], x, 1.0 / n)
             return abs(float(x[0]) - np.exp(-1.0))
 
         e1, e2 = run(50), run(100)
@@ -130,12 +130,13 @@ class TestRk4Step:
         a = np.random.default_rng(4).standard_normal((7, 7))
 
         def field(s):
+            s = np.asarray(s)
             return np.sin(a @ s) - s * s[::-1]
 
         state = np.random.default_rng(5).standard_normal(7)
         before = state.tobytes()
         for dt in (1e-3, 0.37, 2.0 / 3.0):
-            got = rk4_step(field, state, dt)
+            got = np.array(rk4_step(field, state.tolist(), dt))
             k1 = field(state)
             k2 = field(state + 0.5 * dt * k1)
             k3 = field(state + 0.5 * dt * k2)
@@ -145,13 +146,69 @@ class TestRk4Step:
             assert state.tobytes() == before
 
     def test_blowup_raises(self):
-        state = np.array([1e160])
+        state = [1e160]
         with pytest.raises(IntegrationBlowupError) as exc, np.errstate(over="ignore"):
-            rk4_step(lambda s: s**3, state, 1.0, t=2.5)
+            rk4_step(lambda s: [v * v * v for v in s], state, 1.0, t=2.5)
         assert exc.value.t == pytest.approx(3.5)
         assert exc.value.state is state
         assert not np.isfinite(exc.value.output).all()
 
     def test_bad_dt_rejected(self):
         with pytest.raises(InvalidInputError):
-            rk4_step(lambda s: -s, np.array([1.0]), 0.0)
+            rk4_step(lambda s: [-v for v in s], [1.0], 0.0)
+
+
+def _numpy_rk4_step(field, state, dt, t=0.0):
+    """The RK4 step on numpy arrays that the list step replaced: the stages
+    combined in place in the arrays the field returns."""
+    k1 = field(state)
+    k2 = field(state + 0.5 * dt * k1)
+    k3 = field(state + 0.5 * dt * k2)
+    k4 = field(state + dt * k3)
+    k2 *= 2.0
+    k1 += k2
+    k3 *= 2.0
+    k1 += k3
+    k1 += k4
+    k1 *= dt / 6.0
+    k1 += state
+    if not np.isfinite(k1).all():
+        raise IntegrationBlowupError(t + dt, 0, state, k1)
+    return k1
+
+
+class TestRk4StepOnLists:
+    """The list step makes the numpy step's IEEE operations in its order."""
+
+    @staticmethod
+    def _fields(rng, n):
+        a = rng.standard_normal((n, n))
+        b = rng.standard_normal(n)
+        yield lambda s: np.sin(a @ s) - s * s[::-1]
+        yield lambda s: np.tanh(b * s) * (a @ s) + 1e-3 * s**3
+        yield lambda s: np.cos(s) - a @ (s * b)
+
+    def test_equals_the_numpy_step_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 7, 13):
+            for field in self._fields(rng, n):
+                for _ in range(10):
+                    state = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 2)
+                    dt = float(rng.choice([1e-3, 0.05, 0.37]))
+                    want = _numpy_rk4_step(field, state, dt)
+                    got = rk4_step(lambda s: field(np.asarray(s)).tolist(), state.tolist(), dt)
+                    assert type(got) is list
+                    assert np.array(got).tobytes() == want.tobytes()
+
+    def test_overflowing_field_raises_with_the_numpy_steps_output(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            state = rng.standard_normal(5) * 1e100
+            field = lambda s: s * s * s  # noqa: E731
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(IntegrationBlowupError) as want:
+                    _numpy_rk4_step(field, state, 0.1, t=1.0)
+                with pytest.raises(IntegrationBlowupError) as got:
+                    rk4_step(lambda s: field(np.asarray(s)).tolist(), state.tolist(), 0.1, t=1.0)
+            assert got.value.t == want.value.t
+            assert np.array_equal(got.value.output, want.value.output, equal_nan=True)

@@ -158,7 +158,7 @@ class TestArcRowBound:
     @given(case=_clock_and_step())
     def test_trivial_flow_stays_within_bound(self, case):
         clock, horizon, dt = case
-        arc = simulate(lambda x: np.zeros(1), lambda t, j, x: x, np.zeros(1), clock,
+        arc = simulate(lambda x: [0.0], lambda t, j, x: x, np.zeros(1), clock,
                        horizon, dt)
         assert len(arc) <= arc_row_bound(clock, horizon, dt)
         validate_arc(arc, clock)

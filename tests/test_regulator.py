@@ -118,6 +118,31 @@ class TestInternalModel:
         assert control(0.0, 0.0, -5.0) == 5.0
         assert np.allclose(field(v)[lay.eta], [-1.0 + 2.0, -2.0 + 3.0, -3.0 + 5.0])
 
+    def test_flow_with_explicit_dense_pair(self):
+        # every diagonal of [F G] is non-zero, those below the main one too;
+        # the field's sums agree with the matrix product to rounding, and
+        # with the default pair bit for bit
+        stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0)
+        obs = ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((4, 4))
+        dense = InternalModelConfig(
+            F=a - (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(4),
+            G=rng.standard_normal((4, 1)))
+        for im in (dense, default_internal_model(4)):
+            field, control = build_closed_loop(build_vdp_scenario(2.0, 2.0), im, stab, obs)
+            lay = state_layout(4)
+            for _ in range(100):
+                v = rng.standard_normal(lay.size)
+                u = control(*v[lay.x_hat], v[lay.sigma_hat])
+                eta = v[lay.eta]
+                want = (eta @ im.F.T) + im.G.ravel() * u
+                got = np.array(field(v.tolist())[lay.eta])
+                scale = np.abs(im.F) @ np.abs(eta) + np.abs(im.G.ravel() * u)
+                assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+                if im is not dense:
+                    assert got.tobytes() == want.tobytes()
+
     def test_rejects_unstable_f(self):
         with pytest.raises(InvalidConfigError):
             InternalModelConfig(F=np.eye(2), G=np.array([[0.0], [1.0]]))

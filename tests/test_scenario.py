@@ -9,7 +9,6 @@ import pytest
 
 from adreg import scenario
 from adreg.errors import AdregError, InvalidConfigError
-from adreg.identifier import LsIdentifier, PolyRegressor
 from adreg.numerics import place_poles
 from adreg.plant import build_vdp_scenario
 from adreg.regulator import ObserverConfig, StabilizerConfig, default_internal_model
@@ -120,25 +119,20 @@ class TestExosystem:
     @pytest.mark.parametrize("kind", ["vdp", "synthetic-linear"])
     def test_eval_s_equals_the_fields_w_rows(self, kind):
         # check-identifier integrates plant.eval_s and the closed loop the w
-        # rows of its field: one exosystem, bit for bit, for one cell and two
+        # rows of its field: one exosystem, bit for bit
         rho = 1.7
         im = default_internal_model(4)
         plant = (build_vdp_scenario(2.0, rho) if kind == "vdp"
                  else build_synthetic_linear_plant(rho, im.F, im.G))
         stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0)
-        observers = [ObserverConfig(ell=ell, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
-                     for ell in (5.0, 20.0)]
-        one, _ = build_closed_loop(plant, im, stab, observers[0])
-        two, _ = build_closed_loop(plant, im, stab, observers)
+        obs = ObserverConfig(ell=5.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
+        one, _ = build_closed_loop(plant, im, stab, obs)
         lay = state_layout(4)
         rng = np.random.default_rng(5)
         for _ in range(50):
-            states = rng.standard_normal((2, lay.size)) * 10.0 ** rng.integers(-3, 4)
-            got = two(states.ravel()).reshape(2, lay.size)
-            for k in range(2):
-                want = plant.eval_s(states[k, lay.w]).tobytes()
-                assert one(states[k].copy())[lay.w].tobytes() == want
-                assert got[k, lay.w].tobytes() == want
+            state = rng.standard_normal(lay.size) * 10.0 ** rng.integers(-3, 4)
+            want = np.array(plant.eval_s(state[lay.w].tolist())).tobytes()
+            assert np.array(one(state.tolist())[lay.w]).tobytes() == want
 
 
 class TestRunScenario:
@@ -308,7 +302,7 @@ class TestRunSweep:
 
 
 class TestEnsembleSweep:
-    """A sweep integrates its cells as one ensemble; each cell's row equals
+    """A sweep runs its cells one at a time; each cell's row equals
     run_scenario on that cell's config."""
 
     @staticmethod
@@ -365,66 +359,28 @@ class TestEnsembleSweep:
 
     def test_blowup_cell_gets_its_serial_row(self):
         # at ell = 1e4 the observer's gains put RK4 at dt = 1e-3 far outside
-        # its stability region, so that cell overflows; the ensemble fails
-        # and every cell is re-run on its own
+        # its stability region, so that cell overflows and the others run
         with np.errstate(over="ignore", invalid="ignore"):
             rows = self._check(self._base(), "ell", [10.0, 1e4, 20.0])
         assert rows[1]["error"].startswith("IntegrationBlowupError")
         assert "error" not in rows[0] and "error" not in rows[2]
 
-    def test_field_columns_equal_one_cell_fields(self):
-        # the ensemble field on stacked (K, n) states equals each cell's own
-        # field on its row, bit for bit, also where a cell overflows
-        plant = build_vdp_scenario(2.0, 2.0)
-        im = default_internal_model(6)
-        stab = StabilizerConfig(K=place_poles(2, 1, [-1.0, -2.0]), sat_level=100.0)
-        observers = [ObserverConfig(ell=ell, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
-                     for ell in (5.0, 20.0, 40.0)]
-        rng = np.random.default_rng(3)
-        idents = [None, LsIdentifier(PolyRegressor(6, 1)), LsIdentifier(PolyRegressor(6, 3))]
-        for ident in idents[1:]:
-            ident.theta = rng.standard_normal(ident.regressor.d_sigma)
-        field, _ = build_closed_loop(plant, im, stab, observers, idents)
-        lay = state_layout(6)
-        for scale in (0.5, 50.0):
-            states = rng.standard_normal((3, lay.size)) * scale
-            states[2, 2] = 1e200  # x1 of the last cell: (x1 + p1*)**2 overflows
-            with np.errstate(over="ignore", invalid="ignore"):
-                got = field(states.ravel()).reshape(3, lay.size)
-                for k, (obs, ident) in enumerate(zip(observers, idents)):
-                    one, _ = build_closed_loop(plant, im, stab, obs, ident)
-                    assert np.array_equal(got[k], one(states[k].copy()), equal_nan=True)
+    @pytest.mark.parametrize("values", [[5.0, 20.0, 40.0], [10.0, 1e4, 20.0]])
+    def test_each_cell_is_one_run_scenario_call(self, monkeypatch, values):
+        # looked up as scenario.run_scenario for every cell, as a tracer
+        # that wraps it expects; a blow-up cell is run once like the others
+        calls = []
+        run = scenario.run_scenario
 
-    def test_field_columns_equal_one_cell_fields_with_saturated_controls(self):
-        # the K-cell field's per-cell scalar blocks against the one-cell
-        # field, with cells that hold their own gains, cells with and without
-        # an identifier, and controls saturated at +sat_level and -sat_level
-        plant = build_vdp_scenario(2.0, 2.0)
-        im = default_internal_model(6)
-        sat_level = 100.0
-        stab = StabilizerConfig(K=place_poles(2, 1, [-1.0, -2.0]), sat_level=sat_level)
-        observers = [ObserverConfig(ell=ell, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
-                     for ell in (5.0, 10.0, 20.0, 40.0)]
-        rng = np.random.default_rng(4)
-        idents = [None, LsIdentifier(PolyRegressor(6, 1)), LsIdentifier(PolyRegressor(6, 3)),
-                  None]
-        for ident in idents[1:3]:
-            ident.theta = rng.standard_normal(ident.regressor.d_sigma)
-        field, control = build_closed_loop(plant, im, stab, observers, idents)
-        lay = state_layout(6)
-        for _ in range(20):
-            states = rng.standard_normal((4, lay.size))
-            states[1, lay.sigma_hat] = -1e3  # drives cell 1's control to +sat_level
-            states[2, lay.sigma_hat] = 1e3  # and cell 2's to -sat_level
-            xh1, xh2 = states[:, lay.x_hat].T
-            sh = states[:, lay.sigma_hat]
-            assert control(xh1[1], xh2[1], sh[1]) == sat_level
-            assert control(xh1[2], xh2[2], sh[2]) == -sat_level
-            got = field(states.ravel()).reshape(4, lay.size)
-            for k, (obs, ident) in enumerate(zip(observers, idents)):
-                one, _ = build_closed_loop(plant, im, stab, obs, ident)
-                want = one(states[k].copy())
-                assert got[k].tobytes() == want.tobytes()
+        def counted(cfg):
+            calls.append(cfg.regulator["ell"])
+            return run(cfg)
+
+        monkeypatch.setattr(scenario, "run_scenario", counted)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = run_sweep(self._base(), "ell", values)
+        assert calls == values
+        assert [("error" in r) for r in rows] == [v == 1e4 for v in values]
 
     def test_sweep_writes_no_files(self, tmp_path):
         base = ScenarioConfig(sim={"horizon": 0.3, "dt": 1e-3},
