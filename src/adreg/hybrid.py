@@ -46,12 +46,18 @@ class ClockConfig:
             raise InvalidConfigError("period applies to the periodic strategy only")
 
     def make_rng(self):
+        """The generator of the uniform strategy's gaps; None for the
+        periodic strategy, which draws nothing, so a periodic run never
+        imports numpy.random."""
+        if self.strategy == "periodic":
+            return None
         return np.random.default_rng(self.seed)
 
 
 def next_jump_time(clock, last_jump_t, rng):
     """Next jump instant after last_jump_t according to the clock strategy;
-    ``rng`` is the run's generator from ``clock.make_rng()``."""
+    ``rng`` is the run's generator from ``clock.make_rng()``, unused (and
+    None) for the periodic strategy."""
     if clock.strategy == "periodic":
         return last_jump_t + clock.period
     return last_jump_t + rng.uniform(clock.t_low, clock.t_high)

@@ -4,8 +4,8 @@ mini-batch (moving window) scheme, plus polynomial regressors.
 Each identifier is one class that holds its state and the parameters of the
 cost it minimizes: the forgetting factor ``mu_f``, the window length
 ``n_window`` (None when every past sample counts) and the regularizer
-``omega`` (Omega = omega I). ``jump`` rebinds the state and never mutates it
-in place, so a shallow copy is an independent clone.
+``omega``, the float omega of Omega = omega I. ``jump`` rebinds the state
+and never mutates it in place, so a shallow copy is an independent clone.
 
 The saturated continuous extensions of the LS update ingredients are realized
 as norm clamps with configurable radii (default 1e6): generous enough to stay
@@ -124,10 +124,10 @@ def build_poly_regressor(d_eta, N, mode="full-multiset"):
     return PolyRegressor(d_eta, N, mode)
 
 
-def _omega_matrix(omega, d):
+def _omega(omega):
     if not omega >= 0.0:
         raise InvalidConfigError(f"omega must be >= 0, got {omega!r}")
-    return float(omega) * np.eye(d)
+    return float(omega)
 
 
 def batch_solver_ls(window_in, window_out, regressor, omega,
@@ -179,7 +179,7 @@ class LsIdentifier:
         d = regressor.d_sigma
         self.regressor = regressor
         self.mu_f = mu_f
-        self.omega = _omega_matrix(omega, d)
+        self.omega = _omega(omega)
         self.clamp = clamp
         self.theta_bound = theta_bound
         self.cutoff_rel = cutoff_rel
@@ -202,7 +202,9 @@ class LsIdentifier:
         xi1 = self.mu_f * self.xi1
         xi1 += big_sigma
         xi2 = self.mu_f * self.xi2 + lam
-        theta = pseudoinverse(xi1 + self.omega, self.cutoff_rel) @ xi2
+        m = xi1.copy()  # xi1 + Omega: omega added to the diagonal
+        m.flat[::sig.size + 1] += self.omega
+        theta = pseudoinverse(m, self.cutoff_rel) @ xi2
         self.xi1, self.xi2, self.theta = xi1, xi2, saturate(theta, self.theta_bound)
 
     def clone(self):
@@ -236,7 +238,7 @@ class MiniBatchIdentifier:
             raise InvalidConfigError(f"n_window must be >= 1, got {n_window}")
         self.regressor = regressor
         self.n_window = n_window
-        self.omega = _omega_matrix(omega, regressor.d_sigma)
+        self.omega = _omega(omega)
         self.cutoff_rel = cutoff_rel
         self.window_in = []
         self.window_out = []

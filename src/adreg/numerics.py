@@ -35,7 +35,8 @@ def pseudoinverse(m, cutoff_rel=DEFAULT_CUTOFF_REL):
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((m.shape[1], m.shape[0]))
     inv_s = np.where(s > cutoff_rel * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    return (vt.T * inv_s) @ u.T
+    vt *= inv_s[:, None]  # in place: no second array of vt's size
+    return vt.T @ u.T
 
 
 def place_poles(r, d_y, desired):

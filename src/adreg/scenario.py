@@ -10,13 +10,14 @@ import math
 import numbers
 import os
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from operator import add, mul
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AdregError, BranchPointError, IntegrationBlowupError, InvalidConfigError
-from .hybrid import ClockConfig, check_step, simulate
+from .hybrid import ClockConfig, arc_row_bound, check_step, simulate
 from .identifier import (LsIdentifier, MiniBatchIdentifier, build_poly_regressor,
                          poly_regressor_size)
 from .numerics import place_poles
@@ -202,19 +203,79 @@ def build_synthetic_linear_plant(rho, f, g):
 
 @dataclass
 class ScenarioResult:
+    """A run's arc, summary and identifier record.
+
+    The CSV columns past t, j and y (``u``, ``u_star``, ``gamma_hat``,
+    ``err_xhat``, ``err_sigmahat`` and ``eps_star``) are computed from the
+    stored states on first read, from the run's plant, state layout,
+    controller and regressor: a run that reads only its summary, such as a
+    sweep cell, never builds them.
+    """
+
     t: np.ndarray
     j: np.ndarray
     y: np.ndarray
-    u: np.ndarray
-    u_star: np.ndarray
-    gamma_hat: np.ndarray
-    err_xhat: np.ndarray
-    err_sigmahat: np.ndarray
-    eps_star: np.ndarray  # may be empty (size 0) when not configured
     summary: dict
     states: np.ndarray
     theta_history: list  # (t_jump, theta) per jump; empty without an identifier
     jump_samples: list  # (j, eta, u) fed to the identifier
+    plant: PlantSpec = field(repr=False)
+    layout: "StateLayout" = field(repr=False)
+    control: object = field(repr=False)  # control(xh1, xh2, sigma_hat) -> u
+    regressor: object = field(repr=False)  # the identifier's, or None
+
+    @cached_property
+    def u(self):
+        """The input the flow applied: the controller on each stored state."""
+        xh1, xh2 = self.states[:, self.layout.x_hat].T.tolist()
+        sh = self.states[:, self.layout.sigma_hat].tolist()
+        return np.fromiter(map(self.control, xh1, xh2, sh), dtype=float, count=self.t.size)
+
+    @cached_property
+    def u_star(self):
+        return np.asarray(self.plant.extras["ustar_rows"](self.states[:, self.layout.w]))
+
+    @cached_property
+    def gamma_hat(self):
+        """theta . sigma(eta) on each row, with the theta of its jump
+        segment (zero before the first jump)."""
+        n = self.t.size
+        gamma_hat = np.zeros(n)
+        if self.theta_history:
+            eta_rows = self.states[:, self.layout.eta]
+            seg = self.j - 1  # per-row index into theta_history, -1 before the first jump
+            # segment-wise evaluation: theta is constant between jumps
+            bounds = np.flatnonzero(np.diff(seg) != 0) + 1
+            starts = np.concatenate(([0], bounds))
+            stops = np.concatenate((bounds, [n]))
+            for s0, s1 in zip(starts, stops):
+                k = seg[s0]
+                if k < 0:
+                    continue  # theta starts at zero
+                theta = self.theta_history[k][1]
+                gamma_hat[s0:s1] = self.regressor.batch(eta_rows[s0:s1]) @ theta
+        return gamma_hat
+
+    @cached_property
+    def err_xhat(self):
+        lay = self.layout
+        return np.linalg.norm(self.states[:, lay.x] - self.states[:, lay.x_hat], axis=1)
+
+    @cached_property
+    def err_sigmahat(self):
+        return np.abs(self.states[:, self.layout.sigma_hat] + self.u_star)
+
+    @cached_property
+    def eps_star(self):
+        """u* - theta* . tau(w) on each row when the plant gives its true map
+        and the run identifies one; else empty (size 0)."""
+        extras = self.plant.extras
+        if "tau_rows" in extras and "theta_star" in extras and self.regressor is not None:
+            # the true map is linear, and the regressor's first d_eta components
+            # are eta itself, so u* - gamma_hat(theta*, tau) is u* - theta* . tau
+            tau_rows = extras["tau_rows"](self.states[:, self.layout.w])
+            return self.u_star - tau_rows @ extras["theta_star"]
+        return np.zeros(0)
 
     def write_csv(self, path):
         with open(path, "w") as fh:
@@ -245,14 +306,25 @@ _IDENTIFIER_ARGS = {
 
 
 # d_sigma x d_sigma float arrays live at once in an LS jump: xi1 before and after,
-# Omega, sigma sigma', xi1 + Omega, and the SVD's copy of it, U, V' and workspace
-# (a peak of 10.4 to 11.4 of them measured at d_sigma = 1,106 and 3,108)
+# sigma sigma', xi1 + Omega, and the SVD's copy of it, U, V' and workspace (a
+# peak of 10.4 to 11.4 of them measured at d_sigma = 1,106 and 3,108 when Omega
+# was one more such array)
 JUMP_MATRICES = 12
 
 
 def physical_memory():
     """Bytes of physical memory of this machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(what, nbytes):
+    """Raise InvalidConfigError when ``what``, a phrase that names a config
+    key and the array it sizes, asks for more bytes than physical memory."""
+    memory = physical_memory()
+    if nbytes > memory:
+        size = nbytes if nbytes < 2**63 else "more than 2^63"
+        raise InvalidConfigError(f"{what} of {size} bytes, more than the {memory} bytes "
+                                 "of physical memory")
 
 
 def _check_identifier_memory(icfg, d_eta):
@@ -435,7 +507,21 @@ class _Cell(NamedTuple):
 def _wire(cfg):
     """Build the plant, controller, identifier, clock and initial state of
     ``cfg``; raises the config's errors before anything is integrated."""
-    pcfg, rcfg = cfg.plant, cfg.regulator
+    pcfg, rcfg, horizon, dt = cfg.plant, cfg.regulator, cfg.sim["horizon"], cfg.sim["dt"]
+    # the default F and the arc buffer fit in memory: checked before either exists
+    if "F" in rcfg:
+        d_eta = len(rcfg["F"])
+    else:
+        d_eta = rcfg["d_eta"]
+        _check_memory(f"regulator.d_eta = {d_eta:.6g} asks for an F (d_eta x d_eta)",
+                      8 * d_eta * d_eta)
+    clock = ClockConfig(**cfg.clock)
+    lay = state_layout(d_eta)
+    check_step(clock, horizon, dt, lay.size)
+    rows = arc_row_bound(clock, horizon, dt)
+    _check_memory(f"sim.horizon / sim.dt = {horizon!r} / {dt!r} asks for an arc buffer "
+                  f"({rows} rows x {lay.size} floats)", 8 * rows * lay.size)
+
     im = _build_internal_model(rcfg)
     if pcfg["kind"] == "vdp":
         plant = build_vdp_scenario(pcfg["a"], pcfg["rho"])
@@ -454,9 +540,6 @@ def _wire(cfg):
     stab = StabilizerConfig(K=place_poles(2, 1, rcfg["poles"]), sat_level=rcfg["sat_level"])
     obs = ObserverConfig(ell=rcfg["ell"], h_coeffs=rcfg["h_coeffs"], psi_bar=rcfg["psi_bar"])
     ident = _build_identifier(cfg.identifier, im.d_eta)
-    clock = ClockConfig(**cfg.clock)
-    lay = state_layout(im.d_eta)
-    check_step(clock, cfg.sim["horizon"], cfg.sim["dt"], lay.size)
     v0 = _error_coordinates(plant, pcfg["p0"], w0, lay)
     return _Cell(plant, im, stab, obs, ident, clock, v0)
 
@@ -502,43 +585,9 @@ def run_scenario(cfg):
 
 
 def _reduce(arc, cfg, plant, lay, control, ident, theta_history, jump_samples):
-    states = arc.states
-    n = states.shape[0]
-    w_rows = states[:, lay.w]
-    x_rows = states[:, lay.x]
-    eta_rows = states[:, lay.eta]
-    xh_rows = states[:, lay.x_hat]
-    sh = states[:, lay.sigma_hat]
-
-    y = x_rows[:, 0]
-    xh1, xh2 = xh_rows.T.tolist()
-    u = np.fromiter(map(control, xh1, xh2, sh.tolist()), dtype=float, count=n)
-    u_star = plant.extras["ustar_rows"](w_rows)
-
-    gamma_hat = np.zeros(n)
-    if theta_history:
-        seg = arc.j - 1  # per-row index into theta_history, -1 before the first jump
-        # segment-wise evaluation: theta is constant between jumps
-        bounds = np.flatnonzero(np.diff(seg) != 0) + 1
-        starts = np.concatenate(([0], bounds))
-        stops = np.concatenate((bounds, [n]))
-        for s0, s1 in zip(starts, stops):
-            k = seg[s0]
-            if k < 0:
-                continue  # theta starts at zero
-            gamma_hat[s0:s1] = ident.regressor.batch(eta_rows[s0:s1]) @ theta_history[k][1]
-
-    err_xhat = np.linalg.norm(x_rows - xh_rows, axis=1)
-    err_sigmahat = np.abs(sh + u_star)
-
-    if "tau_rows" in plant.extras and "theta_star" in plant.extras and ident is not None:
-        # the true map is linear, and the regressor's first d_eta components
-        # are eta itself, so u* - gamma_hat(theta*, tau) is u* - theta* . tau
-        tau_rows = plant.extras["tau_rows"](w_rows)
-        eps_star = u_star - tau_rows @ plant.extras["theta_star"]
-    else:
-        eps_star = np.zeros(0)
-
+    """The run's result and summary, from t and y alone; writes the output
+    files the config names."""
+    y = arc.states[:, lay.x.start]
     tail = arc.t >= 0.8 * cfg.sim["horizon"]
     ss_max = float(np.max(np.abs(y[tail]))) if np.any(tail) else float(np.max(np.abs(y)))
     band = 2.0 * ss_max
@@ -552,9 +601,9 @@ def _reduce(arc, cfg, plant, lay, control, ident, theta_history, jump_samples):
     }
 
     result = ScenarioResult(
-        t=arc.t, j=arc.j, y=y, u=u, u_star=np.asarray(u_star), gamma_hat=gamma_hat,
-        err_xhat=err_xhat, err_sigmahat=err_sigmahat, eps_star=eps_star,
-        summary=summary, states=states, theta_history=theta_history, jump_samples=jump_samples,
+        t=arc.t, j=arc.j, y=y, summary=summary, states=arc.states,
+        theta_history=theta_history, jump_samples=jump_samples, plant=plant, layout=lay,
+        control=control, regressor=None if ident is None else ident.regressor,
     )
     out = cfg.output
     if out["csv"] is not None:

@@ -14,6 +14,7 @@ import pytest
 
 from adreg import scenario
 from adreg.cli import EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK, EXIT_THRESHOLD, main
+from adreg.hybrid import ClockConfig, arc_row_bound
 
 
 @pytest.fixture
@@ -265,6 +266,48 @@ class TestIdentifierMemory:
         assert d_sigma in capsys.readouterr().err
 
 
+class TestWiringMemory:
+    """A default F or an arc buffer with more bytes than physical memory is a
+    config error, found before either is allocated."""
+
+    MEMORY = 2**20
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_f_past_memory_is_config_error(self, write_cfg, capsys, monkeypatch, command):
+        monkeypatch.setattr(scenario, "physical_memory", lambda: self.MEMORY)
+
+        def allocate_f(d_eta):
+            raise AssertionError("F allocated")
+
+        monkeypatch.setattr(scenario, "default_internal_model", allocate_f)
+        path = write_cfg({"regulator": {"d_eta": 512}, "sim": SHORT_SIM})
+        assert main([command, path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: regulator.d_eta = 512 asks for an F ")
+        assert f" of {8 * 512**2} bytes, more than the {self.MEMORY} bytes " in err
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_arc_past_memory_is_config_error(self, write_cfg, capsys, monkeypatch, command):
+        monkeypatch.setattr(scenario, "physical_memory", lambda: self.MEMORY)
+
+        def allocate_arc(*args):
+            raise AssertionError("arc allocated")
+
+        monkeypatch.setattr(scenario, "simulate", allocate_arc)
+        path = write_cfg({"sim": {"horizon": 20.0, "dt": 1e-3}})
+        assert main([command, path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sim.horizon / sim.dt = 20.0 / 0.001 asks for an "
+                              "arc buffer ")
+        rows = arc_row_bound(ClockConfig(t_low=0.1, t_high=0.1), 20.0, 1e-3)
+        assert f" of {8 * 13 * rows} bytes, more than the {self.MEMORY} bytes " in err
+
+    def test_config_that_fits_runs(self, write_cfg, capsys, monkeypatch):
+        # a 1 s arc of 13 floats a row is about 0.1 MB
+        monkeypatch.setattr(scenario, "physical_memory", lambda: self.MEMORY)
+        assert main(["simulate", write_cfg({"sim": SHORT_SIM})]) == EXIT_OK
+
+
 class TestImport:
     def test_cli_import_loads_no_scipy(self):
         # scipy serves only the test suite; a run never imports it
@@ -274,6 +317,24 @@ class TestImport:
         out = subprocess.run([sys.executable, "-I", "-c", code, src], check=True,
                              capture_output=True, text=True, timeout=60).stdout
         assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("argv,cfg,loads", [
+        (["simulate"], {"identifier": {"kind": "ls", "N": 3}}, False),
+        (["sweep", "--axis", "ell", "--values", "10,20"], {}, False),
+        # the uniform clock draws its gaps from numpy's generator
+        (["simulate"], {"clock": {"t_low": 0.05, "t_high": 0.15, "strategy": "uniform"}},
+         True),
+    ], ids=["simulate-periodic", "sweep-periodic", "simulate-uniform"])
+    def test_numpy_random_only_for_a_uniform_clock(self, write_cfg, tmp_path, argv, cfg,
+                                                   loads):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = write_cfg({**cfg, "sim": {"horizon": 0.3, "dt": 1e-3},
+                          "output": {"csv": str(tmp_path / "run.csv")}})
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); from adreg.cli import main; "
+                "code = main(sys.argv[2:]); print(code, 'numpy.random' in sys.modules)")
+        out = subprocess.run([sys.executable, "-I", "-c", code, src, argv[0], path, *argv[1:]],
+                             check=True, capture_output=True, text=True, timeout=60).stdout
+        assert out.splitlines()[-1] == f"0 {loads}"
 
 
 class TestSweep:

@@ -166,7 +166,8 @@ class TestThetaMapLs:
         ident.xi1 = xi1 @ xi1.T
         ident.xi2 = rng.normal(size=4)
         ident.jump(np.zeros(4), 0.0)
-        assert np.allclose((ident.xi1 + ident.omega) @ ident.theta, ident.xi2, atol=1e-9)
+        assert np.allclose((ident.xi1 + ident.omega * np.eye(4)) @ ident.theta, ident.xi2,
+                           atol=1e-9)
 
     def test_clamps_at_bound(self):
         ident = LsIdentifier(PolyRegressor(2, 1), mu_f=0.5, omega=1e-9, theta_bound=5.0)
@@ -249,7 +250,7 @@ class TestLsJump:
         xi1 = ident.mu_f * ident.xi1 + big_sigma
         xi1 = 0.5 * (xi1 + xi1.T)
         xi2 = ident.mu_f * ident.xi2 + lam
-        theta = pseudoinverse(xi1 + ident.omega, ident.cutoff_rel) @ xi2
+        theta = pseudoinverse(xi1 + ident.omega * np.eye(sig.size), ident.cutoff_rel) @ xi2
         return xi1, xi2, saturate(theta, ident.theta_bound)
 
     @pytest.mark.parametrize("d_eta,order", [(6, 3), (4, 5)])

@@ -271,6 +271,98 @@ class TestRunScenario:
             run_scenario(cfg)
 
 
+class TestColumnsOnDemand:
+    """The CSV columns past t, j and y are built when first read, with the
+    bits the reduction computed when it built them all; a sweep cell, which
+    reads only its summary, builds none."""
+
+    COLUMNS = ("u", "u_star", "gamma_hat", "err_xhat", "err_sigmahat", "eps_star")
+
+    @staticmethod
+    def _eager_columns(res, cfg):
+        """The columns as the reduction built them for every run before they
+        were built on demand: a test-local copy of that code."""
+        cell = scenario._wire(cfg)
+        plant, ident, theta_history = cell.plant, cell.ident, res.theta_history
+        lay = state_layout(cell.im.d_eta)
+        _, control = build_closed_loop(plant, cell.im, cell.stab, cell.obs, ident)
+        states = res.states
+        n = states.shape[0]
+        w_rows = states[:, lay.w]
+        x_rows = states[:, lay.x]
+        eta_rows = states[:, lay.eta]
+        xh_rows = states[:, lay.x_hat]
+        sh = states[:, lay.sigma_hat]
+        xh1, xh2 = xh_rows.T.tolist()
+        u = np.fromiter(map(control, xh1, xh2, sh.tolist()), dtype=float, count=n)
+        u_star = plant.extras["ustar_rows"](w_rows)
+        gamma_hat = np.zeros(n)
+        if theta_history:
+            seg = res.j - 1
+            bounds = np.flatnonzero(np.diff(seg) != 0) + 1
+            starts = np.concatenate(([0], bounds))
+            stops = np.concatenate((bounds, [n]))
+            for s0, s1 in zip(starts, stops):
+                k = seg[s0]
+                if k >= 0:
+                    gamma_hat[s0:s1] = ident.regressor.batch(eta_rows[s0:s1]) @ theta_history[k][1]
+        err_xhat = np.linalg.norm(x_rows - xh_rows, axis=1)
+        err_sigmahat = np.abs(sh + u_star)
+        if "tau_rows" in plant.extras and "theta_star" in plant.extras and ident is not None:
+            eps_star = u_star - plant.extras["tau_rows"](w_rows) @ plant.extras["theta_star"]
+        else:
+            eps_star = np.zeros(0)
+        return {"u": u, "u_star": np.asarray(u_star), "gamma_hat": gamma_hat,
+                "err_xhat": err_xhat, "err_sigmahat": err_sigmahat, "eps_star": eps_star}
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(identifier={"kind": "ls", "N": 3}, sim={"horizon": 1.05, "dt": 1e-3}),
+        ScenarioConfig(plant={"kind": "synthetic-linear"},
+                       identifier={"kind": "ls", "N": 1, "mu_f": 0.95, "omega_scale": 1e-6},
+                       sim={"horizon": 1.05, "dt": 1e-3}),
+        ScenarioConfig(sim={"horizon": 1.05, "dt": 1e-3}),
+    ], ids=["vdp-ls-n3", "synthetic-linear-ls", "vdp-baseline"])
+    def test_columns_equal_the_eager_reduction(self, cfg):
+        res = run_scenario(cfg)
+        want = self._eager_columns(res, cfg)
+        assert res.gamma_hat.any() == bool(res.theta_history)
+        assert (res.eps_star.size > 0) == (cfg.plant["kind"] == "synthetic-linear")
+        for name in self.COLUMNS:
+            got = getattr(res, name)
+            assert got.shape == want[name].shape, name
+            assert got.tobytes() == want[name].tobytes(), name
+
+    def test_sweep_cell_calls_no_ustar_rows(self, monkeypatch):
+        build = scenario.build_vdp_scenario
+
+        def without_ustar_rows(*args):
+            spec = build(*args)
+
+            def ustar_rows(rows):
+                raise AssertionError("u_star built")
+
+            spec.extras["ustar_rows"] = ustar_rows
+            return spec
+
+        monkeypatch.setattr(scenario, "build_vdp_scenario", without_ustar_rows)
+        base = ScenarioConfig(identifier={"kind": "ls", "N": 3}, sim={"horizon": 0.3, "dt": 1e-3})
+        rows = run_sweep(base, "ell", [10.0, 20.0])
+        assert all("error" not in r for r in rows)
+        # the patch is in effect: a run's column read calls it
+        with pytest.raises(AssertionError, match="u_star built"):
+            run_scenario(base).u_star
+
+    def test_sweep_cell_reads_no_column(self, monkeypatch):
+        for name in self.COLUMNS:
+            def read(res, name=name):
+                raise AssertionError(f"{name} read")
+
+            monkeypatch.setattr(scenario.ScenarioResult, name, property(read))
+        base = ScenarioConfig(identifier={"kind": "ls", "N": 3}, sim={"horizon": 0.3, "dt": 1e-3})
+        rows = run_sweep(base, "ell", [10.0, 20.0])
+        assert all("error" not in r for r in rows)
+
+
 class TestRunSweep:
     def test_ell_axis(self):
         base = ScenarioConfig(sim={"horizon": 1.0, "dt": 1e-3})
