@@ -75,10 +75,13 @@ def cmd_check_identifier(args):
 
 def cmd_validate(args):
     """Resolve and wire the config, as ``simulate`` does before its first
-    step, and print the resolved config."""
+    step, and print the run's cost and the resolved config."""
     cfg = _load_config(args.config)
-    _wire(cfg)
+    cost = _wire(cfg).cost
     print(f"config ok: {args.config}")
+    print(f"cost: d_sigma = {cost.d_sigma}; F {cost.f_bytes} bytes, arc buffer "
+          f"{cost.arc_bytes} bytes, identifier jump {cost.jump_bytes} bytes; "
+          f"closed-loop field {cost.field_terms} terms")
     print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -105,6 +105,8 @@ def rk4_step(field, state, dt, t=0.0):
     sixth = dt / 6.0
     out = [(((p + 2.0 * q) + 2.0 * r) + s) * sixth + a
            for a, p, q, r, s in zip(state, k1, k2, k3, k4)]
-    if not all(map(math.isfinite, out)):
+    # one finite sum means finite entries; a sum past the float range
+    # falls back to the entries
+    if not math.isfinite(sum(out)) and not all(map(math.isfinite, out)):
         raise IntegrationBlowupError(t + dt, 0, state, out)
     return out

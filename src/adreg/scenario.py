@@ -11,7 +11,6 @@ import numbers
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from operator import add, mul
 from typing import NamedTuple
 
 import numpy as np
@@ -371,15 +370,6 @@ def _build_internal_model(rcfg):
     return default_internal_model(rcfg["d_eta"])
 
 
-def _clamp(x, level):
-    """x clipped to [-level, level]."""
-    if x > level:
-        return level
-    if x < -level:
-        return -level
-    return x
-
-
 class StateLayout(NamedTuple):
     """Blocks of the closed-loop state v = (w, x, eta, x_hat, sigma_hat).
 
@@ -407,74 +397,114 @@ def state_layout(d_eta):
     return StateLayout(slice(0, 2), slice(2, 4), slice(4, e), slice(e, e + 2), e + 2, e + 3)
 
 
+def _diagonals(im):
+    """Offsets k of the non-zero diagonals of [F G], ascending; diagonal k
+    holds the entries (i, i + k)."""
+    rows, cols = np.nonzero(np.hstack([im.F, im.G]))
+    return sorted(set((cols - rows).tolist()))  # np.unique would import numpy.ma
+
+
+def field_terms(im):
+    """Products the closed-loop field sums for eta': one per row of [F G]
+    and non-zero diagonal, the zero-padded ones included."""
+    return im.d_eta * len(_diagonals(im))
+
+
+# Compiling the generated field takes about this many bytes per term of eta'
+# at its peak (measured with Python 3.11 on a dense F: 1,247 bytes a term at
+# d_eta = 100, 1,141 at d_eta = 300, whose 180,000 terms took 195 MB).
+FIELD_TERM_BYTES = 1280
+# Terms summed in one statement of the generated field: the compiler recurses
+# once per term of a sum, so a long row is split into statements that go on
+# from the partial sum, in the same order.
+TERMS_PER_STATEMENT = 100
+
+
+def _num(x):
+    """A literal of the float x; a negative one in parentheses. An infinite
+    observer gain (ell^3 h3 past the float range) is written as the name
+    inf, which the generated code's namespace defines."""
+    r = repr(float(x))
+    return f"({r})" if r[0] == "-" else r
+
+
+def _clamp(x, level):
+    """Source lines that clip the local ``x`` to [-level, level]."""
+    m, neg = _num(level), _num(-level)
+    return [f"    if {x} > {m}:", f"        {x} = {m}", f"    elif {x} < {neg}:",
+            f"        {x} = {neg}"]
+
+
 def build_closed_loop(plant, im, stab, obs, ident=None):
     """The closed-loop field over ``state_layout(im.d_eta)`` and its
     controller.
 
     Returns ``(field, control)``. ``control(xh1, xh2, sigma_hat)`` is the
     saturated stabilizer u = sat(-sigma_hat - K x_hat) on scalars: the field
-    applies it and the reduction maps it over the arc. The internal model
-    flows as eta' = F eta + G u, the extended observer is driven by the
-    innovation x1 - xh1, and the consistency term
-    psi = sat(d gamma_hat/d eta . eta', psi_bar) uses the identifier's
-    current theta (psi = 0 without an identifier). The field calls
-    ``plant.extras["fast_q"]`` as it is when this builder runs.
+    computes the same u inline, from the same source text, and the reduction
+    maps ``control`` over the arc. The internal model flows as
+    eta' = F eta + G u, the extended observer is driven by the innovation
+    x1 - xh1, and the consistency term psi = sat(d gamma_hat/d eta . eta',
+    psi_bar) uses the identifier's current theta (psi = 0 without an
+    identifier). The field calls ``plant.extras["fast_q"]`` as it is when
+    this builder runs.
 
-    ``field(v)`` reads the state's floats by position and returns its
-    derivative as a list of Python floats (the same IEEE operations as on
-    numpy scalars, at less cost per operation). eta' is [F G] (eta, u),
-    summed one non-zero diagonal of [F G] at a time, so each row adds its
-    terms in column order, u last. With the default (F, G) every product is
-    exact, and eta' has the bits of F eta + G u formed with BLAS.
+    Both functions are written as straight-line Python source and compiled
+    once: ``field(v)`` unpacks the state into named locals and returns its
+    derivative as a list. Gains and the entries of [F G] are float literals
+    (``repr``, so exact). Each row of eta' is one explicit sum over the
+    non-zero diagonals of [F G] in ascending order, so it adds its terms in
+    column order, u last; a diagonal that leaves the matrix in a row adds
+    0.0 there. With the default (F, G) every product is exact, and eta' has
+    the bits of F eta + G u formed with BLAS. Without an identifier,
+    sigma_hat' is l3 innov, which -0.0 + l3 innov equals in every bit of a
+    number. The source holds only literals
+    and generated names, nothing read from a config as text.
     """
-    lay = state_layout(im.d_eta)
-    fast_q = plant.extras["fast_q"]
-    rho_exo = float(plant.rho)
-    k0, k1 = float(stab.K[0, 0]), float(stab.K[0, 1])
-    sat_level = stab.sat_level
+    d = im.d_eta
+    fg = np.hstack([im.F, im.G]).tolist()
     lh0, lh1, l3 = obs.gains
-    psi_bar = obs.psi_bar
-    d, e = im.d_eta, lay.eta.stop
-    # Diagonal k of [F G] holds the entries (i, i + k), i = 0 .. d - 1, with
-    # zeros where i + k is not a column: it multiplies (eta, u) shifted by k,
-    # padded with zeros at each end as far as the diagonals reach.
-    fg = np.hstack([im.F, im.G])
-    ks = [k for k in range(1 - d, d + 1) if fg.diagonal(k).any()]
-    lead, trail = [0.0] * max(0, -ks[0]), [0.0] * max(0, ks[-1] - 1)
-    padded = np.hstack([np.zeros((d, len(lead))), fg, np.zeros((d, len(trail)))])
-    (s0, c0), *diagonals = [(k + len(lead), padded.diagonal(k + len(lead)).tolist())
-                            for k in ks]
+    eta = [f"e{i}" for i in range(d)]
+    eta_dot = [f"d{i}" for i in range(d)]
+    operand = [*eta, "u"]
+    u = [f"    u = -sh - {_num(stab.K[0, 0])} * xh1 - {_num(stab.K[0, 1])} * xh2",
+         *_clamp("u", stab.sat_level)]
 
-    def control(xh1, xh2, sh):
-        return _clamp(-sh - k0 * xh1 - k1 * xh2, sat_level)
+    lines = ["def control(xh1, xh2, sh):", *u, "    return u", "", "def field(v):",
+             f"    w1, w2, x1, x2, {', '.join(eta)}, xh1, xh2, sh = v", *u]
+    ks = _diagonals(im)
+    for i in range(d):
+        terms = [f"{_num(fg[i][i + k])} * {operand[i + k]}" if 0 <= i + k <= d else "0.0"
+                 for k in ks]
+        for j in range(0, len(terms), TERMS_PER_STATEMENT):
+            sums = terms[j:j + TERMS_PER_STATEMENT]
+            lines.append(f"    d{i} = " + " + ".join([f"d{i}", *sums] if j else sums))
+    lines.append("""\
+    try:
+        q = fast_q(w1, w2, x1, x2)
+    except ArithmeticError:
+        # a Python float overflowed or divided by zero where numpy gives inf or nan
+        q = fast_q(float64(w1), float64(w2), float64(x1), float64(x2))
+    innov = x1 - xh1""")
+    sigma_hat_dot = f"{_num(l3)} * innov"
+    if ident is not None:
+        lines += [f"    p = psi([{', '.join(eta)}], [{', '.join(eta_dot)}])",
+                  *_clamp("p", obs.psi_bar)]
+        sigma_hat_dot = "-p + " + sigma_hat_dot
+    lines.append(f"    return [w2, {_num(-plant.rho)} * w1, x2, q + u, {', '.join(eta_dot)}, "
+                 f"xh2 + {_num(lh0)} * innov, sh + u + {_num(lh1)} * innov, {sigma_hat_dot}]")
 
     def psi(eta, eta_dot):
-        """The consistency term, from the identifier's current theta."""
+        """d gamma_hat/d eta . eta', from the identifier's current theta."""
         theta = ident.theta
         reg = ident.regressor
         dg = theta if reg.max_order == 1 else theta @ reg.jacobian(np.array(eta))
-        return _clamp(float(dg @ eta_dot), psi_bar)
+        return float(dg @ eta_dot)
 
-    def field(v):
-        w1, w2, x1, x2 = v[:4]
-        xh1, xh2, sh = v[e:]
-        u = control(xh1, xh2, sh)
-        eta_u = [*lead, *v[4:e], u, *trail]
-        terms = map(mul, c0, eta_u[s0:])
-        for s, c in diagonals:
-            terms = map(add, terms, map(mul, c, eta_u[s:]))
-        eta_dot = list(terms)
-        try:
-            q = fast_q(w1, w2, x1, x2)
-        except ArithmeticError:
-            # a Python float overflowed or divided by zero where numpy gives inf or nan
-            q = fast_q(*map(np.float64, (w1, w2, x1, x2)))
-        innov = x1 - xh1
-        p = 0.0 if ident is None else psi(v[4:e], eta_dot)
-        return [w2, -rho_exo * w1, x2, q + u, *eta_dot,
-                xh2 + lh0 * innov, sh + u + lh1 * innov, -p + l3 * innov]
-
-    return field, control
+    namespace = {"fast_q": plant.extras["fast_q"], "psi": psi, "float64": np.float64,
+                 "inf": math.inf}
+    exec(compile("\n".join(lines) + "\n", "<closed-loop field>", "exec"), namespace)
+    return namespace["field"], namespace["control"]
 
 
 def _error_coordinates(plant, p0, w0, lay):
@@ -492,6 +522,16 @@ def _error_coordinates(plant, p0, w0, lay):
     return v0
 
 
+class RunCost(NamedTuple):
+    """What a wired config's run holds in memory and sums per field call."""
+
+    d_sigma: int  # regressor components; 0 without an identifier
+    f_bytes: int
+    arc_bytes: int
+    jump_bytes: int  # the arrays of one identifier jump
+    field_terms: int
+
+
 class _Cell(NamedTuple):
     """One wired scenario: what the closed loop of a config integrates."""
 
@@ -502,27 +542,32 @@ class _Cell(NamedTuple):
     ident: object  # an identifier, or None
     clock: ClockConfig
     v0: np.ndarray
+    cost: RunCost
 
 
 def _wire(cfg):
     """Build the plant, controller, identifier, clock and initial state of
     ``cfg``; raises the config's errors before anything is integrated."""
     pcfg, rcfg, horizon, dt = cfg.plant, cfg.regulator, cfg.sim["horizon"], cfg.sim["dt"]
-    # the default F and the arc buffer fit in memory: checked before either exists
-    if "F" in rcfg:
-        d_eta = len(rcfg["F"])
-    else:
-        d_eta = rcfg["d_eta"]
-        _check_memory(f"regulator.d_eta = {d_eta:.6g} asks for an F (d_eta x d_eta)",
-                      8 * d_eta * d_eta)
+    # the default F, the arc buffer and the field's compiling fit in memory:
+    # each checked before it is allocated
+    d_eta = len(rcfg["F"]) if "F" in rcfg else rcfg["d_eta"]
+    f_bytes = 8 * d_eta * d_eta
+    if "F" not in rcfg:
+        _check_memory(f"regulator.d_eta = {d_eta:.6g} asks for an F (d_eta x d_eta)", f_bytes)
     clock = ClockConfig(**cfg.clock)
     lay = state_layout(d_eta)
     check_step(clock, horizon, dt, lay.size)
     rows = arc_row_bound(clock, horizon, dt)
+    arc_bytes = 8 * rows * lay.size
     _check_memory(f"sim.horizon / sim.dt = {horizon!r} / {dt!r} asks for an arc buffer "
-                  f"({rows} rows x {lay.size} floats)", 8 * rows * lay.size)
+                  f"({rows} rows x {lay.size} floats)", arc_bytes)
 
     im = _build_internal_model(rcfg)
+    terms = field_terms(im)
+    _check_memory(f"regulator.F gives a closed-loop field of {terms} terms (non-zero diagonals "
+                  "of [F G] x d_eta); compiling it takes an estimated peak",
+                  FIELD_TERM_BYTES * terms)
     if pcfg["kind"] == "vdp":
         plant = build_vdp_scenario(pcfg["a"], pcfg["rho"])
         # Default exosystem start: for the oscillator benchmark, unit
@@ -541,7 +586,9 @@ def _wire(cfg):
     obs = ObserverConfig(ell=rcfg["ell"], h_coeffs=rcfg["h_coeffs"], psi_bar=rcfg["psi_bar"])
     ident = _build_identifier(cfg.identifier, im.d_eta)
     v0 = _error_coordinates(plant, pcfg["p0"], w0, lay)
-    return _Cell(plant, im, stab, obs, ident, clock, v0)
+    d_sigma = 0 if ident is None else ident.regressor.d_sigma
+    cost = RunCost(d_sigma, f_bytes, arc_bytes, JUMP_MATRICES * 8 * d_sigma**2, terms)
+    return _Cell(plant, im, stab, obs, ident, clock, v0, cost)
 
 
 def run_scenario(cfg):

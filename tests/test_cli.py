@@ -15,6 +15,7 @@ import pytest
 from adreg import scenario
 from adreg.cli import EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK, EXIT_THRESHOLD, main
 from adreg.hybrid import ClockConfig, arc_row_bound
+from adreg.regulator import default_internal_model
 
 
 @pytest.fixture
@@ -61,6 +62,21 @@ class TestValidate:
         assert resolved["clock"] == {"t_low": 0.1, "t_high": 0.1, "strategy": "periodic",
                                      "seed": 0}
         assert resolved["output"] == {"csv": None, "summary": None}
+
+    @pytest.mark.parametrize("identifier,d_sigma", [({"kind": "none"}, 0),
+                                                    ({"kind": "ls", "N": 5}, 314)],
+                             ids=["none", "ls-n5"])
+    def test_prints_the_runs_cost(self, write_cfg, capsys, identifier, d_sigma):
+        # osc-ls-n5's config: LS at N = 5 on the default pair of d_eta = 6,
+        # 10 s at dt = 1e-3; the default [F G] has two non-zero diagonals
+        path = write_cfg({"identifier": identifier, "sim": {"horizon": 10.0, "dt": 1e-3}})
+        assert main(["validate", path]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"config ok: {path}"
+        rows = arc_row_bound(ClockConfig(t_low=0.1, t_high=0.1), 10.0, 1e-3)
+        assert lines[1] == (f"cost: d_sigma = {d_sigma}; F {8 * 6 * 6} bytes, arc buffer "
+                            f"{8 * 13 * rows} bytes, identifier jump {12 * 8 * d_sigma**2} "
+                            "bytes; closed-loop field 12 terms")
 
     def test_rejects_what_simulate_rejects_before_its_first_step(self, write_cfg, capsys):
         # dt > t_low / 10 and an observer polynomial with complex roots are
@@ -267,8 +283,9 @@ class TestIdentifierMemory:
 
 
 class TestWiringMemory:
-    """A default F or an arc buffer with more bytes than physical memory is a
-    config error, found before either is allocated."""
+    """A default F, an arc buffer or a closed-loop field whose compiling
+    would take more bytes than physical memory is a config error, found
+    before any of them is allocated or compiled."""
 
     MEMORY = 2**20
 
@@ -301,6 +318,29 @@ class TestWiringMemory:
                               "arc buffer ")
         rows = arc_row_bound(ClockConfig(t_low=0.1, t_high=0.1), 20.0, 1e-3)
         assert f" of {8 * 13 * rows} bytes, more than the {self.MEMORY} bytes " in err
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_field_past_memory_is_config_error(self, write_cfg, capsys, monkeypatch, command):
+        # a dense explicit pair of d_eta = 16 (the default pair perturbed in
+        # every entry): [F G] has 32 non-zero diagonals, so the field sums
+        # 512 terms, about 0.6 MB to compile; the 1 s arc is about 0.2 MB
+        memory = 2**18
+        monkeypatch.setattr(scenario, "physical_memory", lambda: memory)
+
+        def compile_field(*args):
+            raise AssertionError("field compiled")
+
+        monkeypatch.setattr(scenario, "build_closed_loop", compile_field)
+        im = default_internal_model(16)
+        rng = np.random.default_rng(1)
+        f = im.F + 0.01 * rng.standard_normal((16, 16))
+        g = im.G + 0.01 * rng.standard_normal((16, 1))
+        cfg = {"regulator": {"F": f.tolist(), "G": g.tolist()}, "sim": SHORT_SIM}
+        assert main([command, write_cfg(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: regulator.F gives a closed-loop field of 512 "
+                              "terms ")
+        assert f" of {scenario.FIELD_TERM_BYTES * 512} bytes, more than the {memory} " in err
 
     def test_config_that_fits_runs(self, write_cfg, capsys, monkeypatch):
         # a 1 s arc of 13 floats a row is about 0.1 MB

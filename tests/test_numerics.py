@@ -200,6 +200,12 @@ class TestRk4StepOnLists:
                     assert type(got) is list
                     assert np.array(got).tobytes() == want.tobytes()
 
+    def test_finite_entries_whose_sum_overflows_do_not_raise(self):
+        state = [1e308, 1.5e308, -1.0, 2.0]
+        assert rk4_step(lambda s: [0.0] * len(s), state, 0.1) == state
+        with pytest.raises(IntegrationBlowupError):
+            rk4_step(lambda s: [0.0] * len(s), [*state, np.inf], 0.1)
+
     def test_overflowing_field_raises_with_the_numpy_steps_output(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
