@@ -75,13 +75,16 @@ def cmd_check_identifier(args):
 
 def cmd_validate(args):
     """Resolve and wire the config, as ``simulate`` does before its first
-    step, and print the run's cost and the resolved config."""
+    step, and print the run's cost and the resolved config. An identifier
+    jump's solve is cubic in d_sigma, so d_sigma^3 x jumps scales the time
+    the run spends in its jumps."""
     cfg = _load_config(args.config)
     cost = _wire(cfg).cost
     print(f"config ok: {args.config}")
     print(f"cost: d_sigma = {cost.d_sigma}; F {cost.f_bytes} bytes, arc buffer "
           f"{cost.arc_bytes} bytes, identifier jump {cost.jump_bytes} bytes; "
-          f"closed-loop field {cost.field_terms} terms")
+          f"closed-loop field {cost.field_terms} terms; at most {cost.jumps} jumps, "
+          f"d_sigma^3 x jumps = {cost.d_sigma**3 * cost.jumps}")
     print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 

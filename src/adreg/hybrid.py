@@ -104,16 +104,21 @@ def validate_arc(arc, clock=None, atol=1e-9):
     return True
 
 
+def jump_bound(clock, horizon):
+    """Jumps ``simulate`` makes on [0, horizon], at most: gaps are at least
+    t_low, so floor(horizon/t_low) + 1."""
+    return int(horizon // clock.t_low) + 1
+
+
 def arc_row_bound(clock, horizon, dt):
     """Rows ``simulate`` records on [0, horizon] at step dt, at most.
 
     The initial row, ceil(horizon/dt) full steps, two more steps per flow
     interval (its shortened last step, and one more should the rounding of
     t leave it short of the interval's end), and each jump's post-jump row.
-    Gaps are at least t_low, so there are at most floor(horizon/t_low) + 1
-    jumps and one more flow interval.
+    There are at most ``jump_bound`` jumps and one more flow interval.
     """
-    jumps = int(horizon // clock.t_low) + 1
+    jumps = jump_bound(clock, horizon)
     return 1 + math.ceil(horizon / dt) + 2 * (jumps + 1) + jumps
 
 

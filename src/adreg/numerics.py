@@ -6,6 +6,7 @@ poles are needed.
 """
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -70,41 +71,85 @@ def is_hurwitz(m):
 
 
 def is_controllable(f, g, cutoff_rel=DEFAULT_CUTOFF_REL):
-    """Full row rank of [G, FG, ..., F^{n-1}G], rank via SVD cutoff."""
+    """True iff the Krylov space of F on range(G) is the whole state space.
+
+    The space is grown by an orthogonalized Krylov (staircase) iteration:
+    starting from G, F is applied to the newest block of directions, the
+    result is orthogonalized twice against the basis so far, and its
+    directions with singular values above ``cutoff_rel`` times ||[F G]||_2
+    join the basis. The rank of the raw matrix [G, FG, ..., F^{n-1}G] is
+    lost to its conditioning: it rejects random dense pairs from n = 16.
+    """
     f = _check_finite(f, "f")
     g = _check_finite(g, "g")
     g = g.reshape(f.shape[0], -1) if g.ndim == 1 else g
     if f.ndim != 2 or f.shape[0] != f.shape[1] or g.shape[0] != f.shape[0]:
         raise InvalidInputError("incompatible (f, g) dimensions")
     n = f.shape[0]
-    blocks = [g]
-    for _ in range(n - 1):
-        blocks.append(f @ blocks[-1])
-    ctrb = np.hstack(blocks)
-    s = np.linalg.svd(ctrb, compute_uv=False)
-    rank = int(np.sum(s > cutoff_rel * s[0])) if s[0] > 0 else 0
-    return rank == n
+    tol = cutoff_rel * np.linalg.norm(np.hstack([f, g]), 2)
+    basis = np.empty((n, n))  # rows 0..k-1 are the orthonormal basis so far
+    k, block = 0, g
+    while k < n:
+        q = basis[:k]
+        for _ in range(2):
+            block = block - q.T @ (q @ block)
+        u, s, _ = np.linalg.svd(block, full_matrices=False)
+        new = u[:, s > tol][:, :n - k]
+        if new.shape[1] == 0:
+            return False
+        basis[k:k + new.shape[1]] = new.T
+        k += new.shape[1]
+        block = f @ new
+    return True
+
+
+def _wrong_length(k, n):
+    return InvalidInputError(f"field returned {len(k)} components for a state of {n}")
+
+
+@cache
+def _rk4_body(n):
+    """The RK4 step's arithmetic on a state of n floats, as straight-line
+    Python compiled once per n: ``body(field, state, dt)`` returns the new
+    state as a list.
+
+    The state and each stage's derivative are unpacked into locals, each
+    stage input is one list display, and each component of the result is
+    one expression, summed in the order ``rk4_step`` gives. Cached: one
+    function per state width for the life of the process.
+    """
+    a = [f"a{i}" for i in range(n)]
+    k = [[f"k{s}_{i}" for i in range(n)] for s in range(1, 5)]
+    lines = ["def body(field, state, dt):", "    half = 0.5 * dt",
+             f"    {', '.join(a)}, = state", "    k = field(state)"]
+    for s, h in enumerate(("half", "half", "dt", None)):
+        lines += ["    try:", f"        {', '.join(k[s])}, = k", "    except ValueError:",
+                  f"        raise wrong_length(k, {n}) from None"]
+        if h is not None:
+            lines.append("    k = field([" + ", ".join(f"{a[i]} + {h} * {k[s][i]}"
+                                                     for i in range(n)) + "])")
+    lines += ["    sixth = dt / 6.0",
+              "    return [" + ", ".join(f"((({k[0][i]} + 2.0 * {k[1][i]}) + 2.0 * {k[2][i]}) "
+                                       f"+ {k[3][i]}) * sixth + {a[i]}" for i in range(n)) + "]"]
+    namespace = {"wrong_length": _wrong_length}
+    exec(compile("\n".join(lines) + "\n", f"<rk4 step of {n}>", "exec"), namespace)
+    return namespace["body"]
 
 
 def rk4_step(field, state, dt, t=0.0):
     """One classical fourth-order Runge-Kutta step of size dt, on a state
     given as a list of Python floats; returns the new state as a new list.
 
-    ``field(state)`` returns the derivative as a sequence of floats. At a
-    state of a dozen floats, Python float arithmetic costs less than numpy's
-    per-call overhead, and it makes the same IEEE operations: each component
-    is state + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), summed in that order.
+    ``field(state)`` returns the derivative as a sequence of floats of the
+    state's length (another length raises InvalidInputError). At a state of
+    a dozen floats, Python float arithmetic costs less than numpy's per-call
+    overhead, and it makes the same IEEE operations: each component is
+    state + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), summed in that order. The
+    arithmetic runs in ``_rk4_body(len(state))``.
     """
     if dt <= 0.0:
         raise InvalidInputError("dt must be positive")
-    half = 0.5 * dt
-    k1 = field(state)
-    k2 = field([a + half * k for a, k in zip(state, k1)])
-    k3 = field([a + half * k for a, k in zip(state, k2)])
-    k4 = field([a + dt * k for a, k in zip(state, k3)])
-    sixth = dt / 6.0
-    out = [(((p + 2.0 * q) + 2.0 * r) + s) * sixth + a
-           for a, p, q, r, s in zip(state, k1, k2, k3, k4)]
+    out = _rk4_body(len(state))(field, state, dt)
     # one finite sum means finite entries; a sum past the float range
     # falls back to the entries
     if not math.isfinite(sum(out)) and not all(map(math.isfinite, out)):

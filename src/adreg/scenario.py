@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AdregError, BranchPointError, IntegrationBlowupError, InvalidConfigError
-from .hybrid import ClockConfig, arc_row_bound, check_step, simulate
+from .hybrid import ClockConfig, arc_row_bound, check_step, jump_bound, simulate
 from .identifier import (LsIdentifier, MiniBatchIdentifier, build_poly_regressor,
                          poly_regressor_size)
 from .numerics import place_poles
@@ -414,6 +414,10 @@ def field_terms(im):
 # at its peak (measured with Python 3.11 on a dense F: 1,247 bytes a term at
 # d_eta = 100, 1,141 at d_eta = 300, whose 180,000 terms took 195 MB).
 FIELD_TERM_BYTES = 1280
+# Compiling numerics' generated RK4 step takes about this many bytes per state
+# component at its peak (measured with Python 3.11: 17,150 to 17,551 bytes a
+# component at widths 107 to 3,007, whose step took 49 MB and 0.26 s).
+RK4_COMPONENT_BYTES = 18000
 # Terms summed in one statement of the generated field: the compiler recurses
 # once per term of a sum, so a long row is split into statements that go on
 # from the partial sum, in the same order.
@@ -523,13 +527,15 @@ def _error_coordinates(plant, p0, w0, lay):
 
 
 class RunCost(NamedTuple):
-    """What a wired config's run holds in memory and sums per field call."""
+    """What a wired config's run holds in memory, sums per field call, and
+    how many identifier jumps it makes at most."""
 
     d_sigma: int  # regressor components; 0 without an identifier
     f_bytes: int
     arc_bytes: int
     jump_bytes: int  # the arrays of one identifier jump
     field_terms: int
+    jumps: int  # at most
 
 
 class _Cell(NamedTuple):
@@ -549,8 +555,8 @@ def _wire(cfg):
     """Build the plant, controller, identifier, clock and initial state of
     ``cfg``; raises the config's errors before anything is integrated."""
     pcfg, rcfg, horizon, dt = cfg.plant, cfg.regulator, cfg.sim["horizon"], cfg.sim["dt"]
-    # the default F, the arc buffer and the field's compiling fit in memory:
-    # each checked before it is allocated
+    # the default F, the arc buffer, and the compiling of the field and the
+    # RK4 step fit in memory: each checked before it happens
     d_eta = len(rcfg["F"]) if "F" in rcfg else rcfg["d_eta"]
     f_bytes = 8 * d_eta * d_eta
     if "F" not in rcfg:
@@ -566,8 +572,9 @@ def _wire(cfg):
     im = _build_internal_model(rcfg)
     terms = field_terms(im)
     _check_memory(f"regulator.F gives a closed-loop field of {terms} terms (non-zero diagonals "
-                  "of [F G] x d_eta); compiling it takes an estimated peak",
-                  FIELD_TERM_BYTES * terms)
+                  f"of [F G] x d_eta) and an RK4 step of {lay.size} components; compiling "
+                  "them takes an estimated peak",
+                  FIELD_TERM_BYTES * terms + RK4_COMPONENT_BYTES * lay.size)
     if pcfg["kind"] == "vdp":
         plant = build_vdp_scenario(pcfg["a"], pcfg["rho"])
         # Default exosystem start: for the oscillator benchmark, unit
@@ -587,7 +594,8 @@ def _wire(cfg):
     ident = _build_identifier(cfg.identifier, im.d_eta)
     v0 = _error_coordinates(plant, pcfg["p0"], w0, lay)
     d_sigma = 0 if ident is None else ident.regressor.d_sigma
-    cost = RunCost(d_sigma, f_bytes, arc_bytes, JUMP_MATRICES * 8 * d_sigma**2, terms)
+    cost = RunCost(d_sigma, f_bytes, arc_bytes, JUMP_MATRICES * 8 * d_sigma**2, terms,
+                   jump_bound(clock, horizon))
     return _Cell(plant, im, stab, obs, ident, clock, v0, cost)
 
 

@@ -68,7 +68,8 @@ class TestValidate:
                              ids=["none", "ls-n5"])
     def test_prints_the_runs_cost(self, write_cfg, capsys, identifier, d_sigma):
         # osc-ls-n5's config: LS at N = 5 on the default pair of d_eta = 6,
-        # 10 s at dt = 1e-3; the default [F G] has two non-zero diagonals
+        # 10 s at dt = 1e-3; the default [F G] has two non-zero diagonals,
+        # and the clock ticks every 0.1 s, at 0.1, 0.2, ..., 10.0
         path = write_cfg({"identifier": identifier, "sim": {"horizon": 10.0, "dt": 1e-3}})
         assert main(["validate", path]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
@@ -76,7 +77,8 @@ class TestValidate:
         rows = arc_row_bound(ClockConfig(t_low=0.1, t_high=0.1), 10.0, 1e-3)
         assert lines[1] == (f"cost: d_sigma = {d_sigma}; F {8 * 6 * 6} bytes, arc buffer "
                             f"{8 * 13 * rows} bytes, identifier jump {12 * 8 * d_sigma**2} "
-                            "bytes; closed-loop field 12 terms")
+                            "bytes; closed-loop field 12 terms; at most 100 jumps, "
+                            f"d_sigma^3 x jumps = {100 * d_sigma**3}")
 
     def test_rejects_what_simulate_rejects_before_its_first_step(self, write_cfg, capsys):
         # dt > t_low / 10 and an observer polynomial with complex roots are
@@ -323,7 +325,8 @@ class TestWiringMemory:
     def test_field_past_memory_is_config_error(self, write_cfg, capsys, monkeypatch, command):
         # a dense explicit pair of d_eta = 16 (the default pair perturbed in
         # every entry): [F G] has 32 non-zero diagonals, so the field sums
-        # 512 terms, about 0.6 MB to compile; the 1 s arc is about 0.2 MB
+        # 512 terms, about 0.6 MB to compile, and the RK4 step of 23
+        # components about 0.4 MB; the 1 s arc is about 0.2 MB
         memory = 2**18
         monkeypatch.setattr(scenario, "physical_memory", lambda: memory)
 
@@ -340,7 +343,31 @@ class TestWiringMemory:
         err = capsys.readouterr().err
         assert err.startswith("config error: regulator.F gives a closed-loop field of 512 "
                               "terms ")
-        assert f" of {scenario.FIELD_TERM_BYTES * 512} bytes, more than the {memory} " in err
+        assert " and an RK4 step of 23 components; " in err
+        nbytes = scenario.FIELD_TERM_BYTES * 512 + scenario.RK4_COMPONENT_BYTES * 23
+        assert f" of {nbytes} bytes, more than the {memory} " in err
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_rk4_step_past_memory_is_config_error(self, write_cfg, capsys, monkeypatch,
+                                                  command):
+        # the default pair of d_eta = 100: its field sums 200 terms, about
+        # 0.3 MB to compile, but its RK4 step of 107 components takes about
+        # 1.9 MB; F is 80 KB and the 1 s arc about 0.9 MB
+        memory = 3 * 2**19
+        monkeypatch.setattr(scenario, "physical_memory", lambda: memory)
+
+        def compile_field(*args):
+            raise AssertionError("field compiled")
+
+        monkeypatch.setattr(scenario, "build_closed_loop", compile_field)
+        path = write_cfg({"regulator": {"d_eta": 100}, "sim": SHORT_SIM})
+        assert main([command, path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: regulator.F gives a closed-loop field of 200 "
+                              "terms ")
+        nbytes = scenario.FIELD_TERM_BYTES * 200 + scenario.RK4_COMPONENT_BYTES * 107
+        assert (" and an RK4 step of 107 components; compiling them takes an estimated peak "
+                f"of {nbytes} bytes, more than the {memory} ") in err
 
     def test_config_that_fits_runs(self, write_cfg, capsys, monkeypatch):
         # a 1 s arc of 13 floats a row is about 0.1 MB

@@ -13,13 +13,12 @@ from adreg.hybrid import (
     simulate,
     validate_arc,
 )
+from adreg.numerics import rk4_step
 
 
 def _list_built_arc(flow, jump, x0, clock, horizon, dt):
     """The arc recorded one row copy at a time into Python lists: the
     reference the preallocated buffer of ``simulate`` must reproduce."""
-    from adreg.numerics import rk4_step
-
     rng = clock.make_rng()
     x = [float(v) for v in x0]
     t, jcnt = 0.0, 0
@@ -164,6 +163,29 @@ class TestSimulate:
                      clock, 5.0, dt=1e-3)
         assert exc.value.j >= 0
         assert exc.value.t > 0.0
+
+    def test_looks_up_rk4_step_in_the_module_once_per_step(self, monkeypatch):
+        # a wrapper put on adreg.hybrid.rk4_step sees every flow step: the
+        # benchmark times set-up and traces the flow through that name
+        import adreg.hybrid as hybrid
+
+        clock = ClockConfig(t_low=0.1, t_high=0.3, strategy="uniform", seed=3)
+        args = (lambda x: [-v for v in x], lambda t, j, x: [v + 1.0 for v in x],
+                np.array([1.0, -2.0]), clock, 1.234, 1e-3)
+        want = simulate(*args)
+        calls = []
+
+        def counting(field, state, dt, t=0.0):
+            calls.append(t)
+            return rk4_step(field, state, dt, t=t)
+
+        monkeypatch.setattr(hybrid, "rk4_step", counting)
+        arc = simulate(*args)
+        # every row but the first and the post-jump rows ends one step
+        assert len(calls) == len(arc) - 1 - arc.jump_indices.size
+        assert calls == [arc.t[i] for i in range(len(arc) - 1)
+                         if arc.j[i + 1] == arc.j[i]]
+        assert np.array_equal(arc.states, want.states)
 
     def test_produced_arc_validates(self):
         clock = ClockConfig(t_low=0.1, t_high=0.3, strategy="uniform", seed=3)

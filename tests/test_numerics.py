@@ -105,6 +105,38 @@ class TestStabilityChecks:
         g = np.array([[1.0], [0.0]])
         assert not is_controllable(f, g)
 
+    @staticmethod
+    def _hurwitz_pairs(d, count=20):
+        """Random dense Hurwitz pairs: F standard normal shifted by its
+        largest real eigenvalue + 0.5, G standard normal."""
+        rng = np.random.default_rng(0)
+        for _ in range(count):
+            f = rng.standard_normal((d, d))
+            f -= (np.linalg.eigvals(f).real.max() + 0.5) * np.eye(d)
+            yield f, rng.standard_normal((d, 1))
+
+    @pytest.mark.parametrize("d", [12, 16, 24, 64])
+    def test_random_dense_pairs_are_controllable(self, d):
+        # the rank of the raw Krylov matrix [G, FG, ..., F^{d-1}G] passed
+        # none of these at d = 16
+        for f, g in self._hurwitz_pairs(d):
+            assert is_hurwitz(f)
+            assert is_controllable(f, g)
+
+    def test_unreachable_mode_rejected(self):
+        # G has no component along the third mode
+        assert not is_controllable(np.diag([-1.0, -2.0, -3.0]), np.array([[1.0], [1.0], [0.0]]))
+        # a repeated eigenvalue with one input: F G is parallel to G
+        assert not is_controllable(np.diag([-1.0, -1.0]), np.array([[1.0], [1.0]]))
+
+    @pytest.mark.parametrize("d", [1, 2, 6, 20, 100])
+    def test_default_pairs_are_controllable(self, d):
+        # the raw Krylov matrix's rank rejected the default pair at d = 100
+        from adreg.regulator import default_internal_model
+
+        im = default_internal_model(d)
+        assert is_controllable(im.F, im.G)
+
 
 class TestRk4Step:
     def test_linear_system_matches_expm(self):
@@ -157,6 +189,23 @@ class TestRk4Step:
         with pytest.raises(InvalidInputError):
             rk4_step(lambda s: [-v for v in s], [1.0], 0.0)
 
+    @pytest.mark.parametrize("stage", range(4))
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_field_of_another_length_rejected(self, stage, extra):
+        calls = []
+
+        def field(s):
+            calls.append(len(s))
+            out = [-v for v in s]
+            if len(calls) == stage + 1:
+                return out[:-1] if extra < 0 else out + [0.0]
+            return out
+
+        with pytest.raises(InvalidInputError,
+                           match=f"field returned {3 + extra} components for a state of 3"):
+            rk4_step(field, [1.0, 2.0, 3.0], 0.1)
+        assert calls == [3] * (stage + 1)
+
 
 def _numpy_rk4_step(field, state, dt, t=0.0):
     """The RK4 step on numpy arrays that the list step replaced: the stages
@@ -190,7 +239,7 @@ class TestRk4StepOnLists:
 
     def test_equals_the_numpy_step_bit_for_bit(self):
         rng = np.random.default_rng(11)
-        for n in (1, 2, 7, 13):
+        for n in (1, 2, 7, 13, 307):
             for field in self._fields(rng, n):
                 for _ in range(10):
                     state = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 2)
