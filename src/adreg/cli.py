@@ -9,6 +9,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .errors import IntegrationBlowupError, InvalidConfigError, InvalidInputError
 from .harness import CoreProcessRun, format_report, verify_identifier_requirement
 from .scenario import ScenarioConfig, _wire, run_scenario, run_sweep, state_layout
@@ -77,14 +79,17 @@ def cmd_validate(args):
     """Resolve and wire the config, as ``simulate`` does before its first
     step, and print the run's cost and the resolved config. An identifier
     jump's solve is cubic in d_sigma, so d_sigma^3 x jumps scales the time
-    the run spends in its jumps."""
+    the run spends in its jumps; the largest |lambda| dt over the loop's
+    linear poles says how near the RK4 step is to its stability bound
+    (2.785 on the negative real axis)."""
     cfg = _load_config(args.config)
     cost = _wire(cfg).cost
     print(f"config ok: {args.config}")
     print(f"cost: d_sigma = {cost.d_sigma}; F {cost.f_bytes} bytes, arc buffer "
           f"{cost.arc_bytes} bytes, identifier jump {cost.jump_bytes} bytes; "
           f"closed-loop field {cost.field_terms} terms; at most {cost.jumps} jumps, "
-          f"d_sigma^3 x jumps = {cost.d_sigma**3 * cost.jumps}")
+          f"d_sigma^3 x jumps = {cost.d_sigma**3 * cost.jumps}; largest |lambda| dt = "
+          f"{cost.lambda_dt:.4g}")
     print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -123,7 +128,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a run that overflows ends as one integration-failure line: the RK4
+        # step's finite check catches every non-finite value numpy makes
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (InvalidConfigError, InvalidInputError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -28,7 +28,3 @@ class IntegrationBlowupError(AdregError):
         self.output = output
         self.block = block
         super().__init__(f"non-finite {block} at t={t:.6g}, j={j}")
-
-
-class BranchPointError(AdregError):
-    """Raised when a Lie derivative is requested at a non-smooth point."""

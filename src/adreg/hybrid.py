@@ -77,12 +77,6 @@ class HybridArc:
     states: np.ndarray
     jump_indices: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
 
-    def __len__(self):
-        return self.t.size
-
-    def jump_times(self):
-        return self.t[self.jump_indices]
-
 
 def validate_arc(arc, clock=None, atol=1e-9):
     """Check the HybridArc invariants; raises InvalidConfigError on violation."""

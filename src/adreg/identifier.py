@@ -130,22 +130,19 @@ def _omega(omega):
     return float(omega)
 
 
-def batch_solver_ls(window_in, window_out, regressor, omega,
-                    cutoff_rel=DEFAULT_CUTOFF_REL):
-    """Regularized linear least squares on the window.
+def batch_solver_ls(rows, outs, omega, cutoff_rel=DEFAULT_CUTOFF_REL):
+    """Regularized linear least squares on the window's regressor rows
+    sigma_i = sigma(eta_i) and outputs u_i.
 
-    Minimizes sum_i |u_i - theta . sigma(eta_i)|^2 + theta' Omega theta
-    via the normal equations and the pseudoinverse (minimum-norm minimizer
-    when rank-deficient). The first-order optimality residual is checked
-    a posteriori.
+    Minimizes sum_i |u_i - theta . sigma_i|^2 + omega |theta|^2 via the
+    normal equations and the pseudoinverse (minimum-norm minimizer when
+    rank-deficient). The first-order optimality residual is checked a
+    posteriori.
     """
-    omega = np.asarray(omega, dtype=float)
-    if omega.ndim == 0:
-        omega = float(omega) * np.eye(regressor.d_sigma)
-    gram = omega.copy()
-    rhs = np.zeros(regressor.d_sigma)
-    for eta, u in zip(window_in, window_out):
-        sig = regressor(eta)
+    d_sigma = rows[0].size
+    gram = float(omega) * np.eye(d_sigma)
+    rhs = np.zeros(d_sigma)
+    for sig, u in zip(rows, outs):
         gram += np.outer(sig, sig)
         rhs += sig * float(np.atleast_1d(u)[0])
     theta = pseudoinverse(gram, cutoff_rel) @ rhs
@@ -228,7 +225,9 @@ class LsIdentifier:
 class MiniBatchIdentifier:
     """Moving-window least squares: once n_window samples have arrived,
     theta minimizes sum |u_i - theta . sigma(eta_i)|^2 + theta' Omega theta
-    over the last n_window of them; until then theta stays at zero."""
+    over the last n_window of them; until then theta stays at zero. The
+    window holds each sample's regressor row sigma(eta_i), evaluated once,
+    when the sample arrives."""
 
     mu_f = 1.0
 
@@ -240,19 +239,19 @@ class MiniBatchIdentifier:
         self.n_window = n_window
         self.omega = _omega(omega)
         self.cutoff_rel = cutoff_rel
-        self.window_in = []
+        self.window_rows = []
         self.window_out = []
         self.theta = np.zeros(regressor.d_sigma)
 
     def jump(self, eta_in, u_out):
         """Drop the oldest sample, append the newest; re-solve once full."""
-        win_in = (self.window_in + [np.array(eta_in, dtype=float)])[-self.n_window:]
-        win_out = (self.window_out + [np.array(u_out, dtype=float, ndmin=1)])[-self.n_window:]
+        row = self.regressor(np.array(eta_in, dtype=float))
+        rows = (self.window_rows + [row])[-self.n_window:]
+        outs = (self.window_out + [np.array(u_out, dtype=float, ndmin=1)])[-self.n_window:]
         theta = self.theta
-        if len(win_in) == self.n_window:
-            theta = batch_solver_ls(win_in, win_out, self.regressor, self.omega,
-                                    self.cutoff_rel)
-        self.window_in, self.window_out, self.theta = win_in, win_out, theta
+        if len(rows) == self.n_window:
+            theta = batch_solver_ls(rows, outs, self.omega, self.cutoff_rel)
+        self.window_rows, self.window_out, self.theta = rows, outs, theta
 
     def clone(self):
         return copy.copy(self)

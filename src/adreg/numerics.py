@@ -1,8 +1,9 @@
 """Small dense linear-algebra and integration kernel.
 
 The pseudoinverse wraps numpy's SVD with an explicit relative cutoff; pole
-placement exploits the chain-of-integrators structure so only real negative
-poles are needed.
+placement is for the chain of two integrators every plant has, with real
+negative poles; the RK4 step comes with the step size its stability function
+allows on a linear pole.
 """
 
 import math
@@ -40,26 +41,43 @@ def pseudoinverse(m, cutoff_rel=DEFAULT_CUTOFF_REL):
     return vt.T @ u.T
 
 
-def place_poles(r, d_y, desired):
-    """Gain K for a chain of r integrators so that eig(A - B K) = desired.
-
-    Uses the convention kappa(x) = -K x. Only real negative poles are
-    supported; for d_y > 1 the same placement is applied channelwise.
-    """
+def place_poles(desired):
+    """Gain K (1 x 2) of kappa(x) = -K x on the chain of two integrators, so
+    that eig(A - B K) = desired, two real negative poles: with
+    (s - p1)(s - p2) = s^2 + c1 s + c0, K = [c0, c1]."""
     desired = np.asarray(desired, dtype=float)
-    if desired.shape != (r,):
-        raise InvalidInputError(f"expected {r} desired poles, got {desired.shape}")
+    if desired.shape != (2,):
+        raise InvalidInputError(f"expected 2 desired poles, got {desired.shape}")
     if np.any(desired >= 0.0):
         raise InvalidInputError("desired poles must be strictly negative")
-    # prod(s - p_i) = s^r + c[0] s^{r-1} + ... + c[r-1]
-    c = np.poly(desired)[1:]
-    dx = r * d_y
-    k = np.zeros((d_y, dx))
-    for i in range(r):
-        coeff = c[r - 1 - i]  # multiplies x-block i in xdot_r = -K x
-        for ch in range(d_y):
-            k[ch, i * d_y + ch] = coeff
-    return k
+    c1, c0 = np.poly(desired)[1:]
+    return np.array([[c0, c1]])
+
+
+# |R(-x)| <= 1 for 0 <= x <= RK4_REAL_BOUND, the real root of
+# R(-x) = 1 past 0 (Hairer & Wanner, Solving ODEs II, IV.2)
+RK4_REAL_BOUND = 2.785293563405282
+
+
+def rk4_stable_step(lam):
+    """The largest h > 0 such that an RK4 step of any size in (0, h] is stable
+    on y' = lam y, for lam with a negative real part: |R(z)| <= 1 along the
+    ray z = h lam, with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 the step's
+    stability function.
+
+    For a complex lam, |R(h mu)|^2 - 1 is a polynomial in h on the unit
+    direction mu = lam/|lam|, with a root at h = 0; its smallest positive
+    root over |lam| is h. A real lam takes the closed form, which spares
+    every shipped config the complex arithmetic and its pages of memory.
+    """
+    if lam.imag == 0.0:
+        return RK4_REAL_BOUND / abs(lam)
+    lam = complex(lam)
+    c = (lam / abs(lam)) ** np.arange(5) / [1.0, 1.0, 2.0, 6.0, 24.0]
+    p = np.convolve(c, c.conj()).real  # |R(h mu)|^2, ascending powers of h
+    roots = np.roots(p[:0:-1])  # of (|R(h mu)|^2 - 1) / h
+    real = roots.real[(roots.real > 0.0) & (np.abs(roots.imag) <= 1e-6 * np.abs(roots))]
+    return float(real.min()) / abs(lam)
 
 
 def is_hurwitz(m):

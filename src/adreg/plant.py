@@ -1,13 +1,19 @@
-"""The normal-form plant spec, the chain-of-integrators matrices, and the Van der
-Pol scenario.
+"""The normal-form plants: the plant spec, the forced Van der Pol plant and
+the synthetic-linear plant.
 
-The tracked reference is the triangular-wave output of a harmonic exosystem,
+Each plant gives the evaluators the regulator needs: q on scalars, the ideal
+feedforward u*, and the reference p1* with its slope L_s p1*, from which the
+initial error coordinates are formed.
+
+The Van der Pol plant tracks the triangular-wave output of a harmonic
+exosystem,
 
     p1*(w) = 2 sqrt(w1^2 + w2^2) * arcsin(w1 / sqrt(w1^2 + w2^2)),
 
-which is non-smooth where w2 = 0 (the wave peaks). Lie derivatives there are
-evaluated by one-sided limits; the closed-loop field only needs them along
-trajectories, which cross a peak on a measure-zero set.
+which is non-smooth where w2 = 0 (the wave peaks). Its Lie derivatives take
+sign(w2) as +1 where w2 >= 0 and -1 where w2 < 0, the same one-sided
+convention in q, in u* and in the reference; the closed-loop field crosses a
+peak on a measure-zero set.
 
 Note: the exosystem conserves the quadratic form V(w) = (rho*w1^2 + w2^2)/2
 (the linear combination rho*w1/2 + w2/2 sometimes quoted for this wave
@@ -20,10 +26,7 @@ from math import asin, hypot
 
 import numpy as np
 
-from .errors import BranchPointError, InvalidConfigError
-from .numerics import _check_finite
-
-BRANCH_TOL = 1e-9
+from .errors import InvalidConfigError
 
 
 @dataclass
@@ -32,10 +35,11 @@ class PlantSpec:
     by q + u (the input gain b is 1), and the harmonic exosystem
     w' = s(w) = (w2, -rho w1) that forces it.
 
-    ``extras`` carries the scenario's evaluators: "fast_q" (q(w1, w2, x1, x2)
+    ``extras`` carries the plant's evaluators: "fast_q" (q(w1, w2, x1, x2)
     on scalars, which the closed-loop field calls), the ideal feedforward
-    "ustar" and its row-wise form "ustar_rows", and the reference p1*(w) and
-    its slope as "reference" and "reference_slope".
+    row-wise as "ustar_rows", and "reference", w -> (p1*(w), L_s p1*(w)).
+    The synthetic-linear plant adds its one-row "ustar" and "tau", "tau_rows"
+    and "theta_star".
     """
 
     rho: float
@@ -44,21 +48,6 @@ class PlantSpec:
     def eval_s(self, w):
         """s(w), the exosystem's flow, as a list of floats."""
         return [w[1], -self.rho * w[0]]
-
-
-def build_chain_matrices(r, d_y):
-    """(A, B, C) of a chain of r integrators of dimension d_y."""
-    if r < 1 or d_y < 1:
-        raise InvalidConfigError("r and d_y must be at least 1")
-    dx = r * d_y
-    a = np.zeros((dx, dx))
-    if r > 1:
-        a[: (r - 1) * d_y, d_y:] = np.eye((r - 1) * d_y)
-    b = np.zeros((dx, d_y))
-    b[(r - 1) * d_y :, :] = np.eye(d_y)
-    c = np.zeros((d_y, dx))
-    c[:, :d_y] = np.eye(d_y)
-    return a, b, c
 
 
 def p1star_and_lie(w1, w2, rho, sgn):
@@ -85,39 +74,8 @@ def p1star_and_lie(w1, w2, rho, sgn):
     return 2.0 * rad * phi, l1, l2
 
 
-def triangular_output(w):
-    """Triangular-wave reference p1*(w); 0 at the removable singularity w=0."""
-    w = _check_finite(w, "w").ravel()
-    # p1* does not depend on rho or on the sign convention
-    return p1star_and_lie(float(w[0]), float(w[1]), 1.0, 1.0)[0]
-
-
-def lie_derivatives_p1star(w, rho, branch_side=None):
-    """(L_s p1*, L_s^2 p1*) at w for the exosystem with squared frequency rho.
-
-    Raises BranchPointError within tolerance of the non-smooth set w2 = 0
-    unless ``branch_side`` (+1 or -1) selects a one-sided limit.
-    """
-    w = _check_finite(w, "w").ravel()
-    w1, w2 = float(w[0]), float(w[1])
-    rad = hypot(w1, w2)
-    if rad == 0.0:
-        raise BranchPointError("Lie derivatives undefined at w = 0")
-    if abs(w2) / rad <= BRANCH_TOL:
-        if branch_side is None:
-            raise BranchPointError(
-                f"w2/|w| = {w2 / rad:.3e} is within the branch-point tolerance"
-            )
-        sgn = float(np.sign(branch_side))
-    else:
-        sgn = 1.0 if w2 > 0.0 else -1.0
-    _, l1, l2 = p1star_and_lie(w1, w2, rho, sgn)
-    return l1, l2
-
-
 def vdp_ustar_rows(w_rows, a, rho):
-    """Ideal feedforward u*(w) evaluated rowwise (n, 2) -> (n,), with the
-    one-sided convention sign(0) = +1."""
+    """Ideal feedforward u*(w) evaluated rowwise (n, 2) -> (n,)."""
 
     def ustar(w1, w2):
         p1, l1, l2 = p1star_and_lie(w1, w2, rho, 1.0 if w2 >= 0.0 else -1.0)
@@ -135,9 +93,8 @@ def build_vdp_scenario(a, rho):
 
         q(w, x) = -x1 - p1*(w) - L_s^2 p1* + a (1 - (x1 + p1*)^2)(x2 + L_s p1*).
 
-    extras: "fast_q" (q on scalars, with the one-sided sign(0) = +1
-    convention), "ustar" (ideal feedforward), "ustar_rows" (row-wise),
-    "reference" and "reference_slope". No zero dynamics.
+    No zero dynamics. The reference has no slope at w = 0, where the wave
+    has no amplitude: asking for it there is a config error.
     """
     if a <= 0.0 or rho <= 0.0:
         raise InvalidConfigError("require a > 0 and rho > 0")
@@ -146,13 +103,56 @@ def build_vdp_scenario(a, rho):
         p1, l1, l2 = p1star_and_lie(w1, w2, rho, 1.0 if w2 >= 0.0 else -1.0)
         return -x1 - p1 - l2 + a * (1.0 - (x1 + p1) ** 2) * (x2 + l1)
 
+    def reference(w):
+        w1, w2 = float(w[0]), float(w[1])
+        if w1 == 0.0 and w2 == 0.0:
+            raise InvalidConfigError("the reference has no slope at w = 0")
+        return p1star_and_lie(w1, w2, rho, 1.0 if w2 >= 0.0 else -1.0)[:2]
+
     return PlantSpec(
         rho=rho,
         extras={
-            "ustar": lambda w: vdp_ustar_rows(np.reshape(w, (1, 2)), a, rho),
             "ustar_rows": lambda rows: vdp_ustar_rows(rows, a, rho),
             "fast_q": fast_q,
-            "reference": triangular_output,
-            "reference_slope": lambda w: lie_derivatives_p1star(w, rho, branch_side=+1)[0],
+            "reference": reference,
+        },
+    )
+
+
+def build_synthetic_linear_plant(rho, f, g):
+    """Linear benchmark whose true feedforward lies in a linear model set.
+
+    Double integrator tracking the first exosystem coordinate: in error
+    coordinates q(w, x) = rho * w1, b = 1, u*(w) = -rho * w1. The steady-state
+    internal-model map tau(w) = M w solves the Sylvester equation
+    F M - M S = -G c' with S the exosystem matrix and u* = c' w, and the true
+    parameter is the minimum-norm solution of M' theta = c.
+
+    The Sylvester equation is solved in its Kronecker form
+    (I_2 (x) F - S' (x) I) vec(M) = vec(-G c'), with column-major vec.
+    """
+    if rho <= 0.0:
+        raise InvalidConfigError("rho must be positive")
+    s_mat = np.array([[0.0, 1.0], [-rho, 0.0]])
+    c = np.array([-rho, 0.0])
+    f = np.asarray(f, dtype=float)
+    g = np.asarray(g, dtype=float).reshape(-1, 1)
+    lhs = np.kron(np.eye(2), f) - np.kron(s_mat.T, np.eye(f.shape[0]))
+    vec_m = np.linalg.solve(lhs, (-g @ c[None, :]).ravel(order="F"))
+    m = vec_m.reshape((f.shape[0], 2), order="F")
+    theta_star, *_ = np.linalg.lstsq(m.T, c, rcond=None)
+
+    return PlantSpec(
+        rho=rho,
+        extras={
+            # the one-row forms are what check-identifier's core process
+            # reads; m @ w and rows @ m.T differ in the last bit
+            "ustar": lambda w: np.array([-rho * w[0]]),
+            "ustar_rows": lambda rows: -rho * rows[:, 0],
+            "fast_q": lambda w1, w2, x1, x2: rho * w1,
+            "tau": lambda w: m @ w,
+            "tau_rows": lambda rows: rows @ m.T,
+            "theta_star": theta_star,
+            "reference": lambda w: (float(w[0]), float(w[1])),
         },
     )

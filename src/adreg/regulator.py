@@ -90,13 +90,15 @@ class ObserverConfig:
     the bound psi_bar on the consistency term.
 
     ``gains`` holds the innovation gains (ell h1, ell^2 h2, ell^3 h3) of
-    x_hat_1, x_hat_2 and sigma_hat.
+    x_hat_1, x_hat_2 and sigma_hat; ``poles``, the poles ell r_i of the
+    observer's error dynamics, r_i the roots of the polynomial.
     """
 
     ell: float
     h_coeffs: list
     psi_bar: float
     gains: tuple = field(init=False, repr=False)
+    poles: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.ell < 1.0:
@@ -114,3 +116,4 @@ class ObserverConfig:
             self.gains = (self.ell * h1, self.ell ** 2 * h2, self.ell ** 3 * h3)
         except OverflowError:  # a Python float power past the float range
             raise InvalidConfigError(f"ell = {self.ell!r} overflows the observer gains") from None
+        self.poles = [self.ell * r for r in roots.real.tolist()]

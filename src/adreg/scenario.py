@@ -15,12 +15,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AdregError, BranchPointError, IntegrationBlowupError, InvalidConfigError
+from .errors import AdregError, IntegrationBlowupError, InvalidConfigError
 from .hybrid import ClockConfig, arc_row_bound, check_step, jump_bound, simulate
 from .identifier import (LsIdentifier, MiniBatchIdentifier, build_poly_regressor,
                          poly_regressor_size)
-from .numerics import place_poles
-from .plant import PlantSpec, build_vdp_scenario
+from .numerics import place_poles, rk4_stable_step
+from .plant import PlantSpec, build_synthetic_linear_plant, build_vdp_scenario
 from .regulator import (
     InternalModelConfig,
     ObserverConfig,
@@ -156,44 +156,6 @@ class ScenarioConfig:
 
     def replace_in(self, section, **kw):
         return replace(self, **{section: {**getattr(self, section), **kw}})
-
-
-def build_synthetic_linear_plant(rho, f, g):
-    """Linear benchmark whose true feedforward lies in a linear model set.
-
-    Double integrator tracking the first exosystem coordinate: in error
-    coordinates q(w, x) = rho * w1, b = 1, u*(w) = -rho * w1. The steady-state
-    internal-model map tau(w) = M w solves the Sylvester equation
-    F M - M S = -G c' with S the exosystem matrix and u* = c' w, and the true
-    parameter is the minimum-norm solution of M' theta = c.
-
-    The Sylvester equation is solved in its Kronecker form
-    (I_2 (x) F - S' (x) I) vec(M) = vec(-G c'), with column-major vec.
-    """
-    if rho <= 0.0:
-        raise InvalidConfigError("rho must be positive")
-    s_mat = np.array([[0.0, 1.0], [-rho, 0.0]])
-    c = np.array([-rho, 0.0])
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float).reshape(-1, 1)
-    lhs = np.kron(np.eye(2), f) - np.kron(s_mat.T, np.eye(f.shape[0]))
-    vec_m = np.linalg.solve(lhs, (-g @ c[None, :]).ravel(order="F"))
-    m = vec_m.reshape((f.shape[0], 2), order="F")
-    theta_star, *_ = np.linalg.lstsq(m.T, c, rcond=None)
-
-    return PlantSpec(
-        rho=rho,
-        extras={
-            "ustar": lambda w: np.array([-rho * w[0]]),
-            "ustar_rows": lambda rows: -rho * rows[:, 0],
-            "fast_q": lambda w1, w2, x1, x2: rho * w1,
-            "tau": lambda w: m @ w,
-            "tau_rows": lambda rows: rows @ m.T,
-            "theta_star": theta_star,
-            "reference": lambda w: float(w[0]),
-            "reference_slope": lambda w: float(w[1]),
-        },
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +477,8 @@ def _error_coordinates(plant, p0, w0, lay):
     """Initial closed-loop state: w0, the error chain
     x = (p1 - p1*(w0), p2 - L_s p1*(w0)) of the plant state p0, and zeros."""
     try:
-        ref = plant.extras["reference"](w0)
-        slope = plant.extras["reference_slope"](w0)
-    except (BranchPointError, ArithmeticError) as exc:
+        ref, slope = plant.extras["reference"](w0)
+    except (InvalidConfigError, ArithmeticError) as exc:
         # the oscillator's reference at w0 = 0, or where |w0|**3 leaves the float range
         raise InvalidConfigError(f"no initial error coordinates at w0 = {w0}: {exc}") from None
     v0 = np.zeros(lay.size)
@@ -527,8 +488,9 @@ def _error_coordinates(plant, p0, w0, lay):
 
 
 class RunCost(NamedTuple):
-    """What a wired config's run holds in memory, sums per field call, and
-    how many identifier jumps it makes at most."""
+    """What a wired config's run holds in memory, sums per field call, how
+    many identifier jumps it makes at most, and how near its RK4 step is to
+    the step's stability bound."""
 
     d_sigma: int  # regressor components; 0 without an identifier
     f_bytes: int
@@ -536,6 +498,7 @@ class RunCost(NamedTuple):
     jump_bytes: int  # the arrays of one identifier jump
     field_terms: int
     jumps: int  # at most
+    lambda_dt: float  # the largest |lambda| dt over the loop's linear poles
 
 
 class _Cell(NamedTuple):
@@ -549,6 +512,21 @@ class _Cell(NamedTuple):
     clock: ClockConfig
     v0: np.ndarray
     cost: RunCost
+
+
+def _check_rk4_stable(dt, poles):
+    """The largest |lambda| dt over ``poles``, a map from the config key that
+    sets them to the linear poles of the closed loop; raises InvalidConfigError
+    when an RK4 step of dt (or a shortened one) is unstable on one of them."""
+    steps = {lam: rk4_stable_step(lam) for lams in poles.values() for lam in set(lams)}
+    for key, lams in poles.items():
+        for lam in lams:
+            if dt > steps[lam]:
+                raise InvalidConfigError(
+                    f"{key} gives the linear pole {lam:.6g}, on which an RK4 step of sim.dt = "
+                    f"{dt!r} is unstable (|lambda| dt = {abs(lam) * dt:.4g}); sim.dt must be "
+                    f"at most {min(steps.values()):.6g}")
+    return max(abs(lam) for lam in steps) * dt
 
 
 def _wire(cfg):
@@ -589,13 +567,16 @@ def _wire(cfg):
         w0_default = [1.0, 0.0]
     w0 = pcfg["w0"] if "w0" in pcfg else w0_default
 
-    stab = StabilizerConfig(K=place_poles(2, 1, rcfg["poles"]), sat_level=rcfg["sat_level"])
+    stab = StabilizerConfig(K=place_poles(rcfg["poles"]), sat_level=rcfg["sat_level"])
     obs = ObserverConfig(ell=rcfg["ell"], h_coeffs=rcfg["h_coeffs"], psi_bar=rcfg["psi_bar"])
+    lambda_dt = _check_rk4_stable(dt, {"regulator.ell": obs.poles,
+                                       "regulator.F": np.linalg.eigvals(im.F).tolist(),
+                                       "regulator.poles": rcfg["poles"]})
     ident = _build_identifier(cfg.identifier, im.d_eta)
     v0 = _error_coordinates(plant, pcfg["p0"], w0, lay)
     d_sigma = 0 if ident is None else ident.regressor.d_sigma
     cost = RunCost(d_sigma, f_bytes, arc_bytes, JUMP_MATRICES * 8 * d_sigma**2, terms,
-                   jump_bound(clock, horizon))
+                   jump_bound(clock, horizon), lambda_dt)
     return _Cell(plant, im, stab, obs, ident, clock, v0, cost)
 
 

@@ -24,7 +24,7 @@ from adreg.identifier import (
     build_poly_regressor,
 )
 from adreg.numerics import is_controllable, is_hurwitz, place_poles
-from adreg.plant import build_chain_matrices
+from adreg.plant import build_synthetic_linear_plant
 from adreg.regulator import default_internal_model
 from adreg.scenario import ScenarioConfig, run_scenario, run_sweep
 
@@ -187,11 +187,11 @@ class TestCriterion4MiniBatchExactness:
         for eta, u in stream:
             state.jump(eta, u)
         expected = stream[-n_w:]
-        assert len(state.window_in) == n_w
-        for (got_eta, got_u), (exp_eta, exp_u) in zip(
-            zip(state.window_in, state.window_out), expected
+        assert len(state.window_rows) == n_w
+        for (got_row, got_u), (exp_eta, exp_u) in zip(
+            zip(state.window_rows, state.window_out), expected
         ):
-            assert np.array_equal(got_eta, exp_eta)
+            assert np.array_equal(got_row, reg(exp_eta))
             assert got_u[0] == exp_u
         assert time.perf_counter() - t0 < 1.0
 
@@ -203,7 +203,7 @@ class TestCriterion4MiniBatchExactness:
         theta_true = rng.normal(size=2)
         etas = [rng.normal(size=2) for _ in range(n_w)]
         us = [np.atleast_1d(float(theta_true @ reg(e))) for e in etas]
-        theta = batch_solver_ls(etas, us, reg, 0.0)
+        theta = batch_solver_ls([reg(e) for e in etas], us, 0.0)
         assert np.linalg.norm(theta - theta_true) <= 1e-8
         assert time.perf_counter() - t0 < 1.0
 
@@ -224,8 +224,6 @@ class TestCriterion5AsymptoticRegulation:
         )
         res = run_scenario(cfg)
         assert res.summary["steady_state_max_y"] <= 1e-4
-        from adreg.scenario import build_synthetic_linear_plant
-
         im = default_internal_model(6)
         theta_star = build_synthetic_linear_plant(2.0, im.F, im.G).extras[
             "theta_star"
@@ -254,8 +252,8 @@ class TestCriterion6PracticalRegulationTrend:
 class TestCriterion7StructuralChecks:
     def test_pole_placement_residual(self):
         # [DERIVED] closed-loop eigenvalues match the request to 1e-8
-        k = place_poles(2, 1, [-1.0, -2.0])
-        a, b, _ = build_chain_matrices(2, 1)
+        k = place_poles([-1.0, -2.0])
+        a, b = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])  # the chain of two integrators
         eig = np.sort(np.linalg.eigvals(a - b @ k).real)
         assert np.max(np.abs(eig - [-2.0, -1.0])) <= 1e-8
 

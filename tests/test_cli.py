@@ -78,7 +78,7 @@ class TestValidate:
         assert lines[1] == (f"cost: d_sigma = {d_sigma}; F {8 * 6 * 6} bytes, arc buffer "
                             f"{8 * 13 * rows} bytes, identifier jump {12 * 8 * d_sigma**2} "
                             "bytes; closed-loop field 12 terms; at most 100 jumps, "
-                            f"d_sigma^3 x jumps = {100 * d_sigma**3}")
+                            f"d_sigma^3 x jumps = {100 * d_sigma**3}; largest |lambda| dt = 0.06")
 
     def test_rejects_what_simulate_rejects_before_its_first_step(self, write_cfg, capsys):
         # dt > t_low / 10 and an observer polynomial with complex roots are
@@ -148,6 +148,8 @@ class TestMalformedConfig:
         _with("regulator", "h_coeffs", 6),
         _with("regulator", "ell", [20]),
         _with("regulator", "ell", 1e200),  # ell**3 overflows
+        # an observer pole of -2850 puts an RK4 step of dt = 1e-3 past its bound
+        _with("regulator", "ell", 950),
         _with("clock", "t_low", [0.1]),
         _with("clock", "seed", -1),
         _with("sim", "horizon", [1]),
@@ -179,7 +181,7 @@ class TestMalformedConfig:
     ], ids=[
         "p0-short", "w0-long", "w0-zero", "w0-huge", "a-huge-int", "d_eta-0", "F-ragged",
         "G-scalar", "G-two-columns", "h_coeffs-scalar", "ell-list", "ell-huge",
-        "t_low-list", "seed-negative", "horizon-list", "plant-list", "identifier-string",
+        "ell-past-rk4", "t_low-list", "seed-negative", "horizon-list", "plant-list", "identifier-string",
         "config-int", "config-null", "csv-int", "summary-int", "p0-long", "N-fraction",
         "N_w-fraction", "d_eta-fraction", "seed-fraction", "uniform-with-period",
         "ls-with-N_w", "mini-batch-with-mu_f", "none-with-omega_scale", "horizon-huge",
@@ -238,9 +240,8 @@ class TestSimulate:
         assert "config error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cfg,block", [
-        # the observer's gains at ell = 1e4 put RK4 at dt = 1e-3 far outside
-        # its stability region
-        ({"regulator": {"ell": 1e4}}, "x"),
+        # the state overflows within a few steps
+        ({"plant": {"p0": [1e20, 0.0]}}, "x"),
         # (x1 + p1*)**2 overflows in fast_q, which on Python floats raises
         # OverflowError where a numpy scalar gives inf
         ({"plant": {"p0": [1e200, 0.0]}}, "x"),
@@ -252,6 +253,45 @@ class TestSimulate:
             assert main(["simulate", path]) == EXIT_INTEGRATION
         err = capsys.readouterr().err
         assert err.startswith(f"integration failure: non-finite {block} at t=")
+
+
+class TestRk4StepRule:
+    """A config with a linear pole on which an RK4 step of sim.dt is unstable
+    is a config error that names the key, the pole and the largest dt."""
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize("regulator,key,pole", [
+        ({"ell": 950}, "regulator.ell", "-2850"),
+        ({"F": [[-5000, 0], [0, -1]], "G": [[1], [1]]}, "regulator.F", "-5000"),
+        ({"poles": [-1, -3000]}, "regulator.poles", "-3000"),
+    ], ids=["ell", "F", "poles"])
+    def test_unstable_step_is_config_error(self, write_cfg, capsys, command, regulator, key,
+                                           pole):
+        assert main([command, write_cfg({"regulator": regulator, "sim": SHORT_SIM})]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} gives the linear pole {pole}, on which "
+                              "an RK4 step of sim.dt = 0.001 is unstable")
+        # RK4 is stable on the negative real axis to |lambda| dt = 2.785...
+        bound = float(err.rsplit("sim.dt must be at most ", 1)[1])
+        assert bound == pytest.approx(2.7852935634 / abs(float(pole)), rel=1e-5)
+
+    @pytest.mark.parametrize("ell,dt", [(920.0, 1e-3), (950.0, 9.7e-4), (40.0, 1e-3)])
+    def test_inside_the_bound_is_accepted(self, write_cfg, capsys, ell, dt):
+        path = write_cfg({"regulator": {"ell": ell}, "sim": {"horizon": 1.0, "dt": dt}})
+        assert main(["validate", path]) == EXIT_OK
+        cost = capsys.readouterr().out.splitlines()[1]
+        # the observer's fastest pole is -3 ell (the roots of h are -1, -2, -3)
+        lambda_dt = float(cost.rsplit("; largest |lambda| dt = ", 1)[1])
+        assert lambda_dt == pytest.approx(3 * ell * dt, rel=1e-3)
+
+    def test_sweep_cell_past_the_bound_is_an_error_row(self, write_cfg, capsys):
+        path = write_cfg({"sim": SHORT_SIM})
+        assert main(["sweep", path, "--axis", "ell", "--values", "20,950"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1].endswith(",")  # no error
+        assert rows[2].startswith("950,,,InvalidConfigError: regulator.ell gives the linear "
+                                  "pole -2850")
 
 
 class TestIdentifierMemory:
@@ -402,6 +442,21 @@ class TestImport:
         out = subprocess.run([sys.executable, "-I", "-c", code, src, argv[0], path, *argv[1:]],
                              check=True, capture_output=True, text=True, timeout=60).stdout
         assert out.splitlines()[-1] == f"0 {loads}"
+
+    @pytest.mark.parametrize("p0", [1e3, 1e20])
+    def test_failed_run_prints_one_line(self, write_cfg, p0):
+        # in a process of its own: pytest would capture numpy's warnings
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = write_cfg({"plant": {"p0": [p0, 0]}, "identifier": {"kind": "ls", "N": 5},
+                          "sim": {"horizon": 2}})
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); from adreg.cli import main; "
+                "sys.exit(main(sys.argv[2:]))")
+        run = subprocess.run([sys.executable, "-I", "-c", code, src, "simulate", path],
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == EXIT_INTEGRATION
+        assert run.stdout == ""
+        assert len(run.stderr.splitlines()) == 1
+        assert run.stderr.startswith("integration failure: non-finite x at t=")
 
 
 class TestSweep:

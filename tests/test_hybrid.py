@@ -95,7 +95,7 @@ class TestSimulate:
                        dt=1e-3)
         # jumps at 0.1, 0.2, ..., 1.0
         assert arc.j[-1] == 10
-        assert np.allclose(arc.jump_times(), 0.1 * np.arange(1, 11))
+        assert np.allclose(arc.t[arc.jump_indices], 0.1 * np.arange(1, 11))
 
     def test_pre_and_post_jump_samples(self):
         clock = ClockConfig(t_low=0.5, t_high=0.5)
@@ -121,7 +121,7 @@ class TestSimulate:
         clock = ClockConfig(t_low=0.25, t_high=0.25)
         arc = simulate(lambda x: [-v for v in x], lambda t, j, x: x, np.array([1.0]),
                        clock, 1.0, dt=1e-3)
-        for tj in arc.jump_times():
+        for tj in arc.t[arc.jump_indices]:
             assert tj / 0.25 == pytest.approx(round(tj / 0.25), abs=1e-12)
 
     def test_dt_too_large_rejected(self):
@@ -182,8 +182,8 @@ class TestSimulate:
         monkeypatch.setattr(hybrid, "rk4_step", counting)
         arc = simulate(*args)
         # every row but the first and the post-jump rows ends one step
-        assert len(calls) == len(arc) - 1 - arc.jump_indices.size
-        assert calls == [arc.t[i] for i in range(len(arc) - 1)
+        assert len(calls) == arc.t.size - 1 - arc.jump_indices.size
+        assert calls == [arc.t[i] for i in range(arc.t.size - 1)
                          if arc.j[i + 1] == arc.j[i]]
         assert np.array_equal(arc.states, want.states)
 
@@ -217,7 +217,7 @@ class TestPreallocatedArc:
         arc = simulate(self._flow, self._jump, x0, clock, horizon, dt)
         t, j, states, jump_rows = _list_built_arc(self._flow, self._jump, x0, clock,
                                                   horizon, dt)
-        assert len(arc) <= arc_row_bound(clock, horizon, dt)
+        assert arc.t.size <= arc_row_bound(clock, horizon, dt)
         assert np.array_equal(arc.t, t)
         assert np.array_equal(arc.j, j)
         assert np.array_equal(arc.states, states)

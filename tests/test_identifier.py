@@ -324,8 +324,8 @@ class TestMiniBatch:
         for eta in window:
             ident.jump(eta, float(theta_b @ reg(eta)))
         expected = batch_solver_ls(
-            window, [np.atleast_1d(float(theta_b @ reg(e))) for e in window],
-            reg, 1e-6,
+            [reg(e) for e in window],
+            [np.atleast_1d(float(theta_b @ reg(e))) for e in window], 1e-6,
         )
         assert np.allclose(ident.theta, expected, atol=1e-12)
 
@@ -335,7 +335,7 @@ class TestMiniBatch:
         etas = [rng.normal(size=3) for _ in range(30)]
         us = [np.atleast_1d(rng.normal()) for _ in range(30)]
         omega = 1e-4
-        theta = batch_solver_ls(etas, us, reg, omega)
+        theta = batch_solver_ls([reg(e) for e in etas], us, omega)
         # oracle: ridge regression via the stacked augmented system
         a = np.array([reg(e) for e in etas])
         aug_a = np.vstack([a, np.sqrt(omega) * np.eye(reg.d_sigma)])

@@ -14,6 +14,7 @@ from adreg.numerics import (
     is_hurwitz,
     place_poles,
     pseudoinverse,
+    rk4_stable_step,
     rk4_step,
 )
 
@@ -55,38 +56,24 @@ class TestPseudoinverse:
 class TestPlacePoles:
     def test_two_pole_example(self):
         # poly (s+1)(s+2) = s^2 + 3 s + 2 -> K = [2, 3]
-        k = place_poles(2, 1, [-1.0, -2.0])
+        k = place_poles([-1.0, -2.0])
         assert np.allclose(k, [[2.0, 3.0]])
 
-    def test_three_pole_example(self):
-        # poly (s+1)(s+2)(s+3) = s^3 + 6 s^2 + 11 s + 6 -> K = [6, 11, 6]
-        k = place_poles(3, 1, [-1.0, -2.0, -3.0])
-        assert np.allclose(k, [[6.0, 11.0, 6.0]])
-
     def test_closed_loop_eigenvalues(self):
-        from adreg.plant import build_chain_matrices
-
-        desired = np.array([-0.5, -1.5, -4.0])
-        k = place_poles(3, 1, desired)
-        a, b, _ = build_chain_matrices(3, 1)
+        desired = np.array([-0.5, -4.0])
+        k = place_poles(desired)
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])  # the chain of two integrators
+        b = np.array([[0.0], [1.0]])
         eig = np.sort(np.linalg.eigvals(a - b @ k).real)
         assert np.allclose(eig, np.sort(desired), atol=1e-9)
 
-    def test_multichannel_block_structure(self):
-        from adreg.plant import build_chain_matrices
-
-        k = place_poles(2, 2, [-1.0, -2.0])
-        a, b, _ = build_chain_matrices(2, 2)
-        eig = np.sort(np.linalg.eigvals(a - b @ k).real)
-        assert np.allclose(eig, [-2.0, -2.0, -1.0, -1.0], atol=1e-9)
-
     def test_nonnegative_pole_rejected(self):
         with pytest.raises(InvalidInputError):
-            place_poles(2, 1, [-1.0, 0.0])
+            place_poles([-1.0, 0.0])
 
     def test_wrong_count_rejected(self):
         with pytest.raises(InvalidInputError):
-            place_poles(2, 1, [-1.0])
+            place_poles([-1.0])
 
 
 class TestStabilityChecks:
@@ -224,6 +211,30 @@ def _numpy_rk4_step(field, state, dt, t=0.0):
     if not np.isfinite(k1).all():
         raise IntegrationBlowupError(t + dt, 0, state, k1)
     return k1
+
+
+def _rk4_stability(z):
+    return 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+
+
+class TestRk4StableStep:
+    @pytest.mark.parametrize("lam", [-1.0, -2850.0, -1.0 + 1.0j, -0.1 + 2.0j, -2.0 + 0.1j,
+                                     -1e-9 + 1.0j, -3.0 - 4.0j])
+    def test_stable_up_to_the_bound_and_not_past_it(self, lam):
+        h = rk4_stable_step(lam)
+        steps = np.linspace(0.0, h, 2001) * lam
+        assert np.abs(_rk4_stability(steps)).max() <= 1.0 + 1e-9
+        assert abs(_rk4_stability(1.001 * h * lam)) > 1.0
+
+    def test_real_closed_form_is_the_limit_of_the_complex_roots(self):
+        assert rk4_stable_step(-1.0) == pytest.approx(2.785293563405282, rel=1e-15)
+        assert rk4_stable_step(complex(-1.0, 1e-9)) == pytest.approx(rk4_stable_step(-1.0),
+                                                                     rel=1e-8)
+        assert rk4_stable_step(-1.0 + 1e-9j) == rk4_stable_step(-1.0 - 1e-9j)
+
+    def test_scales_inversely_with_the_pole(self):
+        assert rk4_stable_step(-1e6 + 1e6j) == pytest.approx(rk4_stable_step(-1 + 1j) / 1e6,
+                                                             rel=1e-12)
 
 
 class TestRk4StepOnLists:

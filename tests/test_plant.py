@@ -8,17 +8,11 @@ independent oracle for the hand-derived formulas.
 import numpy as np
 import pytest
 
-from adreg.errors import BranchPointError, InvalidConfigError
-from adreg.plant import (
-    BRANCH_TOL,
-    build_chain_matrices,
-    build_vdp_scenario,
-    lie_derivatives_p1star,
-    triangular_output,
-    vdp_ustar_rows,
-)
+from adreg.errors import InvalidConfigError
+from adreg.plant import (build_synthetic_linear_plant, build_vdp_scenario, p1star_and_lie,
+                         vdp_ustar_rows)
 from adreg.regulator import ObserverConfig, StabilizerConfig, default_internal_model
-from adreg.scenario import build_closed_loop, state_layout
+from adreg.scenario import ScenarioConfig, _wire, build_closed_loop, state_layout
 
 
 def _flow_exo(w, rho, dt, steps=1):
@@ -37,26 +31,19 @@ def _flow_exo(w, rho, dt, steps=1):
     return w
 
 
-class TestChainMatrices:
-    def test_r2_structure(self):
-        a, b, c = build_chain_matrices(2, 1)
-        assert np.array_equal(a, [[0.0, 1.0], [0.0, 0.0]])
-        assert np.array_equal(b, [[0.0], [1.0]])
-        assert np.array_equal(c, [[1.0, 0.0]])
+def _reference(w, rho=2.0):
+    """(p1*, L_s p1*) at w from the Van der Pol plant's evaluator."""
+    return build_vdp_scenario(2.0, rho).extras["reference"](np.asarray(w, dtype=float))
 
-    def test_multivariable_blocks(self):
-        a, b, c = build_chain_matrices(3, 2)
-        x = np.arange(6.0)
-        u = np.array([1.0, -1.0])
-        xdot = a @ x + b @ u
-        # block-shift: xdot_i = x_{i+1}, last block = u
-        assert np.allclose(xdot[:4], x[2:])
-        assert np.allclose(xdot[4:], u)
-        assert np.allclose(c @ x, x[:2])
 
-    def test_invalid_dims(self):
-        with pytest.raises(InvalidConfigError):
-            build_chain_matrices(0, 1)
+def triangular_output(w):
+    return _reference(w)[0]
+
+
+def _lie(w, rho):
+    """(L_s p1*, L_s^2 p1*) at w, with the plant's one-sided sign of w2."""
+    w1, w2 = float(w[0]), float(w[1])
+    return p1star_and_lie(w1, w2, rho, 1.0 if w2 >= 0.0 else -1.0)[1:]
 
 
 class TestTriangularOutput:
@@ -70,7 +57,7 @@ class TestTriangularOutput:
 
     def test_zero_crossing_and_origin(self):
         assert triangular_output(np.array([0.0, 1.0])) == pytest.approx(0.0)
-        assert triangular_output(np.array([0.0, 0.0])) == pytest.approx(0.0)
+        assert p1star_and_lie(0.0, 0.0, 2.0, 1.0) == (0.0, 0.0, 0.0)
 
     def test_odd_symmetry(self):
         w = np.array([0.3, -0.7])
@@ -82,42 +69,62 @@ class TestLieDerivatives:
     @pytest.mark.parametrize("w", [(0.6, 0.8), (-0.3, 0.5), (0.9, -0.1), (1.0, 1.0)])
     def test_matches_finite_differences(self, w, rho):
         w = np.array(w)
-        l1, l2 = lie_derivatives_p1star(w, rho)
+        l1, l2 = _lie(w, rho)
+        assert _reference(w, rho)[1] == l1
         h = 1e-6
         wp, wm = _flow_exo(w, rho, h), _flow_exo(w, rho, -h)
         fd1 = (triangular_output(wp) - triangular_output(wm)) / (2 * h)
         assert l1 == pytest.approx(fd1, abs=5e-8, rel=1e-6)
-        l1p, _ = lie_derivatives_p1star(wp, rho)
-        l1m, _ = lie_derivatives_p1star(wm, rho)
+        l1p, _ = _lie(wp, rho)
+        l1m, _ = _lie(wm, rho)
         fd2 = (l1p - l1m) / (2 * h)
         assert l2 == pytest.approx(fd2, abs=5e-7, rel=1e-5)
 
     def test_rho_one_slope_value(self):
         # circular exosystem, |w| = 1: triangle slope at the zero crossing
         # equals 2 * |w2| by inspection of p1* = 2 arcsin(w1)
-        l1, _ = lie_derivatives_p1star(np.array([0.0, 1.0]), 1.0)
-        assert l1 == pytest.approx(2.0)
-
-    def test_branch_point_raises_without_side(self):
-        with pytest.raises(BranchPointError):
-            lie_derivatives_p1star(np.array([1.0, 0.0]), 2.0)
-        with pytest.raises(BranchPointError):
-            lie_derivatives_p1star(np.array([0.0, 0.0]), 2.0)
+        assert _reference([0.0, 1.0], rho=1.0)[1] == pytest.approx(2.0)
 
     def test_branch_side_selects_one_sided_limit(self):
-        w_peak = np.array([1.0, 0.0])
-        lp, _ = lie_derivatives_p1star(w_peak, 2.0, branch_side=+1)
-        lm, _ = lie_derivatives_p1star(w_peak, 2.0, branch_side=-1)
+        _, lp, _ = p1star_and_lie(1.0, 0.0, 2.0, +1.0)
+        _, lm, _ = p1star_and_lie(1.0, 0.0, 2.0, -1.0)
         eps = 1e-6
-        l_above, _ = lie_derivatives_p1star(np.array([1.0, eps]), 2.0)
-        l_below, _ = lie_derivatives_p1star(np.array([1.0, -eps]), 2.0)
+        l_above, _ = _lie(np.array([1.0, eps]), 2.0)
+        l_below, _ = _lie(np.array([1.0, -eps]), 2.0)
         assert lp == pytest.approx(l_above, abs=1e-4)
         assert lm == pytest.approx(l_below, abs=1e-4)
         assert lp != pytest.approx(lm)  # genuine slope flip at the peak
 
-    def test_tolerance_is_relative(self):
-        w = np.array([1.0, 2.0 * BRANCH_TOL])  # just outside the tolerance
-        lie_derivatives_p1star(w, 2.0)  # should not raise
+
+class TestReference:
+    """The plant's one reference evaluator, w -> (p1*, L_s p1*), takes the
+    sign of w2 as the closed-loop field and u* do: +1 where w2 >= 0."""
+
+    def test_peak_takes_the_w2_nonnegative_side(self):
+        assert _reference([1.0, 0.0])[1] == p1star_and_lie(1.0, 0.0, 2.0, +1.0)[1]
+        assert _reference([1.0, -0.0])[1] == p1star_and_lie(1.0, 0.0, 2.0, +1.0)[1]
+
+    def test_slightly_negative_w2_takes_the_negative_side(self):
+        # 1e-12 below a peak: the w2 < 0 side, as the field takes it there
+        _, slope = _reference([1.0, -1e-12])
+        assert slope == p1star_and_lie(1.0, -1e-12, 2.0, -1.0)[1]
+        assert slope == pytest.approx(-_reference([1.0, 0.0])[1], rel=1e-9)
+
+    def test_initial_error_coordinates_take_the_negative_side(self):
+        cfg = ScenarioConfig(plant={"w0": [1.0, -1e-12], "p0": [0.1, 0.0]},
+                             sim={"horizon": 1.0})
+        x = _wire(cfg).v0[state_layout(6).x]
+        p1, l1, _ = p1star_and_lie(1.0, -1e-12, 2.0, -1.0)
+        assert x.tolist() == [0.1 - p1, 0.0 - l1]
+
+    def test_origin_is_config_error(self):
+        with pytest.raises(InvalidConfigError):
+            _reference([0.0, 0.0])
+
+    def test_synthetic_linear_reference_is_w(self):
+        im = default_internal_model(2)
+        plant = build_synthetic_linear_plant(2.0, im.F, im.G)
+        assert plant.extras["reference"](np.array([0.25, -0.5])) == (0.25, -0.5)
 
 
 class TestVdpScenario:
@@ -135,7 +142,7 @@ class TestVdpScenario:
             w = rng.uniform(-1.0, 1.0, size=2)
             if abs(w[1]) / np.linalg.norm(w) < 1e-6:
                 continue
-            u = plant.extras["ustar"](w).item()
+            u = plant.extras["ustar_rows"](w[None, :])[0]
             v = np.zeros(lay.size)
             v[lay.w] = w
             v[lay.sigma_hat] = -u
@@ -151,7 +158,7 @@ class TestVdpScenario:
         ref = []
         for w in rows:
             p1 = triangular_output(w)
-            l1, l2 = lie_derivatives_p1star(w, rho)
+            l1, l2 = _lie(w, rho)
             ref.append(p1 + l2 - a * (1.0 - p1**2) * l1)
         assert np.allclose(vec, ref, atol=1e-12)
 

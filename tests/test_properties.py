@@ -160,5 +160,5 @@ class TestArcRowBound:
         clock, horizon, dt = case
         arc = simulate(lambda x: [0.0], lambda t, j, x: x, np.zeros(1), clock,
                        horizon, dt)
-        assert len(arc) <= arc_row_bound(clock, horizon, dt)
+        assert arc.t.size <= arc_row_bound(clock, horizon, dt)
         validate_arc(arc, clock)

@@ -6,7 +6,7 @@ import pytest
 from adreg.errors import InvalidConfigError, InvalidInputError
 from adreg.identifier import LsIdentifier, build_poly_regressor
 from adreg.numerics import is_controllable, is_hurwitz
-from adreg.plant import build_chain_matrices, build_vdp_scenario
+from adreg.plant import build_vdp_scenario
 from adreg.regulator import (
     InternalModelConfig,
     ObserverConfig,
@@ -70,12 +70,15 @@ class TestSaturate:
         assert s[0] == 1.0
 
 
+CHAIN_A = np.array([[0.0, 1.0], [0.0, 0.0]])  # the chain of two integrators
+CHAIN_B = np.array([[0.0], [1.0]])
+
+
 class TestStabilizerConfig:
     def test_accepts_stabilizing_gain(self):
         # K places the chain poles at -1, -2
         stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0)
-        a, b, _ = build_chain_matrices(2, 1)
-        assert is_hurwitz(a - b @ stab.K)
+        assert is_hurwitz(CHAIN_A - CHAIN_B @ stab.K)
 
     def test_rejects_destabilizing_gain(self):
         with pytest.raises(InvalidConfigError):
@@ -84,8 +87,7 @@ class TestStabilizerConfig:
     @pytest.mark.parametrize("k", [[[0.0, 3.0]], [[2.0, 0.0]], [[2.0, -3.0]]])
     def test_rejects_nonpositive_gain(self, k):
         # A - B K = [[0, 1], [-k0, -k1]] is Hurwitz iff k0 > 0 and k1 > 0
-        a, b, _ = build_chain_matrices(2, 1)
-        assert not is_hurwitz(a - b @ np.array(k))
+        assert not is_hurwitz(CHAIN_A - CHAIN_B @ np.array(k))
         with pytest.raises(InvalidConfigError):
             StabilizerConfig(K=k, sat_level=100.0)
 

@@ -10,13 +10,12 @@ import pytest
 from adreg import scenario
 from adreg.errors import AdregError, InvalidConfigError
 from adreg.numerics import place_poles
-from adreg.plant import build_vdp_scenario
+from adreg.plant import build_synthetic_linear_plant, build_vdp_scenario
 from adreg.regulator import ObserverConfig, StabilizerConfig, default_internal_model
 from adreg.scenario import (
     CSV_HEADER,
     ScenarioConfig,
     build_closed_loop,
-    build_synthetic_linear_plant,
     run_scenario,
     run_sweep,
     state_layout,
@@ -255,7 +254,7 @@ class TestRunScenario:
         # the u column is the field's controller on each stored state, and
         # the saturation bound holds exactly
         res = run_scenario(self._short_cfg(**identifier))
-        stab = StabilizerConfig(K=place_poles(2, 1, [-1.0, -2.0]), sat_level=100.0)
+        stab = StabilizerConfig(K=place_poles([-1.0, -2.0]), sat_level=100.0)
         obs = ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
         _, control = build_closed_loop(build_vdp_scenario(2.0, 2.0),
                                        default_internal_model(6), stab, obs)
@@ -437,9 +436,10 @@ class TestEnsembleSweep:
         self._check(self._base(kind="mini-batch", N=3, N_w=5), "ell", [5.0, 20.0, 40.0])
 
     def test_ell_sweep_with_ls_and_a_blowup_cell(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = self._check(self._base(kind="ls", N=3), "ell", [5.0, 1e4, 20.0])
-        assert rows[1]["error"].startswith("IntegrationBlowupError")
+        # ell = 1e4 puts the observer's poles past RK4's stability bound at
+        # dt = 1e-3: the cell that blew up is now a config error row
+        rows = self._check(self._base(kind="ls", N=3), "ell", [5.0, 1e4, 20.0])
+        assert rows[1]["error"].startswith("InvalidConfigError: regulator.ell gives")
 
     def test_n_sweep_with_ls(self):
         self._check(self._base(kind="ls"), "N", [1, 3])
@@ -450,12 +450,18 @@ class TestEnsembleSweep:
         assert "error" not in rows[0] and "error" not in rows[2]
 
     def test_blowup_cell_gets_its_serial_row(self):
-        # at ell = 1e4 the observer's gains put RK4 at dt = 1e-3 far outside
-        # its stability region, so that cell overflows and the others run
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = self._check(self._base(), "ell", [10.0, 1e4, 20.0])
-        assert rows[1]["error"].startswith("IntegrationBlowupError")
+        # at ell = 1e4 the observer's poles put RK4 at dt = 1e-3 far outside
+        # its stability region: a config error row, and the others run
+        rows = self._check(self._base(), "ell", [10.0, 1e4, 20.0])
+        assert rows[1]["error"].startswith("InvalidConfigError: regulator.ell gives")
         assert "error" not in rows[0] and "error" not in rows[2]
+
+    def test_blowup_cells_get_integration_error_rows(self):
+        # p0 = (1e200, 0) overflows fast_q on the first step of every cell
+        base = self._base().replace_in("plant", p0=[1e200, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = self._check(base, "ell", [10.0, 20.0])
+        assert [r["error"].split(":")[0] for r in rows] == ["IntegrationBlowupError"] * 2
 
     @pytest.mark.parametrize("values", [[5.0, 20.0, 40.0], [10.0, 1e4, 20.0]])
     def test_each_cell_is_one_run_scenario_call(self, monkeypatch, values):
