@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import IntegrationBlowupError, InvalidConfigError, InvalidInputError
 from .harness import CoreProcessRun, format_report, verify_identifier_requirement
-from .scenario import ScenarioConfig, _wire, run_scenario, run_sweep, state_layout
+from .scenario import ScenarioConfig, _wire, run_scenario, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -66,8 +66,8 @@ def cmd_check_identifier(args):
     if cfg.identifier["kind"] == "none":
         raise InvalidConfigError("check-identifier needs an identifier kind != none")
     cell = _wire(cfg.replace_in("plant", kind="synthetic-linear"))
-    plant, lay = cell.plant, state_layout(cell.im.d_eta)
-    run = CoreProcessRun(clock=cell.clock, exo=plant.eval_s, w0=cell.v0[lay.w],
+    plant = cell.plant
+    run = CoreProcessRun(clock=cell.clock, exo=plant.eval_s, w0=cell.v0[cell.lay.w],
                          tau_eval=plant.extras["tau"], ustar_eval=plant.extras["ustar"])
     report = verify_identifier_requirement(cell.ident, run, horizon=10.0)
     print(format_report(report))

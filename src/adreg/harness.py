@@ -6,6 +6,7 @@ user-supplied evaluators; the closed-loop simulator never needs them. Their
 sole role is posing a well-defined optimization problem for testing.
 """
 
+import copy
 from dataclasses import dataclass
 from typing import Callable
 
@@ -13,7 +14,11 @@ import numpy as np
 
 from .errors import InvalidConfigError
 from .hybrid import ClockConfig, simulate
-from .numerics import DEFAULT_CUTOFF_REL, pseudoinverse
+from .numerics import pseudoinverse
+
+# draws per randomized check, their generator's seed, and the optimality
+# tolerance on |theta - theta*| / (1 + |theta*|)
+TRIALS, SEED, OPTIMALITY_TOL = 5, 0, 1e-8
 
 
 @dataclass
@@ -27,21 +32,13 @@ class CoreProcessRun:
     ustar_eval: Callable  # w -> R^1
 
 
-def run_core_process(run, horizon, dt=1e-3, disturbance=None):
-    """Samples (j, win, wout) at the clock's jump instants.
-
-    ``disturbance``, when given, is a pair of callables (d_in(j), d_out(j))
-    added to the emitted pairs.
-    """
+def run_core_process(run, horizon, dt=1e-3):
+    """Samples (j, win, wout) at the clock's jump instants."""
     samples = []
 
     def jump(t, j, w):
         win = np.atleast_1d(run.tau_eval(w)).astype(float)
         wout = np.atleast_1d(run.ustar_eval(w)).astype(float)
-        if disturbance is not None:
-            d_in, d_out = disturbance
-            win = win + np.atleast_1d(d_in(j))
-            wout = wout + np.atleast_1d(d_out(j))
         samples.append((j, win, wout))
         return w
 
@@ -49,9 +46,9 @@ def run_core_process(run, horizon, dt=1e-3, disturbance=None):
     return samples
 
 
-def brute_force_cost_minimizer(samples, regressor, mu_f, omega,
-                               cutoff_rel=DEFAULT_CUTOFF_REL):
-    """Direct minimizer of the forgetting-weighted least-squares cost.
+def brute_force_cost_minimizer(samples, regressor, mu_f, omega):
+    """Direct minimizer of the forgetting-weighted least-squares cost, with
+    Omega = omega I.
 
     Rebuilds the weighted normal equations from the raw samples on every call
     and solves with the pseudoinverse; intentionally independent of the
@@ -59,30 +56,27 @@ def brute_force_cost_minimizer(samples, regressor, mu_f, omega,
     """
     if not samples:
         raise InvalidConfigError("need at least one sample")
-    omega = np.asarray(omega, dtype=float)
-    if omega.ndim == 0:
-        omega = float(omega) * np.eye(regressor.d_sigma)
     j = len(samples)
-    gram = omega.copy()
+    gram = float(omega) * np.eye(regressor.d_sigma)
     rhs = np.zeros(regressor.d_sigma)
     for i, (_, win, wout) in enumerate(samples):
         sig = regressor(win)
         gram += mu_f ** (j - i - 1) * np.outer(sig, sig)
         rhs += mu_f ** (j - i - 1) * sig * float(np.atleast_1d(wout)[0])
-    return pseudoinverse(gram, cutoff_rel) @ rhs
+    return pseudoinverse(gram) @ rhs
 
 
-def verify_identifier_requirement(identifier, run, horizon=10.0, trials=5, seed=0,
-                                  tol=1e-8):
+def verify_identifier_requirement(identifier, run, horizon=10.0):
     """Empirical check of the optimality / stability / regularity triple.
 
     Works for any identifier exposing ``regressor``, ``theta``, ``mu_f``,
-    ``n_window``, ``omega``, ``cutoff_rel``, ``jump``, ``clone``,
-    ``perturbed`` and ``gap``. Returns a report dict with three booleans plus
-    supporting numbers. The internal gain estimates are empirical stand-ins
-    for the existential gain functions, not asserted bounds.
+    ``n_window``, ``omega``, ``jump``, ``perturbed`` and ``gap``, whose
+    shallow copy (``copy.copy``) is an independent clone. Returns a report
+    dict with three booleans plus supporting numbers. The internal gain
+    estimates are empirical stand-ins for the existential gain functions, not
+    asserted bounds.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     report = {"optimality": True, "stability": True, "regularity": True}
 
     samples = run_core_process(run, horizon)
@@ -93,17 +87,16 @@ def verify_identifier_requirement(identifier, run, horizon=10.0, trials=5, seed=
     # --- optimality: theta(j) vs the brute-force minimizer of the same cost,
     # from j* on; a window of n_window samples is full from j* = n_window
     j_star = identifier.n_window or 0
-    ident = identifier.clone()
+    ident = copy.copy(identifier)
     worst = 0.0
     for j, (_, win, wout) in enumerate(samples, start=1):
         ident.jump(win, wout)
         if j >= j_star:
             window = samples[j - j_star:j] if j_star else samples[:j]
-            th_star = brute_force_cost_minimizer(window, reg, identifier.mu_f,
-                                                 identifier.omega, identifier.cutoff_rel)
+            th_star = brute_force_cost_minimizer(window, reg, identifier.mu_f, identifier.omega)
             dev = np.linalg.norm(ident.theta - th_star) / (1.0 + np.linalg.norm(th_star))
             worst = max(worst, dev)
-    report["optimality"] = worst <= tol
+    report["optimality"] = worst <= OPTIMALITY_TOL
     report["optimality_worst_dev"] = worst
     report["j_star"] = j_star
 
@@ -111,8 +104,8 @@ def verify_identifier_requirement(identifier, run, horizon=10.0, trials=5, seed=
     # forgetting rate and vanishes once a window has been replaced; plus an
     # empirical ISS gain under bounded input disturbances
     contraction_ok = True
-    for _ in range(trials):
-        a = identifier.clone()
+    for _ in range(TRIALS):
+        a = copy.copy(identifier)
         b = identifier.perturbed(rng)
         gap0 = b.gap(a)
         for j, (_, win, wout) in enumerate(samples, start=1):
@@ -126,12 +119,11 @@ def verify_identifier_requirement(identifier, run, horizon=10.0, trials=5, seed=
     report["stability"] = contraction_ok
 
     gains = []
-    for _ in range(trials):
+    for _ in range(TRIALS):
         amp = 0.1
         d_in = rng.uniform(-amp, amp, size=(len(samples), samples[0][1].size))
         d_out = rng.uniform(-amp, amp, size=(len(samples), samples[0][2].size))
-        a = identifier.clone()
-        b = identifier.clone()
+        a, b = copy.copy(identifier), copy.copy(identifier)
         dev = 0.0
         for i, (_, win, wout) in enumerate(samples):
             a.jump(win, wout)
@@ -146,7 +138,7 @@ def verify_identifier_requirement(identifier, run, horizon=10.0, trials=5, seed=
     # finite differences of theta . sigma
     jac_ok = True
     h = 1e-6
-    for _ in range(trials):
+    for _ in range(TRIALS):
         theta = rng.standard_normal(reg.d_sigma)
         eta = rng.uniform(-1.0, 1.0, size=samples[0][1].size)
         jac = theta @ reg.jacobian(eta)

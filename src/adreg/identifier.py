@@ -8,7 +8,7 @@ cost it minimizes: the forgetting factor ``mu_f``, the window length
 and never mutates it in place, so a shallow copy is an independent clone.
 
 The saturated continuous extensions of the LS update ingredients are realized
-as norm clamps with configurable radii (default 1e6): generous enough to stay
+as norm clamps with one radius, ``CLAMP`` = 1e6: generous enough to stay
 inactive on sane data while preserving the boundedness contract.
 """
 
@@ -19,36 +19,27 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import InvalidConfigError
-from .numerics import DEFAULT_CUTOFF_REL, pseudoinverse
+from .numerics import pseudoinverse
 from .regulator import saturate
 
-REGRESSOR_MODES = ("full-multiset", "pure-powers")
-DEFAULT_CLAMP = 1e6
+CLAMP = 1e6
 
 
 class PolyRegressor:
-    """Odd-order polynomial regressor sigma(eta).
-
-    mode "full-multiset" enumerates every non-decreasing multi-index of odd
-    length <= max_order; "pure-powers" keeps only pure powers eta_i^n. The
-    component order is fixed lexicographically (ascending order, then index
-    tuple) so parameter indexing is deterministic.
+    """Odd-order polynomial regressor sigma(eta): one component per
+    non-decreasing multi-index of odd length <= max_order. The component
+    order is fixed lexicographically (ascending order, then index tuple) so
+    parameter indexing is deterministic.
     """
 
-    def __init__(self, d_eta, max_order, mode="full-multiset"):
+    def __init__(self, d_eta, max_order):
         if max_order < 1 or max_order % 2 == 0:
             raise InvalidConfigError("max_order must be odd and >= 1")
-        if mode not in REGRESSOR_MODES:
-            raise InvalidConfigError(f"unknown regressor mode {mode!r}")
         self.d_eta = d_eta
         self.max_order = max_order
-        self.mode = mode
         index_list = []
         for n in range(1, max_order + 1, 2):
-            if mode == "full-multiset":
-                index_list.extend(combinations_with_replacement(range(d_eta), n))
-            else:
-                index_list.extend((i,) * n for i in range(d_eta))
+            index_list.extend(combinations_with_replacement(range(d_eta), n))
         self.index_list = index_list
         exps = np.zeros((len(index_list), d_eta), dtype=np.int64)
         for k, idx in enumerate(index_list):
@@ -110,18 +101,15 @@ class PolyRegressor:
         return out.T
 
 
-def poly_regressor_size(d_eta, max_order, mode="full-multiset"):
-    """d_sigma of ``PolyRegressor(d_eta, max_order, mode)``, counted without
-    building it: for each odd order n <= max_order, d_eta pure powers or
-    C(d_eta + n - 1, n) non-decreasing multi-indices."""
-    orders = range(1, max_order + 1, 2)
-    if mode == "pure-powers":
-        return d_eta * len(orders)
-    return sum(math.comb(d_eta + n - 1, n) for n in orders)
+def poly_regressor_size(d_eta, max_order):
+    """d_sigma of ``PolyRegressor(d_eta, max_order)``, counted without
+    building it: C(d_eta + n - 1, n) non-decreasing multi-indices for each
+    odd order n <= max_order."""
+    return sum(math.comb(d_eta + n - 1, n) for n in range(1, max_order + 1, 2))
 
 
-def build_poly_regressor(d_eta, N, mode="full-multiset"):
-    return PolyRegressor(d_eta, N, mode)
+def build_poly_regressor(d_eta, N):
+    return PolyRegressor(d_eta, N)
 
 
 def _omega(omega):
@@ -130,7 +118,7 @@ def _omega(omega):
     return float(omega)
 
 
-def batch_solver_ls(rows, outs, omega, cutoff_rel=DEFAULT_CUTOFF_REL):
+def batch_solver_ls(rows, outs, omega):
     """Regularized linear least squares on the window's regressor rows
     sigma_i = sigma(eta_i) and outputs u_i.
 
@@ -145,7 +133,7 @@ def batch_solver_ls(rows, outs, omega, cutoff_rel=DEFAULT_CUTOFF_REL):
     for sig, u in zip(rows, outs):
         gram += np.outer(sig, sig)
         rhs += sig * float(np.atleast_1d(u)[0])
-    theta = pseudoinverse(gram, cutoff_rel) @ rhs
+    theta = pseudoinverse(gram) @ rhs
     resid = gram @ theta - rhs
     scale = 1.0 + np.linalg.norm(rhs)
     if np.linalg.norm(resid) > 1e-8 * scale:
@@ -169,31 +157,27 @@ class LsIdentifier:
 
     n_window = None
 
-    def __init__(self, regressor, mu_f=0.99, omega=1e-3, clamp=DEFAULT_CLAMP,
-                 theta_bound=DEFAULT_CLAMP, cutoff_rel=DEFAULT_CUTOFF_REL):
+    def __init__(self, regressor, mu_f=0.99, omega=1e-3):
         if not (0.0 < mu_f < 1.0):
             raise InvalidConfigError("mu_f must lie in (0, 1)")
         d = regressor.d_sigma
         self.regressor = regressor
         self.mu_f = mu_f
         self.omega = _omega(omega)
-        self.clamp = clamp
-        self.theta_bound = theta_bound
-        self.cutoff_rel = cutoff_rel
         self.xi1 = np.zeros((d, d))
         self.xi2 = np.zeros(d)
         self.theta = np.zeros(d)
 
     def jump(self, eta_in, u_out):
-        """Geometric forgetting plus the clamped rank-one accumulation, then
-        the output map theta = (xi1 + Omega)^+ xi2, norm-clamped at
-        theta_bound."""
+        """Geometric forgetting plus the rank-one accumulation, then the
+        output map theta = (xi1 + Omega)^+ xi2; sigma sigma', sigma u and
+        theta are each norm-clamped at CLAMP."""
         sig = self.regressor(eta_in)
-        lam = saturate(sig * float(np.atleast_1d(u_out)[0]), self.clamp)
+        lam = saturate(sig * float(np.atleast_1d(u_out)[0]), CLAMP)
         big_sigma = np.outer(sig, sig)
         sq = float(sig @ sig)  # |sigma|^2 = |sigma sigma'|_F
-        if not sq <= self.clamp:  # as saturate: a NaN norm rescales too
-            big_sigma *= self.clamp / sq
+        if not sq <= CLAMP:  # as saturate: a NaN norm rescales too
+            big_sigma *= CLAMP / sq
         # a fresh array: clones share the old one. Exactly symmetric, as
         # mu X, sigma sigma' and its rescale are.
         xi1 = self.mu_f * self.xi1
@@ -201,16 +185,13 @@ class LsIdentifier:
         xi2 = self.mu_f * self.xi2 + lam
         m = xi1.copy()  # xi1 + Omega: omega added to the diagonal
         m.flat[::sig.size + 1] += self.omega
-        theta = pseudoinverse(m, self.cutoff_rel) @ xi2
-        self.xi1, self.xi2, self.theta = xi1, xi2, saturate(theta, self.theta_bound)
-
-    def clone(self):
-        return copy.copy(self)
+        theta = pseudoinverse(m) @ xi2
+        self.xi1, self.xi2, self.theta = xi1, xi2, saturate(theta, CLAMP)
 
     def perturbed(self, rng):
         """A clone with a symmetric normal perturbation of xi1 and a normal
         perturbation of xi2."""
-        twin = self.clone()
+        twin = copy.copy(self)
         d = self.xi1.shape[0]
         pert = rng.standard_normal((d, d))
         twin.xi1 = self.xi1 + 0.5 * (pert + pert.T)
@@ -231,14 +212,13 @@ class MiniBatchIdentifier:
 
     mu_f = 1.0
 
-    def __init__(self, regressor, n_window=10, omega=1e-3, cutoff_rel=DEFAULT_CUTOFF_REL):
+    def __init__(self, regressor, n_window=10, omega=1e-3):
         n_window = int(n_window)
         if n_window < 1:
             raise InvalidConfigError(f"n_window must be >= 1, got {n_window}")
         self.regressor = regressor
         self.n_window = n_window
         self.omega = _omega(omega)
-        self.cutoff_rel = cutoff_rel
         self.window_rows = []
         self.window_out = []
         self.theta = np.zeros(regressor.d_sigma)
@@ -250,15 +230,12 @@ class MiniBatchIdentifier:
         outs = (self.window_out + [np.array(u_out, dtype=float, ndmin=1)])[-self.n_window:]
         theta = self.theta
         if len(rows) == self.n_window:
-            theta = batch_solver_ls(rows, outs, self.omega, self.cutoff_rel)
+            theta = batch_solver_ls(rows, outs, self.omega)
         self.window_rows, self.window_out, self.theta = rows, outs, theta
-
-    def clone(self):
-        return copy.copy(self)
 
     def perturbed(self, rng):
         """A clone with a normal perturbation of theta."""
-        twin = self.clone()
+        twin = copy.copy(self)
         twin.theta = self.theta + rng.standard_normal(self.theta.shape)
         return twin
 

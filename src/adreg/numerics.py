@@ -1,6 +1,6 @@
 """Small dense linear-algebra and integration kernel.
 
-The pseudoinverse wraps numpy's SVD with an explicit relative cutoff; pole
+The pseudoinverse wraps numpy's SVD with a fixed relative cutoff, 1e-12; pole
 placement is for the chain of two integrators every plant has, with real
 negative poles; the RK4 step comes with the step size its stability function
 allows on a linear pole.
@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidInputError, IntegrationBlowupError
 
-DEFAULT_CUTOFF_REL = 1e-12
+CUTOFF_REL = 1e-12
 
 
 def _check_finite(m, name="input"):
@@ -23,20 +23,18 @@ def _check_finite(m, name="input"):
     return m
 
 
-def pseudoinverse(m, cutoff_rel=DEFAULT_CUTOFF_REL):
+def pseudoinverse(m):
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values below ``cutoff_rel`` times the largest one are zeroed.
+    Singular values below ``CUTOFF_REL`` times the largest one are zeroed.
     """
     m = _check_finite(m, "matrix")
-    if not (0.0 < cutoff_rel < 1.0):
-        raise InvalidInputError("cutoff_rel must lie in (0, 1)")
     if m.ndim != 2:
         m = np.atleast_2d(m)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((m.shape[1], m.shape[0]))
-    inv_s = np.where(s > cutoff_rel * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    inv_s = np.where(s > CUTOFF_REL * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
     vt *= inv_s[:, None]  # in place: no second array of vt's size
     return vt.T @ u.T
 
@@ -88,13 +86,13 @@ def is_hurwitz(m):
     return bool(np.all(np.linalg.eigvals(m).real < 0.0))
 
 
-def is_controllable(f, g, cutoff_rel=DEFAULT_CUTOFF_REL):
+def is_controllable(f, g):
     """True iff the Krylov space of F on range(G) is the whole state space.
 
     The space is grown by an orthogonalized Krylov (staircase) iteration:
     starting from G, F is applied to the newest block of directions, the
     result is orthogonalized twice against the basis so far, and its
-    directions with singular values above ``cutoff_rel`` times ||[F G]||_2
+    directions with singular values above ``CUTOFF_REL`` times ||[F G]||_2
     join the basis. The rank of the raw matrix [G, FG, ..., F^{n-1}G] is
     lost to its conditioning: it rejects random dense pairs from n = 16.
     """
@@ -104,7 +102,7 @@ def is_controllable(f, g, cutoff_rel=DEFAULT_CUTOFF_REL):
     if f.ndim != 2 or f.shape[0] != f.shape[1] or g.shape[0] != f.shape[0]:
         raise InvalidInputError("incompatible (f, g) dimensions")
     n = f.shape[0]
-    tol = cutoff_rel * np.linalg.norm(np.hstack([f, g]), 2)
+    tol = CUTOFF_REL * np.linalg.norm(np.hstack([f, g]), 2)
     basis = np.empty((n, n))  # rows 0..k-1 are the orthonormal basis so far
     k, block = 0, g
     while k < n:

@@ -89,9 +89,7 @@ SCHEMA = {
                   "psi_bar": (NUMBER, 100.0)},
     "identifier": {"kind": (_choice("none", "ls", "mini-batch"), "none"),
                    "mu_f": (NUMBER, OPTIONAL), "omega_scale": (NUMBER, OPTIONAL),
-                   "N": (INTEGER, 1),
-                   "mode": (_choice("full-multiset", "pure-powers"), "full-multiset"),
-                   "N_w": (INTEGER, OPTIONAL)},
+                   "N": (INTEGER, 1), "N_w": (INTEGER, OPTIONAL)},
     "clock": {"t_low": (NUMBER, 0.1), "t_high": (NUMBER, 0.1),
               "strategy": (_choice("periodic", "uniform"), "periodic"),
               "period": (NUMBER, OPTIONAL), "seed": (INTEGER, 0)},
@@ -298,7 +296,7 @@ def _check_identifier_memory(icfg, d_eta):
     if d_eta * ((n + 1) // 2) > most:
         d_sigma, at_least = most + 1, "at least "
     else:
-        d_sigma, at_least = poly_regressor_size(d_eta, n, icfg["mode"]), ""
+        d_sigma, at_least = poly_regressor_size(d_eta, n), ""
     if d_sigma > most:
         raise InvalidConfigError(
             f"identifier.N = {n:.6g} gives {at_least}d_sigma = {d_sigma} regressor components: "
@@ -318,7 +316,7 @@ def _build_identifier(icfg, d_eta):
     if cls is None:
         return None
     _check_identifier_memory(icfg, d_eta)
-    regressor = build_poly_regressor(d_eta, icfg["N"], icfg["mode"])
+    regressor = build_poly_regressor(d_eta, icfg["N"])
     return cls(regressor, **{arg: icfg[key] for key, arg in args.items() if key in icfg})
 
 
@@ -478,9 +476,11 @@ def _error_coordinates(plant, p0, w0, lay):
     x = (p1 - p1*(w0), p2 - L_s p1*(w0)) of the plant state p0, and zeros."""
     try:
         ref, slope = plant.extras["reference"](w0)
-    except (InvalidConfigError, ArithmeticError) as exc:
-        # the oscillator's reference at w0 = 0, or where |w0|**3 leaves the float range
+    except InvalidConfigError as exc:  # the oscillator's reference at w0 = 0
         raise InvalidConfigError(f"no initial error coordinates at w0 = {w0}: {exc}") from None
+    except ArithmeticError:  # where |w0|**3 leaves the float range
+        raise InvalidConfigError(f"plant.w0 = {w0} is too large: the reference at it "
+                                 "overflows the float range") from None
     v0 = np.zeros(lay.size)
     v0[lay.w] = w0
     v0[lay.x] = (p0[0] - ref, p0[1] - slope)
@@ -504,6 +504,7 @@ class RunCost(NamedTuple):
 class _Cell(NamedTuple):
     """One wired scenario: what the closed loop of a config integrates."""
 
+    lay: StateLayout
     plant: PlantSpec
     im: InternalModelConfig
     stab: StabilizerConfig
@@ -577,7 +578,7 @@ def _wire(cfg):
     d_sigma = 0 if ident is None else ident.regressor.d_sigma
     cost = RunCost(d_sigma, f_bytes, arc_bytes, JUMP_MATRICES * 8 * d_sigma**2, terms,
                    jump_bound(clock, horizon), lambda_dt)
-    return _Cell(plant, im, stab, obs, ident, clock, v0, cost)
+    return _Cell(lay, plant, im, stab, obs, ident, clock, v0, cost)
 
 
 def run_scenario(cfg):
@@ -587,8 +588,7 @@ def run_scenario(cfg):
     ``theta_history`` and ``jump_samples`` record what it got and gave.
     """
     cell = _wire(cfg)
-    lay = state_layout(cell.im.d_eta)
-    stab, ident = cell.stab, cell.ident
+    lay, stab, ident = cell.lay, cell.stab, cell.ident
     field, control = build_closed_loop(cell.plant, cell.im, stab, cell.obs, ident)
     theta_history, jump_samples = [], []
 

@@ -103,7 +103,7 @@ class TestCriterion2OracleEquivalence:
         samples = res.jump_samples
         assert len(samples) >= 50
         reg = build_poly_regressor(6, 1)
-        omega = 1e-3 * np.eye(reg.d_sigma)
+        omega = 1e-3
         for j in range(1, len(samples) + 1):
             oracle = brute_force_cost_minimizer(samples[:j], reg, 0.99, omega)
             theta_j = res.theta_history[j - 1][1]

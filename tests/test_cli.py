@@ -44,9 +44,9 @@ class TestValidate:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
-    @pytest.mark.parametrize("key", ["clamp", "theta_bound", "cutoff_rel"])
+    @pytest.mark.parametrize("key", ["clamp", "theta_bound", "cutoff_rel", "mode"])
     def test_removed_identifier_key_is_unknown(self, write_cfg, capsys, key, command):
-        # the identifiers take these as constructor arguments; a config does not
+        # settings with one value, fixed in the code: no config or constructor takes them
         cfg = {"sim": SHORT_SIM, "identifier": {"kind": "ls", "N": 1, key: NAN}}
         assert main([command, write_cfg(cfg)]) == EXIT_CONFIG
         assert "unknown keys in 'identifier'" in capsys.readouterr().err
@@ -58,7 +58,7 @@ class TestValidate:
         resolved = json.loads(out[out.index("{"):])
         assert resolved["regulator"]["ell"] == 10.0
         assert resolved["regulator"]["d_eta"] == 6
-        assert resolved["identifier"] == {"kind": "ls", "N": 3, "mode": "full-multiset"}
+        assert resolved["identifier"] == {"kind": "ls", "N": 3}
         assert resolved["clock"] == {"t_low": 0.1, "t_high": 0.1, "strategy": "periodic",
                                      "seed": 0}
         assert resolved["output"] == {"csv": None, "summary": None}
@@ -190,6 +190,14 @@ class TestMalformedConfig:
     def test_config_error(self, write_cfg, capsys, command, cfg):
         assert main([command, write_cfg(cfg)]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_overflowing_reference_names_w0(self, write_cfg, capsys, command):
+        # |w0|**3 leaves the float range in the oscillator's reference
+        assert main([command, write_cfg(_with("plant", "w0", [1e200, 1]))]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == ("config error: plant.w0 = [1e+200, 1.0] is too large: the reference at "
+                       "it overflows the float range\n")
 
 
 class TestSimulate:

@@ -50,17 +50,6 @@ class TestRunCoreProcess:
         assert len(samples) == 3
         assert samples[0][1][0] == pytest.approx(np.exp(-0.1), abs=1e-9)
 
-    def test_disturbance_is_added(self):
-        run = _harmonic_run(lambda w: w, lambda w: w[:1])
-        clean = run_core_process(run, horizon=0.3)
-        noisy = run_core_process(
-            run, horizon=0.3,
-            disturbance=(lambda j: np.array([j, 0.0]), lambda j: np.array([10.0])),
-        )
-        for (j, win_c, wout_c), (_, win_n, wout_n) in zip(clean, noisy):
-            assert np.allclose(win_n - win_c, [j, 0.0])
-            assert wout_n[0] - wout_c[0] == pytest.approx(10.0)
-
 
 class TestBruteForceCostMinimizer:
     def test_hand_computed_two_samples(self):

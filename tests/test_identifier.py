@@ -1,6 +1,7 @@
 """Identifier tests: regressor combinatorics, Jacobians, and both update
 schemes checked against independently coded least-squares oracles."""
 
+import copy
 from math import comb
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from adreg.errors import InvalidConfigError
 from adreg.identifier import (
+    CLAMP,
     LsIdentifier,
     MiniBatchIdentifier,
     PolyRegressor,
@@ -38,15 +40,10 @@ class TestPolyRegressor:
         assert PolyRegressor(6, 3).d_sigma == 62
         assert PolyRegressor(6, 5).d_sigma == 314
 
-    def test_pure_powers_count(self):
-        assert PolyRegressor(6, 5, mode="pure-powers").d_sigma == 18
-
-    @pytest.mark.parametrize("mode", ["full-multiset", "pure-powers"])
-    def test_size_counted_without_building(self, mode):
+    def test_size_counted_without_building(self):
         for d_eta in (1, 2, 3, 6):
             for order in (1, 3, 5, 7):
-                assert poly_regressor_size(d_eta, order, mode) == \
-                    PolyRegressor(d_eta, order, mode).d_sigma
+                assert poly_regressor_size(d_eta, order) == PolyRegressor(d_eta, order).d_sigma
         # sizes past what the checks build: the config bound rejects them
         assert [poly_regressor_size(6, n) for n in (9, 15, 21)] == [3108, 31548, 166166]
 
@@ -75,9 +72,8 @@ class TestPolyRegressor:
         for i, eta in enumerate(rows):
             assert np.array_equal(batch[i], reg(eta))
 
-    @pytest.mark.parametrize("mode", ["full-multiset", "pure-powers"])
-    def test_jacobian_matches_finite_differences(self, mode):
-        reg = PolyRegressor(4, 5, mode=mode)
+    def test_jacobian_matches_finite_differences(self):
+        reg = PolyRegressor(4, 5)
         rng = np.random.default_rng(3)
         eta = rng.normal(size=4)
         jac = reg.jacobian(eta)
@@ -124,14 +120,11 @@ class TestPolyRegressor:
             out[:-1] *= np.cumprod(t[:0:-1], axis=0)[::-1]
         return out.T
 
-    @pytest.mark.parametrize("d_eta,order,mode", [
-        (6, 5, "full-multiset"), (6, 3, "full-multiset"), (6, 1, "full-multiset"),
-        (4, 5, "pure-powers"), (2, 7, "full-multiset"),
-    ])
-    def test_jacobian_bits_equal_reference_formula(self, d_eta, order, mode):
+    @pytest.mark.parametrize("d_eta,order", [(6, 5), (6, 3), (6, 1), (4, 5), (2, 7)])
+    def test_jacobian_bits_equal_reference_formula(self, d_eta, order):
         # random eta, eta with exact (signed) zeros, and eta whose powers
         # overflow to inf and give NaN entries
-        reg = PolyRegressor(d_eta, order, mode)
+        reg = PolyRegressor(d_eta, order)
         rng = np.random.default_rng(7)
         theta = rng.standard_normal(reg.d_sigma)
         for it in range(300):
@@ -152,8 +145,6 @@ class TestPolyRegressor:
             PolyRegressor(3, 2)  # even order
         with pytest.raises(InvalidConfigError):
             PolyRegressor(3, 0)
-        with pytest.raises(InvalidConfigError):
-            PolyRegressor(3, 3, mode="fourier")
 
 
 class TestThetaMapLs:
@@ -170,10 +161,11 @@ class TestThetaMapLs:
                            atol=1e-9)
 
     def test_clamps_at_bound(self):
-        ident = LsIdentifier(PolyRegressor(2, 1), mu_f=0.5, omega=1e-9, theta_bound=5.0)
+        # unclamped, theta = (0.5 / 1e-9, 0): 5e8, past the radius
+        ident = LsIdentifier(PolyRegressor(2, 1), mu_f=0.5, omega=1e-9)
         ident.xi2 = np.array([1.0, 0.0])
         ident.jump(np.zeros(2), 0.0)
-        assert np.linalg.norm(ident.theta) == pytest.approx(5.0)
+        assert np.linalg.norm(ident.theta) == pytest.approx(CLAMP)
 
 
 class TestLsJump:
@@ -244,14 +236,13 @@ class TestLsJump:
         """(xi1, xi2, theta) after a jump, by the update's first formula:
         sigma sigma' saturated by its Frobenius norm, xi1 symmetrized."""
         sig = ident.regressor(eta)
-        big_sigma = saturate(np.outer(sig, sig).ravel(), ident.clamp).reshape(
-            sig.size, sig.size)
-        lam = saturate(sig * u, ident.clamp)
+        big_sigma = saturate(np.outer(sig, sig).ravel(), CLAMP).reshape(sig.size, sig.size)
+        lam = saturate(sig * u, CLAMP)
         xi1 = ident.mu_f * ident.xi1 + big_sigma
         xi1 = 0.5 * (xi1 + xi1.T)
         xi2 = ident.mu_f * ident.xi2 + lam
-        theta = pseudoinverse(xi1 + ident.omega * np.eye(sig.size), ident.cutoff_rel) @ xi2
-        return xi1, xi2, saturate(theta, ident.theta_bound)
+        theta = pseudoinverse(xi1 + ident.omega * np.eye(sig.size)) @ xi2
+        return xi1, xi2, saturate(theta, CLAMP)
 
     @pytest.mark.parametrize("d_eta,order", [(6, 3), (4, 5)])
     def test_jump_bits_equal_reference_formula(self, d_eta, order):
@@ -261,7 +252,7 @@ class TestLsJump:
             eta = 0.5 * rng.standard_normal(d_eta)
             u = float(rng.standard_normal())
             sig = ident.regressor(eta)
-            assert np.linalg.norm(np.outer(sig, sig)) < ident.clamp
+            assert np.linalg.norm(np.outer(sig, sig)) < CLAMP
             want = self._reference_jump(ident, eta, u)
             before = [a.copy() for a in (ident.xi1, ident.xi2, ident.theta)]
             held = (ident.xi1, ident.xi2, ident.theta)
@@ -274,25 +265,26 @@ class TestLsJump:
                 assert np.array_equal(a, b)
 
     def test_active_clamp_bounds_the_rank_one_term(self):
-        clamp = 1.0
-        ident = LsIdentifier(PolyRegressor(3, 3), mu_f=0.9, omega=1e-3, clamp=clamp)
+        # |eta_i| >= 10: each of the ten cubic components is at least 1e3, so
+        # |sigma sigma'|_F = |sigma|^2 >= 1e7, past the radius
+        ident = LsIdentifier(PolyRegressor(3, 3), mu_f=0.9, omega=1e-3)
         rng = np.random.default_rng(14)
         for _ in range(20):
-            eta = rng.choice([-1.0, 1.0], 3) * (1.0 + rng.random(3))
+            eta = rng.choice([-1.0, 1.0], 3) * (10.0 + 10.0 * rng.random(3))
             sig = ident.regressor(eta)
-            assert np.linalg.norm(np.outer(sig, sig)) > clamp
+            assert np.linalg.norm(np.outer(sig, sig)) > CLAMP
             scaled = ident.mu_f * ident.xi1
             want = self._reference_jump(ident, eta, 0.0)
             ident.jump(eta, 0.0)
             added = np.linalg.norm(ident.xi1 - scaled)
-            assert added == pytest.approx(clamp, rel=1e-12)
+            assert added == pytest.approx(CLAMP, rel=1e-12)
             assert np.array_equal(ident.xi1, ident.xi1.T)
             assert np.allclose(ident.xi1, want[0], rtol=1e-12, atol=0.0)
 
     def test_wrapper_clone_is_independent(self):
         ident = LsIdentifier(PolyRegressor(2, 1), mu_f=0.9, omega=1e-3)
         ident.jump(np.array([1.0, 0.0]), 2.0)
-        twin = ident.clone()
+        twin = copy.copy(ident)
         ident.jump(np.array([0.0, 1.0]), -1.0)
         assert not np.allclose(twin.theta, ident.theta)
         assert type(twin) is LsIdentifier
@@ -353,7 +345,7 @@ class TestMiniBatch:
         rng = np.random.default_rng(12)
         ident.jump(rng.normal(size=2), rng.normal())
         ident.jump(rng.normal(size=2), rng.normal())
-        twin = ident.clone()
+        twin = copy.copy(ident)
         ident.jump(rng.normal(size=2), rng.normal())
         assert not np.allclose(twin.theta, ident.theta)
         assert type(twin) is MiniBatchIdentifier

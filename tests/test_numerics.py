@@ -36,10 +36,7 @@ class TestPseudoinverse:
 
     def test_relative_cutoff_drops_small_singular_values(self):
         m = np.diag([1.0, 1e-15])
-        p = pseudoinverse(m, cutoff_rel=1e-12)
-        assert p[1, 1] == 0.0
-        p = pseudoinverse(m, cutoff_rel=1e-16)
-        assert p[1, 1] == pytest.approx(1e15)
+        assert pseudoinverse(m)[1, 1] == 0.0
 
     def test_zero_matrix(self):
         assert np.all(pseudoinverse(np.zeros((3, 2))) == 0.0)
@@ -47,10 +44,6 @@ class TestPseudoinverse:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInputError):
             pseudoinverse(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_bad_cutoff_rejected(self):
-        with pytest.raises(InvalidInputError):
-            pseudoinverse(np.eye(2), cutoff_rel=0.0)
 
 
 class TestPlacePoles:

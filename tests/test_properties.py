@@ -50,7 +50,6 @@ _SQUARE = st.integers(1, 3).flatmap(lambda n: st.lists(
 # values of each key's kind, most of them in range; keyed by key name only,
 # so that a kind may meet the other section's choices
 _PLAUSIBLE = {
-    "mode": st.sampled_from(["full-multiset", "pure-powers"]),
     "strategy": st.sampled_from(["periodic", "uniform"]),
     "p0": _PAIR,
     "w0": _PAIR,
