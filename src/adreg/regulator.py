@@ -1,14 +1,18 @@
-"""Controller configuration: saturation, the stabilizer, the internal-model
-pair (F, G) and the extended high-gain observer's gains, for the chain of two
+"""The regulator: saturation, the stabilizer, the internal-model pair (F, G)
+and the extended high-gain observer's gains, for the chain of two
 integrators with one output that every plant has. The closed-loop field that
 applies them is ``scenario.build_closed_loop``."""
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .numerics import is_controllable, is_hurwitz
+from .numerics import is_controllable, is_hurwitz, place_poles
+
+# The observer's roots count as real when the discriminant of its polynomial
+# is at least -DISCRIMINANT_TOL times the sum of its terms' magnitudes: the
+# rounding of the five products and their sum is at most about 9 eps of
+# that, and the rounding of decimal coefficients about 2 eps more.
+DISCRIMINANT_TOL = 16 * np.finfo(float).eps
 
 
 def saturate(s, level):
@@ -25,95 +29,80 @@ def saturate(s, level):
     return s * (level / n)
 
 
-@dataclass
-class StabilizerConfig:
-    """Linear stabilizer kappa(x) = -K x with saturated output, for the
-    chain of two integrators: K is 1 x 2, and A - B K is Hurwitz iff both
-    gains are positive."""
+class Regulator:
+    """The regulator of the ``regulator`` config section, built as
+    ``Regulator(**cfg.regulator)``; each range error names its key.
 
-    K: np.ndarray
-    sat_level: float
-
-    def __post_init__(self):
-        self.K = np.atleast_2d(np.asarray(self.K, dtype=float))
-        if self.sat_level <= 0.0:
-            raise InvalidConfigError("sat_level must be positive")
-        if self.K.shape != (1, 2):
-            raise InvalidConfigError(f"K must be 1 x 2, got {self.K.shape}")
-        if not (self.K[0, 0] > 0.0 and self.K[0, 1] > 0.0):
-            raise InvalidConfigError("A - B K is not Hurwitz")
-
-
-@dataclass
-class InternalModelConfig:
-    F: np.ndarray
-    G: np.ndarray
-
-    def __post_init__(self):
-        self.F = np.asarray(self.F, dtype=float)
-        self.G = np.asarray(self.G, dtype=float)
-        if not is_hurwitz(self.F):
-            raise InvalidConfigError("F must be Hurwitz")
-        if self.G.shape != (self.d_eta, 1):
-            raise InvalidConfigError(f"G must be {self.d_eta} x 1, got shape {self.G.shape}")
-        if not is_controllable(self.F, self.G):
-            raise InvalidConfigError("(F, G) must be controllable")
-
-    @property
-    def d_eta(self):
-        return self.F.shape[0]
-
-
-def default_internal_model(d_eta):
-    """Bidiagonal (F, G): -1 on the diagonal, +1 on the superdiagonal, G the
-    last unit vector. Hurwitz and controllable by construction; coincides with
-    the worked example at d_eta = 6."""
-    if d_eta < 1:
-        raise InvalidConfigError(f"d_eta must be >= 1, got {d_eta}")
-    too_large = InvalidConfigError(f"d_eta = {d_eta:.6g} asks for an F (d_eta x d_eta) "
-                                   "larger than can be allocated")
-    if d_eta * d_eta > np.iinfo(np.intp).max // 8:  # more bytes than an array can index
-        raise too_large
-    try:
-        f = -np.eye(d_eta) + np.diag(np.ones(d_eta - 1), k=1)
-    except (MemoryError, ValueError):  # more bytes than memory
-        raise too_large from None
-    g = np.zeros((d_eta, 1))
-    g[-1, 0] = 1.0
-    return InternalModelConfig(F=f, G=g)
-
-
-@dataclass
-class ObserverConfig:
-    """Extended-observer data: gain scale ell, the coefficients (h1, h2, h3)
-    of s^3 + h1 s^2 + h2 s + h3, whose roots must be real and negative, and
-    the bound psi_bar on the consistency term.
-
-    ``gains`` holds the innovation gains (ell h1, ell^2 h2, ell^3 h3) of
-    x_hat_1, x_hat_2 and sigma_hat; ``poles``, the poles ell r_i of the
-    observer's error dynamics, r_i the roots of the polynomial.
+    - ``K``, the 1 x 2 gain of the stabilizer u = sat(-sigma_hat - K x_hat,
+      sat_level), places the poles of A - B K at ``poles``;
+    - the internal model flows as eta' = F eta + G u. F and G are given
+      together, or they are the default pair of dimension d_eta: -1 on F's
+      diagonal, +1 on its superdiagonal, G the last unit vector, Hurwitz and
+      controllable by construction (the worked example at d_eta = 6);
+    - ``gains`` holds the observer's innovation gains (ell h1, ell^2 h2,
+      ell^3 h3) of x_hat_1, x_hat_2 and sigma_hat, where the roots of
+      s^3 + h1 s^2 + h2 s + h3 must be real and negative, and ``psi_bar``
+      bounds the consistency term;
+    - ``linear_poles`` maps each config key to the linear poles of the closed
+      loop it sets: ell r_i for the roots r_i, F's eigenvalues and ``poles``.
     """
 
-    ell: float
-    h_coeffs: list
-    psi_bar: float
-    gains: tuple = field(init=False, repr=False)
-    poles: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.ell < 1.0:
-            raise InvalidConfigError("ell must be >= 1")
-        if self.psi_bar <= 0.0:
-            raise InvalidConfigError("psi_bar must be positive")
-        h = np.asarray(self.h_coeffs, dtype=float)
-        if h.shape != (3,):
-            raise InvalidConfigError(f"expected 3 observer coefficients, got shape {h.shape}")
-        roots = np.roots(np.concatenate(([1.0], h)))
-        if np.any((np.abs(roots.imag) > 1e-9 * (1.0 + np.abs(roots.real))) | (roots.real >= 0.0)):
-            raise InvalidConfigError("observer characteristic roots must be real and negative")
+    def __init__(self, poles, sat_level, d_eta, ell, h_coeffs, psi_bar, F=None, G=None):
+        if sat_level <= 0.0:
+            raise InvalidConfigError(f"regulator.sat_level must be positive, got {sat_level!r}")
+        if ell < 1.0:
+            raise InvalidConfigError(f"regulator.ell must be >= 1, got {ell!r}")
+        if psi_bar <= 0.0:
+            raise InvalidConfigError(f"regulator.psi_bar must be positive, got {psi_bar!r}")
+        h = np.asarray(h_coeffs, dtype=float)
+        if h.shape != (3,) or not _real_negative_roots(*h.tolist()):
+            raise InvalidConfigError("regulator.h_coeffs must be (h1, h2, h3) of s^3 + h1 s^2 + "
+                                     f"h2 s + h3 with real negative roots, got {h_coeffs!r}")
         h1, h2, h3 = h.tolist()
         try:
-            self.gains = (self.ell * h1, self.ell ** 2 * h2, self.ell ** 3 * h3)
+            self.gains = (ell * h1, ell ** 2 * h2, ell ** 3 * h3)
         except OverflowError:  # a Python float power past the float range
-            raise InvalidConfigError(f"ell = {self.ell!r} overflows the observer gains") from None
-        self.poles = [self.ell * r for r in roots.real.tolist()]
+            raise InvalidConfigError(
+                f"regulator.ell = {ell!r} overflows the observer gains") from None
+        self.K = place_poles(poles)
+        self.sat_level, self.psi_bar = sat_level, psi_bar
+
+        if (F is None) != (G is None):
+            raise InvalidConfigError("regulator.F and G must be given together")
+        if F is None:
+            if d_eta < 1:
+                raise InvalidConfigError(f"regulator.d_eta must be >= 1, got {d_eta!r}")
+            try:
+                F = -np.eye(d_eta) + np.diag(np.ones(d_eta - 1), k=1)
+            except (MemoryError, ValueError):  # more bytes than memory, or than an array can index
+                raise InvalidConfigError(f"regulator.d_eta = {d_eta:.6g} asks for an F "
+                                         "(d_eta x d_eta) larger than can be allocated") from None
+            G = np.zeros((d_eta, 1))
+            G[-1, 0] = 1.0
+        else:
+            F, G = np.asarray(F, dtype=float), np.asarray(G, dtype=float)
+            if F.ndim != 2 or F.shape[0] != F.shape[1]:
+                raise InvalidConfigError(f"regulator.F must be square, got shape {F.shape}")
+            if G.shape != (len(F), 1):
+                raise InvalidConfigError(f"regulator.G must be {len(F)} x 1, got shape {G.shape}")
+            if not is_hurwitz(F):
+                raise InvalidConfigError("regulator.F must be Hurwitz")
+            if not is_controllable(F, G):
+                raise InvalidConfigError("regulator.F and G must be a controllable pair")
+        self.F, self.G, self.d_eta = F, G, len(F)
+        roots = np.roots(np.concatenate(([1.0], h)))
+        self.linear_poles = {"regulator.ell": [ell * r for r in roots.real.tolist()],
+                             "regulator.F": np.linalg.eigvals(F).tolist(),
+                             "regulator.poles": poles}
+
+
+def _real_negative_roots(h1, h2, h3):
+    """True iff s^3 + h1 s^2 + h2 s + h3 has real negative roots: its
+    discriminant is >= 0 (to DISCRIMINANT_TOL) exactly when they are real,
+    and real roots are all negative exactly when every coefficient is
+    positive. A repeated root, which np.roots splits into a complex pair,
+    counts as real."""
+    terms = (18.0 * h1 * h2 * h3, -4.0 * h1 * h1 * h1 * h3, h1 * h1 * h2 * h2,
+             -4.0 * h2 * h2 * h2, -27.0 * h3 * h3)
+    return (min(h1, h2, h3) > 0.0
+            and sum(terms) >= -DISCRIMINANT_TOL * sum(map(abs, terms)))

@@ -19,14 +19,9 @@ from .errors import AdregError, IntegrationBlowupError, InvalidConfigError
 from .hybrid import ClockConfig, arc_row_bound, check_step, jump_bound, simulate
 from .identifier import (LsIdentifier, MiniBatchIdentifier, build_poly_regressor,
                          poly_regressor_size)
-from .numerics import place_poles, rk4_stable_step
+from .numerics import rk4_stable_step
 from .plant import PlantSpec, build_synthetic_linear_plant, build_vdp_scenario
-from .regulator import (
-    InternalModelConfig,
-    ObserverConfig,
-    StabilizerConfig,
-    default_internal_model,
-)
+from .regulator import Regulator
 
 CSV_HEADER = "t,j,y,u,u_star,gamma_hat,err_xhat,err_sigmahat,eps_star"
 
@@ -67,6 +62,9 @@ def _numbers(n):
 # is stored (as it is, for None).
 NUMBER = ("a finite number", _finite, float)
 INTEGER = ("a non-negative integer", lambda v: _finite(v) and v >= 0 and v == int(v), int)
+# A float from 2^53 on is even, whatever integer was written: such an N is
+# left to the identifier's memory check, which rejects every N that large.
+ODD = ("an odd positive integer", lambda v: INTEGER[1](v) and (v % 2 == 1 or v >= 2**53), int)
 MATRIX = ("a matrix: a list of equal-length lists of finite numbers", _is_matrix,
           lambda v: [[float(x) for x in row] for row in v])
 PATH = ("a file path (a non-empty string) or null",
@@ -76,8 +74,8 @@ PATH = ("a file path (a non-empty string) or null",
 # section, a key takes its default. A key whose default is OPTIONAL stays left
 # out, and the code that consumes it supplies one: w0's default depends on the
 # plant kind, mu_f, omega_scale and N_w default in the identifiers'
-# constructors, period in ClockConfig, and F and G come together or the
-# default pair of dimension d_eta is used.
+# constructors, period in ClockConfig, and Regulator takes F and G together or
+# the default pair of dimension d_eta.
 OPTIONAL = object()
 SCHEMA = {
     "plant": {"kind": (_choice("vdp", "synthetic-linear"), "vdp"),
@@ -89,7 +87,7 @@ SCHEMA = {
                   "psi_bar": (NUMBER, 100.0)},
     "identifier": {"kind": (_choice("none", "ls", "mini-batch"), "none"),
                    "mu_f": (NUMBER, OPTIONAL), "omega_scale": (NUMBER, OPTIONAL),
-                   "N": (INTEGER, 1), "N_w": (INTEGER, OPTIONAL)},
+                   "N": (ODD, 1), "N_w": (INTEGER, OPTIONAL)},
     "clock": {"t_low": (NUMBER, 0.1), "t_high": (NUMBER, 0.1),
               "strategy": (_choice("periodic", "uniform"), "periodic"),
               "period": (NUMBER, OPTIONAL), "seed": (INTEGER, 0)},
@@ -320,16 +318,6 @@ def _build_identifier(icfg, d_eta):
     return cls(regressor, **{arg: icfg[key] for key, arg in args.items() if key in icfg})
 
 
-def _build_internal_model(rcfg):
-    """(F, G) from the regulator section: both given explicitly, or the
-    default pair of dimension d_eta."""
-    if "F" in rcfg or "G" in rcfg:
-        if not ("F" in rcfg and "G" in rcfg):
-            raise InvalidConfigError("F and G must be given together")
-        return InternalModelConfig(rcfg["F"], rcfg["G"])
-    return default_internal_model(rcfg["d_eta"])
-
-
 class StateLayout(NamedTuple):
     """Blocks of the closed-loop state v = (w, x, eta, x_hat, sigma_hat).
 
@@ -357,17 +345,17 @@ def state_layout(d_eta):
     return StateLayout(slice(0, 2), slice(2, 4), slice(4, e), slice(e, e + 2), e + 2, e + 3)
 
 
-def _diagonals(im):
+def _diagonals(reg):
     """Offsets k of the non-zero diagonals of [F G], ascending; diagonal k
     holds the entries (i, i + k)."""
-    rows, cols = np.nonzero(np.hstack([im.F, im.G]))
+    rows, cols = np.nonzero(np.hstack([reg.F, reg.G]))
     return sorted(set((cols - rows).tolist()))  # np.unique would import numpy.ma
 
 
-def field_terms(im):
+def field_terms(reg):
     """Products the closed-loop field sums for eta': one per row of [F G]
     and non-zero diagonal, the zero-padded ones included."""
-    return im.d_eta * len(_diagonals(im))
+    return reg.d_eta * len(_diagonals(reg))
 
 
 # Compiling the generated field takes about this many bytes per term of eta'
@@ -399,9 +387,9 @@ def _clamp(x, level):
             f"        {x} = {neg}"]
 
 
-def build_closed_loop(plant, im, stab, obs, ident=None):
-    """The closed-loop field over ``state_layout(im.d_eta)`` and its
-    controller.
+def build_closed_loop(plant, reg, ident=None):
+    """The closed-loop field of the regulator ``reg`` over
+    ``state_layout(reg.d_eta)``, and its controller.
 
     Returns ``(field, control)``. ``control(xh1, xh2, sigma_hat)`` is the
     saturated stabilizer u = sat(-sigma_hat - K x_hat) on scalars: the field
@@ -425,18 +413,18 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
     number. The source holds only literals
     and generated names, nothing read from a config as text.
     """
-    d = im.d_eta
-    fg = np.hstack([im.F, im.G]).tolist()
-    lh0, lh1, l3 = obs.gains
+    d = reg.d_eta
+    fg = np.hstack([reg.F, reg.G]).tolist()
+    lh0, lh1, l3 = reg.gains
     eta = [f"e{i}" for i in range(d)]
     eta_dot = [f"d{i}" for i in range(d)]
     operand = [*eta, "u"]
-    u = [f"    u = -sh - {_num(stab.K[0, 0])} * xh1 - {_num(stab.K[0, 1])} * xh2",
-         *_clamp("u", stab.sat_level)]
+    u = [f"    u = -sh - {_num(reg.K[0, 0])} * xh1 - {_num(reg.K[0, 1])} * xh2",
+         *_clamp("u", reg.sat_level)]
 
     lines = ["def control(xh1, xh2, sh):", *u, "    return u", "", "def field(v):",
              f"    w1, w2, x1, x2, {', '.join(eta)}, xh1, xh2, sh = v", *u]
-    ks = _diagonals(im)
+    ks = _diagonals(reg)
     for i in range(d):
         terms = [f"{_num(fg[i][i + k])} * {operand[i + k]}" if 0 <= i + k <= d else "0.0"
                  for k in ks]
@@ -453,7 +441,7 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
     sigma_hat_dot = f"{_num(l3)} * innov"
     if ident is not None:
         lines += [f"    p = psi([{', '.join(eta)}], [{', '.join(eta_dot)}])",
-                  *_clamp("p", obs.psi_bar)]
+                  *_clamp("p", reg.psi_bar)]
         sigma_hat_dot = "-p + " + sigma_hat_dot
     lines.append(f"    return [w2, {_num(-plant.rho)} * w1, x2, q + u, {', '.join(eta_dot)}, "
                  f"xh2 + {_num(lh0)} * innov, sh + u + {_num(lh1)} * innov, {sigma_hat_dot}]")
@@ -461,8 +449,8 @@ def build_closed_loop(plant, im, stab, obs, ident=None):
     def psi(eta, eta_dot):
         """d gamma_hat/d eta . eta', from the identifier's current theta."""
         theta = ident.theta
-        reg = ident.regressor
-        dg = theta if reg.max_order == 1 else theta @ reg.jacobian(np.array(eta))
+        regressor = ident.regressor
+        dg = theta if regressor.max_order == 1 else theta @ regressor.jacobian(np.array(eta))
         return float(dg @ eta_dot)
 
     namespace = {"fast_q": plant.extras["fast_q"], "psi": psi, "float64": np.float64,
@@ -506,9 +494,7 @@ class _Cell(NamedTuple):
 
     lay: StateLayout
     plant: PlantSpec
-    im: InternalModelConfig
-    stab: StabilizerConfig
-    obs: ObserverConfig
+    reg: Regulator
     ident: object  # an identifier, or None
     clock: ClockConfig
     v0: np.ndarray
@@ -548,8 +534,8 @@ def _wire(cfg):
     _check_memory(f"sim.horizon / sim.dt = {horizon!r} / {dt!r} asks for an arc buffer "
                   f"({rows} rows x {lay.size} floats)", arc_bytes)
 
-    im = _build_internal_model(rcfg)
-    terms = field_terms(im)
+    reg = Regulator(**rcfg)
+    terms = field_terms(reg)
     _check_memory(f"regulator.F gives a closed-loop field of {terms} terms (non-zero diagonals "
                   f"of [F G] x d_eta) and an RK4 step of {lay.size} components; compiling "
                   "them takes an estimated peak",
@@ -564,21 +550,17 @@ def _wire(cfg):
         # reduction.
         w0_default = [1.0 / math.pi, 0.0]
     else:
-        plant = build_synthetic_linear_plant(pcfg["rho"], im.F, im.G)
+        plant = build_synthetic_linear_plant(pcfg["rho"], reg.F, reg.G)
         w0_default = [1.0, 0.0]
     w0 = pcfg["w0"] if "w0" in pcfg else w0_default
 
-    stab = StabilizerConfig(K=place_poles(rcfg["poles"]), sat_level=rcfg["sat_level"])
-    obs = ObserverConfig(ell=rcfg["ell"], h_coeffs=rcfg["h_coeffs"], psi_bar=rcfg["psi_bar"])
-    lambda_dt = _check_rk4_stable(dt, {"regulator.ell": obs.poles,
-                                       "regulator.F": np.linalg.eigvals(im.F).tolist(),
-                                       "regulator.poles": rcfg["poles"]})
-    ident = _build_identifier(cfg.identifier, im.d_eta)
+    lambda_dt = _check_rk4_stable(dt, reg.linear_poles)
+    ident = _build_identifier(cfg.identifier, reg.d_eta)
     v0 = _error_coordinates(plant, pcfg["p0"], w0, lay)
     d_sigma = 0 if ident is None else ident.regressor.d_sigma
     cost = RunCost(d_sigma, f_bytes, arc_bytes, JUMP_MATRICES * 8 * d_sigma**2, terms,
                    jump_bound(clock, horizon), lambda_dt)
-    return _Cell(lay, plant, im, stab, obs, ident, clock, v0, cost)
+    return _Cell(lay, plant, reg, ident, clock, v0, cost)
 
 
 def run_scenario(cfg):
@@ -588,8 +570,8 @@ def run_scenario(cfg):
     ``theta_history`` and ``jump_samples`` record what it got and gave.
     """
     cell = _wire(cfg)
-    lay, stab, ident = cell.lay, cell.stab, cell.ident
-    field, control = build_closed_loop(cell.plant, cell.im, stab, cell.obs, ident)
+    lay, reg, ident = cell.lay, cell.reg, cell.ident
+    field, control = build_closed_loop(cell.plant, reg, ident)
     theta_history, jump_samples = [], []
 
     def jump(t, j, v):
@@ -602,10 +584,10 @@ def run_scenario(cfg):
             # few 1e-6 in steady_state_max_y, beyond the 1e-6 tolerance of
             # bench/reference.json; feed it control() when those references
             # are next recorded.
-            u = -row[lay.sigma_hat:] - stab.K @ row[lay.x_hat]
+            u = -row[lay.sigma_hat:] - reg.K @ row[lay.x_hat]
             norm = np.linalg.norm(u)
-            if norm > stab.sat_level:
-                u = u * (stab.sat_level / norm)
+            if norm > reg.sat_level:
+                u = u * (reg.sat_level / norm)
             ident.jump(eta, u)
             theta_history.append((t, ident.theta.copy()))
             jump_samples.append((j, eta, u))
@@ -660,6 +642,8 @@ def run_sweep(base, axis, values):
         raise InvalidConfigError("sweep axis must be 'ell' or 'N'")
     if not values:
         raise InvalidConfigError("sweep needs at least one value")
+    if axis == "N" and base.identifier["kind"] == "none":
+        raise InvalidConfigError("sweep axis N needs an identifier kind != none")
     base = replace(base, output={})  # no per-cell files
     section = "regulator" if axis == "ell" else "identifier"
     rows = []

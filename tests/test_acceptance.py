@@ -25,7 +25,7 @@ from adreg.identifier import (
 )
 from adreg.numerics import is_controllable, is_hurwitz, place_poles
 from adreg.plant import build_synthetic_linear_plant
-from adreg.regulator import default_internal_model
+from adreg.regulator import Regulator
 from adreg.scenario import ScenarioConfig, run_scenario, run_sweep
 
 HORIZON = 100.0
@@ -224,7 +224,7 @@ class TestCriterion5AsymptoticRegulation:
         )
         res = run_scenario(cfg)
         assert res.summary["steady_state_max_y"] <= 1e-4
-        im = default_internal_model(6)
+        im = Regulator(**ScenarioConfig().regulator)
         theta_star = build_synthetic_linear_plant(2.0, im.F, im.G).extras[
             "theta_star"
         ]
@@ -263,7 +263,7 @@ class TestCriterion7StructuralChecks:
         assert np.max(np.abs(roots - [-3.0, -2.0, -1.0])) <= 1e-10
 
     def test_default_internal_model_d6(self):
-        im = default_internal_model(6)
+        im = Regulator(**ScenarioConfig().regulator)
         assert is_hurwitz(im.F)
         assert is_controllable(im.F, im.G)
 
@@ -289,7 +289,7 @@ class TestCriterion8BoundednessInvariants:
     def test_consistency_term_bound(self, benchmark_runs, case):
         res = benchmark_runs[case][0]
         reg = build_poly_regressor(6, case)
-        im = default_internal_model(6)
+        im = Regulator(**ScenarioConfig().regulator)
         g_col = im.G.ravel()
         seg = res.j - 1  # per-row index into theta_history
         identity_reg = reg.max_order == 1

@@ -15,7 +15,7 @@ import pytest
 from adreg import scenario
 from adreg.cli import EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK, EXIT_THRESHOLD, main
 from adreg.hybrid import ClockConfig, arc_row_bound
-from adreg.regulator import default_internal_model
+from adreg.regulator import Regulator
 
 
 @pytest.fixture
@@ -302,6 +302,46 @@ class TestRk4StepRule:
                                   "pole -2850")
 
 
+class TestKeyedRangeErrors:
+    """A value out of its range is a config error that names its key; a
+    repeated observer root is in range."""
+
+    @pytest.mark.parametrize("h_coeffs", [[3, 3, 1], [6, 12, 8], [0.3, 0.03, 0.001], [4, 5, 2]],
+                             ids=["s+1-cubed", "s+2-cubed", "s+0.1-cubed", "s+1-squared"])
+    def test_repeated_observer_roots_validate(self, write_cfg, capsys, h_coeffs):
+        path = write_cfg({"regulator": {"h_coeffs": h_coeffs}, "sim": SHORT_SIM})
+        assert main(["validate", path]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize("cfg,error", [
+        ({"regulator": {"sat_level": -1}}, "regulator.sat_level must be positive, got -1.0"),
+        ({"identifier": {"kind": "ls", "N": 4}},
+         "identifier.N must be an odd positive integer, got 4"),
+        ({"regulator": {"F": [[-1, 0, 0], [0, -1, 0]], "G": [[0], [1]]}},
+         "regulator.F must be square, got shape (2, 3)"),
+        ({"regulator": {"F": [[-1, 1], [0, -1]], "G": [[0], [1], [1]]}},
+         "regulator.G must be 2 x 1, got shape (3, 1)"),
+    ], ids=["sat_level", "N-even", "F-not-square", "G-rows"])
+    def test_error_names_its_key(self, write_cfg, capsys, command, cfg, error):
+        assert main([command, write_cfg({**cfg, "sim": SHORT_SIM})]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {error}\n"
+
+    def test_sweep_cell_of_even_n_names_its_key(self, write_cfg, capsys):
+        path = write_cfg({"identifier": {"kind": "ls"}, "sim": SHORT_SIM})
+        assert main(["sweep", path, "--axis", "N", "--values", "1,2"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1].endswith(",")  # no error
+        assert rows[2] == ("2,,,InvalidConfigError: identifier.N must be an odd positive "
+                           "integer, got 2.0")
+
+    def test_n_sweep_without_identifier_is_config_error(self, write_cfg, capsys):
+        path = write_cfg({"identifier": {"kind": "none"}, "sim": SHORT_SIM})
+        assert main(["sweep", path, "--axis", "N", "--values", "1,3,5"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: sweep axis N needs an identifier")
+
+
 class TestIdentifierMemory:
     """An identifier whose jump would hold more bytes than physical memory is
     a config error, found before anything is allocated."""
@@ -343,10 +383,10 @@ class TestWiringMemory:
     def test_f_past_memory_is_config_error(self, write_cfg, capsys, monkeypatch, command):
         monkeypatch.setattr(scenario, "physical_memory", lambda: self.MEMORY)
 
-        def allocate_f(d_eta):
+        def allocate_f(**rcfg):
             raise AssertionError("F allocated")
 
-        monkeypatch.setattr(scenario, "default_internal_model", allocate_f)
+        monkeypatch.setattr(scenario, "Regulator", allocate_f)
         path = write_cfg({"regulator": {"d_eta": 512}, "sim": SHORT_SIM})
         assert main([command, path]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -382,7 +422,7 @@ class TestWiringMemory:
             raise AssertionError("field compiled")
 
         monkeypatch.setattr(scenario, "build_closed_loop", compile_field)
-        im = default_internal_model(16)
+        im = Regulator(**{**scenario.ScenarioConfig().regulator, "d_eta": 16})
         rng = np.random.default_rng(1)
         f = im.F + 0.01 * rng.standard_normal((16, 16))
         g = im.G + 0.01 * rng.standard_normal((16, 1))

@@ -19,9 +19,8 @@ import pytest
 
 from adreg.identifier import LsIdentifier, build_poly_regressor
 from adreg.plant import build_vdp_scenario
-from adreg.regulator import (InternalModelConfig, ObserverConfig, StabilizerConfig,
-                             default_internal_model)
-from adreg.scenario import build_closed_loop, field_terms, state_layout
+from adreg.regulator import Regulator
+from adreg.scenario import ScenarioConfig, build_closed_loop, field_terms, state_layout
 
 
 def _clamp(x, level):
@@ -32,19 +31,25 @@ def _clamp(x, level):
     return x
 
 
-def oracle_closed_loop(plant, im, stab, obs, ident=None):
+def _regulator(**keys):
+    """The default config's regulator (K = (2, 3), M = psi_bar = 100,
+    ell = 20, h = (6, 11, 6)) with ``keys`` set."""
+    return Regulator(**{**ScenarioConfig().regulator, **keys})
+
+
+def oracle_closed_loop(plant, reg, ident=None):
     """(field, control) as the diagonal-sum field computed them: each row of
     eta' a map chain over the non-zero diagonals of [F G], on (eta, u)
     padded with zeros as far as the diagonals reach."""
-    lay = state_layout(im.d_eta)
+    lay = state_layout(reg.d_eta)
     fast_q = plant.extras["fast_q"]
     rho_exo = float(plant.rho)
-    k0, k1 = float(stab.K[0, 0]), float(stab.K[0, 1])
-    sat_level = stab.sat_level
-    lh0, lh1, l3 = obs.gains
-    psi_bar = obs.psi_bar
-    d, e = im.d_eta, lay.eta.stop
-    fg = np.hstack([im.F, im.G])
+    k0, k1 = float(reg.K[0, 0]), float(reg.K[0, 1])
+    sat_level = reg.sat_level
+    lh0, lh1, l3 = reg.gains
+    psi_bar = reg.psi_bar
+    d, e = reg.d_eta, lay.eta.stop
+    fg = np.hstack([reg.F, reg.G])
     ks = [k for k in range(1 - d, d + 1) if fg.diagonal(k).any()]
     lead, trail = [0.0] * max(0, -ks[0]), [0.0] * max(0, ks[-1] - 1)
     padded = np.hstack([np.zeros((d, len(lead))), fg, np.zeros((d, len(trail)))])
@@ -56,8 +61,8 @@ def oracle_closed_loop(plant, im, stab, obs, ident=None):
 
     def psi(eta, eta_dot):
         theta = ident.theta
-        reg = ident.regressor
-        dg = theta if reg.max_order == 1 else theta @ reg.jacobian(np.array(eta))
+        regressor = ident.regressor
+        dg = theta if regressor.max_order == 1 else theta @ regressor.jacobian(np.array(eta))
         return _clamp(float(dg @ eta_dot), psi_bar)
 
     def field(v):
@@ -91,22 +96,22 @@ def _hurwitz_pair(rng, d, diagonals, g_row):
     f -= (np.linalg.eigvals(f).real.max() + 0.5) * np.eye(d)
     g = np.zeros((d, 1))
     g[g_row, 0] = rng.standard_normal()
-    return InternalModelConfig(F=f, G=g)
+    return _regulator(F=f, G=g)
 
 
 def _dense_pair():
     # the pair of tests/test_regulator.py::test_flow_with_explicit_dense_pair
     rng = np.random.default_rng(8)
     a = rng.standard_normal((4, 4))
-    return InternalModelConfig(F=a - (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(4),
-                               G=rng.standard_normal((4, 1)))
+    return _regulator(F=a - (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(4),
+                      G=rng.standard_normal((4, 1)))
 
 
 PAIRS = {
-    "default-1": lambda: default_internal_model(1),
-    "default-2": lambda: default_internal_model(2),
-    "default-3": lambda: default_internal_model(3),
-    "default-6": lambda: default_internal_model(6),
+    "default-1": lambda: _regulator(d_eta=1),
+    "default-2": lambda: _regulator(d_eta=2),
+    "default-3": lambda: _regulator(d_eta=3),
+    "default-6": lambda: _regulator(d_eta=6),
     "dense-4": _dense_pair,
     # diagonals -2, 0 and 1 of [F G] non-zero, -1 zero between them
     "gap-4": lambda: _hurwitz_pair(np.random.default_rng(3), 4, (-2, 0, 1), 3),
@@ -154,16 +159,14 @@ def _outcome(f, *args):
 @pytest.mark.parametrize("make_pair", PAIRS.values(), ids=PAIRS.keys())
 def test_field_and_control_equal_the_oracle_bit_for_bit(make_pair, order):
     rng = np.random.default_rng(14)
-    im = make_pair()
+    reg = make_pair()
     ident = None
     if order is not None:
-        ident = LsIdentifier(build_poly_regressor(im.d_eta, order))
+        ident = LsIdentifier(build_poly_regressor(reg.d_eta, order))
     plant = build_vdp_scenario(2.0, 2.0)
-    stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0)
-    obs = ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
-    field, control = build_closed_loop(plant, im, stab, obs, ident)
-    want_field, want_control = oracle_closed_loop(plant, im, stab, obs, ident)
-    lay = state_layout(im.d_eta)
+    field, control = build_closed_loop(plant, reg, ident)
+    want_field, want_control = oracle_closed_loop(plant, reg, ident)
+    lay = state_layout(reg.d_eta)
     with np.errstate(all="ignore"):
         for v in _states(rng, lay):
             if ident is not None:  # theta . eta' on both sides of psi_bar
@@ -176,7 +179,7 @@ def test_field_and_control_equal_the_oracle_bit_for_bit(make_pair, order):
 
 
 def test_terms_count_every_non_zero_diagonal():
-    assert field_terms(default_internal_model(6)) == 12
+    assert field_terms(_regulator(d_eta=6)) == 12
     assert field_terms(_dense_pair()) == 4 * 8
     assert field_terms(PAIRS["gap-4"]()) == 4 * 3
 
@@ -189,17 +192,16 @@ def test_long_rows_compile():
     # cutoff.)
     rng = np.random.default_rng(5)
     d = 120
-    im = SimpleNamespace(F=rng.standard_normal((d, d)), G=rng.standard_normal((d, 1)), d_eta=d)
+    reg = SimpleNamespace(**{**vars(_regulator()), "F": rng.standard_normal((d, d)),
+                             "G": rng.standard_normal((d, 1)), "d_eta": d})
     plant = build_vdp_scenario(2.0, 2.0)
-    stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0)
-    obs = ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 60)
     try:
-        field, _ = build_closed_loop(plant, im, stab, obs)
+        field, _ = build_closed_loop(plant, reg)
     finally:
         sys.setrecursionlimit(limit)
-    want, _ = oracle_closed_loop(plant, im, stab, obs)
+    want, _ = oracle_closed_loop(plant, reg)
     v = rng.standard_normal(state_layout(d).size).tolist()
     assert np.array(field(v)).tobytes() == np.array(want(v)).tobytes()
 
@@ -208,12 +210,11 @@ def test_infinite_observer_gain():
     # ell^3 h3 past the float range: such a config wires, and its run ends in
     # an integration failure; the generated source names the gain inf
     rng = np.random.default_rng(6)
-    obs = ObserverConfig(ell=1e99, h_coeffs=[6e4, 1.1e9, 6e12], psi_bar=100.0)
-    assert obs.gains[2] == np.inf
-    plant, im = build_vdp_scenario(2.0, 2.0), default_internal_model(6)
-    stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0)
-    field, _ = build_closed_loop(plant, im, stab, obs)
-    want, _ = oracle_closed_loop(plant, im, stab, obs)
+    reg = _regulator(ell=1e99, h_coeffs=[6e4, 1.1e9, 6e12])
+    assert reg.gains[2] == np.inf
+    plant = build_vdp_scenario(2.0, 2.0)
+    field, _ = build_closed_loop(plant, reg)
+    want, _ = oracle_closed_loop(plant, reg)
     with np.errstate(all="ignore"):
         for v in _states(rng, state_layout(6)):
             assert _outcome(field, v) == _outcome(want, v), v

@@ -112,9 +112,10 @@ class TestStabilityChecks:
     @pytest.mark.parametrize("d", [1, 2, 6, 20, 100])
     def test_default_pairs_are_controllable(self, d):
         # the raw Krylov matrix's rank rejected the default pair at d = 100
-        from adreg.regulator import default_internal_model
+        from adreg.regulator import Regulator
+        from adreg.scenario import ScenarioConfig
 
-        im = default_internal_model(d)
+        im = Regulator(**{**ScenarioConfig().regulator, "d_eta": d})
         assert is_controllable(im.F, im.G)
 
 

@@ -11,7 +11,7 @@ import pytest
 from adreg.errors import InvalidConfigError
 from adreg.plant import (build_synthetic_linear_plant, build_vdp_scenario, p1star_and_lie,
                          vdp_ustar_rows)
-from adreg.regulator import ObserverConfig, StabilizerConfig, default_internal_model
+from adreg.regulator import Regulator
 from adreg.scenario import ScenarioConfig, _wire, build_closed_loop, state_layout
 
 
@@ -122,7 +122,7 @@ class TestReference:
             _reference([0.0, 0.0])
 
     def test_synthetic_linear_reference_is_w(self):
-        im = default_internal_model(2)
+        im = Regulator(**{**ScenarioConfig().regulator, "d_eta": 2})
         plant = build_synthetic_linear_plant(2.0, im.F, im.G)
         assert plant.extras["reference"](np.array([0.25, -0.5])) == (0.25, -0.5)
 
@@ -133,9 +133,7 @@ class TestVdpScenario:
         # checked on the closed-loop field: with x = x_hat = 0 and
         # sigma_hat = -u*(w) the controller applies u*(w), so x2' = 0
         plant = build_vdp_scenario(2.0, 2.0)
-        stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0)
-        obs = ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
-        field, control = build_closed_loop(plant, default_internal_model(6), stab, obs)
+        field, control = build_closed_loop(plant, Regulator(**ScenarioConfig().regulator))
         lay = state_layout(6)
         rng = np.random.default_rng(1)
         for _ in range(20):

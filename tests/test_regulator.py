@@ -1,4 +1,4 @@
-"""Controller-stack tests: saturation, stabilizer, internal model, observer."""
+"""Regulator tests: saturation, stabilizer, internal model, observer."""
 
 import numpy as np
 import pytest
@@ -7,23 +7,20 @@ from adreg.errors import InvalidConfigError, InvalidInputError
 from adreg.identifier import LsIdentifier, build_poly_regressor
 from adreg.numerics import is_controllable, is_hurwitz
 from adreg.plant import build_vdp_scenario
-from adreg.regulator import (
-    InternalModelConfig,
-    ObserverConfig,
-    StabilizerConfig,
-    default_internal_model,
-    saturate,
-)
-from adreg.scenario import build_closed_loop, state_layout
+from adreg.regulator import Regulator, saturate
+from adreg.scenario import ScenarioConfig, build_closed_loop, state_layout
+
+
+def _regulator(**keys):
+    """The default config's regulator with ``keys`` set: poles (-1, -2), so
+    K = (2, 3), M = psi_bar = 100, ell = 20 and h = (6, 11, 6)."""
+    return Regulator(**{**ScenarioConfig().regulator, **keys})
 
 
 def _closed_loop(d_eta=6, ident=None):
-    """(field, control, layout) of the oscillator loop with K = (2, 3),
-    M = psi_bar = 100, ell = 20 and h = (6, 11, 6)."""
-    stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0)
-    obs = ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
-    field, control = build_closed_loop(
-        build_vdp_scenario(2.0, 2.0), default_internal_model(d_eta), stab, obs, ident)
+    """(field, control, layout) of the oscillator loop of ``_regulator``."""
+    field, control = build_closed_loop(build_vdp_scenario(2.0, 2.0),
+                                       _regulator(d_eta=d_eta), ident)
     return field, control, state_layout(d_eta)
 
 
@@ -76,31 +73,19 @@ CHAIN_B = np.array([[0.0], [1.0]])
 
 class TestStabilizerConfig:
     def test_accepts_stabilizing_gain(self):
-        # K places the chain poles at -1, -2
-        stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0)
-        assert is_hurwitz(CHAIN_A - CHAIN_B @ stab.K)
-
-    def test_rejects_destabilizing_gain(self):
-        with pytest.raises(InvalidConfigError):
-            StabilizerConfig(K=[[-1.0, -1.0]], sat_level=100.0)
-
-    @pytest.mark.parametrize("k", [[[0.0, 3.0]], [[2.0, 0.0]], [[2.0, -3.0]]])
-    def test_rejects_nonpositive_gain(self, k):
-        # A - B K = [[0, 1], [-k0, -k1]] is Hurwitz iff k0 > 0 and k1 > 0
-        assert not is_hurwitz(CHAIN_A - CHAIN_B @ np.array(k))
-        with pytest.raises(InvalidConfigError):
-            StabilizerConfig(K=k, sat_level=100.0)
+        # the K of poles (-1, -2) is (2, 3), and A - B K is Hurwitz
+        reg = _regulator(poles=[-1.0, -2.0])
+        assert reg.K.tolist() == [[2.0, 3.0]]
+        assert is_hurwitz(CHAIN_A - CHAIN_B @ reg.K)
 
     def test_rejects_bad_shapes_and_level(self):
         with pytest.raises(InvalidConfigError):
-            StabilizerConfig(K=[[2.0, 3.0]], sat_level=0.0)
-        with pytest.raises(InvalidConfigError):
-            StabilizerConfig(K=np.ones((2, 3)), sat_level=1.0)
+            _regulator(sat_level=0.0)
 
 
 class TestInternalModel:
     def test_default_structure(self):
-        im = default_internal_model(4)
+        im = _regulator(d_eta=4)
         assert np.array_equal(np.diag(im.F), -np.ones(4))
         assert np.array_equal(np.diag(im.F, k=1), np.ones(3))
         assert np.count_nonzero(im.F) == 7
@@ -108,7 +93,7 @@ class TestInternalModel:
         assert im.d_eta == 4
 
     def test_default_is_hurwitz_and_controllable(self):
-        im = default_internal_model(6)
+        im = _regulator(d_eta=6)
         assert is_hurwitz(im.F)
         assert is_controllable(im.F, im.G)
 
@@ -124,15 +109,12 @@ class TestInternalModel:
         # every diagonal of [F G] is non-zero, those below the main one too;
         # the field's sums agree with the matrix product to rounding, and
         # with the default pair bit for bit
-        stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0)
-        obs = ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
         rng = np.random.default_rng(8)
         a = rng.standard_normal((4, 4))
-        dense = InternalModelConfig(
-            F=a - (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(4),
-            G=rng.standard_normal((4, 1)))
-        for im in (dense, default_internal_model(4)):
-            field, control = build_closed_loop(build_vdp_scenario(2.0, 2.0), im, stab, obs)
+        dense = _regulator(F=a - (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(4),
+                           G=rng.standard_normal((4, 1)))
+        for im in (dense, _regulator(d_eta=4)):
+            field, control = build_closed_loop(build_vdp_scenario(2.0, 2.0), im)
             lay = state_layout(4)
             for _ in range(100):
                 v = rng.standard_normal(lay.size)
@@ -147,59 +129,89 @@ class TestInternalModel:
 
     def test_rejects_unstable_f(self):
         with pytest.raises(InvalidConfigError):
-            InternalModelConfig(F=np.eye(2), G=np.array([[0.0], [1.0]]))
+            _regulator(F=np.eye(2), G=np.array([[0.0], [1.0]]))
 
     def test_rejects_uncontrollable_pair(self):
         with pytest.raises(InvalidConfigError):
-            InternalModelConfig(F=-np.eye(2), G=np.array([[1.0], [0.0]]))
+            _regulator(F=-np.eye(2), G=np.array([[1.0], [0.0]]))
 
     def test_rejects_g_of_two_columns(self):
         with pytest.raises(InvalidConfigError, match="G must be 2 x 1"):
-            InternalModelConfig(F=-np.eye(2), G=np.eye(2))
+            _regulator(F=-np.eye(2), G=np.eye(2))
 
     def test_rejects_empty_default(self):
         with pytest.raises(InvalidConfigError, match="d_eta must be >= 1"):
-            default_internal_model(0)
+            _regulator(d_eta=0)
+
+    def test_rejects_f_without_g(self):
+        with pytest.raises(InvalidConfigError, match="F and G must be given together"):
+            _regulator(F=-np.eye(2))
 
 
 class TestObserverConfig:
     def test_worked_coefficients_have_real_negative_roots(self):
         # lambda^3 + 6 lambda^2 + 11 lambda + 6: {-1,-2,-3}
-        ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
+        reg = _regulator(ell=20.0, h_coeffs=[6.0, 11.0, 6.0])
         roots = np.roots([1.0, 6.0, 11.0, 6.0])
         assert np.allclose(sorted(roots.real), [-3.0, -2.0, -1.0], atol=1e-9)
+        assert reg.linear_poles["regulator.ell"] == [20.0 * r for r in roots.real.tolist()]
+
+    @pytest.mark.parametrize("h_coeffs", [[3.0, 3.0, 1.0], [6.0, 12.0, 8.0], [0.3, 0.03, 0.001],
+                                          [4.0, 5.0, 2.0]])
+    def test_repeated_roots_accepted(self, h_coeffs):
+        # (s+1)^3, (s+2)^3, (s+0.1)^3 and (s+1)^2 (s+2): np.roots splits a
+        # repeated root into a complex pair, a triple one by up to 2e-5
+        roots = np.roots([1.0, *h_coeffs])
+        assert np.abs(roots.imag).max() > 1e-9 * np.abs(roots.real).max()
+        reg = _regulator(h_coeffs=h_coeffs)
+        assert reg.linear_poles["regulator.ell"] == [20.0 * r for r in roots.real.tolist()]
 
     def test_complex_roots_rejected(self):
         with pytest.raises(InvalidConfigError):
-            ObserverConfig(ell=20.0, h_coeffs=[1.0, 1.0, 1.0], psi_bar=100.0)
+            _regulator(h_coeffs=[1.0, 1.0, 1.0])
 
     def test_unstable_roots_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            ObserverConfig(ell=20.0, h_coeffs=[-6.0, 11.0, -6.0], psi_bar=100.0)
+        for h_coeffs in ([-6.0, 11.0, -6.0], [6.0, 11.0, -6.0]):
+            with pytest.raises(InvalidConfigError):
+                _regulator(h_coeffs=h_coeffs)
 
     def test_wrong_length_rejected(self):
         for h_coeffs in ([6.0, 11.0], [1.0, 4.0, 6.0, 4.0], [[6.0, 11.0, 6.0]]):
             with pytest.raises(InvalidConfigError):
-                ObserverConfig(ell=20.0, h_coeffs=h_coeffs, psi_bar=100.0)
+                _regulator(h_coeffs=h_coeffs)
 
     def test_parameter_bounds(self):
         with pytest.raises(InvalidConfigError):
-            ObserverConfig(ell=0.5, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
+            _regulator(ell=0.5)
         with pytest.raises(InvalidConfigError):
-            ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=0.0)
+            _regulator(psi_bar=0.0)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("sat_level", -1.0), ("ell", 0.5), ("psi_bar", 0.0), ("h_coeffs", [1.0, 1.0, 1.0]),
+    ("d_eta", 0), ("F", [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]), ("G", [[1.0], [1.0]]),
+])
+def test_range_error_names_its_key(key, value):
+    keys = {key: value}
+    if key == "G":  # with an F of three rows
+        keys["F"] = [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]]
+    elif key == "F":
+        keys["G"] = [[0.0], [1.0]]
+    with pytest.raises(InvalidConfigError, match=rf"^regulator\.{key} must be "):
+        _regulator(**keys)
 
 
 class TestObserverGains:
     def test_scalar_channel_shapes_and_scaling(self):
         # (ell h1, ell^2 h2, ell^3 h3): Lambda(ell) = diag(20, 400) on
         # H = (6, 11), and ell^3 on H_3 = 6
-        obs = ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
-        assert len(obs.gains) == 3
-        assert np.allclose(obs.gains, [20.0 * 6.0, 400.0 * 11.0, 8000.0 * 6.0])
+        reg = _regulator(ell=20.0, h_coeffs=[6.0, 11.0, 6.0])
+        assert len(reg.gains) == 3
+        assert np.allclose(reg.gains, [20.0 * 6.0, 400.0 * 11.0, 8000.0 * 6.0])
 
     def test_gain_overflow_is_config_error(self):
         with pytest.raises(InvalidConfigError, match="overflows the observer gains"):
-            ObserverConfig(ell=1e150, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
+            _regulator(ell=1e150)
 
 
 class TestControlOutput:
@@ -247,6 +259,6 @@ class TestObserverFlow:
         field, control, lay = _closed_loop(ident=ident)
         eta = np.linspace(-1.0, 1.0, 6)
         v = _state(lay, eta=eta, x_hat=(0.0, 1.0), sigma_hat=-2.0)
-        im = default_internal_model(6)
+        im = _regulator(d_eta=6)
         psi = ident.theta @ (im.F @ eta + im.G.ravel() * control(0.0, 1.0, -2.0))
         assert field(v)[lay.sigma_hat] == pytest.approx(-float(np.clip(psi, -100.0, 100.0)))

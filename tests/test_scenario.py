@@ -9,9 +9,8 @@ import pytest
 
 from adreg import scenario
 from adreg.errors import AdregError, InvalidConfigError
-from adreg.numerics import place_poles
 from adreg.plant import build_synthetic_linear_plant, build_vdp_scenario
-from adreg.regulator import ObserverConfig, StabilizerConfig, default_internal_model
+from adreg.regulator import Regulator
 from adreg.scenario import (
     CSV_HEADER,
     ScenarioConfig,
@@ -20,6 +19,11 @@ from adreg.scenario import (
     run_sweep,
     state_layout,
 )
+
+
+def _regulator(**keys):
+    """The default config's regulator with ``keys`` set."""
+    return Regulator(**{**ScenarioConfig().regulator, **keys})
 
 
 class TestScenarioConfig:
@@ -65,7 +69,7 @@ class TestSyntheticLinearPlant:
     def test_sylvester_identity(self):
         # M must satisfy F M - M S = -G c' with c = (-rho, 0)
         rho = 2.0
-        im = default_internal_model(6)
+        im = _regulator(d_eta=6)
         plant = build_synthetic_linear_plant(rho, im.F, im.G)
         m = np.column_stack([
             plant.extras["tau"](np.array([1.0, 0.0])),
@@ -80,7 +84,7 @@ class TestSyntheticLinearPlant:
     @pytest.mark.parametrize("rho", [0.5, 2.0, 7.0])
     def test_tau_matches_scipy_solve_sylvester(self, d_eta, rho):
         solve_sylvester = pytest.importorskip("scipy.linalg").solve_sylvester
-        im = default_internal_model(d_eta)
+        im = _regulator(d_eta=d_eta)
         plant = build_synthetic_linear_plant(rho, im.F, im.G)
         m = plant.extras["tau_rows"](np.eye(2)).T
         s_mat = np.array([[0.0, 1.0], [-rho, 0.0]])
@@ -90,7 +94,7 @@ class TestSyntheticLinearPlant:
 
     def test_theta_star_reproduces_ustar_on_tau(self):
         rho = 2.0
-        im = default_internal_model(6)
+        im = _regulator(d_eta=6)
         plant = build_synthetic_linear_plant(rho, im.F, im.G)
         theta = plant.extras["theta_star"]
         rng = np.random.default_rng(0)
@@ -101,7 +105,7 @@ class TestSyntheticLinearPlant:
             )
 
     def test_tau_rows_matches_tau(self):
-        im = default_internal_model(4)
+        im = _regulator(d_eta=4)
         plant = build_synthetic_linear_plant(1.5, im.F, im.G)
         rows = np.random.default_rng(1).normal(size=(5, 2))
         batch = plant.extras["tau_rows"](rows)
@@ -109,7 +113,7 @@ class TestSyntheticLinearPlant:
             assert np.allclose(batch[i], plant.extras["tau"](w))
 
     def test_invalid_rho(self):
-        im = default_internal_model(3)
+        im = _regulator(d_eta=3)
         with pytest.raises(InvalidConfigError):
             build_synthetic_linear_plant(-1.0, im.F, im.G)
 
@@ -120,12 +124,10 @@ class TestExosystem:
         # check-identifier integrates plant.eval_s and the closed loop the w
         # rows of its field: one exosystem, bit for bit
         rho = 1.7
-        im = default_internal_model(4)
+        im = _regulator(d_eta=4)
         plant = (build_vdp_scenario(2.0, rho) if kind == "vdp"
                  else build_synthetic_linear_plant(rho, im.F, im.G))
-        stab = StabilizerConfig(K=[[2.0, 3.0]], sat_level=100.0)
-        obs = ObserverConfig(ell=5.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
-        one, _ = build_closed_loop(plant, im, stab, obs)
+        one, _ = build_closed_loop(plant, _regulator(d_eta=4, ell=5.0))
         lay = state_layout(4)
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -254,10 +256,7 @@ class TestRunScenario:
         # the u column is the field's controller on each stored state, and
         # the saturation bound holds exactly
         res = run_scenario(self._short_cfg(**identifier))
-        stab = StabilizerConfig(K=place_poles([-1.0, -2.0]), sat_level=100.0)
-        obs = ObserverConfig(ell=20.0, h_coeffs=[6.0, 11.0, 6.0], psi_bar=100.0)
-        _, control = build_closed_loop(build_vdp_scenario(2.0, 2.0),
-                                       default_internal_model(6), stab, obs)
+        _, control = build_closed_loop(build_vdp_scenario(2.0, 2.0), _regulator())
         lay = state_layout(6)
         applied = [control(*v[lay.x_hat], v[lay.sigma_hat]) for v in res.states]
         assert np.array_equal(res.u, applied)
@@ -283,8 +282,8 @@ class TestColumnsOnDemand:
         were built on demand: a test-local copy of that code."""
         cell = scenario._wire(cfg)
         plant, ident, theta_history = cell.plant, cell.ident, res.theta_history
-        lay = state_layout(cell.im.d_eta)
-        _, control = build_closed_loop(plant, cell.im, cell.stab, cell.obs, ident)
+        lay = state_layout(cell.reg.d_eta)
+        _, control = build_closed_loop(plant, cell.reg, ident)
         states = res.states
         n = states.shape[0]
         w_rows = states[:, lay.w]
