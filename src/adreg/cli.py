@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 config error, 2 integration failure,
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -65,7 +66,10 @@ def cmd_check_identifier(args):
     cfg = _load_config(args.config)
     if cfg.identifier["kind"] == "none":
         raise InvalidConfigError("check-identifier needs an identifier kind != none")
-    cell = _wire(cfg.replace_in("plant", kind="synthetic-linear"))
+    # the test process is the synthetic-linear plant with the config's rho,
+    # p0 and, if given, w0 (its default depends on the kind)
+    given = {key: cfg.plant[key] for key in ("rho", "p0", "w0") if key in cfg.plant}
+    cell = _wire(replace(cfg, plant={"kind": "synthetic-linear", **given}))
     plant = cell.plant
     run = CoreProcessRun(clock=cell.clock, exo=plant.eval_s, w0=cell.v0[cell.lay.w],
                          tau_eval=plant.extras["tau"], ustar_eval=plant.extras["ustar"])

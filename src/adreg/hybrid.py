@@ -14,36 +14,31 @@ import numpy as np
 from .errors import InvalidConfigError, IntegrationBlowupError
 from .numerics import rk4_step
 
-STRATEGIES = ("periodic", "uniform")
-
 
 @dataclass(frozen=True)
 class ClockConfig:
     """Jump-scheduling clock with inter-jump gaps in [t_low, t_high].
 
-    strategy "periodic" jumps every ``period`` seconds (defaults to t_low);
-    strategy "uniform" draws each gap uniformly from [t_low, t_high] with a
-    seeded generator, so runs are reproducible, and takes no period.
+    strategy "periodic" jumps every ``period`` seconds; strategy "uniform"
+    draws each gap uniformly from [t_low, t_high] with a generator seeded by
+    ``seed``, so runs are reproducible, and has no period (None). Each value
+    is in its range (``scenario.SCHEMA``); the clock checks how they relate.
     """
 
     t_low: float
     t_high: float
-    strategy: str = "periodic"
-    period: float = None
-    seed: int = 0
+    strategy: str
+    period: float
+    seed: int
 
     def __post_init__(self):
-        if not (0.0 < self.t_low <= self.t_high):
-            raise InvalidConfigError("clock requires 0 < t_low <= t_high")
-        if self.strategy not in STRATEGIES:
-            raise InvalidConfigError(f"unknown clock strategy {self.strategy!r}")
-        if self.strategy == "periodic":
-            p = self.period if self.period is not None else self.t_low
-            if not (self.t_low <= p <= self.t_high):
-                raise InvalidConfigError("periodic period must lie in [t_low, t_high]")
-            object.__setattr__(self, "period", p)
-        elif self.period is not None:
-            raise InvalidConfigError("period applies to the periodic strategy only")
+        if self.t_low > self.t_high:
+            raise InvalidConfigError(f"clock.t_low must be <= clock.t_high = {self.t_high!r}, "
+                                     f"got {self.t_low!r}")
+        if self.strategy == "periodic" and not self.t_low <= self.period <= self.t_high:
+            raise InvalidConfigError(
+                "clock.period must lie in [clock.t_low, clock.t_high] = "
+                f"[{self.t_low!r}, {self.t_high!r}], got {self.period!r}")
 
     def make_rng(self):
         """The generator of the uniform strategy's gaps; None for the

@@ -112,12 +112,6 @@ def build_poly_regressor(d_eta, N):
     return PolyRegressor(d_eta, N)
 
 
-def _omega(omega):
-    if not omega >= 0.0:
-        raise InvalidConfigError(f"omega must be >= 0, got {omega!r}")
-    return float(omega)
-
-
 def batch_solver_ls(rows, outs, omega):
     """Regularized linear least squares on the window's regressor rows
     sigma_i = sigma(eta_i) and outputs u_i.
@@ -157,13 +151,11 @@ class LsIdentifier:
 
     n_window = None
 
-    def __init__(self, regressor, mu_f=0.99, omega=1e-3):
-        if not (0.0 < mu_f < 1.0):
-            raise InvalidConfigError("mu_f must lie in (0, 1)")
+    def __init__(self, regressor, mu_f, omega):
         d = regressor.d_sigma
         self.regressor = regressor
         self.mu_f = mu_f
-        self.omega = _omega(omega)
+        self.omega = omega
         self.xi1 = np.zeros((d, d))
         self.xi2 = np.zeros(d)
         self.theta = np.zeros(d)
@@ -212,13 +204,10 @@ class MiniBatchIdentifier:
 
     mu_f = 1.0
 
-    def __init__(self, regressor, n_window=10, omega=1e-3):
-        n_window = int(n_window)
-        if n_window < 1:
-            raise InvalidConfigError(f"n_window must be >= 1, got {n_window}")
+    def __init__(self, regressor, n_window, omega):
         self.regressor = regressor
         self.n_window = n_window
-        self.omega = _omega(omega)
+        self.omega = omega
         self.window_rows = []
         self.window_out = []
         self.theta = np.zeros(regressor.d_sigma)

@@ -43,11 +43,6 @@ def place_poles(desired):
     """Gain K (1 x 2) of kappa(x) = -K x on the chain of two integrators, so
     that eig(A - B K) = desired, two real negative poles: with
     (s - p1)(s - p2) = s^2 + c1 s + c0, K = [c0, c1]."""
-    desired = np.asarray(desired, dtype=float)
-    if desired.shape != (2,):
-        raise InvalidInputError(f"expected 2 desired poles, got {desired.shape}")
-    if np.any(desired >= 0.0):
-        raise InvalidInputError("desired poles must be strictly negative")
     c1, c0 = np.poly(desired)[1:]
     return np.array([[c0, c1]])
 

@@ -96,9 +96,6 @@ def build_vdp_scenario(a, rho):
     No zero dynamics. The reference has no slope at w = 0, where the wave
     has no amplitude: asking for it there is a config error.
     """
-    if a <= 0.0 or rho <= 0.0:
-        raise InvalidConfigError("require a > 0 and rho > 0")
-
     def fast_q(w1, w2, x1, x2):
         p1, l1, l2 = p1star_and_lie(w1, w2, rho, 1.0 if w2 >= 0.0 else -1.0)
         return -x1 - p1 - l2 + a * (1.0 - (x1 + p1) ** 2) * (x2 + l1)
@@ -131,8 +128,6 @@ def build_synthetic_linear_plant(rho, f, g):
     The Sylvester equation is solved in its Kronecker form
     (I_2 (x) F - S' (x) I) vec(M) = vec(-G c'), with column-major vec.
     """
-    if rho <= 0.0:
-        raise InvalidConfigError("rho must be positive")
     s_mat = np.array([[0.0, 1.0], [-rho, 0.0]])
     c = np.array([-rho, 0.0])
     f = np.asarray(f, dtype=float)

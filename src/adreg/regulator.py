@@ -8,12 +8,6 @@ import numpy as np
 from .errors import InvalidConfigError, InvalidInputError
 from .numerics import is_controllable, is_hurwitz, place_poles
 
-# The observer's roots count as real when the discriminant of its polynomial
-# is at least -DISCRIMINANT_TOL times the sum of its terms' magnitudes: the
-# rounding of the five products and their sum is at most about 9 eps of
-# that, and the rounding of decimal coefficients about 2 eps more.
-DISCRIMINANT_TOL = 16 * np.finfo(float).eps
-
 
 def saturate(s, level):
     """Norm clamp: identity on the ball of radius level, rescaled outside.
@@ -31,7 +25,9 @@ def saturate(s, level):
 
 class Regulator:
     """The regulator of the ``regulator`` config section, built as
-    ``Regulator(**cfg.regulator)``; each range error names its key.
+    ``Regulator(**cfg.regulator)``. Each value is in its range
+    (``scenario.SCHEMA``); the regulator checks what relates them, and each
+    error names its key.
 
     - ``K``, the 1 x 2 gain of the stabilizer u = sat(-sigma_hat - K x_hat,
       sat_level), places the poles of A - B K at ``poles``;
@@ -48,17 +44,7 @@ class Regulator:
     """
 
     def __init__(self, poles, sat_level, d_eta, ell, h_coeffs, psi_bar, F=None, G=None):
-        if sat_level <= 0.0:
-            raise InvalidConfigError(f"regulator.sat_level must be positive, got {sat_level!r}")
-        if ell < 1.0:
-            raise InvalidConfigError(f"regulator.ell must be >= 1, got {ell!r}")
-        if psi_bar <= 0.0:
-            raise InvalidConfigError(f"regulator.psi_bar must be positive, got {psi_bar!r}")
-        h = np.asarray(h_coeffs, dtype=float)
-        if h.shape != (3,) or not _real_negative_roots(*h.tolist()):
-            raise InvalidConfigError("regulator.h_coeffs must be (h1, h2, h3) of s^3 + h1 s^2 + "
-                                     f"h2 s + h3 with real negative roots, got {h_coeffs!r}")
-        h1, h2, h3 = h.tolist()
+        h1, h2, h3 = h_coeffs
         try:
             self.gains = (ell * h1, ell ** 2 * h2, ell ** 3 * h3)
         except OverflowError:  # a Python float power past the float range
@@ -70,8 +56,6 @@ class Regulator:
         if (F is None) != (G is None):
             raise InvalidConfigError("regulator.F and G must be given together")
         if F is None:
-            if d_eta < 1:
-                raise InvalidConfigError(f"regulator.d_eta must be >= 1, got {d_eta!r}")
             try:
                 F = -np.eye(d_eta) + np.diag(np.ones(d_eta - 1), k=1)
             except (MemoryError, ValueError):  # more bytes than memory, or than an array can index
@@ -90,19 +74,8 @@ class Regulator:
             if not is_controllable(F, G):
                 raise InvalidConfigError("regulator.F and G must be a controllable pair")
         self.F, self.G, self.d_eta = F, G, len(F)
-        roots = np.roots(np.concatenate(([1.0], h)))
+        roots = np.roots([1.0, *h_coeffs])
         self.linear_poles = {"regulator.ell": [ell * r for r in roots.real.tolist()],
                              "regulator.F": np.linalg.eigvals(F).tolist(),
                              "regulator.poles": poles}
 
-
-def _real_negative_roots(h1, h2, h3):
-    """True iff s^3 + h1 s^2 + h2 s + h3 has real negative roots: its
-    discriminant is >= 0 (to DISCRIMINANT_TOL) exactly when they are real,
-    and real roots are all negative exactly when every coefficient is
-    positive. A repeated root, which np.roots splits into a complex pair,
-    counts as real."""
-    terms = (18.0 * h1 * h2 * h3, -4.0 * h1 * h1 * h1 * h3, h1 * h1 * h2 * h2,
-             -4.0 * h2 * h2 * h2, -27.0 * h3 * h3)
-    return (min(h1, h2, h3) > 0.0
-            and sum(terms) >= -DISCRIMINANT_TOL * sum(map(abs, terms)))

@@ -50,48 +50,89 @@ def _is_matrix(v):
 
 def _choice(*options):
     what = "one of " + ", ".join(map(repr, options))
-    return what, lambda v: isinstance(v, str) and v in options, None
+    return what, lambda v: isinstance(v, str) and v in options, None, None
 
 
 def _numbers(n):
     return (f"a list of {n} finite numbers", lambda v: _list_of(v, n, _finite),
-            lambda v: [float(x) for x in v])
+            lambda v: [float(x) for x in v], None)
 
 
-# A kind: what an error calls it, whether a value is of it, and how the value
-# is stored (as it is, for None).
-NUMBER = ("a finite number", _finite, float)
-INTEGER = ("a non-negative integer", lambda v: _finite(v) and v >= 0 and v == int(v), int)
+def _where(base, what, ok):
+    """The values of the kind ``base`` that ``ok`` accepts once stored; an
+    error calls them ``what`` and shows the value as stored."""
+    return what, ok, None, base
+
+
+# The observer's roots count as real when the discriminant of its polynomial
+# is at least -DISCRIMINANT_TOL times the sum of its terms' magnitudes: the
+# rounding of the five products and their sum is at most about 9 eps of
+# that, and the rounding of decimal coefficients about 2 eps more.
+DISCRIMINANT_TOL = 16 * np.finfo(float).eps
+
+
+def _real_negative_roots(h):
+    """True iff s^3 + h1 s^2 + h2 s + h3 has real negative roots: its
+    discriminant is >= 0 (to DISCRIMINANT_TOL) exactly when they are real,
+    and real roots are all negative exactly when every coefficient is
+    positive. A repeated root, which np.roots splits into a complex pair,
+    counts as real."""
+    h1, h2, h3 = h
+    terms = (18.0 * h1 * h2 * h3, -4.0 * h1 * h1 * h1 * h3, h1 * h1 * h2 * h2,
+             -4.0 * h2 * h2 * h2, -27.0 * h3 * h3)
+    return (min(h1, h2, h3) > 0.0
+            and sum(terms) >= -DISCRIMINANT_TOL * sum(map(abs, terms)))
+
+
+# A kind: what an error calls it, whether a value is of it, how the value
+# is stored (as it is, for None), and the kind a value must be of first
+# (None for a base kind).
+NUMBER = ("a finite number", _finite, float, None)
+INTEGER = ("an integer", lambda v: _finite(v) and v == int(v), int, None)
 # A float from 2^53 on is even, whatever integer was written: such an N is
 # left to the identifier's memory check, which rejects every N that large.
-ODD = ("an odd positive integer", lambda v: INTEGER[1](v) and (v % 2 == 1 or v >= 2**53), int)
+ODD = ("an odd positive integer",
+       lambda v: INTEGER[1](v) and v >= 1 and (v % 2 == 1 or v >= 2**53), int, None)
 MATRIX = ("a matrix: a list of equal-length lists of finite numbers", _is_matrix,
-          lambda v: [[float(x) for x in row] for row in v])
+          lambda v: [[float(x) for x in row] for row in v], None)
 PATH = ("a file path (a non-empty string) or null",
-        lambda v: v is None or (isinstance(v, str) and v != ""), None)
+        lambda v: v is None or (isinstance(v, str) and v != ""), None, None)
+POSITIVE = _where(NUMBER, "positive", lambda v: v > 0.0)
+AT_LEAST_ONE = _where(NUMBER, ">= 1", lambda v: v >= 1.0)
+NON_NEGATIVE = _where(NUMBER, ">= 0", lambda v: v >= 0.0)
+FRACTION = _where(NUMBER, "in (0, 1)", lambda v: 0.0 < v < 1.0)
+COUNT = _where(INTEGER, ">= 1", lambda v: v >= 1)
+SEED = _where(INTEGER, ">= 0", lambda v: v >= 0)
+NEGATIVE_PAIR = _where(_numbers(2), "two negative numbers", lambda v: max(v) < 0.0)
+OBSERVER_CUBIC = _where(_numbers(3), "(h1, h2, h3) of s^3 + h1 s^2 + h2 s + h3 with real "
+                        "negative roots", _real_negative_roots)
 
-# The config schema: section -> key -> (kind, default). Left out of a
-# section, a key takes its default. A key whose default is OPTIONAL stays left
-# out, and the code that consumes it supplies one: w0's default depends on the
-# plant kind, mu_f, omega_scale and N_w default in the identifiers'
-# constructors, period in ClockConfig, and Regulator takes F and G together or
-# the default pair of dimension d_eta.
+# The config schema: section -> key -> (kind, default, *kinds it applies to).
+# A key applies to every kind of its section when the row names none; the
+# section's kind is the value of its KIND_KEYS key. Left out of a section, a
+# key that applies takes its default, a function of the keys above it when
+# callable; a key given under a kind it does not apply to is an error. A key
+# whose default is OPTIONAL stays left out, and the code that consumes it
+# supplies one: w0's default depends on the plant kind, and Regulator takes
+# F and G together or the default pair of dimension d_eta.
 OPTIONAL = object()
+KIND_KEYS = {"plant": "kind", "identifier": "kind", "clock": "strategy"}
 SCHEMA = {
     "plant": {"kind": (_choice("vdp", "synthetic-linear"), "vdp"),
-              "a": (NUMBER, 2.0), "rho": (NUMBER, 2.0),
+              "a": (POSITIVE, 2.0, "vdp"), "rho": (POSITIVE, 2.0),
               "p0": (_numbers(2), [0.1, 0.0]), "w0": (_numbers(2), OPTIONAL)},
-    "regulator": {"poles": (_numbers(2), [-1.0, -2.0]), "sat_level": (NUMBER, 100.0),
-                  "d_eta": (INTEGER, 6), "F": (MATRIX, OPTIONAL), "G": (MATRIX, OPTIONAL),
-                  "ell": (NUMBER, 20.0), "h_coeffs": (_numbers(3), [6.0, 11.0, 6.0]),
-                  "psi_bar": (NUMBER, 100.0)},
+    "regulator": {"poles": (NEGATIVE_PAIR, [-1.0, -2.0]), "sat_level": (POSITIVE, 100.0),
+                  "d_eta": (COUNT, 6), "F": (MATRIX, OPTIONAL), "G": (MATRIX, OPTIONAL),
+                  "ell": (AT_LEAST_ONE, 20.0), "h_coeffs": (OBSERVER_CUBIC, [6.0, 11.0, 6.0]),
+                  "psi_bar": (POSITIVE, 100.0)},
     "identifier": {"kind": (_choice("none", "ls", "mini-batch"), "none"),
-                   "mu_f": (NUMBER, OPTIONAL), "omega_scale": (NUMBER, OPTIONAL),
-                   "N": (ODD, 1), "N_w": (INTEGER, OPTIONAL)},
-    "clock": {"t_low": (NUMBER, 0.1), "t_high": (NUMBER, 0.1),
+                   "mu_f": (FRACTION, 0.99, "ls"),
+                   "omega_scale": (NON_NEGATIVE, 1e-3, "ls", "mini-batch"),
+                   "N": (ODD, 1, "ls", "mini-batch"), "N_w": (COUNT, 10, "mini-batch")},
+    "clock": {"t_low": (POSITIVE, 0.1), "t_high": (POSITIVE, 0.1),
               "strategy": (_choice("periodic", "uniform"), "periodic"),
-              "period": (NUMBER, OPTIONAL), "seed": (INTEGER, 0)},
-    "sim": {"horizon": (NUMBER, 100.0), "dt": (NUMBER, 1e-3)},
+              "period": (NUMBER, lambda clock: clock["t_low"], "periodic"), "seed": (SEED, 0)},
+    "sim": {"horizon": (POSITIVE, 100.0), "dt": (POSITIVE, 1e-3)},
     "output": {"csv": (PATH, None), "summary": (PATH, None)},
 }
 
@@ -106,19 +147,37 @@ def _object(name, given, allowed):
     return given
 
 
+def _value(name, kind, value):
+    """``value`` checked to be of ``kind``, as the kind stores it."""
+    what, ok, store, base = kind
+    if base is not None:
+        value = _value(name, base, value)
+    if not ok(value):
+        raise InvalidConfigError(f"{name} must be {what}, got {value!r}")
+    return value if store is None else store(value)
+
+
 def _resolve(section, given):
     """``given`` checked against the schema of ``section``, with the defaults
-    of the keys it leaves out, as a new dict."""
+    of the keys it leaves out that apply to its kind, as a new dict."""
     table = SCHEMA[section]
     _object(repr(section), given, table)
+    kind_key = KIND_KEYS.get(section)
     out = {}
-    for key, ((what, ok, store), default) in table.items():
-        value = given[key] if key in given else default
-        if value is OPTIONAL:
+    for key, (kind, default, *kinds) in table.items():
+        if kinds and out[kind_key] not in kinds:
+            if key in given:
+                raise InvalidConfigError(
+                    f"{section}.{key} does not apply to {kind_key} {out[kind_key]}")
             continue
-        if not ok(value):
-            raise InvalidConfigError(f"{section}.{key} must be {what}, got {value!r}")
-        out[key] = value if store is None else store(value)
+        if key in given:
+            value = given[key]
+        elif callable(default):
+            value = default(out)
+        else:
+            value = default
+        if value is not OPTIONAL:
+            out[key] = _value(f"{section}.{key}", kind, value)
     return out
 
 
@@ -254,14 +313,6 @@ class ScenarioResult:
             fh.write("\n")
 
 
-# config key -> constructor argument of each identifier class
-_IDENTIFIER_ARGS = {
-    "none": (None, {}),
-    "ls": (LsIdentifier, {"mu_f": "mu_f", "omega_scale": "omega"}),
-    "mini-batch": (MiniBatchIdentifier, {"N_w": "n_window", "omega_scale": "omega"}),
-}
-
-
 # d_sigma x d_sigma float arrays live at once in an LS jump: xi1 before and after,
 # sigma sigma', xi1 + Omega, and the SVD's copy of it, U, V' and workspace (a
 # peak of 10.4 to 11.4 of them measured at d_sigma = 1,106 and 3,108 when Omega
@@ -303,19 +354,14 @@ def _check_identifier_memory(icfg, d_eta):
 
 
 def _build_identifier(icfg, d_eta):
-    """The configured identifier, or None for kind "none"; keys left out take
-    the constructor's defaults, and a constructor key of another kind is an
-    error."""
-    cls, args = _IDENTIFIER_ARGS[icfg["kind"]]
-    unused = [key for _, other in _IDENTIFIER_ARGS.values() for key in other
-              if key in icfg and key not in args]
-    if unused:
-        raise InvalidConfigError(f"identifier.{unused[0]} does not apply to kind {icfg['kind']}")
-    if cls is None:
+    """The configured identifier, or None for kind "none"."""
+    if icfg["kind"] == "none":
         return None
     _check_identifier_memory(icfg, d_eta)
     regressor = build_poly_regressor(d_eta, icfg["N"])
-    return cls(regressor, **{arg: icfg[key] for key, arg in args.items() if key in icfg})
+    if icfg["kind"] == "ls":
+        return LsIdentifier(regressor, icfg["mu_f"], icfg["omega_scale"])
+    return MiniBatchIdentifier(regressor, icfg["N_w"], icfg["omega_scale"])
 
 
 class StateLayout(NamedTuple):
@@ -526,7 +572,7 @@ def _wire(cfg):
     f_bytes = 8 * d_eta * d_eta
     if "F" not in rcfg:
         _check_memory(f"regulator.d_eta = {d_eta:.6g} asks for an F (d_eta x d_eta)", f_bytes)
-    clock = ClockConfig(**cfg.clock)
+    clock = ClockConfig(**{"period": None, **cfg.clock})  # a uniform clock has none
     lay = state_layout(d_eta)
     check_step(clock, horizon, dt, lay.size)
     rows = arc_row_bound(clock, horizon, dt)

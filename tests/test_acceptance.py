@@ -181,7 +181,7 @@ class TestCriterion4MiniBatchExactness:
     def test_window_is_trailing_samples(self, n_w):
         t0 = time.perf_counter()
         reg = PolyRegressor(2, 1)
-        state = MiniBatchIdentifier(reg, n_window=n_w)
+        state = MiniBatchIdentifier(reg, n_window=n_w, omega=1e-3)
         rng = np.random.default_rng(1)
         stream = [(rng.normal(size=2), rng.normal()) for _ in range(n_w + 25)]
         for eta, u in stream:

@@ -58,10 +58,26 @@ class TestValidate:
         resolved = json.loads(out[out.index("{"):])
         assert resolved["regulator"]["ell"] == 10.0
         assert resolved["regulator"]["d_eta"] == 6
-        assert resolved["identifier"] == {"kind": "ls", "N": 3}
+        assert resolved["identifier"] == {"kind": "ls", "N": 3, "mu_f": 0.99,
+                                          "omega_scale": 1e-3}
         assert resolved["clock"] == {"t_low": 0.1, "t_high": 0.1, "strategy": "periodic",
-                                     "seed": 0}
+                                     "period": 0.1, "seed": 0}
         assert resolved["output"] == {"csv": None, "summary": None}
+
+    @pytest.mark.parametrize("cfg,section,want", [
+        ({"identifier": {"kind": "mini-batch"}}, "identifier",
+         {"kind": "mini-batch", "N": 1, "N_w": 10, "omega_scale": 1e-3}),
+        ({"identifier": {"kind": "none"}}, "identifier", {"kind": "none"}),
+        ({"clock": {"t_low": 0.05, "t_high": 0.15, "strategy": "uniform"}}, "clock",
+         {"t_low": 0.05, "t_high": 0.15, "strategy": "uniform", "seed": 0}),
+        ({"plant": {"kind": "synthetic-linear"}}, "plant",
+         {"kind": "synthetic-linear", "rho": 2.0, "p0": [0.1, 0.0]}),
+    ], ids=["mini-batch", "none", "uniform", "synthetic-linear"])
+    def test_prints_the_keys_of_its_kind(self, write_cfg, capsys, cfg, section, want):
+        # every key that applies to the section's kind, with its default; no other
+        assert main(["validate", write_cfg({**cfg, "sim": SHORT_SIM})]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert json.loads(out[out.index("{"):])[section] == want
 
     @pytest.mark.parametrize("identifier,d_sigma", [({"kind": "none"}, 0),
                                                     ({"kind": "ls", "N": 5}, 314)],
@@ -74,7 +90,7 @@ class TestValidate:
         assert main(["validate", path]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == f"config ok: {path}"
-        rows = arc_row_bound(ClockConfig(t_low=0.1, t_high=0.1), 10.0, 1e-3)
+        rows = arc_row_bound(ClockConfig(0.1, 0.1, "periodic", 0.1, 0), 10.0, 1e-3)
         assert lines[1] == (f"cost: d_sigma = {d_sigma}; F {8 * 6 * 6} bytes, arc buffer "
                             f"{8 * 13 * rows} bytes, identifier jump {12 * 8 * d_sigma**2} "
                             "bytes; closed-loop field 12 terms; at most 100 jumps, "
@@ -326,6 +342,42 @@ class TestKeyedRangeErrors:
         assert main([command, write_cfg({**cfg, "sim": SHORT_SIM})]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {error}\n"
 
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize("section,values,error", [
+        ("identifier", {"kind": "ls", "mu_f": 1.5}, "identifier.mu_f must be in (0, 1), got 1.5"),
+        ("identifier", {"kind": "ls", "omega_scale": -1},
+         "identifier.omega_scale must be >= 0, got -1.0"),
+        ("identifier", {"kind": "mini-batch", "N_w": 0}, "identifier.N_w must be >= 1, got 0"),
+        ("clock", {"t_low": -1}, "clock.t_low must be positive, got -1.0"),
+        ("clock", {"t_low": 0.2, "t_high": 0.1},
+         "clock.t_low must be <= clock.t_high = 0.1, got 0.2"),
+        ("clock", {"strategy": "uniform", "period": 0.1},
+         "clock.period does not apply to strategy uniform"),
+        ("clock", {"period": 0.5},
+         "clock.period must lie in [clock.t_low, clock.t_high] = [0.1, 0.1], got 0.5"),
+        ("sim", {"dt": -1}, "sim.dt must be positive, got -1.0"),
+        ("sim", {"horizon": 0}, "sim.horizon must be positive, got 0.0"),
+        ("plant", {"a": -1}, "plant.a must be positive, got -1.0"),
+        ("plant", {"kind": "synthetic-linear", "rho": -1}, "plant.rho must be positive, got -1.0"),
+        ("regulator", {"poles": [1, -2]},
+         "regulator.poles must be two negative numbers, got [1.0, -2.0]"),
+        ("regulator", {"d_eta": 0}, "regulator.d_eta must be >= 1, got 0"),
+        # a key given under a kind it does not apply to
+        ("plant", {"kind": "synthetic-linear", "a": 5},
+         "plant.a does not apply to kind synthetic-linear"),
+        ("identifier", {"kind": "none", "N": 5}, "identifier.N does not apply to kind none"),
+        # dt against t_low: the simulator's own guard, hybrid.check_step
+        ("sim", {"dt": 0.5}, "dt must not exceed t_low / 10"),
+    ], ids=["mu_f", "omega_scale", "N_w", "t_low", "t_low-past-t_high", "uniform-period",
+            "period-outside", "dt", "horizon", "a", "rho", "poles", "d_eta", "a-synthetic-linear",
+            "N-none", "dt-past-t_low"])
+    def test_one_section_out_of_range(self, write_cfg, capsys, command, section, values, error):
+        # every other key takes its default
+        assert main([command, write_cfg({section: values})]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {error}\n"
+
     def test_sweep_cell_of_even_n_names_its_key(self, write_cfg, capsys):
         path = write_cfg({"identifier": {"kind": "ls"}, "sim": SHORT_SIM})
         assert main(["sweep", path, "--axis", "N", "--values", "1,2"]) == EXIT_OK
@@ -406,7 +458,7 @@ class TestWiringMemory:
         err = capsys.readouterr().err
         assert err.startswith("config error: sim.horizon / sim.dt = 20.0 / 0.001 asks for an "
                               "arc buffer ")
-        rows = arc_row_bound(ClockConfig(t_low=0.1, t_high=0.1), 20.0, 1e-3)
+        rows = arc_row_bound(ClockConfig(0.1, 0.1, "periodic", 0.1, 0), 20.0, 1e-3)
         assert f" of {8 * 13 * rows} bytes, more than the {self.MEMORY} bytes " in err
 
     @pytest.mark.parametrize("command", ["validate", "simulate"])

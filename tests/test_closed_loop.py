@@ -162,7 +162,7 @@ def test_field_and_control_equal_the_oracle_bit_for_bit(make_pair, order):
     reg = make_pair()
     ident = None
     if order is not None:
-        ident = LsIdentifier(build_poly_regressor(reg.d_eta, order))
+        ident = LsIdentifier(build_poly_regressor(reg.d_eta, order), mu_f=0.99, omega=1e-3)
     plant = build_vdp_scenario(2.0, 2.0)
     field, control = build_closed_loop(plant, reg, ident)
     want_field, want_control = oracle_closed_loop(plant, reg, ident)

@@ -17,7 +17,7 @@ from adreg.identifier import LsIdentifier, MiniBatchIdentifier, PolyRegressor
 
 
 def _harmonic_run(tau_eval, ustar_eval, w0=(1.0, 0.0), period=0.1):
-    clock = ClockConfig(t_low=period, t_high=period)
+    clock = ClockConfig(period, period, "periodic", period, 0)
     return CoreProcessRun(
         clock=clock, exo=lambda w: np.array([w[1], -w[0]]), w0=np.array(w0), tau_eval=tau_eval,
         ustar_eval=ustar_eval,
@@ -41,7 +41,7 @@ class TestRunCoreProcess:
             assert wout[0] == pytest.approx(np.cos(t), abs=1e-9)
 
     def test_accepts_bare_callable_exosystem(self):
-        clock = ClockConfig(t_low=0.1, t_high=0.1)
+        clock = ClockConfig(0.1, 0.1, "periodic", 0.1, 0)
         run = CoreProcessRun(
             clock=clock, exo=lambda w: [-v for v in w], w0=np.array([1.0]),
             tau_eval=lambda w: w, ustar_eval=lambda w: w,

@@ -14,6 +14,7 @@ from adreg.hybrid import (
     validate_arc,
 )
 from adreg.numerics import rk4_step
+from adreg.scenario import ScenarioConfig, _wire
 
 
 def _list_built_arc(flow, jump, x0, clock, horizon, dt):
@@ -50,32 +51,40 @@ def _list_built_arc(flow, jump, x0, clock, horizon, dt):
 
 
 class TestClockConfig:
+    """The clock section's ranges and defaults are the config schema's; the
+    clock, built when a config is wired, checks how its values relate."""
+
     def test_periodic_defaults_to_t_low(self):
-        clock = ClockConfig(t_low=0.1, t_high=0.2)
-        assert clock.period == pytest.approx(0.1)
+        assert ScenarioConfig(clock={"t_low": 0.1, "t_high": 0.2}).clock["period"] == 0.1
 
     def test_periodic_period_outside_window_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            ClockConfig(t_low=0.1, t_high=0.2, period=0.3)
+        with pytest.raises(InvalidConfigError, match=r"^clock\.period must lie in "):
+            ClockConfig(0.1, 0.2, "periodic", 0.3, 0)
+        with pytest.raises(InvalidConfigError, match=r"^clock\.period must lie in "):
+            _wire(ScenarioConfig(clock={"t_low": 0.1, "t_high": 0.2, "period": 0.3}))
 
     def test_uniform_rejects_period(self):
         # a uniform clock draws its gaps, so a period would be ignored
-        with pytest.raises(InvalidConfigError, match="periodic strategy only"):
-            ClockConfig(t_low=0.05, t_high=0.15, strategy="uniform", period=0.1)
-        assert ClockConfig(t_low=0.05, t_high=0.15, strategy="uniform").period is None
+        with pytest.raises(InvalidConfigError,
+                           match="^clock.period does not apply to strategy uniform$"):
+            ScenarioConfig(clock={"t_low": 0.05, "t_high": 0.15, "strategy": "uniform",
+                                  "period": 0.1})
+        clock = ScenarioConfig(clock={"t_low": 0.05, "t_high": 0.15, "strategy": "uniform"}).clock
+        assert "period" not in clock
 
     def test_bad_bounds_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            ClockConfig(t_low=0.0, t_high=0.1)
-        with pytest.raises(InvalidConfigError):
-            ClockConfig(t_low=0.2, t_high=0.1)
+        with pytest.raises(InvalidConfigError, match="^clock.t_low must be positive, got 0.0$"):
+            ScenarioConfig(clock={"t_low": 0.0, "t_high": 0.1})
+        with pytest.raises(InvalidConfigError,
+                           match=r"^clock\.t_low must be <= clock\.t_high = 0\.1, got 0\.2$"):
+            _wire(ScenarioConfig(clock={"t_low": 0.2, "t_high": 0.1}))
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            ClockConfig(t_low=0.1, t_high=0.1, strategy="poisson")
+        with pytest.raises(InvalidConfigError, match="^clock.strategy must be one of "):
+            ScenarioConfig(clock={"strategy": "poisson"})
 
     def test_uniform_gaps_within_bounds_and_reproducible(self):
-        clock = ClockConfig(t_low=0.1, t_high=0.3, strategy="uniform", seed=7)
+        clock = ClockConfig(0.1, 0.3, "uniform", None, 7)
         rng = clock.make_rng()
         last, gaps = 0.0, []
         for _ in range(100):
@@ -90,7 +99,7 @@ class TestClockConfig:
 
 class TestSimulate:
     def test_jump_count_periodic(self):
-        clock = ClockConfig(t_low=0.1, t_high=0.1)
+        clock = ClockConfig(0.1, 0.1, "periodic", 0.1, 0)
         arc = simulate(lambda x: [-v for v in x], lambda t, j, x: x, np.array([1.0]), clock, 1.0,
                        dt=1e-3)
         # jumps at 0.1, 0.2, ..., 1.0
@@ -98,7 +107,7 @@ class TestSimulate:
         assert np.allclose(arc.t[arc.jump_indices], 0.1 * np.arange(1, 11))
 
     def test_pre_and_post_jump_samples(self):
-        clock = ClockConfig(t_low=0.5, t_high=0.5)
+        clock = ClockConfig(0.5, 0.5, "periodic", 0.5, 0)
         arc = simulate(lambda x: [0.0 * v for v in x], lambda t, j, x: [v + 1.0 for v in x],
                        np.array([0.0]), clock, 1.2, dt=1e-2)
         i = arc.jump_indices[0]
@@ -108,7 +117,7 @@ class TestSimulate:
 
     def test_flow_accuracy_with_jump_reset(self):
         # xdot = -x flowing 0.5 s, then reset to 1; closed form on each leg
-        clock = ClockConfig(t_low=0.5, t_high=0.5)
+        clock = ClockConfig(0.5, 0.5, "periodic", 0.5, 0)
         arc = simulate(lambda x: [-v for v in x], lambda t, j, x: [1.0],
                        np.array([1.0]), clock, 1.0, dt=1e-3)
         i = arc.jump_indices[0]
@@ -118,14 +127,14 @@ class TestSimulate:
         assert arc.states[i2, 0] == pytest.approx(np.exp(-0.5), abs=1e-9)
 
     def test_exact_landing_on_jump_times(self):
-        clock = ClockConfig(t_low=0.25, t_high=0.25)
+        clock = ClockConfig(0.25, 0.25, "periodic", 0.25, 0)
         arc = simulate(lambda x: [-v for v in x], lambda t, j, x: x, np.array([1.0]),
                        clock, 1.0, dt=1e-3)
         for tj in arc.t[arc.jump_indices]:
             assert tj / 0.25 == pytest.approx(round(tj / 0.25), abs=1e-12)
 
     def test_dt_too_large_rejected(self):
-        clock = ClockConfig(t_low=0.1, t_high=0.1)
+        clock = ClockConfig(0.1, 0.1, "periodic", 0.1, 0)
         with pytest.raises(InvalidConfigError):
             simulate(lambda x: [-v for v in x], lambda t, j, x: x, np.array([1.0]), clock,
                      1.0, dt=0.05)
@@ -134,21 +143,21 @@ class TestSimulate:
         (float("nan"), 1e-3), (float("inf"), 1e-3), (1.0, float("nan")),
     ])
     def test_non_finite_horizon_or_dt_rejected(self, horizon, dt):
-        clock = ClockConfig(t_low=0.1, t_high=0.1)
+        clock = ClockConfig(0.1, 0.1, "periodic", 0.1, 0)
         with pytest.raises(InvalidConfigError):
             simulate(lambda x: [-v for v in x], lambda t, j, x: x, np.array([1.0]), clock,
                      horizon, dt=dt)
 
     def test_arc_past_what_an_array_can_index_rejected(self):
         # 1e303 rows: rejected before anything is allocated, naming the keys
-        clock = ClockConfig(t_low=0.1, t_high=0.1)
+        clock = ClockConfig(0.1, 0.1, "periodic", 0.1, 0)
         with pytest.raises(InvalidConfigError, match="sim.horizon / sim.dt"):
             simulate(lambda x: [-v for v in x], lambda t, j, x: x, np.array([1.0]), clock,
                      1e300, dt=1e-3)
 
     def test_arc_past_the_bytes_an_array_can_index_rejected(self):
         # 1e16 rows can be indexed; 1e16 rows of 1000 8-byte floats cannot
-        clock = ClockConfig(t_low=0.1, t_high=0.1)
+        clock = ClockConfig(0.1, 0.1, "periodic", 0.1, 0)
         check_step(clock, 1e13, 1e-3, 1)
         with pytest.raises(InvalidConfigError, match="sim.horizon / sim.dt"):
             check_step(clock, 1e13, 1e-3, 1000)
@@ -157,7 +166,7 @@ class TestSimulate:
                      1e13, dt=1e-3)
 
     def test_blowup_carries_hybrid_time(self):
-        clock = ClockConfig(t_low=0.1, t_high=0.1)
+        clock = ClockConfig(0.1, 0.1, "periodic", 0.1, 0)
         with pytest.raises(IntegrationBlowupError) as exc, np.errstate(over="ignore"):
             simulate(lambda x: [v * v for v in x], lambda t, j, x: x, np.array([10.0]),
                      clock, 5.0, dt=1e-3)
@@ -169,7 +178,7 @@ class TestSimulate:
         # benchmark times set-up and traces the flow through that name
         import adreg.hybrid as hybrid
 
-        clock = ClockConfig(t_low=0.1, t_high=0.3, strategy="uniform", seed=3)
+        clock = ClockConfig(0.1, 0.3, "uniform", None, 3)
         args = (lambda x: [-v for v in x], lambda t, j, x: [v + 1.0 for v in x],
                 np.array([1.0, -2.0]), clock, 1.234, 1e-3)
         want = simulate(*args)
@@ -188,7 +197,7 @@ class TestSimulate:
         assert np.array_equal(arc.states, want.states)
 
     def test_produced_arc_validates(self):
-        clock = ClockConfig(t_low=0.1, t_high=0.3, strategy="uniform", seed=3)
+        clock = ClockConfig(0.1, 0.3, "uniform", None, 3)
         arc = simulate(lambda x: [-v for v in x], lambda t, j, x: x, np.array([1.0]),
                        clock, 2.0, dt=1e-3)
         assert validate_arc(arc, clock)
@@ -205,12 +214,12 @@ class TestPreallocatedArc:
 
     @pytest.mark.parametrize("clock,horizon,dt", [
         # uniform gaps, t_low well below the mean gap
-        (ClockConfig(t_low=0.02, t_high=0.3, strategy="uniform", seed=5), 3.0, 1e-3),
+        (ClockConfig(0.02, 0.3, "uniform", None, 5), 3.0, 1e-3),
         # a horizon that is not a multiple of dt
-        (ClockConfig(t_low=0.1, t_high=0.1), 1.0037, 1e-3),
-        (ClockConfig(t_low=0.07, t_high=0.13, strategy="uniform", seed=2), 2.34567, 3e-3),
+        (ClockConfig(0.1, 0.1, "periodic", 0.1, 0), 1.0037, 1e-3),
+        (ClockConfig(0.07, 0.13, "uniform", None, 2), 2.34567, 3e-3),
         # a horizon shorter than t_low: one flow interval, no jump
-        (ClockConfig(t_low=0.1, t_high=0.1), 0.0456, 1e-3),
+        (ClockConfig(0.1, 0.1, "periodic", 0.1, 0), 0.0456, 1e-3),
     ])
     def test_equals_list_built_arc_within_bound(self, clock, horizon, dt):
         x0 = np.array([1.0, 0.0, 0.5])
@@ -239,7 +248,7 @@ class TestValidateArc:
             validate_arc(arc)
 
     def test_rejects_gap_outside_clock_window(self):
-        clock = ClockConfig(t_low=0.5, t_high=0.5)
+        clock = ClockConfig(0.5, 0.5, "periodic", 0.5, 0)
         arc = HybridArc(
             t=np.array([0.0, 0.1, 0.1, 0.3, 0.3]),
             j=np.array([0, 0, 1, 1, 2]),

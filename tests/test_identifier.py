@@ -18,6 +18,7 @@ from adreg.identifier import (
 )
 from adreg.numerics import pseudoinverse
 from adreg.regulator import saturate
+from adreg.scenario import ScenarioConfig
 
 
 def _multiset_count(d, n):
@@ -222,14 +223,15 @@ class TestLsJump:
         assert np.allclose(ident.theta, theta_star, atol=1e-5)
 
     def test_invalid_forgetting_factor(self):
-        with pytest.raises(InvalidConfigError):
-            LsIdentifier(PolyRegressor(2, 1), mu_f=1.0)
+        # the identifier section's ranges are the config schema's
+        with pytest.raises(InvalidConfigError, match=r"^identifier\.mu_f must be in \(0, 1\)"):
+            ScenarioConfig(identifier={"kind": "ls", "mu_f": 1.0})
 
     @pytest.mark.parametrize("omega", [-1.0, -1e-12, float("nan")])
     def test_negative_omega_rejected(self, omega):
         # Xi1 + Omega is indefinite for omega < 0
-        with pytest.raises(InvalidConfigError):
-            LsIdentifier(PolyRegressor(2, 1), omega=omega)
+        with pytest.raises(InvalidConfigError, match=r"^identifier\.omega_scale must be "):
+            ScenarioConfig(identifier={"kind": "ls", "omega_scale": omega})
 
     @staticmethod
     def _reference_jump(ident, eta, u):
@@ -335,10 +337,10 @@ class TestMiniBatch:
         oracle = np.linalg.lstsq(aug_a, aug_b, rcond=None)[0]
         assert np.allclose(theta, oracle, atol=1e-8)
 
-    @pytest.mark.parametrize("kw", [{"n_window": 0}, {"n_window": -3}, {"omega": -1.0}])
+    @pytest.mark.parametrize("kw", [{"N_w": 0}, {"N_w": -3}, {"omega_scale": -1.0}])
     def test_invalid_parameters(self, kw):
-        with pytest.raises(InvalidConfigError):
-            MiniBatchIdentifier(PolyRegressor(2, 1), **kw)
+        with pytest.raises(InvalidConfigError, match=rf"^identifier\.{next(iter(kw))} must be "):
+            ScenarioConfig(identifier={"kind": "mini-batch", **kw})
 
     def test_wrapper_clone_is_independent(self):
         ident = MiniBatchIdentifier(PolyRegressor(2, 1), n_window=2, omega=1e-6)

@@ -4,11 +4,13 @@ Oracle values are recomputed independently (scipy/numpy reference routines or
 closed-form expansions) rather than taken from the implementation under test.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from adreg.errors import IntegrationBlowupError, InvalidInputError
+from adreg.errors import IntegrationBlowupError, InvalidConfigError, InvalidInputError
 from adreg.numerics import (
     is_controllable,
     is_hurwitz,
@@ -17,6 +19,7 @@ from adreg.numerics import (
     rk4_stable_step,
     rk4_step,
 )
+from adreg.scenario import ScenarioConfig
 
 
 class TestPseudoinverse:
@@ -61,12 +64,16 @@ class TestPlacePoles:
         assert np.allclose(eig, np.sort(desired), atol=1e-9)
 
     def test_nonnegative_pole_rejected(self):
-        with pytest.raises(InvalidInputError):
-            place_poles([-1.0, 0.0])
+        # the poles' range is the config schema's: place_poles is given two
+        # negative numbers only
+        error = "regulator.poles must be two negative numbers, got [-1.0, 0.0]"
+        with pytest.raises(InvalidConfigError, match=f"^{re.escape(error)}$"):
+            ScenarioConfig(regulator={"poles": [-1.0, 0.0]})
 
     def test_wrong_count_rejected(self):
-        with pytest.raises(InvalidInputError):
-            place_poles([-1.0])
+        error = "regulator.poles must be a list of 2 finite numbers, got [-1.0]"
+        with pytest.raises(InvalidConfigError, match=f"^{re.escape(error)}$"):
+            ScenarioConfig(regulator={"poles": [-1.0]})
 
 
 class TestStabilityChecks:
@@ -113,7 +120,6 @@ class TestStabilityChecks:
     def test_default_pairs_are_controllable(self, d):
         # the raw Krylov matrix's rank rejected the default pair at d = 100
         from adreg.regulator import Regulator
-        from adreg.scenario import ScenarioConfig
 
         im = Regulator(**{**ScenarioConfig().regulator, "d_eta": d})
         assert is_controllable(im.F, im.G)

@@ -201,7 +201,8 @@ class TestVdpScenario:
         assert abs(up - um) == pytest.approx(expected, rel=1e-5)
 
     def test_invalid_params(self):
-        with pytest.raises(InvalidConfigError):
-            build_vdp_scenario(0.0, 2.0)
-        with pytest.raises(InvalidConfigError):
-            build_vdp_scenario(2.0, -1.0)
+        # the plant section's ranges are the config schema's
+        with pytest.raises(InvalidConfigError, match="^plant.a must be positive, got 0.0$"):
+            ScenarioConfig(plant={"a": 0.0})
+        with pytest.raises(InvalidConfigError, match="^plant.rho must be positive, got -1.0$"):
+            ScenarioConfig(plant={"rho": -1.0})

@@ -19,7 +19,7 @@ import pytest
 
 from adreg.cli import EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK, main
 from adreg.hybrid import ClockConfig, arc_row_bound, simulate, validate_arc
-from adreg.scenario import SCHEMA
+from adreg.scenario import KIND_KEYS, SCHEMA
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -87,10 +87,23 @@ def _value(section, key):
     return _mostly(good, _ANY)
 
 
+def _applies(section, key, kind):
+    """True when ``key`` of ``section`` applies to the section's ``kind``:
+    the schema row names no kinds, or names this one."""
+    kinds = SCHEMA[section][key][2:]
+    return not kinds or kind in kinds
+
+
 @st.composite
 def _section(draw, section):
     keys = draw(st.lists(st.sampled_from(sorted(SCHEMA[section])), unique=True))
     out = {key: draw(_value(section, key)) for key in keys}
+    kind_key = KIND_KEYS.get(section)
+    if kind_key is not None and draw(_mostly(st.just(True), st.just(False))):
+        # mostly only keys that apply to the section's kind (its default when
+        # left out); now and then a key of another kind too
+        kind = out.get(kind_key, SCHEMA[section][kind_key][1])
+        out = {key: v for key, v in out.items() if key == kind_key or _applies(section, key, kind)}
     if section == "sim":
         # a missing horizon takes its default of 100 s: always draw one
         out["horizon"] = draw(_value("sim", "horizon"))
@@ -142,10 +155,10 @@ def _clock_and_step(draw):
     t_low = draw(st.floats(1e-3, 1.0))
     t_high = draw(st.floats(t_low, 2.0 * t_low + 1.0))
     if draw(st.booleans()):
-        period = draw(st.one_of(st.none(), st.floats(t_low, t_high)))
-        clock = ClockConfig(t_low, t_high, "periodic", period)
+        period = draw(st.one_of(st.just(t_low), st.floats(t_low, t_high)))
+        clock = ClockConfig(t_low, t_high, "periodic", period, 0)
     else:
-        clock = ClockConfig(t_low, t_high, "uniform", seed=draw(st.integers(0, 2**32)))
+        clock = ClockConfig(t_low, t_high, "uniform", None, draw(st.integers(0, 2**32)))
     dt = draw(st.floats(t_low / 1000.0, t_low / 10.0))
     # at most about 2000 steps, so that one example runs in milliseconds
     horizon = draw(st.floats(dt / 4.0, 2000.0 * dt))

@@ -12,9 +12,12 @@ from adreg.scenario import ScenarioConfig, build_closed_loop, state_layout
 
 
 def _regulator(**keys):
-    """The default config's regulator with ``keys`` set: poles (-1, -2), so
-    K = (2, 3), M = psi_bar = 100, ell = 20 and h = (6, 11, 6)."""
-    return Regulator(**{**ScenarioConfig().regulator, **keys})
+    """The regulator of a config whose regulator section sets ``keys`` (an
+    array as its list), so that a value out of range is the config's error;
+    the defaults are poles (-1, -2), so K = (2, 3), M = psi_bar = 100,
+    ell = 20 and h = (6, 11, 6)."""
+    keys = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in keys.items()}
+    return Regulator(**ScenarioConfig(regulator=keys).regulator)
 
 
 def _closed_loop(d_eta=6, ident=None):

@@ -113,9 +113,9 @@ class TestSyntheticLinearPlant:
             assert np.allclose(batch[i], plant.extras["tau"](w))
 
     def test_invalid_rho(self):
-        im = _regulator(d_eta=3)
-        with pytest.raises(InvalidConfigError):
-            build_synthetic_linear_plant(-1.0, im.F, im.G)
+        # the plant section's ranges are the config schema's
+        with pytest.raises(InvalidConfigError, match="^plant.rho must be positive, got -1.0$"):
+            ScenarioConfig(plant={"kind": "synthetic-linear", "rho": -1.0})
 
 
 class TestExosystem:
@@ -401,11 +401,11 @@ class TestEnsembleSweep:
 
     @staticmethod
     def _serial_row(base, axis, val):
-        if axis == "ell":
-            cfg = base.replace_in("regulator", ell=float(val))
-        else:
-            cfg = base.replace_in("identifier", N=int(val))
-        try:
+        try:  # a value out of its range fails when the cell's config is made
+            if axis == "ell":
+                cfg = base.replace_in("regulator", ell=float(val))
+            else:
+                cfg = base.replace_in("identifier", N=int(val))
             s = run_scenario(cfg).summary
         except AdregError as exc:
             return {"value": val, "error": f"{type(exc).__name__}: {exc}"}
