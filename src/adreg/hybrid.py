@@ -123,7 +123,8 @@ def check_step(clock, horizon, dt, width):
     if not (0.0 < dt < np.inf and 0.0 < horizon < np.inf):
         raise InvalidConfigError("dt and horizon must be positive and finite")
     if dt > clock.t_low / 10.0:
-        raise InvalidConfigError("dt must not exceed t_low / 10")
+        raise InvalidConfigError(f"sim.dt must be at most clock.t_low / 10 = "
+                                 f"{clock.t_low / 10.0!r}, got {dt!r}")
     most = np.iinfo(np.intp).max // (8 * width)  # rows the buffer can have
     # the first test also keeps an infinite horizon / dt out of arc_row_bound
     if horizon / dt > most or arc_row_bound(clock, horizon, dt) > most:

@@ -1,9 +1,12 @@
 """The normal-form plants: the plant spec, the forced Van der Pol plant and
 the synthetic-linear plant.
 
-Each plant gives the evaluators the regulator needs: q on scalars, the ideal
-feedforward u*, and the reference p1* with its slope L_s p1*, from which the
-initial error coordinates are formed.
+Each plant gives what the regulator needs: q as source lines, which the
+closed-loop field compiles inline and the plant compiles as a function on
+scalars, the ideal feedforward u*, and the reference p1* with its slope
+L_s p1*, from which the initial error coordinates are formed. The Van der
+Pol plant's q, its u* and its reference share one kernel text,
+REFERENCE_KERNEL.
 
 The Van der Pol plant tracks the triangular-wave output of a harmonic
 exosystem,
@@ -29,49 +32,86 @@ import numpy as np
 from .errors import InvalidConfigError
 
 
+def float_literal(x):
+    """Python source of the float x, exact (``repr``); a negative one in
+    parentheses. An infinite x is written as the name inf, which code
+    compiled from it must define."""
+    r = repr(float(x))
+    return f"({r})" if r[0] == "-" else r
+
+
+# The globals a plant's source lines may read.
+SOURCE_NAMES = {"hypot": hypot, "asin": asin}
+
+
+def _compile(header, lines, result):
+    """The function ``def header:`` whose body is the source ``lines`` and
+    ``return result``, compiled once with the globals SOURCE_NAMES."""
+    body = "".join(f"    {line}\n" for line in lines)
+    namespace = dict(SOURCE_NAMES)
+    exec(compile(f"def {header}:\n{body}    return {result}\n", "<plant>", "exec"), namespace)
+    return namespace[header.partition("(")[0]]
+
+
 @dataclass
 class PlantSpec:
     """Normal-form plant: a chain of two integrators with one output, driven
     by q + u (the input gain b is 1), and the harmonic exosystem
     w' = s(w) = (w2, -rho w1) that forces it.
 
-    ``extras`` carries the plant's evaluators: "fast_q" (q(w1, w2, x1, x2)
-    on scalars, which the closed-loop field calls), the ideal feedforward
-    row-wise as "ustar_rows", and "reference", w -> (p1*(w), L_s p1*(w)).
-    The synthetic-linear plant adds its one-row "ustar" and "tau", "tau_rows"
-    and "theta_star".
+    ``q_lines`` are Python source lines that assign q(w, x) to the local q
+    from the locals w1, w2, x1 and x2, with the plant's constants as
+    literals and the globals SOURCE_NAMES; the closed-loop field compiles
+    them inline, and any other local they assign is none of the field's
+    (u, p, innov, sh, xh1, xh2, e<i>, d<i>).
+    ``extras`` carries the plant's evaluators: "fast_q", the same lines
+    compiled as a function q(w1, w2, x1, x2), which the field calls where
+    the inline q overflows; the ideal feedforward row-wise as "ustar_rows";
+    and "reference", w -> (p1*(w), L_s p1*(w)). The synthetic-linear plant
+    adds its one-row "ustar" and "tau", "tau_rows" and "theta_star".
     """
 
     rho: float
+    q_lines: tuple
     extras: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.extras["fast_q"] = _compile("fast_q(w1, w2, x1, x2)", self.q_lines, "q")
 
     def eval_s(self, w):
         """s(w), the exosystem's flow, as a list of floats."""
         return [w[1], -self.rho * w[0]]
 
 
-def p1star_and_lie(w1, w2, rho, sgn):
-    """(p1*, L_s p1*, L_s^2 p1*) at the scalar point w = (w1, w2), with the
-    Lie derivatives along s(w) = (w2, -rho*w1).
-
-    ``sgn`` is the value taken for sign(w2); it selects the one-sided limit
-    at the peaks w2 = 0. All three are 0 at the removable singularity w = 0.
-    Hand-derived from the p1* formula; the test suite cross-checks against
-    central finite differences.
-    """
-    rad = hypot(w1, w2)
-    if rad == 0.0:
-        return 0.0, 0.0, 0.0
+# (p1*, L_s p1*, L_s^2 p1*) at the scalar point w = (w1, w2) as the locals
+# p1, l1 and l2, with the Lie derivatives along s(w) = (w2, -rho*w1): source
+# lines over the locals w1, w2 and sgn, with the fields {rho} and
+# {one_minus_rho} for the source of rho and 1 - rho.
+# sgn is the value taken for sign(w2); it selects the one-sided limit at the
+# peaks w2 = 0. All three are 0 at the removable singularity w = 0.
+# Hand-derived from the p1* formula; the test suite cross-checks against
+# central finite differences.
+REFERENCE_KERNEL = """\
+rad = hypot(w1, w2)
+if rad == 0.0:
+    p1 = l1 = l2 = 0.0
+else:
     arg = w1 / rad
     phi = asin(1.0 if arg > 1.0 else (-1.0 if arg < -1.0 else arg))
-    one_minus_rho = 1.0 - rho
-    l1 = (2.0 * one_minus_rho * w1 * w2 * phi
-          + 2.0 * sgn * (w2 * w2 + rho * w1 * w1)) / rad
-    l2 = 2.0 * one_minus_rho * phi * (
-        (w2 * w2 - rho * w1 * w1) / rad
-        - one_minus_rho * w1 * w1 * w2 * w2 / rad**3
-    )
-    return 2.0 * rad * phi, l1, l2
+    p1 = 2.0 * rad * phi
+    l1 = (2.0 * {one_minus_rho} * w1 * w2 * phi
+          + 2.0 * sgn * (w2 * w2 + {rho} * w1 * w1)) / rad
+    l2 = 2.0 * {one_minus_rho} * phi * (
+        (w2 * w2 - {rho} * w1 * w1) / rad
+        - {one_minus_rho} * w1 * w1 * w2 * w2 / rad**3
+    )"""
+p1star_and_lie = _compile(
+    "p1star_and_lie(w1, w2, rho, sgn)",
+    ["one_minus_rho = 1.0 - rho",
+     *REFERENCE_KERNEL.format(rho="rho", one_minus_rho="one_minus_rho").splitlines()],
+    "p1, l1, l2")
+p1star_and_lie.__doc__ = """(p1*, L_s p1*, L_s^2 p1*) at the scalar point
+(w1, w2), with sign(w2) taken as ``sgn``: REFERENCE_KERNEL compiled."""
 
 
 def vdp_ustar_rows(w_rows, a, rho):
@@ -96,10 +136,6 @@ def build_vdp_scenario(a, rho):
     No zero dynamics. The reference has no slope at w = 0, where the wave
     has no amplitude: asking for it there is a config error.
     """
-    def fast_q(w1, w2, x1, x2):
-        p1, l1, l2 = p1star_and_lie(w1, w2, rho, 1.0 if w2 >= 0.0 else -1.0)
-        return -x1 - p1 - l2 + a * (1.0 - (x1 + p1) ** 2) * (x2 + l1)
-
     def reference(w):
         w1, w2 = float(w[0]), float(w[1])
         if w1 == 0.0 and w2 == 0.0:
@@ -108,9 +144,12 @@ def build_vdp_scenario(a, rho):
 
     return PlantSpec(
         rho=rho,
+        q_lines=("sgn = 1.0 if w2 >= 0.0 else -1.0",
+                 *REFERENCE_KERNEL.format(rho=float_literal(rho),
+                                          one_minus_rho=float_literal(1.0 - rho)).splitlines(),
+                 f"q = -x1 - p1 - l2 + {float_literal(a)} * (1.0 - (x1 + p1) ** 2) * (x2 + l1)"),
         extras={
             "ustar_rows": lambda rows: vdp_ustar_rows(rows, a, rho),
-            "fast_q": fast_q,
             "reference": reference,
         },
     )
@@ -139,12 +178,12 @@ def build_synthetic_linear_plant(rho, f, g):
 
     return PlantSpec(
         rho=rho,
+        q_lines=(f"q = {float_literal(rho)} * w1",),
         extras={
             # the one-row forms are what check-identifier's core process
             # reads; m @ w and rows @ m.T differ in the last bit
             "ustar": lambda w: np.array([-rho * w[0]]),
             "ustar_rows": lambda rows: -rho * rows[:, 0],
-            "fast_q": lambda w1, w2, x1, x2: rho * w1,
             "tau": lambda w: m @ w,
             "tau_rows": lambda rows: rows @ m.T,
             "theta_star": theta_star,

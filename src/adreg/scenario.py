@@ -20,7 +20,8 @@ from .hybrid import ClockConfig, arc_row_bound, check_step, jump_bound, simulate
 from .identifier import (LsIdentifier, MiniBatchIdentifier, build_poly_regressor,
                          poly_regressor_size)
 from .numerics import rk4_stable_step
-from .plant import PlantSpec, build_synthetic_linear_plant, build_vdp_scenario
+from .plant import (SOURCE_NAMES, PlantSpec, build_synthetic_linear_plant, build_vdp_scenario,
+                    float_literal)
 from .regulator import Regulator
 
 CSV_HEADER = "t,j,y,u,u_star,gamma_hat,err_xhat,err_sigmahat,eps_star"
@@ -114,7 +115,8 @@ OBSERVER_CUBIC = _where(_numbers(3), "(h1, h2, h3) of s^3 + h1 s^2 + h2 s + h3 w
 # callable; a key given under a kind it does not apply to is an error. A key
 # whose default is OPTIONAL stays left out, and the code that consumes it
 # supplies one: w0's default depends on the plant kind, and Regulator takes
-# F and G together or the default pair of dimension d_eta.
+# F and G together or the default pair of dimension d_eta, which is F's
+# dimension when F is given.
 OPTIONAL = object()
 KIND_KEYS = {"plant": "kind", "identifier": "kind", "clock": "strategy"}
 SCHEMA = {
@@ -122,7 +124,8 @@ SCHEMA = {
               "a": (POSITIVE, 2.0, "vdp"), "rho": (POSITIVE, 2.0),
               "p0": (_numbers(2), [0.1, 0.0]), "w0": (_numbers(2), OPTIONAL)},
     "regulator": {"poles": (NEGATIVE_PAIR, [-1.0, -2.0]), "sat_level": (POSITIVE, 100.0),
-                  "d_eta": (COUNT, 6), "F": (MATRIX, OPTIONAL), "G": (MATRIX, OPTIONAL),
+                  "F": (MATRIX, OPTIONAL), "G": (MATRIX, OPTIONAL),
+                  "d_eta": (COUNT, lambda reg: len(reg["F"]) if "F" in reg else 6),
                   "ell": (AT_LEAST_ONE, 20.0), "h_coeffs": (OBSERVER_CUBIC, [6.0, 11.0, 6.0]),
                   "psi_bar": (POSITIVE, 100.0)},
     "identifier": {"kind": (_choice("none", "ls", "mini-batch"), "none"),
@@ -418,17 +421,20 @@ RK4_COMPONENT_BYTES = 18000
 TERMS_PER_STATEMENT = 100
 
 
-def _num(x):
-    """A literal of the float x; a negative one in parentheses. An infinite
-    observer gain (ell^3 h3 past the float range) is written as the name
-    inf, which the generated code's namespace defines."""
-    r = repr(float(x))
-    return f"({r})" if r[0] == "-" else r
+def _product(c, x):
+    """Source of the product of the float c and the name x: x itself for
+    1.0 and -x for -1.0, which equal 1.0 * x and -1.0 * x in every bit of
+    a number, signed zeros included."""
+    if c == 1.0:
+        return x
+    if c == -1.0:
+        return f"-{x}"
+    return f"{float_literal(c)} * {x}"
 
 
 def _clamp(x, level):
     """Source lines that clip the local ``x`` to [-level, level]."""
-    m, neg = _num(level), _num(-level)
+    m, neg = float_literal(level), float_literal(-level)
     return [f"    if {x} > {m}:", f"        {x} = {m}", f"    elif {x} < {neg}:",
             f"        {x} = {neg}"]
 
@@ -444,20 +450,23 @@ def build_closed_loop(plant, reg, ident=None):
     eta' = F eta + G u, the extended observer is driven by the innovation
     x1 - xh1, and the consistency term psi = sat(d gamma_hat/d eta . eta',
     psi_bar) uses the identifier's current theta (psi = 0 without an
-    identifier). The field calls ``plant.extras["fast_q"]`` as it is when
-    this builder runs.
+    identifier). The field computes q inline from ``plant.q_lines``; where
+    that raises ArithmeticError (a Python float overflowed or divided by
+    zero) it calls ``plant.extras["fast_q"]``, as it is when this builder
+    runs, on numpy floats, which give inf or nan instead.
 
     Both functions are written as straight-line Python source and compiled
     once: ``field(v)`` unpacks the state into named locals and returns its
     derivative as a list. Gains and the entries of [F G] are float literals
-    (``repr``, so exact). Each row of eta' is one explicit sum over the
-    non-zero diagonals of [F G] in ascending order, so it adds its terms in
+    (``repr``, so exact); an entry of 1.0 or -1.0 multiplies by writing its
+    operand as it is or negated. Each row of eta' is one explicit sum over
+    the non-zero diagonals of [F G] in ascending order, so it adds its terms in
     column order, u last; a diagonal that leaves the matrix in a row adds
     0.0 there. With the default (F, G) every product is exact, and eta' has
     the bits of F eta + G u formed with BLAS. Without an identifier,
     sigma_hat' is l3 innov, which -0.0 + l3 innov equals in every bit of a
-    number. The source holds only literals
-    and generated names, nothing read from a config as text.
+    number. The source holds only literals, generated names and the
+    plant's q_lines, nothing read from a config as text.
     """
     d = reg.d_eta
     fg = np.hstack([reg.F, reg.G]).tolist()
@@ -465,32 +474,31 @@ def build_closed_loop(plant, reg, ident=None):
     eta = [f"e{i}" for i in range(d)]
     eta_dot = [f"d{i}" for i in range(d)]
     operand = [*eta, "u"]
-    u = [f"    u = -sh - {_num(reg.K[0, 0])} * xh1 - {_num(reg.K[0, 1])} * xh2",
+    k0, k1 = float_literal(reg.K[0, 0]), float_literal(reg.K[0, 1])
+    u = [f"    u = -sh - {k0} * xh1 - {k1} * xh2",
          *_clamp("u", reg.sat_level)]
 
     lines = ["def control(xh1, xh2, sh):", *u, "    return u", "", "def field(v):",
              f"    w1, w2, x1, x2, {', '.join(eta)}, xh1, xh2, sh = v", *u]
     ks = _diagonals(reg)
     for i in range(d):
-        terms = [f"{_num(fg[i][i + k])} * {operand[i + k]}" if 0 <= i + k <= d else "0.0"
+        terms = [_product(fg[i][i + k], operand[i + k]) if 0 <= i + k <= d else "0.0"
                  for k in ks]
         for j in range(0, len(terms), TERMS_PER_STATEMENT):
             sums = terms[j:j + TERMS_PER_STATEMENT]
             lines.append(f"    d{i} = " + " + ".join([f"d{i}", *sums] if j else sums))
-    lines.append("""\
-    try:
-        q = fast_q(w1, w2, x1, x2)
-    except ArithmeticError:
-        # a Python float overflowed or divided by zero where numpy gives inf or nan
-        q = fast_q(float64(w1), float64(w2), float64(x1), float64(x2))
-    innov = x1 - xh1""")
-    sigma_hat_dot = f"{_num(l3)} * innov"
+    lines += ["    try:", *(f"        {line}" for line in plant.q_lines),
+              "    except ArithmeticError:",
+              "        q = fast_q(float64(w1), float64(w2), float64(x1), float64(x2))",
+              "    innov = x1 - xh1"]
+    sigma_hat_dot = f"{float_literal(l3)} * innov"
     if ident is not None:
         lines += [f"    p = psi([{', '.join(eta)}], [{', '.join(eta_dot)}])",
                   *_clamp("p", reg.psi_bar)]
         sigma_hat_dot = "-p + " + sigma_hat_dot
-    lines.append(f"    return [w2, {_num(-plant.rho)} * w1, x2, q + u, {', '.join(eta_dot)}, "
-                 f"xh2 + {_num(lh0)} * innov, sh + u + {_num(lh1)} * innov, {sigma_hat_dot}]")
+    lines.append(f"    return [w2, {float_literal(-plant.rho)} * w1, x2, q + u, "
+                 f"{', '.join(eta_dot)}, xh2 + {float_literal(lh0)} * innov, "
+                 f"sh + u + {float_literal(lh1)} * innov, {sigma_hat_dot}]")
 
     def psi(eta, eta_dot):
         """d gamma_hat/d eta . eta', from the identifier's current theta."""
@@ -499,8 +507,8 @@ def build_closed_loop(plant, reg, ident=None):
         dg = theta if regressor.max_order == 1 else theta @ regressor.jacobian(np.array(eta))
         return float(dg @ eta_dot)
 
-    namespace = {"fast_q": plant.extras["fast_q"], "psi": psi, "float64": np.float64,
-                 "inf": math.inf}
+    namespace = {**SOURCE_NAMES, "fast_q": plant.extras["fast_q"], "psi": psi,
+                 "float64": np.float64, "inf": math.inf}
     exec(compile("\n".join(lines) + "\n", "<closed-loop field>", "exec"), namespace)
     return namespace["field"], namespace["control"]
 
@@ -568,7 +576,10 @@ def _wire(cfg):
     pcfg, rcfg, horizon, dt = cfg.plant, cfg.regulator, cfg.sim["horizon"], cfg.sim["dt"]
     # the default F, the arc buffer, and the compiling of the field and the
     # RK4 step fit in memory: each checked before it happens
-    d_eta = len(rcfg["F"]) if "F" in rcfg else rcfg["d_eta"]
+    d_eta = rcfg["d_eta"]
+    if "F" in rcfg and d_eta != len(rcfg["F"]):
+        raise InvalidConfigError(f"regulator.d_eta = {d_eta:.6g} does not match regulator.F, "
+                                 f"which is {len(rcfg['F'])} x {len(rcfg['F'][0])}")
     f_bytes = 8 * d_eta * d_eta
     if "F" not in rcfg:
         _check_memory(f"regulator.d_eta = {d_eta:.6g} asks for an F (d_eta x d_eta)", f_bytes)

@@ -96,6 +96,14 @@ class TestValidate:
                             "bytes; closed-loop field 12 terms; at most 100 jumps, "
                             f"d_sigma^3 x jumps = {100 * d_sigma**3}; largest |lambda| dt = 0.06")
 
+    def test_prints_the_d_eta_of_a_given_f(self, write_cfg, capsys):
+        # d_eta defaults to F's dimension when F is given
+        f = [[-2.0, 1.0, 0.5], [0.5, -2.0, 1.0], [0.25, 0.5, -2.0]]
+        path = write_cfg({"regulator": {"F": f, "G": [[0.5], [0.25], [1.0]]}, "sim": SHORT_SIM})
+        assert main(["validate", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert json.loads(out[out.index("{"):])["regulator"]["d_eta"] == 3
+
     def test_rejects_what_simulate_rejects_before_its_first_step(self, write_cfg, capsys):
         # dt > t_low / 10 and an observer polynomial with complex roots are
         # found by wiring the config, not by resolving it
@@ -337,7 +345,10 @@ class TestKeyedRangeErrors:
          "regulator.F must be square, got shape (2, 3)"),
         ({"regulator": {"F": [[-1, 1], [0, -1]], "G": [[0], [1], [1]]}},
          "regulator.G must be 2 x 1, got shape (3, 1)"),
-    ], ids=["sat_level", "N-even", "F-not-square", "G-rows"])
+        ({"regulator": {"F": [[-1, 1, 0], [0, -1, 1], [0, 0, -1]], "G": [[0], [0], [1]],
+                        "d_eta": 40}},
+         "regulator.d_eta = 40 does not match regulator.F, which is 3 x 3"),
+    ], ids=["sat_level", "N-even", "F-not-square", "G-rows", "d_eta-not-F"])
     def test_error_names_its_key(self, write_cfg, capsys, command, cfg, error):
         assert main([command, write_cfg({**cfg, "sim": SHORT_SIM})]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {error}\n"
@@ -367,7 +378,7 @@ class TestKeyedRangeErrors:
          "plant.a does not apply to kind synthetic-linear"),
         ("identifier", {"kind": "none", "N": 5}, "identifier.N does not apply to kind none"),
         # dt against t_low: the simulator's own guard, hybrid.check_step
-        ("sim", {"dt": 0.5}, "dt must not exceed t_low / 10"),
+        ("sim", {"dt": 0.5}, "sim.dt must be at most clock.t_low / 10 = 0.01, got 0.5"),
     ], ids=["mu_f", "omega_scale", "N_w", "t_low", "t_low-past-t_high", "uniform-period",
             "period-outside", "dt", "horizon", "a", "rho", "poles", "d_eta", "a-synthetic-linear",
             "N-none", "dt-past-t_low"])

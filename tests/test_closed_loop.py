@@ -1,7 +1,10 @@
 """The generated closed-loop field and controller against the field they
 replaced, kept here as the oracle: equal bit for bit on random states, on
-signed zeros, at saturation, where ``fast_q`` overflows and on non-finite
-states, for default, dense and gapped (F, G) and for each identifier form.
+signed zeros, at saturation, where q overflows and on non-finite states, for
+default, dense and gapped (F, G), for each identifier form and for both
+plants. The oracle calls its own copy of the plants' q as it was written
+before the field computed q inline, so the inline q is checked against code
+it was not generated from.
 
 A NaN compares by position only: CPython's float add returns one NaN operand
 of two unspecialized and the other once it has specialized the bytecode, so
@@ -11,14 +14,16 @@ oracle as in any Python code.
 
 import inspect
 import sys
+from math import asin, hypot
 from operator import add, mul
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from adreg import scenario
 from adreg.identifier import LsIdentifier, build_poly_regressor
-from adreg.plant import build_vdp_scenario
+from adreg.plant import build_synthetic_linear_plant, build_vdp_scenario, p1star_and_lie
 from adreg.regulator import Regulator
 from adreg.scenario import ScenarioConfig, build_closed_loop, field_terms, state_layout
 
@@ -37,12 +42,50 @@ def _regulator(**keys):
     return Regulator(**{**ScenarioConfig().regulator, **keys})
 
 
-def oracle_closed_loop(plant, reg, ident=None):
-    """(field, control) as the diagonal-sum field computed them: each row of
-    eta' a map chain over the non-zero diagonals of [F G], on (eta, u)
-    padded with zeros as far as the diagonals reach."""
+def oracle_p1star_and_lie(w1, w2, rho, sgn):
+    """The reference kernel as a plain function, written out by hand."""
+    rad = hypot(w1, w2)
+    if rad == 0.0:
+        return 0.0, 0.0, 0.0
+    arg = w1 / rad
+    phi = asin(1.0 if arg > 1.0 else (-1.0 if arg < -1.0 else arg))
+    one_minus_rho = 1.0 - rho
+    l1 = (2.0 * one_minus_rho * w1 * w2 * phi
+          + 2.0 * sgn * (w2 * w2 + rho * w1 * w1)) / rad
+    l2 = 2.0 * one_minus_rho * phi * (
+        (w2 * w2 - rho * w1 * w1) / rad
+        - one_minus_rho * w1 * w1 * w2 * w2 / rad**3
+    )
+    return 2.0 * rad * phi, l1, l2
+
+
+def oracle_vdp_q(a, rho):
+    """The Van der Pol plant's q on scalars, as a closure over the kernel."""
+    def fast_q(w1, w2, x1, x2):
+        p1, l1, l2 = oracle_p1star_and_lie(w1, w2, rho, 1.0 if w2 >= 0.0 else -1.0)
+        return -x1 - p1 - l2 + a * (1.0 - (x1 + p1) ** 2) * (x2 + l1)
+
+    return fast_q
+
+
+def oracle_synthetic_q(rho):
+    return lambda w1, w2, x1, x2: rho * w1
+
+
+# plant kind -> (the plant for the regulator reg, the oracle's q), a = rho = 2
+PLANTS = {
+    "vdp": lambda reg: (build_vdp_scenario(2.0, 2.0), oracle_vdp_q(2.0, 2.0)),
+    "synthetic-linear": lambda reg: (build_synthetic_linear_plant(2.0, reg.F, reg.G),
+                                     oracle_synthetic_q(2.0)),
+}
+
+
+def oracle_closed_loop(plant, fast_q, reg, ident=None):
+    """(field, control) as the diagonal-sum field computed them, with q from
+    the oracle's ``fast_q``: each row of eta' a map chain over the non-zero
+    diagonals of [F G], on (eta, u) padded with zeros as far as the
+    diagonals reach."""
     lay = state_layout(reg.d_eta)
-    fast_q = plant.extras["fast_q"]
     rho_exo = float(plant.rho)
     k0, k1 = float(reg.K[0, 0]), float(reg.K[0, 1])
     sat_level = reg.sat_level
@@ -120,7 +163,7 @@ IDENTIFIERS = {"none": None, "ls-1": 1, "ls-3": 3}
 
 
 def _states(rng, lay):
-    """Lists of floats: random, signed zeros, saturated, overflowing fast_q,
+    """Lists of floats: random, signed zeros, saturated, overflowing q,
     non-finite."""
     n = lay.size
     for _ in range(20):
@@ -158,24 +201,83 @@ def _outcome(f, *args):
 @pytest.mark.parametrize("order", IDENTIFIERS.values(), ids=IDENTIFIERS.keys())
 @pytest.mark.parametrize("make_pair", PAIRS.values(), ids=PAIRS.keys())
 def test_field_and_control_equal_the_oracle_bit_for_bit(make_pair, order):
-    rng = np.random.default_rng(14)
     reg = make_pair()
-    ident = None
-    if order is not None:
-        ident = LsIdentifier(build_poly_regressor(reg.d_eta, order), mu_f=0.99, omega=1e-3)
-    plant = build_vdp_scenario(2.0, 2.0)
-    field, control = build_closed_loop(plant, reg, ident)
-    want_field, want_control = oracle_closed_loop(plant, reg, ident)
     lay = state_layout(reg.d_eta)
+    for kind, make_plant in PLANTS.items():
+        rng = np.random.default_rng(14)
+        ident = None
+        if order is not None:
+            ident = LsIdentifier(build_poly_regressor(reg.d_eta, order), mu_f=0.99, omega=1e-3)
+        plant, fast_q = make_plant(reg)
+        field, control = build_closed_loop(plant, reg, ident)
+        want_field, want_control = oracle_closed_loop(plant, fast_q, reg, ident)
+        with np.errstate(all="ignore"):
+            for v in _states(rng, lay):
+                if ident is not None:  # theta . eta' on both sides of psi_bar
+                    scale = 10.0 ** rng.integers(-2, 3)
+                    ident.theta = rng.standard_normal(ident.regressor.d_sigma) * scale
+                for state in (v, np.array(v)):
+                    assert _outcome(field, state) == _outcome(want_field, state), (kind, v)
+                args = (*v[lay.x_hat], v[lay.sigma_hat])
+                assert _outcome(control, *args) == _outcome(want_control, *args), (kind, v)
+
+
+def _kernel_points(rng):
+    """(w1, w2) where the kernel branches or rounds: w = 0 and w2 = +-0.0,
+    w2 so small beside w1 that w1 / |w| rounds to +-1, and the w of the
+    overflowing states of ``_states``; then random points."""
+    for w1 in (0.0, -0.0, 1.0, -1.0, 1e-300, 5e-324, 1e200, -1e200):
+        for w2 in (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-17, 1.0, 1e200, -1e200):
+            yield w1, w2
+    for _ in range(200):
+        yield tuple((rng.standard_normal(2) * 10.0 ** rng.integers(-3, 3, 2)).tolist())
+
+
+def test_kernel_equals_the_oracle_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for w1, w2 in _kernel_points(rng):
+        for rho in (2.0, 0.5):
+            for sgn in (1.0, -1.0):
+                args = (w1, w2, rho, sgn)
+                assert (_outcome(p1star_and_lie, *args)
+                        == _outcome(oracle_p1star_and_lie, *args)), args
+    fast_q, want = build_vdp_scenario(2.0, 2.0).extras["fast_q"], oracle_vdp_q(2.0, 2.0)
     with np.errstate(all="ignore"):
-        for v in _states(rng, lay):
-            if ident is not None:  # theta . eta' on both sides of psi_bar
-                scale = 10.0 ** rng.integers(-2, 3)
-                ident.theta = rng.standard_normal(ident.regressor.d_sigma) * scale
-            for state in (v, np.array(v)):
-                assert _outcome(field, state) == _outcome(want_field, state), v
-            args = (*v[lay.x_hat], v[lay.sigma_hat])
-            assert _outcome(control, *args) == _outcome(want_control, *args), v
+        for w1, w2 in _kernel_points(rng):
+            for x1, x2 in ((0.0, 0.0), (-0.0, 1.0), (1e200, 0.5), (0.5, 1e200)):
+                for args in ((w1, w2, x1, x2), tuple(map(np.float64, (w1, w2, x1, x2)))):
+                    assert _outcome(fast_q, *args) == _outcome(want, *args), args
+
+
+def test_field_calls_fast_q_only_where_q_overflows(monkeypatch):
+    calls = []
+
+    def counting(build):
+        def build_counted(*args):
+            plant = build(*args)
+            fast_q = plant.extras["fast_q"]
+
+            def counted(*w_x):
+                calls.append(w_x)
+                return fast_q(*w_x)
+
+            plant.extras["fast_q"] = counted
+            return plant
+
+        return build_counted
+
+    monkeypatch.setattr(scenario, "build_vdp_scenario", counting(build_vdp_scenario))
+    result = scenario.run_scenario(ScenarioConfig(sim={"horizon": 1.0}))
+    assert result.t[-1] == pytest.approx(1.0)
+    assert calls == []  # q inline throughout the 1 s baseline run
+
+    reg = _regulator()
+    field, _ = build_closed_loop(scenario.build_vdp_scenario(2.0, 2.0), reg)
+    v = [0.3, 0.1, 1e200] + [0.0] * (state_layout(reg.d_eta).size - 3)
+    with np.errstate(all="ignore"):
+        dv = field(v)  # (x1 + p1*)^2 overflows a Python float: q from numpy floats
+    assert len(calls) == 1 and all(type(x) is np.float64 for x in calls[0])
+    assert dv[3] == -np.inf
 
 
 def test_terms_count_every_non_zero_diagonal():
@@ -201,7 +303,7 @@ def test_long_rows_compile():
         field, _ = build_closed_loop(plant, reg)
     finally:
         sys.setrecursionlimit(limit)
-    want, _ = oracle_closed_loop(plant, reg)
+    want, _ = oracle_closed_loop(plant, oracle_vdp_q(2.0, 2.0), reg)
     v = rng.standard_normal(state_layout(d).size).tolist()
     assert np.array(field(v)).tobytes() == np.array(want(v)).tobytes()
 
@@ -214,7 +316,7 @@ def test_infinite_observer_gain():
     assert reg.gains[2] == np.inf
     plant = build_vdp_scenario(2.0, 2.0)
     field, _ = build_closed_loop(plant, reg)
-    want, _ = oracle_closed_loop(plant, reg)
+    want, _ = oracle_closed_loop(plant, oracle_vdp_q(2.0, 2.0), reg)
     with np.errstate(all="ignore"):
         for v in _states(rng, state_layout(6)):
             assert _outcome(field, v) == _outcome(want, v), v
