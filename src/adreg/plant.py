@@ -65,8 +65,9 @@ class PlantSpec:
     them inline, and any other local they assign is none of the field's
     (u, p, innov, sh, xh1, xh2, e<i>, d<i>).
     ``extras`` carries the plant's evaluators: "fast_q", the same lines
-    compiled as a function q(w1, w2, x1, x2), which the field calls where
-    the inline q overflows; the ideal feedforward row-wise as "ustar_rows";
+    compiled as a function q(w1, w2, x1, x2), which no run calls (only
+    bench/tracer.py and the tests read it); the ideal feedforward row-wise
+    as "ustar_rows";
     and "reference", w -> (p1*(w), L_s p1*(w)). The synthetic-linear plant
     adds its one-row "ustar" and "tau", "tau_rows" and "theta_star".
     """

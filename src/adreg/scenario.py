@@ -394,23 +394,18 @@ def state_layout(d_eta):
     return StateLayout(slice(0, 2), slice(2, 4), slice(4, e), slice(e, e + 2), e + 2, e + 3)
 
 
-def _diagonals(reg):
-    """Offsets k of the non-zero diagonals of [F G], ascending; diagonal k
-    holds the entries (i, i + k)."""
-    rows, cols = np.nonzero(np.hstack([reg.F, reg.G]))
-    return sorted(set((cols - rows).tolist()))  # np.unique would import numpy.ma
-
-
 def field_terms(reg):
-    """Products the closed-loop field sums for eta': one per row of [F G]
-    and non-zero diagonal, the zero-padded ones included."""
-    return reg.d_eta * len(_diagonals(reg))
+    """Products the closed-loop field sums for eta': one per non-zero entry
+    of [F G]."""
+    return int(np.count_nonzero(reg.F) + np.count_nonzero(reg.G))
 
 
-# Compiling the generated field takes about this many bytes per term of eta'
-# at its peak (measured with Python 3.11 on a dense F: 1,247 bytes a term at
-# d_eta = 100, 1,141 at d_eta = 300, whose 180,000 terms took 195 MB).
-FIELD_TERM_BYTES = 1280
+# Compiling the generated field takes at most this many bytes per term of
+# eta' at its peak (the growth of peak RSS in a fresh process, Python 3.11, on
+# a dense F: 1,831 to 1,934 bytes a term at d_eta = 100, whose 10,100 terms
+# took 18.5 to 19.5 MB, and 1,760 to 1,769 at d_eta = 300, whose 90,300
+# terms took 159 to 160 MB).
+FIELD_TERM_BYTES = 2000
 # Compiling numerics' generated RK4 step takes about this many bytes per state
 # component at its peak (measured with Python 3.11: 17,150 to 17,551 bytes a
 # component at widths 107 to 3,007, whose step took 49 MB and 0.26 s).
@@ -452,18 +447,16 @@ def build_closed_loop(plant, reg, ident=None):
     psi_bar) uses the identifier's current theta (psi = 0 without an
     identifier). The field computes q inline from ``plant.q_lines``; where
     that raises ArithmeticError (a Python float overflowed or divided by
-    zero) it calls ``plant.extras["fast_q"]``, as it is when this builder
-    runs, on numpy floats, which give inf or nan instead.
+    zero), q is nan, and the RK4 step's finite check ends the run.
 
     Both functions are written as straight-line Python source and compiled
     once: ``field(v)`` unpacks the state into named locals and returns its
     derivative as a list. Gains and the entries of [F G] are float literals
     (``repr``, so exact); an entry of 1.0 or -1.0 multiplies by writing its
-    operand as it is or negated. Each row of eta' is one explicit sum over
-    the non-zero diagonals of [F G] in ascending order, so it adds its terms in
-    column order, u last; a diagonal that leaves the matrix in a row adds
-    0.0 there. With the default (F, G) every product is exact, and eta' has
-    the bits of F eta + G u formed with BLAS. Without an identifier,
+    operand as it is or negated. Each row of eta' is one explicit sum of
+    the row's non-zero entries of [F G] in column order, u last. With the
+    default (F, G) every product is exact, and eta' has the bits of
+    F eta + G u formed with BLAS. Without an identifier,
     sigma_hat' is l3 innov, which -0.0 + l3 innov equals in every bit of a
     number. The source holds only literals, generated names and the
     plant's q_lines, nothing read from a config as text.
@@ -480,16 +473,14 @@ def build_closed_loop(plant, reg, ident=None):
 
     lines = ["def control(xh1, xh2, sh):", *u, "    return u", "", "def field(v):",
              f"    w1, w2, x1, x2, {', '.join(eta)}, xh1, xh2, sh = v", *u]
-    ks = _diagonals(reg)
-    for i in range(d):
-        terms = [_product(fg[i][i + k], operand[i + k]) if 0 <= i + k <= d else "0.0"
-                 for k in ks]
+    for i, row in enumerate(fg):
+        terms = [_product(c, x) for c, x in zip(row, operand) if c != 0.0]
         for j in range(0, len(terms), TERMS_PER_STATEMENT):
             sums = terms[j:j + TERMS_PER_STATEMENT]
             lines.append(f"    d{i} = " + " + ".join([f"d{i}", *sums] if j else sums))
     lines += ["    try:", *(f"        {line}" for line in plant.q_lines),
               "    except ArithmeticError:",
-              "        q = fast_q(float64(w1), float64(w2), float64(x1), float64(x2))",
+              "        q = nan",
               "    innov = x1 - xh1"]
     sigma_hat_dot = f"{float_literal(l3)} * innov"
     if ident is not None:
@@ -507,8 +498,7 @@ def build_closed_loop(plant, reg, ident=None):
         dg = theta if regressor.max_order == 1 else theta @ regressor.jacobian(np.array(eta))
         return float(dg @ eta_dot)
 
-    namespace = {**SOURCE_NAMES, "fast_q": plant.extras["fast_q"], "psi": psi,
-                 "float64": np.float64, "inf": math.inf}
+    namespace = {**SOURCE_NAMES, "psi": psi, "inf": math.inf, "nan": math.nan}
     exec(compile("\n".join(lines) + "\n", "<closed-loop field>", "exec"), namespace)
     return namespace["field"], namespace["control"]
 
@@ -520,9 +510,12 @@ def _error_coordinates(plant, p0, w0, lay):
         ref, slope = plant.extras["reference"](w0)
     except InvalidConfigError as exc:  # the oscillator's reference at w0 = 0
         raise InvalidConfigError(f"no initial error coordinates at w0 = {w0}: {exc}") from None
-    except ArithmeticError:  # where |w0|**3 leaves the float range
+    except OverflowError:  # where |w0|**3 leaves the float range
         raise InvalidConfigError(f"plant.w0 = {w0} is too large: the reference at it "
                                  "overflows the float range") from None
+    except ZeroDivisionError:  # where |w0|**3 underflows to 0
+        raise InvalidConfigError(f"plant.w0 = {w0} is too small: the reference at it "
+                                 "divides by |w0|**3, which underflows to 0") from None
     v0 = np.zeros(lay.size)
     v0[lay.w] = w0
     v0[lay.x] = (p0[0] - ref, p0[1] - slope)
@@ -593,8 +586,8 @@ def _wire(cfg):
 
     reg = Regulator(**rcfg)
     terms = field_terms(reg)
-    _check_memory(f"regulator.F gives a closed-loop field of {terms} terms (non-zero diagonals "
-                  f"of [F G] x d_eta) and an RK4 step of {lay.size} components; compiling "
+    _check_memory(f"regulator.F gives a closed-loop field of {terms} terms (non-zero entries "
+                  f"of [F G]) and an RK4 step of {lay.size} components; compiling "
                   "them takes an estimated peak",
                   FIELD_TERM_BYTES * terms + RK4_COMPONENT_BYTES * lay.size)
     if pcfg["kind"] == "vdp":

@@ -223,6 +223,15 @@ class TestMalformedConfig:
         assert err == ("config error: plant.w0 = [1e+200, 1.0] is too large: the reference at "
                        "it overflows the float range\n")
 
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("w0", [[1e-110, 0.0], [0.0, 1e-120]])
+    def test_underflowing_reference_names_w0(self, write_cfg, capsys, command, w0):
+        # |w0|**3 underflows to 0 in the oscillator's reference, which divides by it
+        assert main([command, write_cfg(_with("plant", "w0", w0))]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (f"config error: plant.w0 = {w0} is too small: the reference at it "
+                       "divides by |w0|**3, which underflows to 0\n")
+
 
 class TestSimulate:
     def test_prints_summary(self, write_cfg, capsys):
@@ -274,8 +283,8 @@ class TestSimulate:
     @pytest.mark.parametrize("cfg,block", [
         # the state overflows within a few steps
         ({"plant": {"p0": [1e20, 0.0]}}, "x"),
-        # (x1 + p1*)**2 overflows in fast_q, which on Python floats raises
-        # OverflowError where a numpy scalar gives inf
+        # (x1 + p1*)**2 overflows the field's inline q, which on Python
+        # floats raises OverflowError; the field takes q as nan
         ({"plant": {"p0": [1e200, 0.0]}}, "x"),
     ])
     def test_blowup_is_integration_failure_naming_its_block(self, write_cfg, capsys,
@@ -475,9 +484,9 @@ class TestWiringMemory:
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_field_past_memory_is_config_error(self, write_cfg, capsys, monkeypatch, command):
         # a dense explicit pair of d_eta = 16 (the default pair perturbed in
-        # every entry): [F G] has 32 non-zero diagonals, so the field sums
-        # 512 terms, about 0.6 MB to compile, and the RK4 step of 23
-        # components about 0.4 MB; the 1 s arc is about 0.2 MB
+        # every entry): the field sums the 272 entries of [F G], about 0.5 MB
+        # to compile, and the RK4 step of 23 components about 0.4 MB; the 1 s
+        # arc is about 0.2 MB
         memory = 2**18
         monkeypatch.setattr(scenario, "physical_memory", lambda: memory)
 
@@ -492,17 +501,17 @@ class TestWiringMemory:
         cfg = {"regulator": {"F": f.tolist(), "G": g.tolist()}, "sim": SHORT_SIM}
         assert main([command, write_cfg(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: regulator.F gives a closed-loop field of 512 "
+        assert err.startswith("config error: regulator.F gives a closed-loop field of 272 "
                               "terms ")
         assert " and an RK4 step of 23 components; " in err
-        nbytes = scenario.FIELD_TERM_BYTES * 512 + scenario.RK4_COMPONENT_BYTES * 23
+        nbytes = scenario.FIELD_TERM_BYTES * 272 + scenario.RK4_COMPONENT_BYTES * 23
         assert f" of {nbytes} bytes, more than the {memory} " in err
 
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_rk4_step_past_memory_is_config_error(self, write_cfg, capsys, monkeypatch,
                                                   command):
         # the default pair of d_eta = 100: its field sums 200 terms, about
-        # 0.3 MB to compile, but its RK4 step of 107 components takes about
+        # 0.4 MB to compile, but its RK4 step of 107 components takes about
         # 1.9 MB; F is 80 KB and the 1 s arc about 0.9 MB
         memory = 3 * 2**19
         monkeypatch.setattr(scenario, "physical_memory", lambda: memory)

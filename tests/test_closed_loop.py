@@ -1,10 +1,9 @@
-"""The generated closed-loop field and controller against the field they
-replaced, kept here as the oracle: equal bit for bit on random states, on
-signed zeros, at saturation, where q overflows and on non-finite states, for
-default, dense and gapped (F, G), for each identifier form and for both
-plants. The oracle calls its own copy of the plants' q as it was written
-before the field computed q inline, so the inline q is checked against code
-it was not generated from.
+"""The generated closed-loop field and controller against an oracle written
+by hand: equal bit for bit on random states, on signed zeros, at saturation,
+where q overflows and on non-finite states, for default, dense and gapped
+(F, G), for each identifier form and for both plants. The oracle calls its
+own copy of the plants' q as it was written before the field computed q
+inline, so the inline q is checked against code it was not generated from.
 
 A NaN compares by position only: CPython's float add returns one NaN operand
 of two unspecialized and the other once it has specialized the bytecode, so
@@ -15,7 +14,6 @@ oracle as in any Python code.
 import inspect
 import sys
 from math import asin, hypot
-from operator import add, mul
 from types import SimpleNamespace
 
 import numpy as np
@@ -81,23 +79,18 @@ PLANTS = {
 
 
 def oracle_closed_loop(plant, fast_q, reg, ident=None):
-    """(field, control) as the diagonal-sum field computed them, with q from
-    the oracle's ``fast_q``: each row of eta' a map chain over the non-zero
-    diagonals of [F G], on (eta, u) padded with zeros as far as the
-    diagonals reach."""
+    """(field, control) computed directly: each row of eta' the sum of the
+    row's non-zero entries of [F G] times (eta, u), in column order, and q
+    from the oracle's ``fast_q``, or nan where that raises ArithmeticError."""
     lay = state_layout(reg.d_eta)
     rho_exo = float(plant.rho)
     k0, k1 = float(reg.K[0, 0]), float(reg.K[0, 1])
     sat_level = reg.sat_level
     lh0, lh1, l3 = reg.gains
     psi_bar = reg.psi_bar
-    d, e = reg.d_eta, lay.eta.stop
-    fg = np.hstack([reg.F, reg.G])
-    ks = [k for k in range(1 - d, d + 1) if fg.diagonal(k).any()]
-    lead, trail = [0.0] * max(0, -ks[0]), [0.0] * max(0, ks[-1] - 1)
-    padded = np.hstack([np.zeros((d, len(lead))), fg, np.zeros((d, len(trail)))])
-    (s0, c0), *diagonals = [(k + len(lead), padded.diagonal(k + len(lead)).tolist())
-                            for k in ks]
+    e = lay.eta.stop
+    rows = [[(c, j) for j, c in enumerate(row) if c != 0.0]
+            for row in np.hstack([reg.F, reg.G]).tolist()]
 
     def control(xh1, xh2, sh):
         return _clamp(-sh - k0 * xh1 - k1 * xh2, sat_level)
@@ -112,15 +105,17 @@ def oracle_closed_loop(plant, fast_q, reg, ident=None):
         w1, w2, x1, x2 = v[:4]
         xh1, xh2, sh = v[e:]
         u = control(xh1, xh2, sh)
-        eta_u = [*lead, *v[4:e], u, *trail]
-        terms = map(mul, c0, eta_u[s0:])
-        for s, c in diagonals:
-            terms = map(add, terms, map(mul, c, eta_u[s:]))
-        eta_dot = list(terms)
+        eta_u = [*v[4:e], u]
+        eta_dot = []
+        for (c, j), *rest in rows:
+            total = c * eta_u[j]
+            for c, j in rest:
+                total = total + c * eta_u[j]
+            eta_dot.append(total)
         try:
             q = fast_q(w1, w2, x1, x2)
         except ArithmeticError:
-            q = fast_q(*map(np.float64, (w1, w2, x1, x2)))
+            q = np.nan
         innov = x1 - xh1
         p = 0.0 if ident is None else psi(v[4:e], eta_dot)
         return [w2, -rho_exo * w1, x2, q + u, *eta_dot,
@@ -249,63 +244,53 @@ def test_kernel_equals_the_oracle_bit_for_bit():
                     assert _outcome(fast_q, *args) == _outcome(want, *args), args
 
 
-def test_field_calls_fast_q_only_where_q_overflows(monkeypatch):
-    calls = []
+def test_overflowing_q_is_nan_without_fast_q():
+    def no_fast_q(*w_x):
+        raise AssertionError("fast_q called")
 
-    def counting(build):
-        def build_counted(*args):
-            plant = build(*args)
-            fast_q = plant.extras["fast_q"]
-
-            def counted(*w_x):
-                calls.append(w_x)
-                return fast_q(*w_x)
-
-            plant.extras["fast_q"] = counted
-            return plant
-
-        return build_counted
-
-    monkeypatch.setattr(scenario, "build_vdp_scenario", counting(build_vdp_scenario))
-    result = scenario.run_scenario(ScenarioConfig(sim={"horizon": 1.0}))
-    assert result.t[-1] == pytest.approx(1.0)
-    assert calls == []  # q inline throughout the 1 s baseline run
-
+    plant = build_vdp_scenario(2.0, 2.0)
+    plant.extras["fast_q"] = no_fast_q
     reg = _regulator()
-    field, _ = build_closed_loop(scenario.build_vdp_scenario(2.0, 2.0), reg)
+    field, _ = build_closed_loop(plant, reg)
     v = [0.3, 0.1, 1e200] + [0.0] * (state_layout(reg.d_eta).size - 3)
-    with np.errstate(all="ignore"):
-        dv = field(v)  # (x1 + p1*)^2 overflows a Python float: q from numpy floats
-    assert len(calls) == 1 and all(type(x) is np.float64 for x in calls[0])
-    assert dv[3] == -np.inf
+    dv = field(v)  # (x1 + p1*)^2 overflows a Python float: q is nan
+    assert np.isnan(dv[3])
 
 
-def test_terms_count_every_non_zero_diagonal():
+def test_terms_count_every_non_zero_entry():
     assert field_terms(_regulator(d_eta=6)) == 12
-    assert field_terms(_dense_pair()) == 4 * 8
-    assert field_terms(PAIRS["gap-4"]()) == 4 * 3
+    assert field_terms(_dense_pair()) == 4 * 5
+    assert field_terms(PAIRS["gap-4"]()) == 2 + 4 + 3 + 1  # F diagonals -2, 0, 1; G
 
 
-def test_long_rows_compile():
-    # 240 terms a row, three statements each. The compiler nests at most
-    # three times the frames left under the recursion limit: with 60 left, a
-    # single 240-term sum would not compile. (F need not be Hurwitz for the
-    # field, and a random pair this large is not controllable to the SVD
-    # cutoff.)
+def test_long_rows_compile(monkeypatch):
+    # A row of 241 terms, three statements. The compiler nests at most three
+    # times the frames left under the recursion limit: with 60 left, the row
+    # as a single sum does not compile. (F need not be Hurwitz for the field,
+    # and a random pair this large is not controllable to the SVD cutoff.)
     rng = np.random.default_rng(5)
-    d = 120
-    reg = SimpleNamespace(**{**vars(_regulator()), "F": rng.standard_normal((d, d)),
+    d = 240
+    f = np.diag(rng.standard_normal(d))
+    f[0] = rng.standard_normal(d)
+    reg = SimpleNamespace(**{**vars(_regulator()), "F": f,
                              "G": rng.standard_normal((d, 1)), "d_eta": d})
     plant = build_vdp_scenario(2.0, 2.0)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack()) + 60)
-    try:
-        field, _ = build_closed_loop(plant, reg)
-    finally:
-        sys.setrecursionlimit(limit)
+
+    def build_with_headroom():
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        try:
+            return build_closed_loop(plant, reg)[0]
+        finally:
+            sys.setrecursionlimit(limit)
+
+    field = build_with_headroom()
     want, _ = oracle_closed_loop(plant, oracle_vdp_q(2.0, 2.0), reg)
     v = rng.standard_normal(state_layout(d).size).tolist()
     assert np.array(field(v)).tobytes() == np.array(want(v)).tobytes()
+    monkeypatch.setattr(scenario, "TERMS_PER_STATEMENT", d + 1)
+    with pytest.raises(RecursionError):
+        build_with_headroom()
 
 
 def test_infinite_observer_gain():

@@ -456,7 +456,8 @@ class TestEnsembleSweep:
         assert "error" not in rows[0] and "error" not in rows[2]
 
     def test_blowup_cells_get_integration_error_rows(self):
-        # p0 = (1e200, 0) overflows fast_q on the first step of every cell
+        # p0 = (1e200, 0) overflows the field's inline q on the first step of
+        # every cell
         base = self._base().replace_in("plant", p0=[1e200, 0.0])
         with np.errstate(over="ignore", invalid="ignore"):
             rows = self._check(base, "ell", [10.0, 20.0])
