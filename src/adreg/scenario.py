@@ -9,6 +9,7 @@ import json
 import math
 import numbers
 import os
+import pickle
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -685,8 +686,17 @@ def run_sweep(base, axis, values):
     """Vary one axis (ell or N) and tabulate the steady-state metrics.
 
     Each cell is one ``run_scenario`` call on ``base`` with the axis set to
-    the cell's value, so its row is that run's. Returns a list of row dicts;
-    a cell that fails gets its error in its row and the sweep continues.
+    the cell's value, so its row is that run's. Returns a list of row dicts
+    in value order; a cell that fails gets its error in its row and the
+    sweep continues.
+
+    The cells run in W = min(len(values), CPUs this process may run on)
+    workers: this process is worker 0 and forks the other W - 1 before it
+    runs a cell, and cell i runs in worker i mod W. A child pickles its rows,
+    or the exception that stopped it, to its pipe; the parent re-raises that
+    exception. A row does not depend on the process that ran it, so the rows
+    are those of running the cells one after another, which is what W = 1
+    does, with no child. No child outlives the call.
     """
     if axis not in ("ell", "N"):
         raise InvalidConfigError("sweep axis must be 'ell' or 'N'")
@@ -696,13 +706,78 @@ def run_sweep(base, axis, values):
         raise InvalidConfigError("sweep axis N needs an identifier kind != none")
     base = replace(base, output={})  # no per-cell files
     section = "regulator" if axis == "ell" else "identifier"
-    rows = []
-    for val in values:
-        row = {"value": val}
-        try:
-            summary = run_scenario(base.replace_in(section, **{axis: val})).summary
-            row.update({k: summary[k] for k in ("steady_state_max_y", "settling_time_s")})
-        except AdregError as exc:  # per-cell failure, sweep continues
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
+    workers = min(len(values), len(os.sched_getaffinity(0)))
+
+    def run_cells(worker):
+        rows = []
+        for val in values[worker::workers]:
+            row = {"value": val}
+            try:
+                summary = run_scenario(base.replace_in(section, **{axis: val})).summary
+                row.update({k: summary[k] for k in ("steady_state_max_y", "settling_time_s")})
+            except AdregError as exc:  # per-cell failure, sweep continues
+                row["error"] = f"{type(exc).__name__}: {exc}"
+            rows.append(row)
+        return rows
+
+    children = {}  # pid -> (worker, read end of its pipe), until reaped
+    try:
+        for worker in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _sweep_child(write, run_cells, worker)
+            os.close(write)
+            children[pid] = (worker, open(read, "rb"))
+        parts = [run_cells(0)]
+        for pid, (worker, pipe) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status != 0 or not data:  # a child exits 0 only once it has sent
+                raise RuntimeError(f"the sweep worker for cells {values[worker::workers]} "
+                                   f"ended without a result (exit status {status})")
+            kind, payload = pickle.loads(data)  # written by our own child
+            if kind == "raise":
+                raise payload
+            parts.append(payload)
+    finally:
+        if children:  # the parent raised: no child may outlive the sweep
+            import signal  # only on this path, to keep it off a run's imports
+
+            for pid, (_, pipe) in children.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pipe.close()
+    rows = [None] * len(values)
+    for worker, part in enumerate(parts):
+        rows[worker::workers] = part
     return rows
+
+
+def _sweep_child(write, run_cells, worker):
+    """Body of a forked sweep worker. Pickles ``("rows", rows)`` or
+    ``("raise", exc)`` to the pipe end ``write`` and leaves with
+    ``os._exit``, so it never unwinds into the caller's frames and never
+    flushes the stdio buffers it inherited."""
+    code = 1
+    try:
+        try:
+            message = pickle.dumps(("rows", run_cells(worker)))
+        except BaseException as exc:  # the parent re-raises it
+            try:
+                message = pickle.dumps(("raise", exc))
+                pickle.loads(message)
+            except Exception:
+                import traceback  # only on this path, in the child
+
+                text = "".join(traceback.format_exception(exc))
+                message = pickle.dumps(("raise", RuntimeError(
+                    f"a sweep worker raised an exception that cannot be pickled:\n{text}")))
+        with open(write, "wb") as pipe:
+            pipe.write(message)
+        code = 0
+    finally:
+        os._exit(code)

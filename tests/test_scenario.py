@@ -3,6 +3,8 @@ closed-loop wiring sanity on short runs, and output serialization."""
 
 import csv
 import json
+import os
+import time
 
 import numpy as np
 import pytest
@@ -392,8 +394,8 @@ class TestRunSweep:
 
 
 class TestEnsembleSweep:
-    """A sweep runs its cells one at a time; each cell's row equals
-    run_scenario on that cell's config."""
+    """Each cell's row equals run_scenario on that cell's config, whichever
+    worker process ran it, and each cell is run exactly once."""
 
     @staticmethod
     def _base(**identifier):
@@ -463,22 +465,37 @@ class TestEnsembleSweep:
             rows = self._check(base, "ell", [10.0, 20.0])
         assert [r["error"].split(":")[0] for r in rows] == ["IntegrationBlowupError"] * 2
 
-    @pytest.mark.parametrize("values", [[5.0, 20.0, 40.0], [10.0, 1e4, 20.0]])
-    def test_each_cell_is_one_run_scenario_call(self, monkeypatch, values):
-        # looked up as scenario.run_scenario for every cell, as a tracer
-        # that wraps it expects; a blow-up cell is run once like the others
-        calls = []
+    @staticmethod
+    def _record_calls(monkeypatch, path):
+        """Wrap scenario.run_scenario to append each cell's ell to ``path``,
+        which calls made in forked workers reach too; returns a reader."""
         run = scenario.run_scenario
 
         def counted(cfg):
-            calls.append(cfg.regulator["ell"])
+            with open(path, "a") as fh:
+                fh.write(f"{cfg.regulator['ell']!r}\n")
             return run(cfg)
 
         monkeypatch.setattr(scenario, "run_scenario", counted)
+        return lambda: [float(line) for line in path.read_text().split()]
+
+    @pytest.mark.parametrize("values", [[5.0, 20.0, 40.0], [10.0, 1e4, 20.0]])
+    def test_each_cell_is_one_run_scenario_call(self, monkeypatch, tmp_path, values):
+        # looked up as scenario.run_scenario for every cell, as a tracer
+        # that wraps it expects; a blow-up cell is run once like the others
+        calls = self._record_calls(monkeypatch, tmp_path / "calls.txt")
         with np.errstate(over="ignore", invalid="ignore"):
             rows = run_sweep(self._base(), "ell", values)
-        assert calls == values
+        assert sorted(calls()) == sorted(values)  # every value exactly once
         assert [("error" in r) for r in rows] == [v == 1e4 for v in values]
+
+    def test_one_cpu_runs_the_cells_in_order(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        calls = self._record_calls(monkeypatch, tmp_path / "calls.txt")
+        values = [40.0, 5.0, 20.0, 10.0]
+        rows = run_sweep(self._base(), "ell", values)
+        assert calls() == values
+        assert [r["value"] for r in rows] == values
 
     def test_sweep_writes_no_files(self, tmp_path):
         base = ScenarioConfig(sim={"horizon": 0.3, "dt": 1e-3},
@@ -487,3 +504,85 @@ class TestEnsembleSweep:
         rows = run_sweep(base, "ell", [10.0, 20.0])
         assert all("error" not in r for r in rows)
         assert list(tmp_path.iterdir()) == []
+
+
+class Unpicklable(Exception):
+    def __init__(self):
+        super().__init__("holds a lambda", lambda: None)
+
+
+class TestSweepWorkers:
+    """Three workers, whatever CPUs this box has: cells 0 and 3 run in this
+    process, cells 1 and 2 in two forked children. After each case no child
+    is left, running or unreaped."""
+
+    VALUES = [10.0, 20.0, 40.0, 5.0]
+
+    @pytest.fixture(autouse=True)
+    def three_workers(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _base():
+        return ScenarioConfig(sim={"horizon": 0.3, "dt": 1e-3})
+
+    @staticmethod
+    def _in_children(monkeypatch, act):
+        """Patch scenario.run_scenario so that cells run in a child call
+        ``act(cfg)`` instead; this process's cells run as before."""
+        parent, run = os.getpid(), scenario.run_scenario
+
+        def patched(cfg):
+            return run(cfg) if os.getpid() == parent else act(cfg)
+
+        monkeypatch.setattr(scenario, "run_scenario", patched)
+
+    def test_rows_equal_serial_rows(self):
+        rows = run_sweep(self._base(), "ell", self.VALUES)
+        assert rows == [TestEnsembleSweep._serial_row(self._base(), "ell", v)
+                        for v in self.VALUES]
+
+    def test_adreg_error_in_a_child_is_its_cells_row(self):
+        values = [10.0, 0.5, 20.0]  # 0.5 runs in the first child
+        rows = run_sweep(self._base(), "ell", values)
+        assert rows == [TestEnsembleSweep._serial_row(self._base(), "ell", v) for v in values]
+        assert "ell must be >= 1" in rows[1]["error"]
+
+    def test_other_exception_in_a_child_is_raised(self, monkeypatch):
+        def fail(cfg):
+            raise ValueError(f"bad cell {cfg.regulator['ell']:g}")
+
+        self._in_children(monkeypatch, fail)
+        with pytest.raises(ValueError, match=r"^bad cell 20$"):
+            run_sweep(self._base(), "ell", self.VALUES)
+
+    def test_exception_that_cannot_be_pickled_is_sent_as_text(self, monkeypatch):
+        def fail(cfg):
+            raise Unpicklable()
+
+        self._in_children(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match=r"cannot be pickled(.|\n)*Unpicklable"):
+            run_sweep(self._base(), "ell", self.VALUES)
+
+    def test_child_that_exits_names_its_cells(self, monkeypatch):
+        self._in_children(monkeypatch, lambda cfg: os._exit(3))
+        with pytest.raises(RuntimeError, match=r"cells \[20\.0\] ended without a result "
+                                               r"\(exit status 3\)"):
+            run_sweep(self._base(), "ell", self.VALUES)
+
+    def test_interrupt_in_this_process_kills_the_children(self, monkeypatch):
+        parent = os.getpid()
+
+        def patched(cfg):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # killed long before
+
+        monkeypatch.setattr(scenario, "run_scenario", patched)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(self._base(), "ell", self.VALUES)
+        assert time.monotonic() - t0 < 30.0
