@@ -1,8 +1,8 @@
 """Command-line interface: scenario runs, parameter sweeps, identifier
 verification, and config validation.
 
-Exit codes: 0 success, 1 config error, 2 integration failure,
-3 acceptance-threshold failure (with --assert).
+Exit codes: 0 success, 1 config error, 2 integration failure or a dead sweep
+worker, 3 acceptance-threshold failure (with --assert).
 """
 
 import argparse
@@ -12,7 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import IntegrationBlowupError, InvalidConfigError, InvalidInputError
+from .errors import (IntegrationBlowupError, InvalidConfigError, InvalidInputError,
+                     SweepWorkerError)
 from .harness import CoreProcessRun, format_report, verify_identifier_requirement
 from .scenario import ScenarioConfig, _wire, run_scenario, run_sweep
 
@@ -81,17 +82,15 @@ def cmd_check_identifier(args):
 
 def cmd_validate(args):
     """Resolve and wire the config, as ``simulate`` does before its first
-    step, and print the run's cost and the resolved config. An identifier
-    jump's solve is cubic in d_sigma, so d_sigma^3 x jumps scales the time
-    the run spends in its jumps; the largest |lambda| dt over the loop's
-    linear poles says how near the RK4 step is to its stability bound
-    (2.785 on the negative real axis)."""
+    step, and print the run's cost (README, ``validate``) and the resolved
+    config."""
     cfg = _load_config(args.config)
     cost = _wire(cfg).cost
     print(f"config ok: {args.config}")
     print(f"cost: d_sigma = {cost.d_sigma}; F {cost.f_bytes} bytes, arc buffer "
-          f"{cost.arc_bytes} bytes, identifier jump {cost.jump_bytes} bytes; "
-          f"closed-loop field {cost.field_terms} terms; at most {cost.jumps} jumps, "
+          f"{cost.arc_bytes} bytes, compiling {cost.compile_bytes} bytes, identifier jump "
+          f"{cost.jump_bytes} bytes: {cost.total_bytes} of {cost.memory} bytes of physical "
+          f"memory; closed-loop field {cost.field_terms} terms; at most {cost.jumps} jumps, "
           f"d_sigma^3 x jumps = {cost.d_sigma**3 * cost.jumps}; largest |lambda| dt = "
           f"{cost.lambda_dt:.4g}")
     print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
@@ -141,6 +140,9 @@ def main(argv=None):
         return EXIT_CONFIG
     except IntegrationBlowupError as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
+        return EXIT_INTEGRATION
+    except SweepWorkerError as exc:
+        print(f"sweep failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
 
 

@@ -28,3 +28,8 @@ class IntegrationBlowupError(AdregError):
         self.output = output
         self.block = block
         super().__init__(f"non-finite {block} at t={t:.6g}, j={j}")
+
+
+class SweepWorkerError(AdregError):
+    """Raised when a forked sweep worker ends without sending its rows back,
+    e.g. when it was killed."""

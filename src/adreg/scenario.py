@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AdregError, IntegrationBlowupError, InvalidConfigError
+from .errors import AdregError, IntegrationBlowupError, InvalidConfigError, SweepWorkerError
 from .hybrid import ClockConfig, arc_row_bound, check_step, jump_bound, simulate
 from .identifier import (LsIdentifier, MiniBatchIdentifier, build_poly_regressor,
                          poly_regressor_size)
@@ -92,7 +92,7 @@ def _real_negative_roots(h):
 NUMBER = ("a finite number", _finite, float, None)
 INTEGER = ("an integer", lambda v: _finite(v) and v == int(v), int, None)
 # A float from 2^53 on is even, whatever integer was written: such an N is
-# left to the identifier's memory check, which rejects every N that large.
+# left to the memory check (_wire), which rejects every N that large.
 ODD = ("an odd positive integer",
        lambda v: INTEGER[1](v) and v >= 1 and (v % 2 == 1 or v >= 2**53), int, None)
 MATRIX = ("a matrix: a list of equal-length lists of finite numbers", _is_matrix,
@@ -329,39 +329,14 @@ def physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_memory(what, nbytes):
-    """Raise InvalidConfigError when ``what``, a phrase that names a config
-    key and the array it sizes, asks for more bytes than physical memory."""
-    memory = physical_memory()
-    if nbytes > memory:
-        size = nbytes if nbytes < 2**63 else "more than 2^63"
-        raise InvalidConfigError(f"{what} of {size} bytes, more than the {memory} bytes "
-                                 "of physical memory")
-
-
-def _check_identifier_memory(icfg, d_eta):
-    """Raise InvalidConfigError when an identifier jump at this N would hold
-    more bytes than physical memory; nothing is allocated to find out."""
-    n, memory = icfg["N"], physical_memory()
-    most = math.isqrt(memory // (8 * JUMP_MATRICES))  # the largest d_sigma that fits
-    # every odd order adds at least d_eta components: a bound that rejects a
-    # huge N without summing over its orders
-    if d_eta * ((n + 1) // 2) > most:
-        d_sigma, at_least = most + 1, "at least "
-    else:
-        d_sigma, at_least = poly_regressor_size(d_eta, n), ""
-    if d_sigma > most:
-        raise InvalidConfigError(
-            f"identifier.N = {n:.6g} gives {at_least}d_sigma = {d_sigma} regressor components: "
-            f"an identifier jump holds {at_least or 'about '}{JUMP_MATRICES * 8 * d_sigma**2} "
-            f"bytes, more than the {memory} bytes of physical memory")
+def _count(n):
+    return n if n < 2**63 else "more than 2^63"
 
 
 def _build_identifier(icfg, d_eta):
     """The configured identifier, or None for kind "none"."""
     if icfg["kind"] == "none":
         return None
-    _check_identifier_memory(icfg, d_eta)
     regressor = build_poly_regressor(d_eta, icfg["N"])
     if icfg["kind"] == "ls":
         return LsIdentifier(regressor, icfg["mu_f"], icfg["omega_scale"])
@@ -395,10 +370,12 @@ def state_layout(d_eta):
     return StateLayout(slice(0, 2), slice(2, 4), slice(4, e), slice(e, e + 2), e + 2, e + 3)
 
 
-def field_terms(reg):
+def field_terms(rcfg):
     """Products the closed-loop field sums for eta': one per non-zero entry
-    of [F G]."""
-    return int(np.count_nonzero(reg.F) + np.count_nonzero(reg.G))
+    of the resolved ``regulator`` section's [F G], 2 d_eta for the default pair."""
+    if "F" in rcfg:
+        return sum(c != 0.0 for row in (*rcfg["F"], *rcfg["G"]) for c in row)
+    return 2 * rcfg["d_eta"]
 
 
 # Compiling the generated field takes at most this many bytes per term of
@@ -524,14 +501,16 @@ def _error_coordinates(plant, p0, w0, lay):
 
 
 class RunCost(NamedTuple):
-    """What a wired config's run holds in memory, sums per field call, how
-    many identifier jumps it makes at most, and how near its RK4 step is to
-    the step's stability bound."""
+    """What a wired config's run holds in memory at most, by part, in all and
+    against physical memory; its field's terms, its jumps and its largest |lambda| dt."""
 
     d_sigma: int  # regressor components; 0 without an identifier
     f_bytes: int
     arc_bytes: int
+    compile_bytes: int  # the peak of compiling the field and the RK4 step
     jump_bytes: int  # the arrays of one identifier jump
+    total_bytes: int
+    memory: int
     field_terms: int
     jumps: int  # at most
     lambda_dt: float  # the largest |lambda| dt over the loop's linear poles
@@ -566,31 +545,42 @@ def _check_rk4_stable(dt, poles):
 
 def _wire(cfg):
     """Build the plant, controller, identifier, clock and initial state of
-    ``cfg``; raises the config's errors before anything is integrated."""
+    ``cfg``; raises the config's errors before anything is integrated, and a
+    memory error, naming each non-zero part's key and bytes largest first."""
     pcfg, rcfg, horizon, dt = cfg.plant, cfg.regulator, cfg.sim["horizon"], cfg.sim["dt"]
-    # the default F, the arc buffer, and the compiling of the field and the
-    # RK4 step fit in memory: each checked before it happens
     d_eta = rcfg["d_eta"]
     if "F" in rcfg and d_eta != len(rcfg["F"]):
         raise InvalidConfigError(f"regulator.d_eta = {d_eta:.6g} does not match regulator.F, "
                                  f"which is {len(rcfg['F'])} x {len(rcfg['F'][0])}")
-    f_bytes = 8 * d_eta * d_eta
-    if "F" not in rcfg:
-        _check_memory(f"regulator.d_eta = {d_eta:.6g} asks for an F (d_eta x d_eta)", f_bytes)
+    if ("F" in rcfg) != ("G" in rcfg):
+        raise InvalidConfigError("regulator.F and G must be given together")
     clock = ClockConfig(**{"period": None, **cfg.clock})  # a uniform clock has none
     lay = state_layout(d_eta)
-    check_step(clock, horizon, dt, lay.size)
-    rows = arc_row_bound(clock, horizon, dt)
-    arc_bytes = 8 * rows * lay.size
-    _check_memory(f"sim.horizon / sim.dt = {horizon!r} / {dt!r} asks for an arc buffer "
-                  f"({rows} rows x {lay.size} floats)", arc_bytes)
+    check_step(clock, horizon, dt, 1)  # keeps an overflowing horizon / dt out of arc_row_bound
+    # what the run holds in memory at most, from the config alone: nothing is built yet
+    rows, terms, memory = arc_row_bound(clock, horizon, dt), field_terms(rcfg), physical_memory()
+    n = cfg.identifier.get("N", 0)  # order 0: no identifier, no jump
+    most = math.isqrt(memory // (8 * JUMP_MATRICES))  # the largest d_sigma that fits
+    # every odd order adds at least d_eta components: a bound that rejects a
+    # huge N without summing over its orders
+    at_least = "at least " if d_eta * ((n + 1) // 2) > most else ""
+    d_sigma = most + 1 if at_least else poly_regressor_size(d_eta, n)
+    key = "regulator.F" if "F" in rcfg else f"regulator.d_eta = {d_eta:.6g}"
+    parts = [(f"{key}: F, ", 8 * d_eta * d_eta),
+             (f"sim.horizon / sim.dt = {horizon!r} / {dt!r}: an arc buffer of {rows} rows, ",
+              8 * rows * lay.size),
+             (f"{key}: compiling {_count(terms)} field terms and {_count(lay.size)} RK4 "
+              "components, about ", FIELD_TERM_BYTES * terms + RK4_COMPONENT_BYTES * lay.size),
+             (f"identifier.N = {n:.6g}: a jump of {at_least}d_sigma = {d_sigma} regressor "
+              f"components, {at_least or 'about '}", JUMP_MATRICES * 8 * d_sigma**2)]
+    total = sum(nbytes for _, nbytes in parts)
+    if total > memory:
+        named = [f"{what}{_count(nbytes)} bytes"
+                 for what, nbytes in sorted(parts, key=lambda part: -part[1]) if nbytes]
+        raise InvalidConfigError(f"{'; '.join(named)}; {at_least}{_count(total)} bytes in all, "
+                                 f"more than the {memory} bytes of physical memory")
 
     reg = Regulator(**rcfg)
-    terms = field_terms(reg)
-    _check_memory(f"regulator.F gives a closed-loop field of {terms} terms (non-zero entries "
-                  f"of [F G]) and an RK4 step of {lay.size} components; compiling "
-                  "them takes an estimated peak",
-                  FIELD_TERM_BYTES * terms + RK4_COMPONENT_BYTES * lay.size)
     if pcfg["kind"] == "vdp":
         plant = build_vdp_scenario(pcfg["a"], pcfg["rho"])
         # Default exosystem start: for the oscillator benchmark, unit
@@ -608,8 +598,7 @@ def _wire(cfg):
     lambda_dt = _check_rk4_stable(dt, reg.linear_poles)
     ident = _build_identifier(cfg.identifier, reg.d_eta)
     v0 = _error_coordinates(plant, pcfg["p0"], w0, lay)
-    d_sigma = 0 if ident is None else ident.regressor.d_sigma
-    cost = RunCost(d_sigma, f_bytes, arc_bytes, JUMP_MATRICES * 8 * d_sigma**2, terms,
+    cost = RunCost(d_sigma, *(nbytes for _, nbytes in parts), total, memory, terms,
                    jump_bound(clock, horizon), lambda_dt)
     return _Cell(lay, plant, reg, ident, clock, v0, cost)
 
@@ -694,9 +683,10 @@ def run_sweep(base, axis, values):
     workers: this process is worker 0 and forks the other W - 1 before it
     runs a cell, and cell i runs in worker i mod W. A child pickles its rows,
     or the exception that stopped it, to its pipe; the parent re-raises that
-    exception. A row does not depend on the process that ran it, so the rows
-    are those of running the cells one after another, which is what W = 1
-    does, with no child. No child outlives the call.
+    exception, and raises SweepWorkerError for a child that sent neither (one
+    killed by a signal, say). A row does not depend on the process that ran
+    it, so the rows are those of running the cells one after another, which
+    is what W = 1 does, with no child. No child outlives the call.
     """
     if axis not in ("ell", "N"):
         raise InvalidConfigError("sweep axis must be 'ell' or 'N'")
@@ -737,8 +727,9 @@ def run_sweep(base, axis, values):
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
             if status != 0 or not data:  # a child exits 0 only once it has sent
-                raise RuntimeError(f"the sweep worker for cells {values[worker::workers]} "
-                                   f"ended without a result (exit status {status})")
+                how = f"killed by signal {-status}" if status < 0 else f"exit status {status}"
+                raise SweepWorkerError(f"the sweep worker for cells {values[worker::workers]} "
+                                       f"ended without a result ({how})")
             kind, payload = pickle.loads(data)  # written by our own child
             if kind == "raise":
                 raise payload

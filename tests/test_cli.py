@@ -82,18 +82,22 @@ class TestValidate:
     @pytest.mark.parametrize("identifier,d_sigma", [({"kind": "none"}, 0),
                                                     ({"kind": "ls", "N": 5}, 314)],
                              ids=["none", "ls-n5"])
-    def test_prints_the_runs_cost(self, write_cfg, capsys, identifier, d_sigma):
+    def test_prints_the_runs_cost(self, write_cfg, capsys, monkeypatch, identifier, d_sigma):
         # osc-ls-n5's config: LS at N = 5 on the default pair of d_eta = 6,
         # 10 s at dt = 1e-3; the default [F G] has two non-zero diagonals,
         # and the clock ticks every 0.1 s, at 0.1, 0.2, ..., 10.0
+        monkeypatch.setattr(scenario, "physical_memory", lambda: 2**30)
         path = write_cfg({"identifier": identifier, "sim": {"horizon": 10.0, "dt": 1e-3}})
         assert main(["validate", path]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == f"config ok: {path}"
         rows = arc_row_bound(ClockConfig(0.1, 0.1, "periodic", 0.1, 0), 10.0, 1e-3)
-        assert lines[1] == (f"cost: d_sigma = {d_sigma}; F {8 * 6 * 6} bytes, arc buffer "
-                            f"{8 * 13 * rows} bytes, identifier jump {12 * 8 * d_sigma**2} "
-                            "bytes; closed-loop field 12 terms; at most 100 jumps, "
+        compile_bytes = scenario.FIELD_TERM_BYTES * 12 + scenario.RK4_COMPONENT_BYTES * 13
+        parts = [8 * 6 * 6, 8 * 13 * rows, compile_bytes, 12 * 8 * d_sigma**2]
+        assert lines[1] == (f"cost: d_sigma = {d_sigma}; F {parts[0]} bytes, arc buffer "
+                            f"{parts[1]} bytes, compiling {parts[2]} bytes, identifier jump "
+                            f"{parts[3]} bytes: {sum(parts)} of {2**30} bytes of physical "
+                            "memory; closed-loop field 12 terms; at most 100 jumps, "
                             f"d_sigma^3 x jumps = {100 * d_sigma**3}; largest |lambda| dt = 0.06")
 
     def test_prints_the_d_eta_of_a_given_f(self, write_cfg, capsys):
@@ -416,7 +420,8 @@ class TestKeyedRangeErrors:
 
 class TestIdentifierMemory:
     """An identifier whose jump would hold more bytes than physical memory is
-    a config error, found before anything is allocated."""
+    a config error, found before anything is allocated; its key is named
+    first, as the largest part of the run's memory."""
 
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_order_past_memory_is_config_error(self, write_cfg, capsys, monkeypatch,
@@ -425,9 +430,10 @@ class TestIdentifierMemory:
         path = write_cfg({"identifier": {"kind": "ls", "N": 9}, "sim": SHORT_SIM})
         assert main([command, path]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: identifier.N = 9 gives d_sigma = 3108 ")
         # 12 arrays of d_sigma^2 8-byte floats
-        assert f"holds about {12 * 8 * 3108**2} bytes, more than the {64 * 2**20} " in err
+        assert err.startswith("config error: identifier.N = 9: a jump of d_sigma = 3108 "
+                              f"regressor components, about {12 * 8 * 3108**2} bytes; ")
+        assert f" bytes in all, more than the {64 * 2**20} bytes of physical memory\n" in err
 
     def test_order_that_fits_runs(self, write_cfg, capsys, monkeypatch):
         # N = 5: d_sigma = 314, about 9.5 MB of jump arrays
@@ -441,45 +447,55 @@ class TestIdentifierMemory:
     def test_huge_order_is_config_error(self, write_cfg, capsys, command, n, d_sigma):
         path = write_cfg({"identifier": {"kind": "mini-batch", "N": n}, "sim": SHORT_SIM})
         assert main([command, path]) == EXIT_CONFIG
-        assert d_sigma in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: identifier.N = {n:.6g}: a jump of {d_sigma}")
 
 
 class TestWiringMemory:
-    """A default F, an arc buffer or a closed-loop field whose compiling
-    would take more bytes than physical memory is a config error, found
-    before any of them is allocated or compiled."""
+    """What a run holds in memory at most (F, the arc buffer, the peak of
+    compiling the field and the RK4 step, and one identifier jump) is summed
+    and compared with physical memory once, before any of it is allocated or
+    compiled. The error names each part's key and bytes, largest first, then
+    the sum and the memory."""
 
     MEMORY = 2**20
 
+    @staticmethod
+    def _nothing_built(monkeypatch):
+        """Make building the regulator (and so F), compiling the field and
+        allocating the arc fail the test."""
+        for name in ("Regulator", "build_closed_loop", "simulate"):
+            def fail(*args, name=name, **kw):
+                raise AssertionError(f"{name} called")
+
+            monkeypatch.setattr(scenario, name, fail)
+
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_f_past_memory_is_config_error(self, write_cfg, capsys, monkeypatch, command):
+        # the default pair of d_eta = 512: F is 2 MB, and compiling its field
+        # of 1,024 terms and the RK4 step of 519 components about 11 MB
         monkeypatch.setattr(scenario, "physical_memory", lambda: self.MEMORY)
-
-        def allocate_f(**rcfg):
-            raise AssertionError("F allocated")
-
-        monkeypatch.setattr(scenario, "Regulator", allocate_f)
+        self._nothing_built(monkeypatch)
         path = write_cfg({"regulator": {"d_eta": 512}, "sim": SHORT_SIM})
         assert main([command, path]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: regulator.d_eta = 512 asks for an F ")
-        assert f" of {8 * 512**2} bytes, more than the {self.MEMORY} bytes " in err
+        compile_bytes = scenario.FIELD_TERM_BYTES * 1024 + scenario.RK4_COMPONENT_BYTES * 519
+        assert err.startswith("config error: regulator.d_eta = 512: compiling 1024 field terms "
+                              f"and 519 RK4 components, about {compile_bytes} bytes; ")
+        assert f"; regulator.d_eta = 512: F, {8 * 512**2} bytes; " in err
+        assert f" bytes in all, more than the {self.MEMORY} bytes of physical memory\n" in err
 
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_arc_past_memory_is_config_error(self, write_cfg, capsys, monkeypatch, command):
         monkeypatch.setattr(scenario, "physical_memory", lambda: self.MEMORY)
-
-        def allocate_arc(*args):
-            raise AssertionError("arc allocated")
-
-        monkeypatch.setattr(scenario, "simulate", allocate_arc)
+        self._nothing_built(monkeypatch)
         path = write_cfg({"sim": {"horizon": 20.0, "dt": 1e-3}})
         assert main([command, path]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: sim.horizon / sim.dt = 20.0 / 0.001 asks for an "
-                              "arc buffer ")
         rows = arc_row_bound(ClockConfig(0.1, 0.1, "periodic", 0.1, 0), 20.0, 1e-3)
-        assert f" of {8 * 13 * rows} bytes, more than the {self.MEMORY} bytes " in err
+        assert err.startswith(f"config error: sim.horizon / sim.dt = 20.0 / 0.001: an arc "
+                              f"buffer of {rows} rows, {8 * 13 * rows} bytes; ")
+        assert f" bytes in all, more than the {self.MEMORY} bytes of physical memory\n" in err
 
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_field_past_memory_is_config_error(self, write_cfg, capsys, monkeypatch, command):
@@ -489,23 +505,19 @@ class TestWiringMemory:
         # arc is about 0.2 MB
         memory = 2**18
         monkeypatch.setattr(scenario, "physical_memory", lambda: memory)
-
-        def compile_field(*args):
-            raise AssertionError("field compiled")
-
-        monkeypatch.setattr(scenario, "build_closed_loop", compile_field)
         im = Regulator(**{**scenario.ScenarioConfig().regulator, "d_eta": 16})
         rng = np.random.default_rng(1)
         f = im.F + 0.01 * rng.standard_normal((16, 16))
         g = im.G + 0.01 * rng.standard_normal((16, 1))
+        self._nothing_built(monkeypatch)
         cfg = {"regulator": {"F": f.tolist(), "G": g.tolist()}, "sim": SHORT_SIM}
         assert main([command, write_cfg(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: regulator.F gives a closed-loop field of 272 "
-                              "terms ")
-        assert " and an RK4 step of 23 components; " in err
         nbytes = scenario.FIELD_TERM_BYTES * 272 + scenario.RK4_COMPONENT_BYTES * 23
-        assert f" of {nbytes} bytes, more than the {memory} " in err
+        assert err.startswith("config error: regulator.F: compiling 272 field terms and 23 RK4 "
+                              f"components, about {nbytes} bytes; ")
+        assert f"; regulator.F: F, {8 * 16**2} bytes; " in err
+        assert f" bytes in all, more than the {memory} bytes of physical memory\n" in err
 
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_rk4_step_past_memory_is_config_error(self, write_cfg, capsys, monkeypatch,
@@ -515,22 +527,38 @@ class TestWiringMemory:
         # 1.9 MB; F is 80 KB and the 1 s arc about 0.9 MB
         memory = 3 * 2**19
         monkeypatch.setattr(scenario, "physical_memory", lambda: memory)
-
-        def compile_field(*args):
-            raise AssertionError("field compiled")
-
-        monkeypatch.setattr(scenario, "build_closed_loop", compile_field)
+        self._nothing_built(monkeypatch)
         path = write_cfg({"regulator": {"d_eta": 100}, "sim": SHORT_SIM})
         assert main([command, path]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: regulator.F gives a closed-loop field of 200 "
-                              "terms ")
         nbytes = scenario.FIELD_TERM_BYTES * 200 + scenario.RK4_COMPONENT_BYTES * 107
-        assert (" and an RK4 step of 107 components; compiling them takes an estimated peak "
-                f"of {nbytes} bytes, more than the {memory} ") in err
+        assert err.startswith("config error: regulator.d_eta = 100: compiling 200 field terms "
+                              f"and 107 RK4 components, about {nbytes} bytes; ")
+        assert f" bytes in all, more than the {memory} bytes of physical memory\n" in err
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_parts_that_fit_alone_are_summed(self, write_cfg, capsys, monkeypatch, command):
+        # the default pair of d_eta = 100 over 1 s: compiling the field and the
+        # RK4 step (2,326,000 bytes), the arc buffer (884,248) and F (80,000)
+        # each fit in 3 MiB, and their sum, 3,290,248 bytes, does not
+        memory = 3 * 2**20
+        monkeypatch.setattr(scenario, "physical_memory", lambda: memory)
+        self._nothing_built(monkeypatch)
+        path = write_cfg({"regulator": {"d_eta": 100}, "sim": SHORT_SIM})
+        assert main([command, path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        rows = arc_row_bound(ClockConfig(0.1, 0.1, "periodic", 0.1, 0), 1.0, 1e-3)
+        assert rows * 107 * 8 == 884248
+        assert captured.err == (
+            "config error: regulator.d_eta = 100: compiling 200 field terms and 107 RK4 "
+            "components, about 2326000 bytes; sim.horizon / sim.dt = 1.0 / 0.001: an arc "
+            f"buffer of {rows} rows, 884248 bytes; regulator.d_eta = 100: F, 80000 bytes; "
+            f"3290248 bytes in all, more than the {memory} bytes of physical memory\n")
 
     def test_config_that_fits_runs(self, write_cfg, capsys, monkeypatch):
-        # a 1 s arc of 13 floats a row is about 0.1 MB
+        # a 1 s arc of 13 floats a row is about 0.1 MB, and compiling the field
+        # and the RK4 step about 0.26 MB
         monkeypatch.setattr(scenario, "physical_memory", lambda: self.MEMORY)
         assert main(["simulate", write_cfg({"sim": SHORT_SIM})]) == EXIT_OK
 
@@ -599,6 +627,20 @@ class TestSweep:
         assert main(["sweep", path, "--axis", "ell", "--values", "0.5"]) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert "InvalidConfigError" in lines[1]
+
+    def test_dead_worker_prints_one_line(self, write_cfg, capsys, monkeypatch):
+        # two workers; the forked one ends without sending its row, as one
+        # killed for memory would
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent, run = os.getpid(), scenario.run_scenario
+        monkeypatch.setattr(scenario, "run_scenario",
+                            lambda cfg: run(cfg) if os.getpid() == parent else os._exit(3))
+        path = write_cfg({"sim": SHORT_SIM})
+        assert main(["sweep", path, "--axis", "ell", "--values", "10,20"]) == EXIT_INTEGRATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("sweep failure: the sweep worker for cells [20.0] ended "
+                                "without a result (exit status 3)\n")
 
 
 class TestCheckIdentifier:

@@ -258,9 +258,14 @@ def test_overflowing_q_is_nan_without_fast_q():
 
 
 def test_terms_count_every_non_zero_entry():
-    assert field_terms(_regulator(d_eta=6)) == 12
-    assert field_terms(_dense_pair()) == 4 * 5
-    assert field_terms(PAIRS["gap-4"]()) == 2 + 4 + 3 + 1  # F diagonals -2, 0, 1; G
+    # of the resolved regulator section: the default pair's, or a given F's and G's
+    def section(reg):
+        return ScenarioConfig(regulator={"F": reg.F.tolist(), "G": reg.G.tolist()}).regulator
+
+    assert field_terms(ScenarioConfig(regulator={"d_eta": 6}).regulator) == 12
+    assert field_terms(section(_regulator(d_eta=6))) == 12
+    assert field_terms(section(_dense_pair())) == 4 * 5
+    assert field_terms(section(PAIRS["gap-4"]())) == 2 + 4 + 3 + 1  # F diagonals -2, 0, 1; G
 
 
 def test_long_rows_compile(monkeypatch):

@@ -4,13 +4,14 @@ closed-loop wiring sanity on short runs, and output serialization."""
 import csv
 import json
 import os
+import signal
 import time
 
 import numpy as np
 import pytest
 
 from adreg import scenario
-from adreg.errors import AdregError, InvalidConfigError
+from adreg.errors import AdregError, InvalidConfigError, SweepWorkerError
 from adreg.plant import build_synthetic_linear_plant, build_vdp_scenario
 from adreg.regulator import Regulator
 from adreg.scenario import (
@@ -569,8 +570,14 @@ class TestSweepWorkers:
 
     def test_child_that_exits_names_its_cells(self, monkeypatch):
         self._in_children(monkeypatch, lambda cfg: os._exit(3))
-        with pytest.raises(RuntimeError, match=r"cells \[20\.0\] ended without a result "
-                                               r"\(exit status 3\)"):
+        with pytest.raises(SweepWorkerError, match=r"cells \[20\.0\] ended without a result "
+                                                   r"\(exit status 3\)"):
+            run_sweep(self._base(), "ell", self.VALUES)
+
+    def test_child_killed_by_a_signal_names_it(self, monkeypatch):
+        self._in_children(monkeypatch, lambda cfg: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(SweepWorkerError, match=r"cells \[20\.0\] ended without a result "
+                                                   rf"\(killed by signal {signal.SIGKILL:d}\)"):
             run_sweep(self._base(), "ell", self.VALUES)
 
     def test_interrupt_in_this_process_kills_the_children(self, monkeypatch):
