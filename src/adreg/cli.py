@@ -1,8 +1,8 @@
 """Command-line interface: scenario runs, parameter sweeps, identifier
 verification, and config validation.
 
-Exit codes: 0 success, 1 config error, 2 integration failure or a dead sweep
-worker, 3 acceptance-threshold failure (with --assert).
+Exit codes: 0 success, 1 config or usage error, 2 integration failure or a
+dead sweep worker, 3 acceptance-threshold failure (with --assert).
 """
 
 import argparse
@@ -28,6 +28,8 @@ def _load_config(path):
 
 
 def cmd_simulate(args):
+    if args.assert_max_y != args.assert_max_y:  # NaN, which no summary exceeds
+        raise InvalidConfigError("--assert-max-y must be a number other than NaN")
     cfg = _load_config(args.config)
     result = run_scenario(cfg)
     print(json.dumps(result.summary, indent=2, sort_keys=True))
@@ -70,7 +72,7 @@ def cmd_check_identifier(args):
     # the test process is the synthetic-linear plant with the config's rho,
     # p0 and, if given, w0 (its default depends on the kind)
     given = {key: cfg.plant[key] for key in ("rho", "p0", "w0") if key in cfg.plant}
-    cell = _wire(replace(cfg, plant={"kind": "synthetic-linear", **given}))
+    cell = _wire(replace(cfg, plant={"kind": "synthetic-linear", **given}, output={}))
     plant = cell.plant
     run = CoreProcessRun(clock=cell.clock, exo=plant.eval_s, w0=cell.v0[cell.lay.w],
                          tau_eval=plant.extras["tau"], ustar_eval=plant.extras["ustar"])
@@ -89,8 +91,9 @@ def cmd_validate(args):
     print(f"config ok: {args.config}")
     print(f"cost: d_sigma = {cost.d_sigma}; F {cost.f_bytes} bytes, arc buffer "
           f"{cost.arc_bytes} bytes, compiling {cost.compile_bytes} bytes, identifier jump "
-          f"{cost.jump_bytes} bytes: {cost.total_bytes} of {cost.memory} bytes of physical "
-          f"memory; closed-loop field {cost.field_terms} terms; at most {cost.jumps} jumps, "
+          f"{cost.jump_bytes} bytes, jump record {cost.record_bytes} bytes: {cost.total_bytes} "
+          f"of {cost.memory} bytes of physical memory; closed-loop field {cost.field_terms} "
+          f"terms; at most {cost.jumps} jumps, "
           f"d_sigma^3 x jumps = {cost.d_sigma**3 * cost.jumps}; largest |lambda| dt = "
           f"{cost.lambda_dt:.4g}")
     print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
@@ -128,8 +131,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its message (or -h its help)
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         # a run that overflows ends as one integration-failure line: the RK4
         # step's finite check catches every non-finite value numpy makes

@@ -7,7 +7,7 @@ shortened, never overshot.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,14 +63,18 @@ class HybridArc:
     """Trajectory samples over a hybrid time domain.
 
     Rows of ``states`` align with ``t`` and ``j``. Jump instants are stored
-    twice: pre-jump at (t, j) and post-jump at (t, j+1); ``jump_indices``
-    points at the pre-jump rows.
+    twice: pre-jump at (t, j) and post-jump at (t, j+1), so the pre-jump rows
+    are those after which j steps.
     """
 
     t: np.ndarray
     j: np.ndarray
     states: np.ndarray
-    jump_indices: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
+
+    @property
+    def jump_indices(self):
+        """The pre-jump rows."""
+        return np.flatnonzero(np.diff(self.j))
 
 
 def validate_arc(arc, clock=None, atol=1e-9):
@@ -111,6 +115,12 @@ def arc_row_bound(clock, horizon, dt):
     return 1 + math.ceil(horizon / dt) + 2 * (jumps + 1) + jumps
 
 
+def arc_bytes(clock, horizon, dt, width):
+    """Bytes of the arc ``simulate`` allocates: ``arc_row_bound`` rows of
+    ``width`` state components, t and j, 8 bytes each."""
+    return arc_row_bound(clock, horizon, dt) * 8 * (width + 2)
+
+
 def _arc_too_large(horizon, dt):
     return InvalidConfigError(f"sim.horizon / sim.dt = {horizon!r} / {dt!r} asks for an arc "
                               "buffer larger than can be allocated")
@@ -118,7 +128,7 @@ def _arc_too_large(horizon, dt):
 
 def check_step(clock, horizon, dt, width):
     """Raise InvalidConfigError unless ``simulate`` can run to horizon at step dt
-    and its arc buffer, ``arc_row_bound`` rows of ``width`` 8-byte floats, has
+    and its state buffer, ``arc_row_bound`` rows of ``width`` 8-byte floats, has
     no more bytes than an array can index."""
     if not (0.0 < dt < np.inf and 0.0 < horizon < np.inf):
         raise InvalidConfigError("dt and horizon must be positive and finite")
@@ -137,22 +147,21 @@ def simulate(flow, jump, x0, clock, horizon, dt):
     The state is carried as a list of Python floats through flows and jumps:
     flow(x) -> dx/dt, as a sequence of floats; jump(t, j, x) -> x_plus, a
     list of floats. Components the jump map wants held must be copied
-    through by the caller's jump function. Each state is written into its
-    row of one buffer of ``arc_row_bound`` rows; the arc holds a view of the
-    rows used.
+    through by the caller's jump function. Each row's state, t and j are
+    written into row n of three buffers of ``arc_row_bound`` rows; the arc
+    holds views of the rows used.
     """
     x = [float(v) for v in x0]
     check_step(clock, horizon, dt, len(x))
 
     rng = clock.make_rng()
+    rows = arc_row_bound(clock, horizon, dt)
     try:
-        states = np.empty((arc_row_bound(clock, horizon, dt), len(x)))
+        states, ts, js = np.empty((rows, len(x))), np.empty(rows), np.empty(rows, dtype=int)
     except (MemoryError, ValueError):  # more bytes than memory, or than an array can index
         raise _arc_too_large(horizon, dt) from None
-    states[0] = x
-    t, jcnt = 0.0, 0
-    ts, js = [0.0], [0]
-    jump_rows = []
+    t, jcnt, n = 0.0, 0, 0
+    states[n], ts[n], js[n] = x, t, jcnt
 
     next_t = next_jump_time(clock, 0.0, rng)
     while True:
@@ -167,25 +176,18 @@ def simulate(flow, jump, x0, clock, horizon, dt):
             t += h
             if t_end - t <= 1e-12:
                 t = t_end
-            states[len(ts)] = x
-            ts.append(t)
-            js.append(jcnt)
+            n += 1
+            states[n], ts[n], js[n] = x, t, jcnt
         if next_t > horizon:
             break
-        # clock tick: record pre-jump, apply jump, record post-jump
-        jump_rows.append(len(ts) - 1)
+        # clock tick: the last row is pre-jump; apply the jump, record post-jump
         x = jump(t, jcnt, x)
         jcnt += 1
-        states[len(ts)] = x
-        ts.append(t)
-        js.append(jcnt)
+        n += 1
+        states[n], ts[n], js[n] = x, t, jcnt
         if next_t >= horizon:
             break
         next_t = next_jump_time(clock, next_t, rng)
 
-    return HybridArc(
-        t=np.asarray(ts),
-        j=np.asarray(js, dtype=int),
-        states=states[:len(ts)],
-        jump_indices=np.asarray(jump_rows, dtype=int),
-    )
+    n += 1
+    return HybridArc(t=ts[:n], j=js[:n], states=states[:n])

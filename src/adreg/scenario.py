@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AdregError, IntegrationBlowupError, InvalidConfigError, SweepWorkerError
-from .hybrid import ClockConfig, arc_row_bound, check_step, jump_bound, simulate
+from .hybrid import ClockConfig, arc_bytes, arc_row_bound, check_step, jump_bound, simulate
 from .identifier import (LsIdentifier, MiniBatchIdentifier, build_poly_regressor,
                          poly_regressor_size)
 from .numerics import rk4_stable_step
@@ -259,20 +259,13 @@ class ScenarioResult:
     def gamma_hat(self):
         """theta . sigma(eta) on each row, with the theta of its jump
         segment (zero before the first jump)."""
-        n = self.t.size
-        gamma_hat = np.zeros(n)
+        gamma_hat = np.zeros(self.t.size)
         if self.theta_history:
             eta_rows = self.states[:, self.layout.eta]
-            seg = self.j - 1  # per-row index into theta_history, -1 before the first jump
-            # segment-wise evaluation: theta is constant between jumps
-            bounds = np.flatnonzero(np.diff(seg) != 0) + 1
-            starts = np.concatenate(([0], bounds))
-            stops = np.concatenate((bounds, [n]))
-            for s0, s1 in zip(starts, stops):
-                k = seg[s0]
-                if k < 0:
-                    continue  # theta starts at zero
-                theta = self.theta_history[k][1]
+            # segment k runs from the post-jump row of jump k to the next, under
+            # theta_history[k]: theta is constant between jumps
+            starts = (np.flatnonzero(np.diff(self.j)) + 1).tolist()
+            for (_, theta), s0, s1 in zip(self.theta_history, starts, starts[1:] + [self.t.size]):
                 gamma_hat[s0:s1] = self.regressor.batch(eta_rows[s0:s1]) @ theta
         return gamma_hat
 
@@ -322,6 +315,11 @@ class ScenarioResult:
 # peak of 10.4 to 11.4 of them measured at d_sigma = 1,106 and 3,108 when Omega
 # was one more such array)
 JUMP_MATRICES = 12
+# Bytes of run_scenario's record of one jump past its 8 (d_sigma + d_eta) bytes
+# of theta and eta: two tuples, t, j, u, three array headers and two list
+# slots (the growth of peak RSS in a fresh process, Python 3.11, numpy 2.4:
+# 658 to 688 bytes a jump at d_sigma = 6 to 1,106, d_eta = 6)
+JUMP_RECORD_BYTES = 700
 
 
 def physical_memory():
@@ -509,6 +507,7 @@ class RunCost(NamedTuple):
     arc_bytes: int
     compile_bytes: int  # the peak of compiling the field and the RK4 step
     jump_bytes: int  # the arrays of one identifier jump
+    record_bytes: int  # theta and the identifier's sample at each jump
     total_bytes: int
     memory: int
     field_terms: int
@@ -543,11 +542,23 @@ def _check_rk4_stable(dt, poles):
     return max(abs(lam) for lam in steps) * dt
 
 
+def _check_output(out):
+    """Raise InvalidConfigError for an output path that cannot be a file:
+    a directory, or one whose directory is missing; creates nothing."""
+    for key, path in out.items():
+        if path is not None and os.path.isdir(path):
+            raise InvalidConfigError(f"output.{key} = {path!r} is a directory")
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise InvalidConfigError(f"output.{key} = {path!r}: no directory "
+                                     f"{os.path.dirname(path)!r}")
+
+
 def _wire(cfg):
     """Build the plant, controller, identifier, clock and initial state of
     ``cfg``; raises the config's errors before anything is integrated, and a
     memory error, naming each non-zero part's key and bytes largest first."""
     pcfg, rcfg, horizon, dt = cfg.plant, cfg.regulator, cfg.sim["horizon"], cfg.sim["dt"]
+    _check_output(cfg.output)
     d_eta = rcfg["d_eta"]
     if "F" in rcfg and d_eta != len(rcfg["F"]):
         raise InvalidConfigError(f"regulator.d_eta = {d_eta:.6g} does not match regulator.F, "
@@ -559,6 +570,7 @@ def _wire(cfg):
     check_step(clock, horizon, dt, 1)  # keeps an overflowing horizon / dt out of arc_row_bound
     # what the run holds in memory at most, from the config alone: nothing is built yet
     rows, terms, memory = arc_row_bound(clock, horizon, dt), field_terms(rcfg), physical_memory()
+    jumps = jump_bound(clock, horizon)
     n = cfg.identifier.get("N", 0)  # order 0: no identifier, no jump
     most = math.isqrt(memory // (8 * JUMP_MATRICES))  # the largest d_sigma that fits
     # every odd order adds at least d_eta components: a bound that rejects a
@@ -568,11 +580,13 @@ def _wire(cfg):
     key = "regulator.F" if "F" in rcfg else f"regulator.d_eta = {d_eta:.6g}"
     parts = [(f"{key}: F, ", 8 * d_eta * d_eta),
              (f"sim.horizon / sim.dt = {horizon!r} / {dt!r}: an arc buffer of {rows} rows, ",
-              8 * rows * lay.size),
+              arc_bytes(clock, horizon, dt, lay.size)),
              (f"{key}: compiling {_count(terms)} field terms and {_count(lay.size)} RK4 "
               "components, about ", FIELD_TERM_BYTES * terms + RK4_COMPONENT_BYTES * lay.size),
              (f"identifier.N = {n:.6g}: a jump of {at_least}d_sigma = {d_sigma} regressor "
-              f"components, {at_least or 'about '}", JUMP_MATRICES * 8 * d_sigma**2)]
+              f"components, {at_least or 'about '}", JUMP_MATRICES * 8 * d_sigma**2),
+             (f"identifier.N = {n:.6g}: a record of {jumps} jumps, {at_least or 'about '}",
+              jumps * (8 * (d_sigma + d_eta) + JUMP_RECORD_BYTES) if n else 0)]
     total = sum(nbytes for _, nbytes in parts)
     if total > memory:
         named = [f"{what}{_count(nbytes)} bytes"
@@ -598,8 +612,8 @@ def _wire(cfg):
     lambda_dt = _check_rk4_stable(dt, reg.linear_poles)
     ident = _build_identifier(cfg.identifier, reg.d_eta)
     v0 = _error_coordinates(plant, pcfg["p0"], w0, lay)
-    cost = RunCost(d_sigma, *(nbytes for _, nbytes in parts), total, memory, terms,
-                   jump_bound(clock, horizon), lambda_dt)
+    cost = RunCost(d_sigma, *(nbytes for _, nbytes in parts), total, memory, terms, jumps,
+                   lambda_dt)
     return _Cell(lay, plant, reg, ident, clock, v0, cost)
 
 
@@ -617,7 +631,7 @@ def run_scenario(cfg):
     def jump(t, j, v):
         if ident is not None:
             row = np.array(v)
-            eta = row[lay.eta]
+            eta = row[lay.eta].copy()  # the record keeps eta, not its whole row
             # The identifier's sample keeps the vector form of the controller
             # (K @ x_hat, norm rescale), which can differ from control() in
             # the last bit. At N = 5 the identifier amplifies that bit to a
@@ -646,16 +660,20 @@ def _reduce(arc, cfg, plant, lay, control, ident, theta_history, jump_samples):
     """The run's result and summary, from t and y alone; writes the output
     files the config names."""
     y = arc.states[:, lay.x.start]
-    tail = arc.t >= 0.8 * cfg.sim["horizon"]
-    ss_max = float(np.max(np.abs(y[tail]))) if np.any(tail) else float(np.max(np.abs(y)))
+    # t never decreases, so the rows from 0.8 horizon on are the last ones
+    tail = y[np.searchsorted(arc.t, 0.8 * cfg.sim["horizon"]):]
+    tail = tail if tail.size else y
+    ss_max = max(0.0, float(tail.max()), -float(tail.min()))  # max |y|, with no |y| array
     band = 2.0 * ss_max
-    exceed = np.abs(y) > band
-    settling = float(arc.t[exceed][-1]) if np.any(exceed) else 0.0
+    exceed = y > band
+    exceed |= y < -band  # |y| > band: one boolean a row
+    rows = np.flatnonzero(exceed)
+    settling = float(arc.t[rows[-1]]) if rows.size else 0.0
     summary = {
         "steady_state_max_y": ss_max,
         "settling_time_s": settling,
         "final_theta": [float(v) for v in theta_history[-1][1]] if theta_history else [],
-        "jumps_total": int(arc.jump_indices.size),
+        "jumps_total": int(arc.j[-1]),
     }
 
     result = ScenarioResult(

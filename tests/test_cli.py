@@ -14,7 +14,7 @@ import pytest
 
 from adreg import scenario
 from adreg.cli import EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK, EXIT_THRESHOLD, main
-from adreg.hybrid import ClockConfig, arc_row_bound
+from adreg.hybrid import ClockConfig, arc_row_bound, jump_bound
 from adreg.regulator import Regulator
 
 
@@ -91,13 +91,17 @@ class TestValidate:
         assert main(["validate", path]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == f"config ok: {path}"
+        # the arc holds 13 state components, t and j a row; each jump's record
+        # holds theta and eta beside JUMP_RECORD_BYTES
         rows = arc_row_bound(ClockConfig(0.1, 0.1, "periodic", 0.1, 0), 10.0, 1e-3)
         compile_bytes = scenario.FIELD_TERM_BYTES * 12 + scenario.RK4_COMPONENT_BYTES * 13
-        parts = [8 * 6 * 6, 8 * 13 * rows, compile_bytes, 12 * 8 * d_sigma**2]
+        record = 100 * (8 * (d_sigma + 6) + scenario.JUMP_RECORD_BYTES) if d_sigma else 0
+        parts = [8 * 6 * 6, 8 * 15 * rows, compile_bytes, 12 * 8 * d_sigma**2, record]
         assert lines[1] == (f"cost: d_sigma = {d_sigma}; F {parts[0]} bytes, arc buffer "
                             f"{parts[1]} bytes, compiling {parts[2]} bytes, identifier jump "
-                            f"{parts[3]} bytes: {sum(parts)} of {2**30} bytes of physical "
-                            "memory; closed-loop field 12 terms; at most 100 jumps, "
+                            f"{parts[3]} bytes, jump record {parts[4]} bytes: {sum(parts)} of "
+                            f"{2**30} bytes of physical memory; closed-loop field 12 terms; "
+                            "at most 100 jumps, "
                             f"d_sigma^3 x jumps = {100 * d_sigma**3}; largest |lambda| dt = 0.06")
 
     def test_prints_the_d_eta_of_a_given_f(self, write_cfg, capsys):
@@ -237,6 +241,72 @@ class TestMalformedConfig:
                        "divides by |w0|**3, which underflows to 0\n")
 
 
+class TestOutputPaths:
+    """An output file that cannot be written is a config error of
+    ``validate`` and ``simulate``, before anything runs or is created."""
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize("key", ["csv", "summary"])
+    def test_missing_directory(self, write_cfg, tmp_path, capsys, command, key):
+        out = str(tmp_path / "nodir" / "x.out")
+        path = write_cfg({"sim": {"horizon": 20.0}, "output": {key: out}})
+        assert main([command, path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: output.{key} = {out!r}: no directory "
+                                f"{os.path.dirname(out)!r}\n")
+        assert not (tmp_path / "nodir").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize("key", ["csv", "summary"])
+    def test_directory(self, write_cfg, tmp_path, capsys, command, key):
+        path = write_cfg({"sim": {"horizon": 20.0}, "output": {key: str(tmp_path)}})
+        assert main([command, path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: output.{key} = {str(tmp_path)!r} is a directory\n"
+
+    def test_file_in_the_working_directory(self, write_cfg, tmp_path, monkeypatch, capsys):
+        # a bare file name is written in the working directory
+        monkeypatch.chdir(tmp_path)
+        path = write_cfg({"sim": SHORT_SIM, "output": {"csv": "run.csv"}})
+        assert main(["simulate", path]) == EXIT_OK
+        assert (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["sweep", "--axis", "ell", "--values", "20"],
+                                      ["check-identifier"]], ids=["sweep", "check-identifier"])
+    def test_commands_that_write_no_file_ignore_output(self, write_cfg, tmp_path, capsys,
+                                                       argv):
+        cfg = {"identifier": {"kind": "ls", "N": 1}, "sim": SHORT_SIM,
+               "output": {"csv": str(tmp_path / "nodir" / "x.csv"), "summary": str(tmp_path)}}
+        assert main([argv[0], write_cfg(cfg), *argv[1:]]) == EXIT_OK
+        assert not (tmp_path / "nodir").exists()
+
+
+class TestUsage:
+    """A command line that argparse rejects exits 1, as a config error does,
+    with argparse's message on stderr; -h exits 0."""
+
+    @pytest.mark.parametrize("args,message", [
+        (["simulate", "CFG", "--assert-max-y", "abc"],
+         "argument --assert-max-y: invalid float value: 'abc'"),
+        (["sweep", "CFG", "--axis", "foo", "--values", "1"], "argument --axis: invalid choice"),
+        ([], "the following arguments are required: command"),
+    ], ids=["threshold", "axis", "no-command"])
+    def test_usage_error_exits_1(self, write_cfg, capsys, args, message):
+        path = write_cfg({"sim": SHORT_SIM})
+        assert main([path if a == "CFG" else a for a in args]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: adreg")
+        assert message in captured.err
+
+    @pytest.mark.parametrize("args", [["-h"], ["simulate", "-h"]])
+    def test_help_exits_0(self, capsys, args):
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: adreg")
+
+
 class TestSimulate:
     def test_prints_summary(self, write_cfg, capsys):
         path = write_cfg({"sim": SHORT_SIM})
@@ -268,6 +338,14 @@ class TestSimulate:
         path = write_cfg({"sim": SHORT_SIM, "output": {"csv": str(tmp_path)}})
         assert main(["simulate", path]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
+
+    def test_nan_threshold_is_config_error(self, write_cfg, capsys):
+        # no summary exceeds NaN, so such a run could never fail its threshold
+        path = write_cfg({"sim": SHORT_SIM})
+        assert main(["simulate", path, "--assert-max-y", "nan"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the run
+        assert captured.err == "config error: --assert-max-y must be a number other than NaN\n"
 
     def test_bad_config_value(self, write_cfg, capsys):
         path = write_cfg({"regulator": {"ell": 0.5}, "sim": SHORT_SIM})
@@ -435,6 +513,19 @@ class TestIdentifierMemory:
                               f"regressor components, about {12 * 8 * 3108**2} bytes; ")
         assert f" bytes in all, more than the {64 * 2**20} bytes of physical memory\n" in err
 
+    def test_jump_record_past_memory_is_config_error(self, write_cfg, capsys, monkeypatch):
+        # a jump every 0.01 s for 1e5 s: theta, eta and JUMP_RECORD_BYTES per
+        # jump outweigh the arc's rows between jumps
+        monkeypatch.setattr(scenario, "physical_memory", lambda: 2**30)
+        cfg = {"identifier": {"kind": "ls", "N": 5}, "clock": {"t_low": 0.01, "t_high": 0.01},
+               "sim": {"horizon": 1e5}}
+        assert main(["validate", write_cfg(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        jumps = jump_bound(ClockConfig(0.01, 0.01, "periodic", 0.01, 0), 1e5)
+        assert err.startswith(f"config error: identifier.N = 5: a record of {jumps} jumps, "
+                              f"about {jumps * (8 * (314 + 6) + scenario.JUMP_RECORD_BYTES)} "
+                              "bytes; sim.horizon / sim.dt = 100000.0 / 0.001: an arc buffer ")
+
     def test_order_that_fits_runs(self, write_cfg, capsys, monkeypatch):
         # N = 5: d_sigma = 314, about 9.5 MB of jump arrays
         monkeypatch.setattr(scenario, "physical_memory", lambda: 64 * 2**20)
@@ -453,10 +544,10 @@ class TestIdentifierMemory:
 
 class TestWiringMemory:
     """What a run holds in memory at most (F, the arc buffer, the peak of
-    compiling the field and the RK4 step, and one identifier jump) is summed
-    and compared with physical memory once, before any of it is allocated or
-    compiled. The error names each part's key and bytes, largest first, then
-    the sum and the memory."""
+    compiling the field and the RK4 step, one identifier jump and the record
+    of every jump) is summed and compared with physical memory once, before
+    any of it is allocated or compiled. The error names each part's key and
+    bytes, largest first, then the sum and the memory."""
 
     MEMORY = 2**20
 
@@ -494,7 +585,7 @@ class TestWiringMemory:
         err = capsys.readouterr().err
         rows = arc_row_bound(ClockConfig(0.1, 0.1, "periodic", 0.1, 0), 20.0, 1e-3)
         assert err.startswith(f"config error: sim.horizon / sim.dt = 20.0 / 0.001: an arc "
-                              f"buffer of {rows} rows, {8 * 13 * rows} bytes; ")
+                              f"buffer of {rows} rows, {8 * 15 * rows} bytes; ")
         assert f" bytes in all, more than the {self.MEMORY} bytes of physical memory\n" in err
 
     @pytest.mark.parametrize("command", ["validate", "simulate"])
@@ -539,8 +630,8 @@ class TestWiringMemory:
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_parts_that_fit_alone_are_summed(self, write_cfg, capsys, monkeypatch, command):
         # the default pair of d_eta = 100 over 1 s: compiling the field and the
-        # RK4 step (2,326,000 bytes), the arc buffer (884,248) and F (80,000)
-        # each fit in 3 MiB, and their sum, 3,290,248 bytes, does not
+        # RK4 step (2,326,000 bytes), the arc buffer (900,776) and F (80,000)
+        # each fit in 3 MiB, and their sum, 3,306,776 bytes, does not
         memory = 3 * 2**20
         monkeypatch.setattr(scenario, "physical_memory", lambda: memory)
         self._nothing_built(monkeypatch)
@@ -549,12 +640,12 @@ class TestWiringMemory:
         captured = capsys.readouterr()
         assert captured.out == ""
         rows = arc_row_bound(ClockConfig(0.1, 0.1, "periodic", 0.1, 0), 1.0, 1e-3)
-        assert rows * 107 * 8 == 884248
+        assert rows * 109 * 8 == 900776
         assert captured.err == (
             "config error: regulator.d_eta = 100: compiling 200 field terms and 107 RK4 "
             "components, about 2326000 bytes; sim.horizon / sim.dt = 1.0 / 0.001: an arc "
-            f"buffer of {rows} rows, 884248 bytes; regulator.d_eta = 100: F, 80000 bytes; "
-            f"3290248 bytes in all, more than the {memory} bytes of physical memory\n")
+            f"buffer of {rows} rows, 900776 bytes; regulator.d_eta = 100: F, 80000 bytes; "
+            f"3306776 bytes in all, more than the {memory} bytes of physical memory\n")
 
     def test_config_that_fits_runs(self, write_cfg, capsys, monkeypatch):
         # a 1 s arc of 13 floats a row is about 0.1 MB, and compiling the field

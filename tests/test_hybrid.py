@@ -253,7 +253,7 @@ class TestValidateArc:
             t=np.array([0.0, 0.1, 0.1, 0.3, 0.3]),
             j=np.array([0, 0, 1, 1, 2]),
             states=np.zeros((5, 1)),
-            jump_indices=np.array([1, 3]),
         )
+        assert np.array_equal(arc.jump_indices, [1, 3])  # read off j
         with pytest.raises(InvalidConfigError):
             validate_arc(arc, clock)

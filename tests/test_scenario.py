@@ -5,6 +5,8 @@ import csv
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -362,6 +364,52 @@ class TestColumnsOnDemand:
         base = ScenarioConfig(identifier={"kind": "ls", "N": 3}, sim={"horizon": 0.3, "dt": 1e-3})
         rows = run_sweep(base, "ell", [10.0, 20.0])
         assert all("error" not in r for r in rows)
+
+
+# Prints the growth of peak RSS over one run_scenario call and the run's
+# memory sum. The peak is VmHWM, the high-water mark of this process's own
+# memory map: ru_maxrss would also count the parent's RSS, which a forked
+# child held until its exec. Before it measures, the process wires the config
+# (as validate does) and solves one small pseudoinverse: the library code that
+# a first SVD pages in, about 1 MB, is the process's, as numpy's import is,
+# not the run's. So are OpenBLAS's per-thread buffers (about 0.6 MB a thread
+# at d_sigma = 314): the process runs with one OpenBLAS thread.
+_MEASURE_RUN = """
+import json, re, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from adreg import scenario
+from adreg.numerics import pseudoinverse
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return 1024 * int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+
+cfg = scenario.ScenarioConfig.from_dict(json.loads(sys.argv[2]))
+total = scenario._wire(cfg).cost.total_bytes
+pseudoinverse(np.eye(8) + 0.1)
+before = peak()
+scenario.run_scenario(cfg)
+print(peak() - before, total)
+"""
+
+
+class TestMemorySum:
+    """The memory sum that _wire checks covers what a run holds: the arc
+    (states, t and j), the identifier's jump and the record of every jump."""
+
+    @pytest.mark.parametrize("cfg", [
+        {"sim": {"horizon": 100.0}},
+        {"identifier": {"kind": "ls", "N": 1}, "sim": {"horizon": 50.0}},
+        {"identifier": {"kind": "ls", "N": 5}, "sim": {"horizon": 10.0}},
+    ], ids=["baseline", "ls-n1", "ls-n5"])
+    def test_peak_rss_growth_within_the_sum(self, cfg):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        out = subprocess.run([sys.executable, "-I", "-c", _MEASURE_RUN, src, json.dumps(cfg)],
+                             env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        grew, total = map(int, out.split())
+        assert grew <= 1.05 * total, f"peak RSS grew {grew} bytes against a sum of {total}"
 
 
 class TestRunSweep:
