@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (IntegrationBlowupError, InvalidConfigError, InvalidInputError,
                      SweepWorkerError)
-from .harness import CoreProcessRun, format_report, verify_identifier_requirement
+from .harness import format_report, run_core_process, verify_identifier_requirement
 from .scenario import ScenarioConfig, _wire, run_scenario, run_sweep
 
 EXIT_OK = 0
@@ -74,9 +74,9 @@ def cmd_check_identifier(args):
     given = {key: cfg.plant[key] for key in ("rho", "p0", "w0") if key in cfg.plant}
     cell = _wire(replace(cfg, plant={"kind": "synthetic-linear", **given}, output={}))
     plant = cell.plant
-    run = CoreProcessRun(clock=cell.clock, exo=plant.eval_s, w0=cell.v0[cell.lay.w],
-                         tau_eval=plant.extras["tau"], ustar_eval=plant.extras["ustar"])
-    report = verify_identifier_requirement(cell.ident, run, horizon=10.0)
+    samples = run_core_process(cell.clock, plant.eval_s, cell.v0[cell.lay.w],
+                               plant.extras["tau"], plant.extras["ustar"], horizon=10.0)
+    report = verify_identifier_requirement(cell.ident, samples)
     print(format_report(report))
     ok = report["optimality"] and report["stability"] and report["regularity"]
     return EXIT_OK if ok else EXIT_THRESHOLD

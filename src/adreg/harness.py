@@ -1,19 +1,18 @@
 """Core-process data generation, identifier-requirement verification, and the
 brute-force cost oracle used by the acceptance tests.
 
-The maps tau and u* are existential in general, so the harness accepts
-user-supplied evaluators; the closed-loop simulator never needs them. Their
-sole role is posing a well-defined optimization problem for testing.
+A sample is what an identifier takes at a jump: (j, eta, float u). The maps
+tau and u* are existential in general, so the harness accepts user-supplied
+evaluators; the closed-loop simulator never needs them. Their sole role is
+posing a well-defined optimization problem for testing.
 """
 
 import copy
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidConfigError
-from .hybrid import ClockConfig, simulate
+from .hybrid import simulate
 from .numerics import pseudoinverse
 
 # draws per randomized check, their generator's seed, and the optimality
@@ -21,28 +20,16 @@ from .numerics import pseudoinverse
 TRIALS, SEED, OPTIMALITY_TOL = 5, 0, 1e-8
 
 
-@dataclass
-class CoreProcessRun:
-    """Exosystem plus clock emitting the ideal data pairs (tau(w), u*(w))."""
-
-    clock: ClockConfig
-    exo: Callable  # s(w), the exosystem's flow
-    w0: np.ndarray
-    tau_eval: Callable  # w -> R^{d_eta}
-    ustar_eval: Callable  # w -> R^1
-
-
-def run_core_process(run, horizon, dt=1e-3):
-    """Samples (j, win, wout) at the clock's jump instants."""
+def run_core_process(clock, exo, w0, tau_eval, ustar_eval, horizon, dt=1e-3):
+    """The ideal samples (j, tau(w), float u*(w)) at the jumps of ``clock``
+    over the exosystem flow ``exo`` from ``w0``."""
     samples = []
 
     def jump(t, j, w):
-        win = np.atleast_1d(run.tau_eval(w)).astype(float)
-        wout = np.atleast_1d(run.ustar_eval(w)).astype(float)
-        samples.append((j, win, wout))
+        samples.append((j, np.array(tau_eval(w), dtype=float), float(ustar_eval(w))))
         return w
 
-    simulate(run.exo, jump, run.w0, run.clock, horizon, dt)
+    simulate(exo, jump, w0, clock, horizon, dt)
     return samples
 
 
@@ -62,12 +49,13 @@ def brute_force_cost_minimizer(samples, regressor, mu_f, omega):
     for i, (_, win, wout) in enumerate(samples):
         sig = regressor(win)
         gram += mu_f ** (j - i - 1) * np.outer(sig, sig)
-        rhs += mu_f ** (j - i - 1) * sig * float(np.atleast_1d(wout)[0])
+        rhs += mu_f ** (j - i - 1) * sig * wout
     return pseudoinverse(gram) @ rhs
 
 
-def verify_identifier_requirement(identifier, run, horizon=10.0):
-    """Empirical check of the optimality / stability / regularity triple.
+def verify_identifier_requirement(identifier, samples):
+    """Empirical check of the optimality / stability / regularity triple on
+    ``samples``, a list of (j, eta, float u) such as ``run_core_process``'s.
 
     Works for any identifier exposing ``regressor``, ``theta``, ``mu_f``,
     ``n_window``, ``omega``, ``jump``, ``perturbed`` and ``gap``, whose
@@ -79,7 +67,6 @@ def verify_identifier_requirement(identifier, run, horizon=10.0):
     rng = np.random.default_rng(SEED)
     report = {"optimality": True, "stability": True, "regularity": True}
 
-    samples = run_core_process(run, horizon)
     if not samples:
         raise InvalidConfigError("core process produced no samples")
     reg = identifier.regressor
@@ -122,7 +109,7 @@ def verify_identifier_requirement(identifier, run, horizon=10.0):
     for _ in range(TRIALS):
         amp = 0.1
         d_in = rng.uniform(-amp, amp, size=(len(samples), samples[0][1].size))
-        d_out = rng.uniform(-amp, amp, size=(len(samples), samples[0][2].size))
+        d_out = rng.uniform(-amp, amp, size=len(samples))
         a, b = copy.copy(identifier), copy.copy(identifier)
         dev = 0.0
         for i, (_, win, wout) in enumerate(samples):

@@ -114,7 +114,7 @@ def build_poly_regressor(d_eta, N):
 
 def batch_solver_ls(rows, outs, omega):
     """Regularized linear least squares on the window's regressor rows
-    sigma_i = sigma(eta_i) and outputs u_i.
+    sigma_i = sigma(eta_i) and float outputs u_i.
 
     Minimizes sum_i |u_i - theta . sigma_i|^2 + omega |theta|^2 via the
     normal equations and the pseudoinverse (minimum-norm minimizer when
@@ -126,7 +126,7 @@ def batch_solver_ls(rows, outs, omega):
     rhs = np.zeros(d_sigma)
     for sig, u in zip(rows, outs):
         gram += np.outer(sig, sig)
-        rhs += sig * float(np.atleast_1d(u)[0])
+        rhs += sig * u
     theta = pseudoinverse(gram) @ rhs
     resid = gram @ theta - rhs
     scale = 1.0 + np.linalg.norm(rhs)
@@ -161,11 +161,11 @@ class LsIdentifier:
         self.theta = np.zeros(d)
 
     def jump(self, eta_in, u_out):
-        """Geometric forgetting plus the rank-one accumulation, then the
-        output map theta = (xi1 + Omega)^+ xi2; sigma sigma', sigma u and
-        theta are each norm-clamped at CLAMP."""
+        """Geometric forgetting plus the rank-one accumulation of the sample
+        (eta_in, float u_out), then the output map theta = (xi1 + Omega)^+ xi2;
+        sigma sigma', sigma u and theta are each norm-clamped at CLAMP."""
         sig = self.regressor(eta_in)
-        lam = saturate(sig * float(np.atleast_1d(u_out)[0]), CLAMP)
+        lam = saturate(sig * u_out, CLAMP)
         big_sigma = np.outer(sig, sig)
         sq = float(sig @ sig)  # |sigma|^2 = |sigma sigma'|_F
         if not sq <= CLAMP:  # as saturate: a NaN norm rescales too
@@ -213,10 +213,11 @@ class MiniBatchIdentifier:
         self.theta = np.zeros(regressor.d_sigma)
 
     def jump(self, eta_in, u_out):
-        """Drop the oldest sample, append the newest; re-solve once full."""
+        """Drop the oldest sample, append the newest (eta_in, float u_out);
+        re-solve once full."""
         row = self.regressor(np.array(eta_in, dtype=float))
         rows = (self.window_rows + [row])[-self.n_window:]
-        outs = (self.window_out + [np.array(u_out, dtype=float, ndmin=1)])[-self.n_window:]
+        outs = (self.window_out + [u_out])[-self.n_window:]
         theta = self.theta
         if len(rows) == self.n_window:
             theta = batch_solver_ls(rows, outs, self.omega)

@@ -183,7 +183,7 @@ def build_synthetic_linear_plant(rho, f, g):
         extras={
             # the one-row forms are what check-identifier's core process
             # reads; m @ w and rows @ m.T differ in the last bit
-            "ustar": lambda w: np.array([-rho * w[0]]),
+            "ustar": lambda w: -rho * w[0],
             "ustar_rows": lambda rows: -rho * rows[:, 0],
             "tau": lambda w: m @ w,
             "tau_rows": lambda rows: rows @ m.T,

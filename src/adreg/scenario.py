@@ -223,7 +223,9 @@ class ScenarioConfig:
 
 @dataclass
 class ScenarioResult:
-    """A run's arc, summary and identifier record.
+    """A run's arc, summary and identifier record: ``thetas[k]`` is theta
+    after jump k. The identifier's sample at jump k is the arc's pre-jump row
+    of that jump: eta and the jump time are read off it.
 
     The CSV columns past t, j and y (``u``, ``u_star``, ``gamma_hat``,
     ``err_xhat``, ``err_sigmahat`` and ``eps_star``) are computed from the
@@ -237,8 +239,7 @@ class ScenarioResult:
     y: np.ndarray
     summary: dict
     states: np.ndarray
-    theta_history: list  # (t_jump, theta) per jump; empty without an identifier
-    jump_samples: list  # (j, eta, u) fed to the identifier
+    thetas: np.ndarray  # jumps x d_sigma; d_sigma is 0 without an identifier
     plant: PlantSpec = field(repr=False)
     layout: "StateLayout" = field(repr=False)
     control: object = field(repr=False)  # control(xh1, xh2, sigma_hat) -> u
@@ -260,12 +261,12 @@ class ScenarioResult:
         """theta . sigma(eta) on each row, with the theta of its jump
         segment (zero before the first jump)."""
         gamma_hat = np.zeros(self.t.size)
-        if self.theta_history:
+        if self.thetas.size:
             eta_rows = self.states[:, self.layout.eta]
             # segment k runs from the post-jump row of jump k to the next, under
-            # theta_history[k]: theta is constant between jumps
+            # thetas[k]: theta is constant between jumps
             starts = (np.flatnonzero(np.diff(self.j)) + 1).tolist()
-            for (_, theta), s0, s1 in zip(self.theta_history, starts, starts[1:] + [self.t.size]):
+            for theta, s0, s1 in zip(self.thetas, starts, starts[1:] + [self.t.size]):
                 gamma_hat[s0:s1] = self.regressor.batch(eta_rows[s0:s1]) @ theta
         return gamma_hat
 
@@ -315,11 +316,6 @@ class ScenarioResult:
 # peak of 10.4 to 11.4 of them measured at d_sigma = 1,106 and 3,108 when Omega
 # was one more such array)
 JUMP_MATRICES = 12
-# Bytes of run_scenario's record of one jump past its 8 (d_sigma + d_eta) bytes
-# of theta and eta: two tuples, t, j, u, three array headers and two list
-# slots (the growth of peak RSS in a fresh process, Python 3.11, numpy 2.4:
-# 658 to 688 bytes a jump at d_sigma = 6 to 1,106, d_eta = 6)
-JUMP_RECORD_BYTES = 700
 
 
 def physical_memory():
@@ -507,7 +503,7 @@ class RunCost(NamedTuple):
     arc_bytes: int
     compile_bytes: int  # the peak of compiling the field and the RK4 step
     jump_bytes: int  # the arrays of one identifier jump
-    record_bytes: int  # theta and the identifier's sample at each jump
+    record_bytes: int  # theta after each jump
     total_bytes: int
     memory: int
     field_terms: int
@@ -544,13 +540,17 @@ def _check_rk4_stable(dt, poles):
 
 def _check_output(out):
     """Raise InvalidConfigError for an output path that cannot be a file:
-    a directory, or one whose directory is missing; creates nothing."""
+    a directory, one whose directory is missing, or the other key's file;
+    creates nothing."""
     for key, path in out.items():
         if path is not None and os.path.isdir(path):
             raise InvalidConfigError(f"output.{key} = {path!r} is a directory")
         if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
             raise InvalidConfigError(f"output.{key} = {path!r}: no directory "
                                      f"{os.path.dirname(path)!r}")
+    if None not in out.values() and len({os.path.realpath(p) for p in out.values()}) == 1:
+        raise InvalidConfigError("output.csv and output.summary name one file: "
+                                 f"{os.path.realpath(out['csv'])!r}")
 
 
 def _wire(cfg):
@@ -585,8 +585,8 @@ def _wire(cfg):
               "components, about ", FIELD_TERM_BYTES * terms + RK4_COMPONENT_BYTES * lay.size),
              (f"identifier.N = {n:.6g}: a jump of {at_least}d_sigma = {d_sigma} regressor "
               f"components, {at_least or 'about '}", JUMP_MATRICES * 8 * d_sigma**2),
-             (f"identifier.N = {n:.6g}: a record of {jumps} jumps, {at_least or 'about '}",
-              jumps * (8 * (d_sigma + d_eta) + JUMP_RECORD_BYTES) if n else 0)]
+             (f"identifier.N = {n:.6g}: a record of {jumps} jumps, {at_least}",
+              8 * jumps * d_sigma if n else 0)]
     total = sum(nbytes for _, nbytes in parts)
     if total > memory:
         named = [f"{what}{_count(nbytes)} bytes"
@@ -620,18 +620,17 @@ def _wire(cfg):
 def run_scenario(cfg):
     """Simulate the closed loop described by ``cfg`` and reduce the arc.
 
-    At each clock jump the identifier, if any, takes the pre-jump eta and u;
-    ``theta_history`` and ``jump_samples`` record what it got and gave.
+    At each clock jump the identifier, if any, takes the pre-jump eta and
+    float u, and ``thetas[j]`` records the theta it gives.
     """
     cell = _wire(cfg)
     lay, reg, ident = cell.lay, cell.reg, cell.ident
     field, control = build_closed_loop(cell.plant, reg, ident)
-    theta_history, jump_samples = [], []
+    thetas = np.empty((cell.cost.jumps, cell.cost.d_sigma))
 
     def jump(t, j, v):
         if ident is not None:
             row = np.array(v)
-            eta = row[lay.eta].copy()  # the record keeps eta, not its whole row
             # The identifier's sample keeps the vector form of the controller
             # (K @ x_hat, norm rescale), which can differ from control() in
             # the last bit. At N = 5 the identifier amplifies that bit to a
@@ -642,9 +641,8 @@ def run_scenario(cfg):
             norm = np.linalg.norm(u)
             if norm > reg.sat_level:
                 u = u * (reg.sat_level / norm)
-            ident.jump(eta, u)
-            theta_history.append((t, ident.theta.copy()))
-            jump_samples.append((j, eta, u))
+            ident.jump(row[lay.eta], float(u[0]))
+            thetas[j] = ident.theta
         return v
 
     try:
@@ -653,12 +651,13 @@ def run_scenario(cfg):
         bad = int(np.flatnonzero(~np.isfinite(exc.output))[0])
         raise IntegrationBlowupError(exc.t, exc.j, exc.state, exc.output,
                                      lay.block_of(bad)) from None
-    return _reduce(arc, cfg, cell.plant, lay, control, ident, theta_history, jump_samples)
+    return _reduce(arc, cfg, cell, control, thetas[:int(arc.j[-1])])
 
 
-def _reduce(arc, cfg, plant, lay, control, ident, theta_history, jump_samples):
+def _reduce(arc, cfg, cell, control, thetas):
     """The run's result and summary, from t and y alone; writes the output
     files the config names."""
+    lay = cell.lay
     y = arc.states[:, lay.x.start]
     # t never decreases, so the rows from 0.8 horizon on are the last ones
     tail = y[np.searchsorted(arc.t, 0.8 * cfg.sim["horizon"]):]
@@ -672,14 +671,14 @@ def _reduce(arc, cfg, plant, lay, control, ident, theta_history, jump_samples):
     summary = {
         "steady_state_max_y": ss_max,
         "settling_time_s": settling,
-        "final_theta": [float(v) for v in theta_history[-1][1]] if theta_history else [],
+        "final_theta": thetas[-1].tolist() if thetas.size else [],
         "jumps_total": int(arc.j[-1]),
     }
 
     result = ScenarioResult(
-        t=arc.t, j=arc.j, y=y, summary=summary, states=arc.states,
-        theta_history=theta_history, jump_samples=jump_samples, plant=plant, layout=lay,
-        control=control, regressor=None if ident is None else ident.regressor,
+        t=arc.t, j=arc.j, y=y, summary=summary, states=arc.states, thetas=thetas,
+        plant=cell.plant, layout=lay, control=control,
+        regressor=None if cell.ident is None else cell.ident.regressor,
     )
     out = cfg.output
     if out["csv"] is not None:

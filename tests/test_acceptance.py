@@ -112,17 +112,17 @@ class TestCriterion2OracleEquivalence:
             identifier=identifier, sim={"horizon": 5.5, "dt": DT},
         )
 
-    def test_ls_matches_oracle_at_every_jump(self):
+    def test_ls_matches_oracle_at_every_jump(self, fed_samples):
         t0 = time.perf_counter()
         res = run_scenario(self._short_cfg(
             {"kind": "ls", "N": 1, "mu_f": 0.99, "omega_scale": 1e-3}))
-        samples = res.jump_samples
+        samples = fed_samples
         assert len(samples) >= 50
         reg = build_poly_regressor(6, 1)
         omega = 1e-3
         for j in range(1, len(samples) + 1):
             oracle = brute_force_cost_minimizer(samples[:j], reg, 0.99, omega)
-            theta_j = res.theta_history[j - 1][1]
+            theta_j = res.thetas[j - 1]
             assert np.linalg.norm(theta_j - oracle) <= 1e-8 * (
                 1.0 + np.linalg.norm(oracle)
             )
@@ -130,27 +130,27 @@ class TestCriterion2OracleEquivalence:
         for _, eta, u in samples:
             sig = reg(eta)
             assert np.linalg.norm(np.outer(sig, sig)) < 1e6
-            assert np.linalg.norm(sig * u[0]) < 1e6
+            assert np.linalg.norm(sig * u) < 1e6
         assert time.perf_counter() - t0 < 5.0
 
-    def test_mini_batch_matches_oracle_at_every_jump(self):
+    def test_mini_batch_matches_oracle_at_every_jump(self, fed_samples):
         t0 = time.perf_counter()
         n_w = 10
         res = run_scenario(self._short_cfg(
             {"kind": "mini-batch", "N": 1, "N_w": n_w, "omega_scale": 1e-3}))
-        samples = res.jump_samples
+        samples = fed_samples
         assert len(samples) >= 50
         reg = build_poly_regressor(6, 1)
         omega = 1e-3
         for j in range(1, len(samples) + 1):
-            theta_j = res.theta_history[j - 1][1]
+            theta_j = res.thetas[j - 1]
             if j < n_w:
                 assert np.array_equal(theta_j, np.zeros(reg.d_sigma))
                 continue
             window = samples[j - n_w:j]
             # independent ridge oracle via the stacked augmented system
             a = np.array([reg(eta) for _, eta, _ in window])
-            b = np.array([u[0] for _, _, u in window])
+            b = np.array([u for _, _, u in window])
             aug_a = np.vstack([a, np.sqrt(omega) * np.eye(reg.d_sigma)])
             aug_b = np.concatenate([b, np.zeros(reg.d_sigma)])
             oracle = np.linalg.lstsq(aug_a, aug_b, rcond=None)[0]
@@ -208,7 +208,7 @@ class TestCriterion4MiniBatchExactness:
             zip(state.window_rows, state.window_out), expected
         ):
             assert np.array_equal(got_row, reg(exp_eta))
-            assert got_u[0] == exp_u
+            assert got_u == exp_u
         assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("n_w", [3, 10, 50])
@@ -307,7 +307,7 @@ class TestCriterion8BoundednessInvariants:
         reg = build_poly_regressor(6, case)
         im = Regulator(**ScenarioConfig().regulator)
         g_col = im.G.ravel()
-        seg = res.j - 1  # per-row index into theta_history
+        seg = res.j - 1  # per-row index into thetas
         identity_reg = reg.max_order == 1
         eta_rows = res.states[:, 4:10]
         eta_dots = eta_rows @ im.F.T + np.outer(res.u, g_col)
@@ -316,7 +316,7 @@ class TestCriterion8BoundednessInvariants:
             k = seg[i]
             if k < 0:
                 continue  # theta = 0, psi = 0
-            theta = res.theta_history[k][1]
+            theta = res.thetas[k]
             if identity_reg:
                 dg = theta
             else:

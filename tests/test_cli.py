@@ -91,11 +91,11 @@ class TestValidate:
         assert main(["validate", path]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == f"config ok: {path}"
-        # the arc holds 13 state components, t and j a row; each jump's record
-        # holds theta and eta beside JUMP_RECORD_BYTES
+        # the arc holds 13 state components, t and j a row; the jump record
+        # holds theta, d_sigma floats, a jump
         rows = arc_row_bound(ClockConfig(0.1, 0.1, "periodic", 0.1, 0), 10.0, 1e-3)
         compile_bytes = scenario.FIELD_TERM_BYTES * 12 + scenario.RK4_COMPONENT_BYTES * 13
-        record = 100 * (8 * (d_sigma + 6) + scenario.JUMP_RECORD_BYTES) if d_sigma else 0
+        record = 100 * 8 * d_sigma
         parts = [8 * 6 * 6, 8 * 15 * rows, compile_bytes, 12 * 8 * d_sigma**2, record]
         assert lines[1] == (f"cost: d_sigma = {d_sigma}; F {parts[0]} bytes, arc buffer "
                             f"{parts[1]} bytes, compiling {parts[2]} bytes, identifier jump "
@@ -256,6 +256,19 @@ class TestOutputPaths:
         assert captured.err == (f"config error: output.{key} = {out!r}: no directory "
                                 f"{os.path.dirname(out)!r}\n")
         assert not (tmp_path / "nodir").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_one_file_for_both(self, write_cfg, tmp_path, monkeypatch, capsys, command):
+        # the summary would overwrite the CSV: two spellings of one path
+        monkeypatch.chdir(tmp_path)
+        path = write_cfg({"sim": {"horizon": 1.0}, "output": {"csv": "o.txt",
+                                                              "summary": "./o.txt"}})
+        assert main([command, path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: output.csv and output.summary name one file: "
+                                f"{str(tmp_path / 'o.txt')!r}\n")
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     @pytest.mark.parametrize("key", ["csv", "summary"])
@@ -514,8 +527,8 @@ class TestIdentifierMemory:
         assert f" bytes in all, more than the {64 * 2**20} bytes of physical memory\n" in err
 
     def test_jump_record_past_memory_is_config_error(self, write_cfg, capsys, monkeypatch):
-        # a jump every 0.01 s for 1e5 s: theta, eta and JUMP_RECORD_BYTES per
-        # jump outweigh the arc's rows between jumps
+        # a jump every 0.01 s for 1e5 s: theta per jump outweighs the arc's
+        # rows between jumps
         monkeypatch.setattr(scenario, "physical_memory", lambda: 2**30)
         cfg = {"identifier": {"kind": "ls", "N": 5}, "clock": {"t_low": 0.01, "t_high": 0.01},
                "sim": {"horizon": 1e5}}
@@ -523,8 +536,8 @@ class TestIdentifierMemory:
         err = capsys.readouterr().err
         jumps = jump_bound(ClockConfig(0.01, 0.01, "periodic", 0.01, 0), 1e5)
         assert err.startswith(f"config error: identifier.N = 5: a record of {jumps} jumps, "
-                              f"about {jumps * (8 * (314 + 6) + scenario.JUMP_RECORD_BYTES)} "
-                              "bytes; sim.horizon / sim.dt = 100000.0 / 0.001: an arc buffer ")
+                              f"{jumps * 8 * 314} bytes; sim.horizon / sim.dt = 100000.0 / "
+                              "0.001: an arc buffer ")
 
     def test_order_that_fits_runs(self, write_cfg, capsys, monkeypatch):
         # N = 5: d_sigma = 314, about 9.5 MB of jump arrays

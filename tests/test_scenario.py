@@ -155,6 +155,7 @@ class TestRunScenario:
         assert res.t[-1] == pytest.approx(2.05)
         assert res.summary["jumps_total"] == 20
         assert res.summary["final_theta"] == []
+        assert res.thetas.shape == (20, 0)
         # baseline: no identified model, so gamma_hat stays zero
         assert np.all(res.gamma_hat == 0.0)
 
@@ -165,8 +166,8 @@ class TestRunScenario:
 
     def test_ls_identifier_updates_theta_each_jump(self):
         res = run_scenario(self._short_cfg(kind="ls", N=1))
-        assert len(res.theta_history) == res.summary["jumps_total"]
-        assert len(res.summary["final_theta"]) == 6
+        assert res.thetas.shape == (res.summary["jumps_total"], 6)
+        assert res.thetas[-1].tolist() == res.summary["final_theta"]
         assert np.any(res.gamma_hat != 0.0)
 
     def test_mini_batch_runs(self):
@@ -174,14 +175,28 @@ class TestRunScenario:
         assert np.all(np.isfinite(res.states))
         assert len(res.summary["final_theta"]) == 6
 
-    def test_jump_samples_match_states(self):
-        res = run_scenario(self._short_cfg(kind="ls", N=1))
-        j, eta, u = res.jump_samples[0]
-        assert j == 0
-        # the recorded eta equals the pre-jump internal-model state
-        rows = np.flatnonzero(res.j == 1)
-        pre = rows[0] - 1
-        assert np.allclose(eta, res.states[pre, 4:10])
+    @pytest.mark.parametrize("identifier", [{"kind": "ls", "N": 1},
+                                            {"kind": "mini-batch", "N": 3, "N_w": 5}],
+                             ids=["ls", "mini-batch"])
+    @pytest.mark.parametrize("clock", [
+        {}, {"t_low": 0.05, "t_high": 0.15, "strategy": "uniform", "seed": 3}],
+        ids=["periodic", "uniform"])
+    def test_identifier_takes_the_pre_jump_rows(self, fed_samples, identifier, clock):
+        # each jump feeds the identifier the pre-jump row's eta, bit for bit,
+        # and the vector form of the controller on that row as a float
+        res = run_scenario(ScenarioConfig(identifier=identifier, clock=clock,
+                                          sim={"horizon": 2.05, "dt": 1e-3}))
+        reg, lay = _regulator(), state_layout(6)
+        pre = np.flatnonzero(np.diff(res.j))
+        assert len(fed_samples) == pre.size == res.summary["jumps_total"] > 0
+        for (_, eta, u), row in zip(fed_samples, res.states[pre]):
+            assert eta.tobytes() == row[lay.eta].tobytes()
+            want = -row[lay.sigma_hat:] - reg.K @ row[lay.x_hat]
+            norm = np.linalg.norm(want)
+            if norm > reg.sat_level:
+                want = want * (reg.sat_level / norm)
+            assert type(u) is float
+            assert np.float64(u).tobytes() == want[0].tobytes()
 
     def test_synthetic_linear_with_eps_star(self):
         cfg = ScenarioConfig(
@@ -286,7 +301,7 @@ class TestColumnsOnDemand:
         """The columns as the reduction built them for every run before they
         were built on demand: a test-local copy of that code."""
         cell = scenario._wire(cfg)
-        plant, ident, theta_history = cell.plant, cell.ident, res.theta_history
+        plant, ident, thetas = cell.plant, cell.ident, res.thetas
         lay = state_layout(cell.reg.d_eta)
         _, control = build_closed_loop(plant, cell.reg, ident)
         states = res.states
@@ -300,7 +315,7 @@ class TestColumnsOnDemand:
         u = np.fromiter(map(control, xh1, xh2, sh.tolist()), dtype=float, count=n)
         u_star = plant.extras["ustar_rows"](w_rows)
         gamma_hat = np.zeros(n)
-        if theta_history:
+        if thetas.size:
             seg = res.j - 1
             bounds = np.flatnonzero(np.diff(seg) != 0) + 1
             starts = np.concatenate(([0], bounds))
@@ -308,7 +323,7 @@ class TestColumnsOnDemand:
             for s0, s1 in zip(starts, stops):
                 k = seg[s0]
                 if k >= 0:
-                    gamma_hat[s0:s1] = ident.regressor.batch(eta_rows[s0:s1]) @ theta_history[k][1]
+                    gamma_hat[s0:s1] = ident.regressor.batch(eta_rows[s0:s1]) @ thetas[k]
         err_xhat = np.linalg.norm(x_rows - xh_rows, axis=1)
         err_sigmahat = np.abs(sh + u_star)
         if "tau_rows" in plant.extras and "theta_star" in plant.extras and ident is not None:
@@ -328,7 +343,7 @@ class TestColumnsOnDemand:
     def test_columns_equal_the_eager_reduction(self, cfg):
         res = run_scenario(cfg)
         want = self._eager_columns(res, cfg)
-        assert res.gamma_hat.any() == bool(res.theta_history)
+        assert res.gamma_hat.any() == bool(res.thetas.size)
         assert (res.eps_star.size > 0) == (cfg.plant["kind"] == "synthetic-linear")
         for name in self.COLUMNS:
             got = getattr(res, name)
@@ -410,6 +425,16 @@ class TestMemorySum:
                              capture_output=True, text=True, timeout=120).stdout
         grew, total = map(int, out.split())
         assert grew <= 1.05 * total, f"peak RSS grew {grew} bytes against a sum of {total}"
+
+    @pytest.mark.parametrize("cfg", [
+        {"sim": {"horizon": 100.0}},
+        {"identifier": {"kind": "ls", "N": 5}, "sim": {"horizon": 10.0}},
+        {"identifier": {"kind": "mini-batch", "N": 3},
+         "clock": {"t_low": 0.05, "t_high": 0.15, "strategy": "uniform"}},
+    ], ids=["baseline", "ls-n5", "mini-batch-n3-uniform"])
+    def test_record_is_theta_a_jump(self, cfg):
+        cost = scenario._wire(ScenarioConfig.from_dict(cfg)).cost
+        assert cost.record_bytes == 8 * cost.jumps * cost.d_sigma
 
 
 class TestRunSweep:
