@@ -64,8 +64,13 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
+CORE_PROCESS_S = 10.0  # check-identifier's core process, whatever sim.horizon is
+
+
 def cmd_check_identifier(args):
-    """Verify the configured identifier on the synthetic core process."""
+    """Verify the configured identifier on the synthetic core process: its
+    samples are at the clock's jumps in CORE_PROCESS_S seconds, and a window
+    of n_window samples must fill, for the oracle to compare theta once."""
     cfg = _load_config(args.config)
     if cfg.identifier["kind"] == "none":
         raise InvalidConfigError("check-identifier needs an identifier kind != none")
@@ -73,9 +78,17 @@ def cmd_check_identifier(args):
     # p0 and, if given, w0 (its default depends on the kind)
     given = {key: cfg.plant[key] for key in ("rho", "p0", "w0") if key in cfg.plant}
     cell = _wire(replace(cfg, plant={"kind": "synthetic-linear", **given}, output={}))
-    plant = cell.plant
-    samples = run_core_process(cell.clock, plant.eval_s, cell.v0[cell.lay.w],
-                               plant.extras["tau"], plant.extras["ustar"], horizon=10.0)
+    plant, clock = cell.plant, cell.clock
+    samples = run_core_process(clock, plant.eval_s, cell.v0[cell.lay.w], plant.tau, plant.ustar,
+                               horizon=CORE_PROCESS_S)
+    if not samples:
+        period = f", clock.period = {clock.period!r}" if clock.period is not None else ""
+        raise InvalidConfigError(f"clock.t_low = {clock.t_low!r}{period}: the clock makes no "
+                                 f"jump in check-identifier's {CORE_PROCESS_S:g} s core process")
+    if len(samples) < (cell.ident.n_window or 0):
+        raise InvalidConfigError(f"identifier.N_w = {cell.ident.n_window} is more than the "
+                                 f"{len(samples)} samples of check-identifier's "
+                                 f"{CORE_PROCESS_S:g} s core process")
     report = verify_identifier_requirement(cell.ident, samples)
     print(format_report(report))
     ok = report["optimality"] and report["stability"] and report["regularity"]

@@ -55,7 +55,9 @@ def brute_force_cost_minimizer(samples, regressor, mu_f, omega):
 
 def verify_identifier_requirement(identifier, samples):
     """Empirical check of the optimality / stability / regularity triple on
-    ``samples``, a list of (j, eta, float u) such as ``run_core_process``'s.
+    ``samples``, a list of (j, eta, float u) such as ``run_core_process``'s,
+    of at least one sample and at least the identifier's ``n_window``
+    (``cli.cmd_check_identifier`` checks that it is).
 
     Works for any identifier exposing ``regressor``, ``theta``, ``mu_f``,
     ``n_window``, ``omega``, ``jump``, ``perturbed`` and ``gap``, whose
@@ -66,9 +68,6 @@ def verify_identifier_requirement(identifier, samples):
     """
     rng = np.random.default_rng(SEED)
     report = {"optimality": True, "stability": True, "regularity": True}
-
-    if not samples:
-        raise InvalidConfigError("core process produced no samples")
     reg = identifier.regressor
 
     # --- optimality: theta(j) vs the brute-force minimizer of the same cost,

@@ -71,31 +71,6 @@ class HybridArc:
     j: np.ndarray
     states: np.ndarray
 
-    @property
-    def jump_indices(self):
-        """The pre-jump rows."""
-        return np.flatnonzero(np.diff(self.j))
-
-
-def validate_arc(arc, clock=None, atol=1e-9):
-    """Check the HybridArc invariants; raises InvalidConfigError on violation."""
-    t, j = arc.t, arc.j
-    if np.any(t < -atol) or np.any(j < 0):
-        raise InvalidConfigError("arc contains negative hybrid times")
-    order = t + j
-    if np.any(np.diff(order) < -atol):
-        raise InvalidConfigError("arc not ordered by t + j")
-    dj = np.diff(j)
-    if np.any((dj != 0) & (dj != 1)):
-        raise InvalidConfigError("jump counter must increment by exactly one")
-    if np.any(np.diff(t)[dj == 0] < -atol):
-        raise InvalidConfigError("t must be non-decreasing within a flow interval")
-    if clock is not None and arc.jump_indices.size > 1:
-        gaps = np.diff(arc.t[arc.jump_indices])
-        if np.any(gaps < clock.t_low - atol) or np.any(gaps > clock.t_high + atol):
-            raise InvalidConfigError("inter-jump gap outside [t_low, t_high]")
-    return True
-
 
 def jump_bound(clock, horizon):
     """Jumps ``simulate`` makes on [0, horizon], at most: gaps are at least

@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import InvalidInputError
 from .numerics import pseudoinverse
 from .regulator import saturate
 
@@ -29,12 +29,10 @@ class PolyRegressor:
     """Odd-order polynomial regressor sigma(eta): one component per
     non-decreasing multi-index of odd length <= max_order. The component
     order is fixed lexicographically (ascending order, then index tuple) so
-    parameter indexing is deterministic.
+    parameter indexing is deterministic. max_order is ``identifier.N``: odd.
     """
 
     def __init__(self, d_eta, max_order):
-        if max_order < 1 or max_order % 2 == 0:
-            raise InvalidConfigError("max_order must be odd and >= 1")
         self.d_eta = d_eta
         self.max_order = max_order
         index_list = []
@@ -119,7 +117,7 @@ def batch_solver_ls(rows, outs, omega):
     Minimizes sum_i |u_i - theta . sigma_i|^2 + omega |theta|^2 via the
     normal equations and the pseudoinverse (minimum-norm minimizer when
     rank-deficient). The first-order optimality residual is checked a
-    posteriori.
+    posteriori; a residual too large raises InvalidInputError.
     """
     d_sigma = rows[0].size
     gram = float(omega) * np.eye(d_sigma)
@@ -134,7 +132,7 @@ def batch_solver_ls(rows, outs, omega):
         # rank-deficient Gram with rhs outside its range cannot occur here
         # (rhs is built from the same regressors), so this is a conditioning
         # failure worth surfacing.
-        raise InvalidConfigError(
+        raise InvalidInputError(
             f"batch solver optimality residual {np.linalg.norm(resid):.3e} too large"
         )
     return theta

@@ -16,23 +16,16 @@ from .errors import InvalidInputError, IntegrationBlowupError
 CUTOFF_REL = 1e-12
 
 
-def _check_finite(m, name="input"):
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    return m
-
-
 def pseudoinverse(m):
-    """Moore-Penrose pseudoinverse via SVD.
+    """Moore-Penrose pseudoinverse via SVD of a non-empty matrix.
 
     Singular values below ``CUTOFF_REL`` times the largest one are zeroed.
     """
-    m = _check_finite(m, "matrix")
-    if m.ndim != 2:
-        m = np.atleast_2d(m)
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise InvalidInputError("matrix contains non-finite entries")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    if s[0] == 0.0:
         return np.zeros((m.shape[1], m.shape[0]))
     inv_s = np.where(s > CUTOFF_REL * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
     vt *= inv_s[:, None]  # in place: no second array of vt's size
@@ -73,14 +66,6 @@ def rk4_stable_step(lam):
     return float(real.min()) / abs(lam)
 
 
-def is_hurwitz(m):
-    """True iff all eigenvalues of the square matrix have negative real part."""
-    m = _check_finite(m, "matrix")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidInputError("is_hurwitz expects a square matrix")
-    return bool(np.all(np.linalg.eigvals(m).real < 0.0))
-
-
 def is_controllable(f, g):
     """True iff the Krylov space of F on range(G) is the whole state space.
 
@@ -90,12 +75,8 @@ def is_controllable(f, g):
     directions with singular values above ``CUTOFF_REL`` times ||[F G]||_2
     join the basis. The rank of the raw matrix [G, FG, ..., F^{n-1}G] is
     lost to its conditioning: it rejects random dense pairs from n = 16.
+    F is n x n and G n x m, both finite, as ``Regulator`` gives them.
     """
-    f = _check_finite(f, "f")
-    g = _check_finite(g, "g")
-    g = g.reshape(f.shape[0], -1) if g.ndim == 1 else g
-    if f.ndim != 2 or f.shape[0] != f.shape[1] or g.shape[0] != f.shape[0]:
-        raise InvalidInputError("incompatible (f, g) dimensions")
     n = f.shape[0]
     tol = CUTOFF_REL * np.linalg.norm(np.hstack([f, g]), 2)
     basis = np.empty((n, n))  # rows 0..k-1 are the orthonormal basis so far

@@ -1,12 +1,11 @@
-"""The normal-form plants: the plant spec, the forced Van der Pol plant and
-the synthetic-linear plant.
+"""The normal-form plants: the forced Van der Pol plant and the
+synthetic-linear plant.
 
 Each plant gives what the regulator needs: q as source lines, which the
-closed-loop field compiles inline and the plant compiles as a function on
-scalars, the ideal feedforward u*, and the reference p1* with its slope
-L_s p1*, from which the initial error coordinates are formed. The Van der
-Pol plant's q, its u* and its reference share one kernel text,
-REFERENCE_KERNEL.
+closed-loop field compiles inline, the ideal feedforward u*, and the
+reference p1* with its slope L_s p1*, from which the initial error
+coordinates are formed. The Van der Pol plant's q, its u* and its reference
+share one kernel text, REFERENCE_KERNEL.
 
 The Van der Pol plant tracks the triangular-wave output of a harmonic
 exosystem,
@@ -24,7 +23,6 @@ generator is not constant along the flow; the quadratic form is what the
 tests assert).
 """
 
-from dataclasses import dataclass, field
 from math import asin, hypot
 
 import numpy as np
@@ -51,37 +49,6 @@ def _compile(header, lines, result):
     namespace = dict(SOURCE_NAMES)
     exec(compile(f"def {header}:\n{body}    return {result}\n", "<plant>", "exec"), namespace)
     return namespace[header.partition("(")[0]]
-
-
-@dataclass
-class PlantSpec:
-    """Normal-form plant: a chain of two integrators with one output, driven
-    by q + u (the input gain b is 1), and the harmonic exosystem
-    w' = s(w) = (w2, -rho w1) that forces it.
-
-    ``q_lines`` are Python source lines that assign q(w, x) to the local q
-    from the locals w1, w2, x1 and x2, with the plant's constants as
-    literals and the globals SOURCE_NAMES; the closed-loop field compiles
-    them inline, and any other local they assign is none of the field's
-    (u, p, innov, sh, xh1, xh2, e<i>, d<i>).
-    ``extras`` carries the plant's evaluators: "fast_q", the same lines
-    compiled as a function q(w1, w2, x1, x2), which no run calls (only
-    bench/tracer.py and the tests read it); the ideal feedforward row-wise
-    as "ustar_rows";
-    and "reference", w -> (p1*(w), L_s p1*(w)). The synthetic-linear plant
-    adds its one-row "ustar" and "tau", "tau_rows" and "theta_star".
-    """
-
-    rho: float
-    q_lines: tuple
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.extras["fast_q"] = _compile("fast_q(w1, w2, x1, x2)", self.q_lines, "q")
-
-    def eval_s(self, w):
-        """s(w), the exosystem's flow, as a list of floats."""
-        return [w[1], -self.rho * w[0]]
 
 
 # (p1*, L_s p1*, L_s^2 p1*) at the scalar point w = (w1, w2) as the locals
@@ -115,19 +82,29 @@ p1star_and_lie.__doc__ = """(p1*, L_s p1*, L_s^2 p1*) at the scalar point
 (w1, w2), with sign(w2) taken as ``sgn``: REFERENCE_KERNEL compiled."""
 
 
-def vdp_ustar_rows(w_rows, a, rho):
-    """Ideal feedforward u*(w) evaluated rowwise (n, 2) -> (n,)."""
+class _Plant:
+    """Normal-form plant: a chain of two integrators with one output, driven
+    by q + u (the input gain b is 1), and the harmonic exosystem
+    w' = s(w) = (w2, -rho w1) that forces it.
 
-    def ustar(w1, w2):
-        p1, l1, l2 = p1star_and_lie(w1, w2, rho, 1.0 if w2 >= 0.0 else -1.0)
-        return p1 + l2 - a * (1.0 - p1 * p1) * l1
+    ``q_lines`` are Python source lines that assign q(w, x) to the local q
+    from the locals w1, w2, x1 and x2, with the plant's constants as
+    literals and the globals SOURCE_NAMES; the closed-loop field compiles
+    them inline, and any other local they assign is none of the field's
+    (u, p, innov, sh, xh1, xh2, e<i>, d<i>). ``ustar_rows(rows)`` is u* on
+    rows of w, ``reference(w)`` is (p1*(w), L_s p1*(w)), and ``theta_star``
+    the true parameter where u* lies in the linear model set, else None.
+    """
 
-    w1, w2 = np.asarray(w_rows, dtype=float).T.tolist()
-    return np.fromiter(map(ustar, w1, w2), dtype=float, count=len(w1))
+    theta_star = None
+
+    def eval_s(self, w):
+        """s(w), the exosystem's flow, as a list of floats."""
+        return [w[1], -self.rho * w[0]]
 
 
-def build_vdp_scenario(a, rho):
-    """PlantSpec for the forced Van der Pol tracking problem in error form.
+class VdpPlant(_Plant):
+    """The forced Van der Pol tracking problem in error form.
 
     Error coordinates x = (p1 - p1*(w), p2 - L_s p1*(w)) give a chain of two
     integrators with b = 1 and
@@ -136,58 +113,80 @@ def build_vdp_scenario(a, rho):
 
     No zero dynamics. The reference has no slope at w = 0, where the wave
     has no amplitude: asking for it there is a config error.
+
+    ``extras["fast_q"]`` is ``q_lines`` compiled as q(w1, w2, x1, x2), which
+    no run calls: bench/tracer.py wraps it and the tests check it against
+    the plant's formula. It goes once the tracer no longer looks it up.
     """
-    def reference(w):
+
+    def __init__(self, a, rho):
+        self.a, self.rho = a, rho
+        self.q_lines = (
+            "sgn = 1.0 if w2 >= 0.0 else -1.0",
+            *REFERENCE_KERNEL.format(rho=float_literal(rho),
+                                     one_minus_rho=float_literal(1.0 - rho)).splitlines(),
+            f"q = -x1 - p1 - l2 + {float_literal(a)} * (1.0 - (x1 + p1) ** 2) * (x2 + l1)")
+        self.extras = {"fast_q": _compile("fast_q(w1, w2, x1, x2)", self.q_lines, "q")}
+
+    def ustar_rows(self, rows):
+        """Ideal feedforward u*(w) evaluated rowwise (n, 2) -> (n,)."""
+        a, rho = self.a, self.rho
+
+        def ustar(w1, w2):
+            p1, l1, l2 = p1star_and_lie(w1, w2, rho, 1.0 if w2 >= 0.0 else -1.0)
+            return p1 + l2 - a * (1.0 - p1 * p1) * l1
+
+        w1, w2 = np.asarray(rows, dtype=float).T.tolist()
+        return np.fromiter(map(ustar, w1, w2), dtype=float, count=len(w1))
+
+    def reference(self, w):
         w1, w2 = float(w[0]), float(w[1])
         if w1 == 0.0 and w2 == 0.0:
             raise InvalidConfigError("the reference has no slope at w = 0")
-        return p1star_and_lie(w1, w2, rho, 1.0 if w2 >= 0.0 else -1.0)[:2]
-
-    return PlantSpec(
-        rho=rho,
-        q_lines=("sgn = 1.0 if w2 >= 0.0 else -1.0",
-                 *REFERENCE_KERNEL.format(rho=float_literal(rho),
-                                          one_minus_rho=float_literal(1.0 - rho)).splitlines(),
-                 f"q = -x1 - p1 - l2 + {float_literal(a)} * (1.0 - (x1 + p1) ** 2) * (x2 + l1)"),
-        extras={
-            "ustar_rows": lambda rows: vdp_ustar_rows(rows, a, rho),
-            "reference": reference,
-        },
-    )
+        return p1star_and_lie(w1, w2, self.rho, 1.0 if w2 >= 0.0 else -1.0)[:2]
 
 
-def build_synthetic_linear_plant(rho, f, g):
+class SyntheticLinearPlant(_Plant):
     """Linear benchmark whose true feedforward lies in a linear model set.
 
     Double integrator tracking the first exosystem coordinate: in error
     coordinates q(w, x) = rho * w1, b = 1, u*(w) = -rho * w1. The steady-state
     internal-model map tau(w) = M w solves the Sylvester equation
     F M - M S = -G c' with S the exosystem matrix and u* = c' w, and the true
-    parameter is the minimum-norm solution of M' theta = c.
+    parameter ``theta_star`` is the minimum-norm solution of M' theta = c.
 
-    The Sylvester equation is solved in its Kronecker form
-    (I_2 (x) F - S' (x) I) vec(M) = vec(-G c'), with column-major vec.
+    F and G are a Regulator's. The Sylvester equation is solved in its
+    Kronecker form (I_2 (x) F - S' (x) I) vec(M) = vec(-G c'), with
+    column-major vec. The one-row ``ustar`` and ``tau`` are
+    check-identifier's; ``tau`` and ``tau_rows`` differ in the last bit.
     """
-    s_mat = np.array([[0.0, 1.0], [-rho, 0.0]])
-    c = np.array([-rho, 0.0])
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float).reshape(-1, 1)
-    lhs = np.kron(np.eye(2), f) - np.kron(s_mat.T, np.eye(f.shape[0]))
-    vec_m = np.linalg.solve(lhs, (-g @ c[None, :]).ravel(order="F"))
-    m = vec_m.reshape((f.shape[0], 2), order="F")
-    theta_star, *_ = np.linalg.lstsq(m.T, c, rcond=None)
 
-    return PlantSpec(
-        rho=rho,
-        q_lines=(f"q = {float_literal(rho)} * w1",),
-        extras={
-            # the one-row forms are what check-identifier's core process
-            # reads; m @ w and rows @ m.T differ in the last bit
-            "ustar": lambda w: -rho * w[0],
-            "ustar_rows": lambda rows: -rho * rows[:, 0],
-            "tau": lambda w: m @ w,
-            "tau_rows": lambda rows: rows @ m.T,
-            "theta_star": theta_star,
-            "reference": lambda w: (float(w[0]), float(w[1])),
-        },
-    )
+    def __init__(self, rho, f, g):
+        s_mat = np.array([[0.0, 1.0], [-rho, 0.0]])
+        c = np.array([-rho, 0.0])
+        lhs = np.kron(np.eye(2), f) - np.kron(s_mat.T, np.eye(f.shape[0]))
+        vec_m = np.linalg.solve(lhs, (-g @ c[None, :]).ravel(order="F"))
+        self.M = vec_m.reshape((f.shape[0], 2), order="F")
+        self.theta_star, *_ = np.linalg.lstsq(self.M.T, c, rcond=None)
+        self.rho = rho
+        self.q_lines = (f"q = {float_literal(rho)} * w1",)
+
+    def ustar(self, w):
+        return -self.rho * w[0]
+
+    def ustar_rows(self, rows):
+        return -self.rho * rows[:, 0]
+
+    def tau(self, w):
+        return self.M @ w
+
+    def tau_rows(self, rows):
+        return rows @ self.M.T
+
+    def reference(self, w):
+        return float(w[0]), float(w[1])
+
+
+# the names scenario._wire calls; bench/tracer.py replaces the first one
+build_vdp_scenario = VdpPlant
+build_synthetic_linear_plant = SyntheticLinearPlant

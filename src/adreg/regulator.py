@@ -6,7 +6,7 @@ applies them is ``scenario.build_closed_loop``."""
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .numerics import is_controllable, is_hurwitz, place_poles
+from .numerics import is_controllable, place_poles
 
 
 def saturate(s, level):
@@ -32,9 +32,10 @@ class Regulator:
     - ``K``, the 1 x 2 gain of the stabilizer u = sat(-sigma_hat - K x_hat,
       sat_level), places the poles of A - B K at ``poles``;
     - the internal model flows as eta' = F eta + G u. F and G are given
-      together, or they are the default pair of dimension d_eta: -1 on F's
-      diagonal, +1 on its superdiagonal, G the last unit vector, Hurwitz and
-      controllable by construction (the worked example at d_eta = 6);
+      together (``scenario._wire`` checks that they are), or they are the
+      default pair of dimension d_eta: -1 on F's diagonal, +1 on its
+      superdiagonal, G the last unit vector, Hurwitz and controllable by
+      construction (the worked example at d_eta = 6);
     - ``gains`` holds the observer's innovation gains (ell h1, ell^2 h2,
       ell^3 h3) of x_hat_1, x_hat_2 and sigma_hat, where the roots of
       s^3 + h1 s^2 + h2 s + h3 must be real and negative, and ``psi_bar``
@@ -53,9 +54,8 @@ class Regulator:
         self.K = place_poles(poles)
         self.sat_level, self.psi_bar = sat_level, psi_bar
 
-        if (F is None) != (G is None):
-            raise InvalidConfigError("regulator.F and G must be given together")
-        if F is None:
+        given = F is not None
+        if not given:
             try:
                 F = -np.eye(d_eta) + np.diag(np.ones(d_eta - 1), k=1)
             except (MemoryError, ValueError):  # more bytes than memory, or than an array can index
@@ -69,13 +69,14 @@ class Regulator:
                 raise InvalidConfigError(f"regulator.F must be square, got shape {F.shape}")
             if G.shape != (len(F), 1):
                 raise InvalidConfigError(f"regulator.G must be {len(F)} x 1, got shape {G.shape}")
-            if not is_hurwitz(F):
-                raise InvalidConfigError("regulator.F must be Hurwitz")
-            if not is_controllable(F, G):
-                raise InvalidConfigError("regulator.F and G must be a controllable pair")
+        eigenvalues = np.linalg.eigvals(F)
+        if not np.all(eigenvalues.real < 0.0):  # the default F's are all -1
+            raise InvalidConfigError("regulator.F must be Hurwitz")
+        if given and not is_controllable(F, G):
+            raise InvalidConfigError("regulator.F and G must be a controllable pair")
         self.F, self.G, self.d_eta = F, G, len(F)
         roots = np.roots([1.0, *h_coeffs])
         self.linear_poles = {"regulator.ell": [ell * r for r in roots.real.tolist()],
-                             "regulator.F": np.linalg.eigvals(F).tolist(),
+                             "regulator.F": eigenvalues.tolist(),
                              "regulator.poles": poles}
 

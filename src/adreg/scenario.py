@@ -16,13 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AdregError, IntegrationBlowupError, InvalidConfigError, SweepWorkerError
+from .errors import (AdregError, IntegrationBlowupError, InvalidConfigError, InvalidInputError,
+                     SweepWorkerError)
 from .hybrid import ClockConfig, arc_bytes, arc_row_bound, check_step, jump_bound, simulate
 from .identifier import (LsIdentifier, MiniBatchIdentifier, build_poly_regressor,
                          poly_regressor_size)
 from .numerics import rk4_stable_step
-from .plant import (SOURCE_NAMES, PlantSpec, build_synthetic_linear_plant, build_vdp_scenario,
-                    float_literal)
+from .plant import SOURCE_NAMES, build_synthetic_linear_plant, build_vdp_scenario, float_literal
 from .regulator import Regulator
 
 CSV_HEADER = "t,j,y,u,u_star,gamma_hat,err_xhat,err_sigmahat,eps_star"
@@ -240,7 +240,7 @@ class ScenarioResult:
     summary: dict
     states: np.ndarray
     thetas: np.ndarray  # jumps x d_sigma; d_sigma is 0 without an identifier
-    plant: PlantSpec = field(repr=False)
+    plant: object = field(repr=False)  # a plant of adreg.plant
     layout: "StateLayout" = field(repr=False)
     control: object = field(repr=False)  # control(xh1, xh2, sigma_hat) -> u
     regressor: object = field(repr=False)  # the identifier's, or None
@@ -254,7 +254,7 @@ class ScenarioResult:
 
     @cached_property
     def u_star(self):
-        return np.asarray(self.plant.extras["ustar_rows"](self.states[:, self.layout.w]))
+        return np.asarray(self.plant.ustar_rows(self.states[:, self.layout.w]))
 
     @cached_property
     def gamma_hat(self):
@@ -283,12 +283,11 @@ class ScenarioResult:
     def eps_star(self):
         """u* - theta* . tau(w) on each row when the plant gives its true map
         and the run identifies one; else empty (size 0)."""
-        extras = self.plant.extras
-        if "tau_rows" in extras and "theta_star" in extras and self.regressor is not None:
+        theta_star = self.plant.theta_star
+        if theta_star is not None and self.regressor is not None:
             # the true map is linear, and the regressor's first d_eta components
             # are eta itself, so u* - gamma_hat(theta*, tau) is u* - theta* . tau
-            tau_rows = extras["tau_rows"](self.states[:, self.layout.w])
-            return self.u_star - tau_rows @ extras["theta_star"]
+            return self.u_star - self.plant.tau_rows(self.states[:, self.layout.w]) @ theta_star
         return np.zeros(0)
 
     def write_csv(self, path):
@@ -479,7 +478,7 @@ def _error_coordinates(plant, p0, w0, lay):
     """Initial closed-loop state: w0, the error chain
     x = (p1 - p1*(w0), p2 - L_s p1*(w0)) of the plant state p0, and zeros."""
     try:
-        ref, slope = plant.extras["reference"](w0)
+        ref, slope = plant.reference(w0)
     except InvalidConfigError as exc:  # the oscillator's reference at w0 = 0
         raise InvalidConfigError(f"no initial error coordinates at w0 = {w0}: {exc}") from None
     except OverflowError:  # where |w0|**3 leaves the float range
@@ -515,7 +514,7 @@ class _Cell(NamedTuple):
     """One wired scenario: what the closed loop of a config integrates."""
 
     lay: StateLayout
-    plant: PlantSpec
+    plant: object  # a plant of adreg.plant
     reg: Regulator
     ident: object  # an identifier, or None
     clock: ClockConfig
@@ -621,12 +620,15 @@ def run_scenario(cfg):
     """Simulate the closed loop described by ``cfg`` and reduce the arc.
 
     At each clock jump the identifier, if any, takes the pre-jump eta and
-    float u, and ``thetas[j]`` records the theta it gives.
+    float u, and ``thetas[j]`` records the theta it gives. A jump whose
+    theta is not finite (a non-finite u makes it so; eta is finite, as every
+    state is) or whose solve fails raises IntegrationBlowupError.
     """
     cell = _wire(cfg)
     lay, reg, ident = cell.lay, cell.reg, cell.ident
     field, control = build_closed_loop(cell.plant, reg, ident)
     thetas = np.empty((cell.cost.jumps, cell.cost.d_sigma))
+    ident_jump = f"{cfg.identifier['kind']} identifier's jump"
 
     def jump(t, j, v):
         if ident is not None:
@@ -641,13 +643,20 @@ def run_scenario(cfg):
             norm = np.linalg.norm(u)
             if norm > reg.sat_level:
                 u = u * (reg.sat_level / norm)
-            ident.jump(row[lay.eta], float(u[0]))
+            try:
+                ident.jump(row[lay.eta], float(u[0]))
+                if not np.isfinite(ident.theta).all():
+                    raise InvalidInputError("non-finite theta")
+            except InvalidInputError as exc:
+                raise IntegrationBlowupError(t, j, v, block=ident_jump, cause=exc) from None
             thetas[j] = ident.theta
         return v
 
     try:
         arc = simulate(field, jump, cell.v0, cell.clock, cfg.sim["horizon"], cfg.sim["dt"])
     except IntegrationBlowupError as exc:
+        if exc.output is None:  # the identifier's jump, which names itself
+            raise
         bad = int(np.flatnonzero(~np.isfinite(exc.output))[0])
         raise IntegrationBlowupError(exc.t, exc.j, exc.state, exc.output,
                                      lay.block_of(bad)) from None

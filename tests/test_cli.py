@@ -391,6 +391,43 @@ class TestSimulate:
         assert err.startswith(f"integration failure: non-finite {block} at t=")
 
 
+class TestIdentifierJumpFailure:
+    """A config that validates but whose identifier's jump cannot give a
+    finite theta is an integration failure: one line that names the
+    identifier, t and j, and exit 2."""
+
+    OVERFLOW = {"regulator": {"sat_level": 1e300, "psi_bar": 1e300},
+                "plant": {"kind": "synthetic-linear", "p0": [1e160, 0.0]}, "sim": {"horizon": 1}}
+
+    def _validate_then_simulate(self, path, capsys):
+        assert main(["validate", path]) == EXIT_OK
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            assert main(["simulate", path]) == EXIT_INTEGRATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize("kind,where", [("ls", "t=0.1, j=0"), ("mini-batch", "t=1, j=9")])
+    def test_overflowing_sample(self, write_cfg, capsys, kind, where):
+        # sigma sigma' of the first sample overflows: the LS jump solves at
+        # once, the mini-batch one when its window of 10 fills
+        path = write_cfg({**self.OVERFLOW, "identifier": {"kind": kind, "N": 1}})
+        assert self._validate_then_simulate(path, capsys) == (
+            f"integration failure: {kind} identifier's jump at {where}: matrix contains "
+            "non-finite entries\n")
+
+    def test_mini_batch_residual_too_large(self, write_cfg, capsys):
+        path = write_cfg({"identifier": {"kind": "mini-batch", "N": 3},
+                          "clock": {"t_low": 0.05, "t_high": 0.15, "strategy": "uniform",
+                                    "seed": 1},
+                          "regulator": {"ell": 5}, "sim": {"horizon": 5}})
+        err = self._validate_then_simulate(path, capsys)
+        assert err.startswith("integration failure: mini-batch identifier's jump at t=4.96661, "
+                              "j=48: batch solver optimality residual ")
+        assert err.endswith(" too large\n") and err.count("\n") == 1
+
+
 class TestRk4StepRule:
     """A config with a linear pole on which an RK4 step of sim.dt is unstable
     is a config error that names the key, the pole and the largest dt."""
@@ -439,6 +476,18 @@ class TestKeyedRangeErrors:
     def test_repeated_observer_roots_validate(self, write_cfg, capsys, h_coeffs):
         path = write_cfg({"regulator": {"h_coeffs": h_coeffs}, "sim": SHORT_SIM})
         assert main(["validate", path]) == EXIT_OK
+
+    @pytest.mark.parametrize("F,G", [
+        ([[0.5, 0], [0, -1]], [[1], [1]]),
+        ([[0, 1], [-1, 0]], [[0], [1]]),  # eigenvalues +-i, of real part 0
+        ([[0.5, 0], [0, -1]], [[1], [0]]),  # nor controllable: F is checked first
+    ], ids=["unstable", "imaginary-axis", "before-controllability"])
+    def test_f_not_hurwitz(self, write_cfg, capsys, F, G):
+        path = write_cfg({"regulator": {"F": F, "G": G}, "sim": SHORT_SIM})
+        assert main(["validate", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: regulator.F must be Hurwitz\n"
 
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     @pytest.mark.parametrize("cfg,error", [
@@ -768,6 +817,39 @@ class TestCheckIdentifier:
     def test_requires_identifier(self, write_cfg, capsys):
         path = write_cfg({"sim": SHORT_SIM})
         assert main(["check-identifier", path]) == EXIT_CONFIG
+
+    def test_window_of_every_sample_passes(self, write_cfg, capsys):
+        # the 10 s core process of a 0.1 s clock has 100 samples: a window of
+        # 100 fills at the last one, and the oracle compares theta there
+        path = write_cfg({"identifier": {"kind": "mini-batch", "N": 1, "N_w": 100}})
+        assert main(["check-identifier", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "optimality: PASS" in out
+        assert "j_star: 100" in out
+
+    @pytest.mark.parametrize("n_w", [101, 1000])
+    def test_window_past_the_samples_is_config_error(self, write_cfg, capsys, n_w):
+        path = write_cfg({"identifier": {"kind": "mini-batch", "N": 1, "N_w": n_w}})
+        assert main(["check-identifier", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: identifier.N_w = {n_w} is more than the 100 "
+                                "samples of check-identifier's 10 s core process\n")
+
+    @pytest.mark.parametrize("clock,keys", [
+        ({"t_low": 20, "t_high": 20, "period": 20}, "clock.t_low = 20.0, clock.period = 20.0"),
+        ({"t_low": 20, "t_high": 30, "strategy": "uniform"}, "clock.t_low = 20.0"),
+    ], ids=["periodic", "uniform"])
+    def test_clock_without_a_jump_is_config_error(self, write_cfg, capsys, clock, keys):
+        path = write_cfg({"identifier": {"kind": "ls", "N": 1}, "clock": clock,
+                          "sim": {"horizon": 100}})
+        assert main(["validate", path]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["check-identifier", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: {keys}: the clock makes no jump in "
+                                "check-identifier's 10 s core process\n")
 
     def test_f_without_g_is_config_error(self, write_cfg, capsys):
         path = write_cfg({"regulator": {"F": [[-1, 1], [0, -1]]},

@@ -11,10 +11,35 @@ from adreg.hybrid import (
     check_step,
     next_jump_time,
     simulate,
-    validate_arc,
 )
 from adreg.numerics import rk4_step
 from adreg.scenario import ScenarioConfig, _wire
+
+
+def jump_rows(arc):
+    """The pre-jump rows of an arc: those after which j steps."""
+    return np.flatnonzero(np.diff(arc.j))
+
+
+def validate_arc(arc, clock=None, atol=1e-9):
+    """Check the HybridArc invariants; raises InvalidConfigError on violation."""
+    t, j = arc.t, arc.j
+    if np.any(t < -atol) or np.any(j < 0):
+        raise InvalidConfigError("arc contains negative hybrid times")
+    order = t + j
+    if np.any(np.diff(order) < -atol):
+        raise InvalidConfigError("arc not ordered by t + j")
+    dj = np.diff(j)
+    if np.any((dj != 0) & (dj != 1)):
+        raise InvalidConfigError("jump counter must increment by exactly one")
+    if np.any(np.diff(t)[dj == 0] < -atol):
+        raise InvalidConfigError("t must be non-decreasing within a flow interval")
+    rows = jump_rows(arc)
+    if clock is not None and rows.size > 1:
+        gaps = np.diff(arc.t[rows])
+        if np.any(gaps < clock.t_low - atol) or np.any(gaps > clock.t_high + atol):
+            raise InvalidConfigError("inter-jump gap outside [t_low, t_high]")
+    return True
 
 
 def _list_built_arc(flow, jump, x0, clock, horizon, dt):
@@ -23,7 +48,7 @@ def _list_built_arc(flow, jump, x0, clock, horizon, dt):
     rng = clock.make_rng()
     x = [float(v) for v in x0]
     t, jcnt = 0.0, 0
-    ts, js, xs, jump_rows = [0.0], [0], [list(x)], []
+    ts, js, xs, pre_jump = [0.0], [0], [list(x)], []
     next_t = next_jump_time(clock, 0.0, rng)
     while True:
         t_end = min(next_t, horizon)
@@ -38,7 +63,7 @@ def _list_built_arc(flow, jump, x0, clock, horizon, dt):
             xs.append(list(x))
         if next_t > horizon:
             break
-        jump_rows.append(len(ts) - 1)
+        pre_jump.append(len(ts) - 1)
         x = jump(t, jcnt, x)
         jcnt += 1
         ts.append(t)
@@ -47,7 +72,7 @@ def _list_built_arc(flow, jump, x0, clock, horizon, dt):
         if next_t >= horizon:
             break
         next_t = next_jump_time(clock, next_t, rng)
-    return np.asarray(ts), np.asarray(js, dtype=int), np.asarray(xs), np.asarray(jump_rows, dtype=int)
+    return np.asarray(ts), np.asarray(js, dtype=int), np.asarray(xs), np.asarray(pre_jump, dtype=int)
 
 
 class TestClockConfig:
@@ -104,13 +129,13 @@ class TestSimulate:
                        dt=1e-3)
         # jumps at 0.1, 0.2, ..., 1.0
         assert arc.j[-1] == 10
-        assert np.allclose(arc.t[arc.jump_indices], 0.1 * np.arange(1, 11))
+        assert np.allclose(arc.t[jump_rows(arc)], 0.1 * np.arange(1, 11))
 
     def test_pre_and_post_jump_samples(self):
         clock = ClockConfig(0.5, 0.5, "periodic", 0.5, 0)
         arc = simulate(lambda x: [0.0 * v for v in x], lambda t, j, x: [v + 1.0 for v in x],
                        np.array([0.0]), clock, 1.2, dt=1e-2)
-        i = arc.jump_indices[0]
+        i = jump_rows(arc)[0]
         assert arc.t[i] == pytest.approx(arc.t[i + 1])
         assert arc.j[i + 1] == arc.j[i] + 1
         assert arc.states[i + 1, 0] == pytest.approx(arc.states[i, 0] + 1.0)
@@ -120,17 +145,17 @@ class TestSimulate:
         clock = ClockConfig(0.5, 0.5, "periodic", 0.5, 0)
         arc = simulate(lambda x: [-v for v in x], lambda t, j, x: [1.0],
                        np.array([1.0]), clock, 1.0, dt=1e-3)
-        i = arc.jump_indices[0]
+        i = jump_rows(arc)[0]
         assert arc.states[i, 0] == pytest.approx(np.exp(-0.5), abs=1e-9)
         # second leg: reset to 1 at t=0.5, decays until the jump at the horizon
-        i2 = arc.jump_indices[1]
+        i2 = jump_rows(arc)[1]
         assert arc.states[i2, 0] == pytest.approx(np.exp(-0.5), abs=1e-9)
 
     def test_exact_landing_on_jump_times(self):
         clock = ClockConfig(0.25, 0.25, "periodic", 0.25, 0)
         arc = simulate(lambda x: [-v for v in x], lambda t, j, x: x, np.array([1.0]),
                        clock, 1.0, dt=1e-3)
-        for tj in arc.t[arc.jump_indices]:
+        for tj in arc.t[jump_rows(arc)]:
             assert tj / 0.25 == pytest.approx(round(tj / 0.25), abs=1e-12)
 
     def test_dt_too_large_rejected(self):
@@ -191,7 +216,7 @@ class TestSimulate:
         monkeypatch.setattr(hybrid, "rk4_step", counting)
         arc = simulate(*args)
         # every row but the first and the post-jump rows ends one step
-        assert len(calls) == arc.t.size - 1 - arc.jump_indices.size
+        assert len(calls) == arc.t.size - 1 - jump_rows(arc).size
         assert calls == [arc.t[i] for i in range(arc.t.size - 1)
                          if arc.j[i + 1] == arc.j[i]]
         assert np.array_equal(arc.states, want.states)
@@ -224,13 +249,13 @@ class TestPreallocatedArc:
     def test_equals_list_built_arc_within_bound(self, clock, horizon, dt):
         x0 = np.array([1.0, 0.0, 0.5])
         arc = simulate(self._flow, self._jump, x0, clock, horizon, dt)
-        t, j, states, jump_rows = _list_built_arc(self._flow, self._jump, x0, clock,
+        t, j, states, pre_jump = _list_built_arc(self._flow, self._jump, x0, clock,
                                                   horizon, dt)
         assert arc.t.size <= arc_row_bound(clock, horizon, dt)
         assert np.array_equal(arc.t, t)
         assert np.array_equal(arc.j, j)
         assert np.array_equal(arc.states, states)
-        assert np.array_equal(arc.jump_indices, jump_rows)
+        assert np.array_equal(jump_rows(arc), pre_jump)
         assert arc.states.shape == states.shape and arc.j.dtype == j.dtype
 
 
@@ -254,6 +279,6 @@ class TestValidateArc:
             j=np.array([0, 0, 1, 1, 2]),
             states=np.zeros((5, 1)),
         )
-        assert np.array_equal(arc.jump_indices, [1, 3])  # read off j
+        assert np.array_equal(jump_rows(arc), [1, 3])  # read off j
         with pytest.raises(InvalidConfigError):
             validate_arc(arc, clock)

@@ -142,10 +142,12 @@ class TestPolyRegressor:
             assert np.array_equal(psi_got, psi_want, equal_nan=True)
 
     def test_invalid_parameters(self):
-        with pytest.raises(InvalidConfigError):
-            PolyRegressor(3, 2)  # even order
-        with pytest.raises(InvalidConfigError):
-            PolyRegressor(3, 0)
+        # the order comes only from identifier.N, whose kind in the config
+        # schema is an odd positive integer; PolyRegressor does not check it
+        for order in (2, 0):  # even, and below one
+            with pytest.raises(InvalidConfigError,
+                               match=f"^identifier.N must be an odd positive integer, got {order}$"):
+                ScenarioConfig(identifier={"kind": "ls", "N": order})
 
 
 class TestThetaMapLs:

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from adreg.errors import InvalidConfigError
-from adreg.plant import (build_synthetic_linear_plant, build_vdp_scenario, p1star_and_lie,
-                         vdp_ustar_rows)
+from adreg.plant import build_synthetic_linear_plant, build_vdp_scenario, p1star_and_lie
 from adreg.regulator import Regulator
 from adreg.scenario import ScenarioConfig, _wire, build_closed_loop, state_layout
 
@@ -33,7 +32,7 @@ def _flow_exo(w, rho, dt, steps=1):
 
 def _reference(w, rho=2.0):
     """(p1*, L_s p1*) at w from the Van der Pol plant's evaluator."""
-    return build_vdp_scenario(2.0, rho).extras["reference"](np.asarray(w, dtype=float))
+    return build_vdp_scenario(2.0, rho).reference(np.asarray(w, dtype=float))
 
 
 def triangular_output(w):
@@ -124,7 +123,7 @@ class TestReference:
     def test_synthetic_linear_reference_is_w(self):
         im = Regulator(**{**ScenarioConfig().regulator, "d_eta": 2})
         plant = build_synthetic_linear_plant(2.0, im.F, im.G)
-        assert plant.extras["reference"](np.array([0.25, -0.5])) == (0.25, -0.5)
+        assert plant.reference(np.array([0.25, -0.5])) == (0.25, -0.5)
 
 
 class TestVdpScenario:
@@ -140,7 +139,7 @@ class TestVdpScenario:
             w = rng.uniform(-1.0, 1.0, size=2)
             if abs(w[1]) / np.linalg.norm(w) < 1e-6:
                 continue
-            u = plant.extras["ustar_rows"](w[None, :])[0]
+            u = plant.ustar_rows(w[None, :])[0]
             v = np.zeros(lay.size)
             v[lay.w] = w
             v[lay.sigma_hat] = -u
@@ -152,7 +151,7 @@ class TestVdpScenario:
         rng = np.random.default_rng(2)
         rows = rng.uniform(-1.0, 1.0, size=(50, 2))
         rows = rows[np.abs(rows[:, 1]) > 1e-3]
-        vec = vdp_ustar_rows(rows, a, rho)
+        vec = build_vdp_scenario(a, rho).ustar_rows(rows)
         ref = []
         for w in rows:
             p1 = triangular_output(w)
@@ -187,15 +186,15 @@ class TestVdpScenario:
         a, rho = 2.0, 2.0
         w_peak = 1.0 / np.pi
         eps = 1e-8
-        up = vdp_ustar_rows(np.array([[w_peak, eps]]), a, rho)[0]
-        um = vdp_ustar_rows(np.array([[w_peak, -eps]]), a, rho)[0]
+        up = build_vdp_scenario(a, rho).ustar_rows(np.array([[w_peak, eps]]))[0]
+        um = build_vdp_scenario(a, rho).ustar_rows(np.array([[w_peak, -eps]]))[0]
         assert up == pytest.approx(um, abs=1e-5)
 
     def test_ustar_jumps_at_larger_amplitude_peak(self):
         a, rho = 2.0, 2.0
         eps = 1e-8
-        up = vdp_ustar_rows(np.array([[1.0, eps]]), a, rho)[0]
-        um = vdp_ustar_rows(np.array([[1.0, -eps]]), a, rho)[0]
+        up = build_vdp_scenario(a, rho).ustar_rows(np.array([[1.0, eps]]))[0]
+        um = build_vdp_scenario(a, rho).ustar_rows(np.array([[1.0, -eps]]))[0]
         # jump size a * (1 - pi^2) * Delta L1 with Delta L1 = 4 rho
         expected = abs(a * (1.0 - np.pi**2) * 4.0 * rho)
         assert abs(up - um) == pytest.approx(expected, rel=1e-5)

@@ -1,5 +1,6 @@
-"""Property tests: every config either runs or is a config error, and the
-hybrid engine's arc stays within its preallocated row bound.
+"""Property tests: every config either runs or is a config error, a config
+that validates is no config error when it runs, and the hybrid engine's arc
+stays within its preallocated row bound.
 
 Examples are derandomized, so a run of the suite tries the same configs each
 time. Numeric values of the keys that set a run's size (d_eta, N, horizon and
@@ -18,8 +19,9 @@ import numpy as np
 import pytest
 
 from adreg.cli import EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK, main
-from adreg.hybrid import ClockConfig, arc_row_bound, simulate, validate_arc
+from adreg.hybrid import ClockConfig, arc_row_bound, simulate
 from adreg.scenario import KIND_KEYS, SCHEMA
+from test_hybrid import validate_arc
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -127,11 +129,13 @@ def workdir(tmp_path_factory):
 
 
 def _run(argv):
-    """main's exit code, with its output and numpy's overflow warnings
-    swallowed; an exception propagates and fails the test."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    """main's exit code and what it printed to stderr, with its output and
+    numpy's overflow warnings swallowed; an exception propagates and fails
+    the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         with np.errstate(all="ignore"):
-            return main(argv)
+            return main(argv), err.getvalue()
 
 
 class TestAnyConfig:
@@ -146,8 +150,17 @@ class TestAnyConfig:
         path = os.path.join(workdir, "cfg.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
-        assert _run(["validate", path]) in (EXIT_OK, EXIT_CONFIG)
-        assert _run(["simulate", path]) in (EXIT_OK, EXIT_CONFIG, EXIT_INTEGRATION)
+        code, _ = _run(["validate", path])
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        sim_code, err = _run(["simulate", path])
+        if code == EXIT_CONFIG:
+            assert sim_code == EXIT_CONFIG, err
+        else:
+            # a config that validates runs to its end or fails in its
+            # integration; only the writing of its outputs (an OSError) can
+            # still be a config error
+            assert sim_code in (EXIT_OK, EXIT_INTEGRATION) or err.startswith(
+                "config error: [Errno"), err
 
 
 @st.composite

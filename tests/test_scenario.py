@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from adreg import scenario
-from adreg.errors import AdregError, InvalidConfigError, SweepWorkerError
+from adreg.errors import AdregError, IntegrationBlowupError, InvalidConfigError, SweepWorkerError
+from adreg.identifier import LsIdentifier, MiniBatchIdentifier
 from adreg.plant import build_synthetic_linear_plant, build_vdp_scenario
 from adreg.regulator import Regulator
 from adreg.scenario import (
@@ -77,8 +78,8 @@ class TestSyntheticLinearPlant:
         im = _regulator(d_eta=6)
         plant = build_synthetic_linear_plant(rho, im.F, im.G)
         m = np.column_stack([
-            plant.extras["tau"](np.array([1.0, 0.0])),
-            plant.extras["tau"](np.array([0.0, 1.0])),
+            plant.tau(np.array([1.0, 0.0])),
+            plant.tau(np.array([0.0, 1.0])),
         ])
         s_mat = np.array([[0.0, 1.0], [-rho, 0.0]])
         c = np.array([-rho, 0.0])
@@ -91,7 +92,7 @@ class TestSyntheticLinearPlant:
         solve_sylvester = pytest.importorskip("scipy.linalg").solve_sylvester
         im = _regulator(d_eta=d_eta)
         plant = build_synthetic_linear_plant(rho, im.F, im.G)
-        m = plant.extras["tau_rows"](np.eye(2)).T
+        m = plant.tau_rows(np.eye(2)).T
         s_mat = np.array([[0.0, 1.0], [-rho, 0.0]])
         c = np.array([-rho, 0.0])
         want = solve_sylvester(im.F, -s_mat, -im.G.reshape(-1, 1) @ c[None, :])
@@ -101,11 +102,11 @@ class TestSyntheticLinearPlant:
         rho = 2.0
         im = _regulator(d_eta=6)
         plant = build_synthetic_linear_plant(rho, im.F, im.G)
-        theta = plant.extras["theta_star"]
+        theta = plant.theta_star
         rng = np.random.default_rng(0)
         for _ in range(10):
             w = rng.normal(size=2)
-            assert float(theta @ plant.extras["tau"](w)) == pytest.approx(
+            assert float(theta @ plant.tau(w)) == pytest.approx(
                 -rho * w[0], abs=1e-9
             )
 
@@ -113,9 +114,9 @@ class TestSyntheticLinearPlant:
         im = _regulator(d_eta=4)
         plant = build_synthetic_linear_plant(1.5, im.F, im.G)
         rows = np.random.default_rng(1).normal(size=(5, 2))
-        batch = plant.extras["tau_rows"](rows)
+        batch = plant.tau_rows(rows)
         for i, w in enumerate(rows):
-            assert np.allclose(batch[i], plant.extras["tau"](w))
+            assert np.allclose(batch[i], plant.tau(w))
 
     def test_invalid_rho(self):
         # the plant section's ranges are the config schema's
@@ -288,6 +289,21 @@ class TestRunScenario:
         with pytest.raises(InvalidConfigError):
             run_scenario(cfg)
 
+    @pytest.mark.parametrize("kind", ["ls", "mini-batch"])
+    def test_non_finite_theta_is_integration_failure(self, monkeypatch, kind):
+        # a jump that gives a non-finite theta ends the run there, naming the
+        # identifier, t and j, before the flow takes that theta
+        cls = {"ls": LsIdentifier, "mini-batch": MiniBatchIdentifier}[kind]
+
+        def jump(self, eta_in, u_out):
+            self.theta = np.full(self.theta.shape, np.nan)
+
+        monkeypatch.setattr(cls, "jump", jump)
+        with pytest.raises(IntegrationBlowupError) as exc:
+            run_scenario(self._short_cfg(kind=kind, N=1))
+        assert str(exc.value) == f"{kind} identifier's jump at t=0.1, j=0: non-finite theta"
+        assert exc.value.j == 0 and exc.value.t == 0.1
+
 
 class TestColumnsOnDemand:
     """The CSV columns past t, j and y are built when first read, with the
@@ -313,7 +329,7 @@ class TestColumnsOnDemand:
         sh = states[:, lay.sigma_hat]
         xh1, xh2 = xh_rows.T.tolist()
         u = np.fromiter(map(control, xh1, xh2, sh.tolist()), dtype=float, count=n)
-        u_star = plant.extras["ustar_rows"](w_rows)
+        u_star = plant.ustar_rows(w_rows)
         gamma_hat = np.zeros(n)
         if thetas.size:
             seg = res.j - 1
@@ -326,8 +342,8 @@ class TestColumnsOnDemand:
                     gamma_hat[s0:s1] = ident.regressor.batch(eta_rows[s0:s1]) @ thetas[k]
         err_xhat = np.linalg.norm(x_rows - xh_rows, axis=1)
         err_sigmahat = np.abs(sh + u_star)
-        if "tau_rows" in plant.extras and "theta_star" in plant.extras and ident is not None:
-            eps_star = u_star - plant.extras["tau_rows"](w_rows) @ plant.extras["theta_star"]
+        if plant.theta_star is not None and ident is not None:
+            eps_star = u_star - plant.tau_rows(w_rows) @ plant.theta_star
         else:
             eps_star = np.zeros(0)
         return {"u": u, "u_star": np.asarray(u_star), "gamma_hat": gamma_hat,
@@ -359,7 +375,7 @@ class TestColumnsOnDemand:
             def ustar_rows(rows):
                 raise AssertionError("u_star built")
 
-            spec.extras["ustar_rows"] = ustar_rows
+            spec.ustar_rows = ustar_rows
             return spec
 
         monkeypatch.setattr(scenario, "build_vdp_scenario", without_ustar_rows)
