@@ -89,7 +89,12 @@ def cmd_check_identifier(args):
         raise InvalidConfigError(f"identifier.N_w = {cell.ident.n_window} is more than the "
                                  f"{len(samples)} samples of check-identifier's "
                                  f"{CORE_PROCESS_S:g} s core process")
-    report = verify_identifier_requirement(cell.ident, samples)
+    try:
+        report = verify_identifier_requirement(cell.ident, samples)
+    except InvalidInputError as exc:  # a Gram of samples past the float range
+        raise InvalidConfigError(f"plant.w0 = {cell.v0[cell.lay.w].tolist()}: the identifier's "
+                                 f"jump on check-identifier's {CORE_PROCESS_S:g} s core process "
+                                 f"from it fails: {exc}") from None
     print(format_report(report))
     ok = report["optimality"] and report["stability"] and report["regularity"]
     return EXIT_OK if ok else EXIT_THRESHOLD

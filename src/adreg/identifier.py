@@ -4,8 +4,9 @@ mini-batch (moving window) scheme, plus polynomial regressors.
 Each identifier is one class that holds its state and the parameters of the
 cost it minimizes: the forgetting factor ``mu_f``, the window length
 ``n_window`` (None when every past sample counts) and the regularizer
-``omega``, the float omega of Omega = omega I. ``jump`` rebinds the state
-and never mutates it in place, so a shallow copy is an independent clone.
+``omega``, the float omega of Omega = omega I. ``jump`` writes only arrays
+it has just made and rebinds the state to them, so a shallow copy is an
+independent clone.
 
 The saturated continuous extensions of the LS update ingredients are realized
 as norm clamps with one radius, ``CLAMP`` = 1e6: generous enough to stay
@@ -116,8 +117,11 @@ def batch_solver_ls(rows, outs, omega):
 
     Minimizes sum_i |u_i - theta . sigma_i|^2 + omega |theta|^2 via the
     normal equations and the pseudoinverse (minimum-norm minimizer when
-    rank-deficient). The first-order optimality residual is checked a
-    posteriori; a residual too large raises InvalidInputError.
+    rank-deficient). The first-order optimality residual r = G theta - b is
+    checked a posteriori as a normwise backward error: |r| more than 1e-8
+    (|b| + |G|_F |theta|) raises InvalidInputError. The pseudoinverse's
+    cutoff drops directions of G by design, which leaves a residual that
+    scales with |G| |theta|, not with |b| alone.
     """
     d_sigma = rows[0].size
     gram = float(omega) * np.eye(d_sigma)
@@ -126,15 +130,12 @@ def batch_solver_ls(rows, outs, omega):
         gram += np.outer(sig, sig)
         rhs += sig * u
     theta = pseudoinverse(gram) @ rhs
-    resid = gram @ theta - rhs
-    scale = 1.0 + np.linalg.norm(rhs)
-    if np.linalg.norm(resid) > 1e-8 * scale:
+    resid = np.linalg.norm(gram @ theta - rhs)
+    if resid > 1e-8 * (np.linalg.norm(rhs) + np.linalg.norm(gram) * np.linalg.norm(theta)):
         # rank-deficient Gram with rhs outside its range cannot occur here
-        # (rhs is built from the same regressors), so this is a conditioning
-        # failure worth surfacing.
-        raise InvalidInputError(
-            f"batch solver optimality residual {np.linalg.norm(resid):.3e} too large"
-        )
+        # (rhs is built from the same regressors), so this is a solve that
+        # went wrong, worth surfacing.
+        raise InvalidInputError(f"batch solver optimality residual {resid:.3e} too large")
     return theta
 
 
@@ -172,11 +173,19 @@ class LsIdentifier:
         # mu X, sigma sigma' and its rescale are.
         xi1 = self.mu_f * self.xi1
         xi1 += big_sigma
-        xi2 = self.mu_f * self.xi2 + lam
-        m = xi1.copy()  # xi1 + Omega: omega added to the diagonal
-        m.flat[::sig.size + 1] += self.omega
-        theta = pseudoinverse(m) @ xi2
-        self.xi1, self.xi2, self.theta = xi1, xi2, saturate(theta, CLAMP)
+        del big_sigma
+        # rebound before the solve, so the old xi1 is freed unless a clone holds it
+        self.xi1 = xi1
+        self.xi2 = xi2 = self.mu_f * self.xi2 + lam
+        # the solve reads xi1 + Omega: omega on xi1's own diagonal, with the
+        # saved diagonal copied back after (exact, where subtracting omega is not)
+        diag = xi1.flat[::sig.size + 1]  # a copy
+        xi1.flat[::sig.size + 1] = diag + self.omega
+        try:
+            theta = pseudoinverse(xi1) @ xi2
+        finally:
+            xi1.flat[::sig.size + 1] = diag
+        self.theta = saturate(theta, CLAMP)
 
     def perturbed(self, rng):
         """A clone with a symmetric normal perturbation of xi1 and a normal

@@ -23,7 +23,7 @@ from .identifier import (LsIdentifier, MiniBatchIdentifier, build_poly_regressor
                          poly_regressor_size)
 from .numerics import rk4_stable_step
 from .plant import SOURCE_NAMES, build_synthetic_linear_plant, build_vdp_scenario, float_literal
-from .regulator import Regulator
+from .regulator import Regulator, saturate
 
 CSV_HEADER = "t,j,y,u,u_star,gamma_hat,err_xhat,err_sigmahat,eps_star"
 
@@ -310,11 +310,13 @@ class ScenarioResult:
             fh.write("\n")
 
 
-# d_sigma x d_sigma float arrays live at once in an LS jump: xi1 before and after,
-# sigma sigma', xi1 + Omega, and the SVD's copy of it, U, V' and workspace (a
-# peak of 10.4 to 11.4 of them measured at d_sigma = 1,106 and 3,108 when Omega
-# was one more such array)
-JUMP_MATRICES = 12
+# d_sigma x d_sigma float arrays live at once in an LS jump: the new xi1 (the
+# old one is freed before the solve, and Omega sits on the new one's diagonal),
+# the SVD's copy of it, U, V' and workspace, then V'^T U^T beside U and V'. The
+# peak RSS growth of a run, less the rest of the memory sum, is 8.2 of them at 1
+# OpenBLAS thread and 9.0 to 9.2 at 2 at d_sigma = 314, and 6.5 at 1,106: 10
+# covers the largest
+JUMP_MATRICES = 10
 
 
 def physical_memory():
@@ -639,10 +641,7 @@ def run_scenario(cfg):
             # few 1e-6 in steady_state_max_y, beyond the 1e-6 tolerance of
             # bench/reference.json; feed it control() when those references
             # are next recorded.
-            u = -row[lay.sigma_hat:] - reg.K @ row[lay.x_hat]
-            norm = np.linalg.norm(u)
-            if norm > reg.sat_level:
-                u = u * (reg.sat_level / norm)
+            u = saturate(-row[lay.sigma_hat:] - reg.K @ row[lay.x_hat], reg.sat_level)
             try:
                 ident.jump(row[lay.eta], float(u[0]))
                 if not np.isfinite(ident.theta).all():

@@ -15,6 +15,7 @@ import pytest
 from adreg import scenario
 from adreg.cli import EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK, EXIT_THRESHOLD, main
 from adreg.hybrid import ClockConfig, arc_row_bound, jump_bound
+from adreg.numerics import pseudoinverse
 from adreg.regulator import Regulator
 
 
@@ -96,7 +97,7 @@ class TestValidate:
         rows = arc_row_bound(ClockConfig(0.1, 0.1, "periodic", 0.1, 0), 10.0, 1e-3)
         compile_bytes = scenario.FIELD_TERM_BYTES * 12 + scenario.RK4_COMPONENT_BYTES * 13
         record = 100 * 8 * d_sigma
-        parts = [8 * 6 * 6, 8 * 15 * rows, compile_bytes, 12 * 8 * d_sigma**2, record]
+        parts = [8 * 6 * 6, 8 * 15 * rows, compile_bytes, 10 * 8 * d_sigma**2, record]
         assert lines[1] == (f"cost: d_sigma = {d_sigma}; F {parts[0]} bytes, arc buffer "
                             f"{parts[1]} bytes, compiling {parts[2]} bytes, identifier jump "
                             f"{parts[3]} bytes, jump record {parts[4]} bytes: {sum(parts)} of "
@@ -417,14 +418,24 @@ class TestIdentifierJumpFailure:
             f"integration failure: {kind} identifier's jump at {where}: matrix contains "
             "non-finite entries\n")
 
+    MINI_BATCH = {"identifier": {"kind": "mini-batch", "N": 3},
+                  "clock": {"t_low": 0.05, "t_high": 0.15, "strategy": "uniform", "seed": 1},
+                  "regulator": {"ell": 5}, "sim": {"horizon": 5}}
+
     def test_mini_batch_residual_too_large(self, write_cfg, capsys):
-        path = write_cfg({"identifier": {"kind": "mini-batch", "N": 3},
-                          "clock": {"t_low": 0.05, "t_high": 0.15, "strategy": "uniform",
-                                    "seed": 1},
-                          "regulator": {"ell": 5}, "sim": {"horizon": 5}})
-        err = self._validate_then_simulate(path, capsys)
-        assert err.startswith("integration failure: mini-batch identifier's jump at t=4.96661, "
-                              "j=48: batch solver optimality residual ")
+        # at t = 4.96661, j = 48 the residual |G theta - b| is 1.24e-8 (1 + |b|),
+        # but its backward error is 1.2e-11: the pseudoinverse's cutoff, not a
+        # bad solve, leaves it, and the run ends normally
+        assert main(["simulate", write_cfg(self.MINI_BATCH)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_mini_batch_wrong_solve_fails(self, write_cfg, capsys, monkeypatch):
+        # a solve that returns twice theta leaves a residual of |b|: the
+        # first full window of 10 samples fails the backward-error check
+        monkeypatch.setattr("adreg.identifier.pseudoinverse", lambda m: 2.0 * pseudoinverse(m))
+        err = self._validate_then_simulate(write_cfg(self.MINI_BATCH), capsys)
+        assert err.startswith("integration failure: mini-batch identifier's jump at t=")
+        assert ", j=9: batch solver optimality residual " in err
         assert err.endswith(" too large\n") and err.count("\n") == 1
 
 
@@ -570,9 +581,9 @@ class TestIdentifierMemory:
         path = write_cfg({"identifier": {"kind": "ls", "N": 9}, "sim": SHORT_SIM})
         assert main([command, path]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        # 12 arrays of d_sigma^2 8-byte floats
+        # 10 arrays of d_sigma^2 8-byte floats
         assert err.startswith("config error: identifier.N = 9: a jump of d_sigma = 3108 "
-                              f"regressor components, about {12 * 8 * 3108**2} bytes; ")
+                              f"regressor components, about {10 * 8 * 3108**2} bytes; ")
         assert f" bytes in all, more than the {64 * 2**20} bytes of physical memory\n" in err
 
     def test_jump_record_past_memory_is_config_error(self, write_cfg, capsys, monkeypatch):
@@ -589,7 +600,7 @@ class TestIdentifierMemory:
                               "0.001: an arc buffer ")
 
     def test_order_that_fits_runs(self, write_cfg, capsys, monkeypatch):
-        # N = 5: d_sigma = 314, about 9.5 MB of jump arrays
+        # N = 5: d_sigma = 314, about 7.9 MB of jump arrays
         monkeypatch.setattr(scenario, "physical_memory", lambda: 64 * 2**20)
         path = write_cfg({"identifier": {"kind": "ls", "N": 5}, "sim": SHORT_SIM})
         assert main(["validate", path]) == EXIT_OK
@@ -850,6 +861,18 @@ class TestCheckIdentifier:
         assert captured.out == ""
         assert captured.err == (f"config error: {keys}: the clock makes no jump in "
                                 "check-identifier's 10 s core process\n")
+
+    def test_overflowing_core_process_names_w0(self, write_cfg, capsys):
+        # sigma sigma' of the core process's first sample overflows the Gram
+        path = write_cfg({"identifier": {"kind": "ls", "N": 1},
+                          "plant": {"kind": "synthetic-linear", "w0": [1e160, 0]},
+                          "sim": {"horizon": 1}})
+        assert main(["check-identifier", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: plant.w0 = [1e+160, 0.0]: the identifier's jump "
+                                "on check-identifier's 10 s core process from it fails: matrix "
+                                "contains non-finite entries\n")
 
     def test_f_without_g_is_config_error(self, write_cfg, capsys):
         path = write_cfg({"regulator": {"F": [[-1, 1], [0, -1]]},

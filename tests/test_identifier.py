@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from adreg.errors import InvalidConfigError
+from adreg.errors import InvalidConfigError, InvalidInputError
 from adreg.identifier import (
     CLAMP,
     LsIdentifier,
@@ -284,6 +284,39 @@ class TestLsJump:
             assert added == pytest.approx(CLAMP, rel=1e-12)
             assert np.array_equal(ident.xi1, ident.xi1.T)
             assert np.allclose(ident.xi1, want[0], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("eta,raises", [
+        ([0.3, -0.2], None),
+        ([1e160, 0.0], "non-finite"),  # sigma sigma' overflows: NaN reaches the solve
+        ([0.3, -0.2], "solve failed"),
+    ], ids=["finite", "overflowing-sample", "raising-solve"])
+    def test_omega_leaves_no_trace(self, monkeypatch, eta, raises):
+        # the solve reads omega on xi1's diagonal: after the jump, raised or
+        # not, xi1 has the bytes of mu xi1 + sigma sigma', and a clone taken
+        # before it keeps its own bytes. At omega = 0.1, (0.99 + omega) - omega
+        # is not 0.99: only a diagonal copied back restores xi1[0, 0]
+        ident = LsIdentifier(PolyRegressor(2, 1), mu_f=0.9, omega=0.1)
+        ident.jump(np.array([1.0, 2.0]), 3.0)
+        twin = copy.copy(ident)
+        held = (twin.xi1.tobytes(), twin.xi2.tobytes())
+        if raises == "solve failed":
+            def solve(m):
+                raise InvalidInputError(raises)
+
+            monkeypatch.setattr("adreg.identifier.pseudoinverse", solve)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sig = ident.regressor(np.array(eta))
+            big_sigma = saturate(np.outer(sig, sig).ravel(), CLAMP).reshape(2, 2)
+            want = (ident.mu_f * ident.xi1 + big_sigma,
+                    ident.mu_f * ident.xi2 + saturate(sig, CLAMP))
+            if raises is None:
+                ident.jump(np.array(eta), 1.0)
+            else:
+                with pytest.raises(InvalidInputError, match=raises):
+                    ident.jump(np.array(eta), 1.0)
+        assert (twin.xi1.tobytes(), twin.xi2.tobytes()) == held
+        assert ident.xi1.tobytes() == want[0].tobytes()
+        assert ident.xi2.tobytes() == want[1].tobytes()
 
     def test_wrapper_clone_is_independent(self):
         ident = LsIdentifier(PolyRegressor(2, 1), mu_f=0.9, omega=1e-3)
