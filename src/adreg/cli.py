@@ -69,8 +69,8 @@ CORE_PROCESS_S = 10.0  # check-identifier's core process, whatever sim.horizon i
 
 def cmd_check_identifier(args):
     """Verify the configured identifier on the synthetic core process: its
-    samples are at the clock's jumps in CORE_PROCESS_S seconds, and a window
-    of n_window samples must fill, for the oracle to compare theta once."""
+    samples are at the clock's jumps in CORE_PROCESS_S s at step sim.dt, and
+    a window of n_window samples must fill, for the oracle to compare theta once."""
     cfg = _load_config(args.config)
     if cfg.identifier["kind"] == "none":
         raise InvalidConfigError("check-identifier needs an identifier kind != none")
@@ -80,7 +80,7 @@ def cmd_check_identifier(args):
     cell = _wire(replace(cfg, plant={"kind": "synthetic-linear", **given}, output={}))
     plant, clock = cell.plant, cell.clock
     samples = run_core_process(clock, plant.eval_s, cell.v0[cell.lay.w], plant.tau, plant.ustar,
-                               horizon=CORE_PROCESS_S)
+                               horizon=CORE_PROCESS_S, dt=cfg.sim["dt"])
     if not samples:
         period = f", clock.period = {clock.period!r}" if clock.period is not None else ""
         raise InvalidConfigError(f"clock.t_low = {clock.t_low!r}{period}: the clock makes no "
@@ -154,8 +154,8 @@ def main(argv=None):
     except SystemExit as exc:  # argparse has printed its message (or -h its help)
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
-        # a run that overflows ends as one integration-failure line: the RK4
-        # step's finite check catches every non-finite value numpy makes
+        # a run that overflows ends as one integration-failure line: the flow's
+        # finite check in hybrid.simulate catches every non-finite value numpy makes
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
     except (InvalidConfigError, InvalidInputError, OSError, json.JSONDecodeError) as exc:

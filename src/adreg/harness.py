@@ -20,9 +20,9 @@ from .numerics import pseudoinverse
 TRIALS, SEED, OPTIMALITY_TOL = 5, 0, 1e-8
 
 
-def run_core_process(clock, exo, w0, tau_eval, ustar_eval, horizon, dt=1e-3):
+def run_core_process(clock, exo, w0, tau_eval, ustar_eval, horizon, dt):
     """The ideal samples (j, tau(w), float u*(w)) at the jumps of ``clock``
-    over the exosystem flow ``exo`` from ``w0``."""
+    over the exosystem flow ``exo`` from ``w0``, integrated at step dt."""
     samples = []
 
     def jump(t, j, w):

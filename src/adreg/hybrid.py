@@ -40,22 +40,19 @@ class ClockConfig:
                 "clock.period must lie in [clock.t_low, clock.t_high] = "
                 f"[{self.t_low!r}, {self.t_high!r}], got {self.period!r}")
 
-    def make_rng(self):
-        """The generator of the uniform strategy's gaps; None for the
-        periodic strategy, which draws nothing, so a periodic run never
-        imports numpy.random."""
+    def jump_times(self):
+        """The jump instants, without end. Only the uniform strategy builds a
+        generator, to draw its gaps, so a periodic run never imports
+        numpy.random."""
+        t = 0.0
         if self.strategy == "periodic":
-            return None
-        return np.random.default_rng(self.seed)
-
-
-def next_jump_time(clock, last_jump_t, rng):
-    """Next jump instant after last_jump_t according to the clock strategy;
-    ``rng`` is the run's generator from ``clock.make_rng()``, unused (and
-    None) for the periodic strategy."""
-    if clock.strategy == "periodic":
-        return last_jump_t + clock.period
-    return last_jump_t + rng.uniform(clock.t_low, clock.t_high)
+            while True:
+                t += self.period
+                yield t
+        rng = np.random.default_rng(self.seed)
+        while True:
+            t += rng.uniform(self.t_low, self.t_high)
+            yield t
 
 
 @dataclass
@@ -124,12 +121,13 @@ def simulate(flow, jump, x0, clock, horizon, dt):
     list of floats. Components the jump map wants held must be copied
     through by the caller's jump function. Each row's state, t and j are
     written into row n of three buffers of ``arc_row_bound`` rows; the arc
-    holds views of the rows used.
+    holds views of the rows used. A step to a non-finite state raises
+    IntegrationBlowupError with its end t, the flow interval's j, the
+    pre-step state and the step's output.
     """
     x = [float(v) for v in x0]
     check_step(clock, horizon, dt, len(x))
 
-    rng = clock.make_rng()
     rows = arc_row_bound(clock, horizon, dt)
     try:
         states, ts, js = np.empty((rows, len(x))), np.empty(rows), np.empty(rows, dtype=int)
@@ -138,17 +136,17 @@ def simulate(flow, jump, x0, clock, horizon, dt):
     t, jcnt, n = 0.0, 0, 0
     states[n], ts[n], js[n] = x, t, jcnt
 
-    next_t = next_jump_time(clock, 0.0, rng)
-    while True:
+    for next_t in clock.jump_times():
         t_end = min(next_t, horizon)
         # flow from t to t_end in steps of dt, shortening the last step
         while t_end - t > 1e-12:
             h = min(dt, t_end - t)
-            try:
-                x = rk4_step(flow, x, h, t=t)
-            except IntegrationBlowupError as exc:
-                raise IntegrationBlowupError(exc.t, jcnt, exc.state, exc.output) from None
+            out = rk4_step(flow, x, h)
             t += h
+            # a finite sum means finite entries; a sum past the float range checks them
+            if not math.isfinite(sum(out)) and not all(map(math.isfinite, out)):
+                raise IntegrationBlowupError(t, jcnt, x, out)
+            x = out
             if t_end - t <= 1e-12:
                 t = t_end
             n += 1
@@ -162,7 +160,6 @@ def simulate(flow, jump, x0, clock, horizon, dt):
         states[n], ts[n], js[n] = x, t, jcnt
         if next_t >= horizon:
             break
-        next_t = next_jump_time(clock, next_t, rng)
 
     n += 1
     return HybridArc(t=ts[:n], j=js[:n], states=states[:n])

@@ -829,6 +829,20 @@ class TestCheckIdentifier:
         path = write_cfg({"sim": SHORT_SIM})
         assert main(["check-identifier", path]) == EXIT_CONFIG
 
+    def test_core_process_steps_at_sim_dt(self, write_cfg, capsys):
+        # a clock of t_low = 0.009 needs a dt of at most 0.0009; the config's
+        # runs, where a fixed 1e-3 would be rejected
+        path = write_cfg({"identifier": {"kind": "mini-batch", "N": 1, "N_w": 10},
+                          "clock": {"t_low": 0.009, "t_high": 0.009},
+                          "sim": {"dt": 9e-4, "horizon": 1}})
+        assert main(["validate", path]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["check-identifier", path]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[:3] == ["optimality: PASS", "stability: PASS",
+                                                 "regularity: PASS"]
+
     def test_window_of_every_sample_passes(self, write_cfg, capsys):
         # the 10 s core process of a 0.1 s clock has 100 samples: a window of
         # 100 fills at the last one, and the oracle compares theta there

@@ -39,7 +39,7 @@ class TestRunCoreProcess:
     def test_accepts_bare_callable_exosystem(self):
         clock = ClockConfig(0.1, 0.1, "periodic", 0.1, 0)
         samples = run_core_process(clock, lambda w: [-v for v in w], np.array([1.0]),
-                                   lambda w: w, lambda w: w[0], horizon=0.35)
+                                   lambda w: w, lambda w: w[0], horizon=0.35, dt=1e-3)
         assert len(samples) == 3
         assert samples[0][1][0] == pytest.approx(np.exp(-0.1), abs=1e-9)
 

@@ -1,5 +1,7 @@
 """Clock, hybrid-arc, and flow/jump engine tests."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from adreg.hybrid import (
     HybridArc,
     arc_row_bound,
     check_step,
-    next_jump_time,
     simulate,
 )
 from adreg.numerics import rk4_step
@@ -45,16 +46,14 @@ def validate_arc(arc, clock=None, atol=1e-9):
 def _list_built_arc(flow, jump, x0, clock, horizon, dt):
     """The arc recorded one row copy at a time into Python lists: the
     reference the preallocated buffer of ``simulate`` must reproduce."""
-    rng = clock.make_rng()
     x = [float(v) for v in x0]
     t, jcnt = 0.0, 0
     ts, js, xs, pre_jump = [0.0], [0], [list(x)], []
-    next_t = next_jump_time(clock, 0.0, rng)
-    while True:
+    for next_t in clock.jump_times():
         t_end = min(next_t, horizon)
         while t_end - t > 1e-12:
             h = min(dt, t_end - t)
-            x = rk4_step(flow, x, h, t=t)
+            x = rk4_step(flow, x, h)
             t += h
             if t_end - t <= 1e-12:
                 t = t_end
@@ -71,7 +70,6 @@ def _list_built_arc(flow, jump, x0, clock, horizon, dt):
         xs.append(list(x))
         if next_t >= horizon:
             break
-        next_t = next_jump_time(clock, next_t, rng)
     return np.asarray(ts), np.asarray(js, dtype=int), np.asarray(xs), np.asarray(pre_jump, dtype=int)
 
 
@@ -110,16 +108,10 @@ class TestClockConfig:
 
     def test_uniform_gaps_within_bounds_and_reproducible(self):
         clock = ClockConfig(0.1, 0.3, "uniform", None, 7)
-        rng = clock.make_rng()
-        last, gaps = 0.0, []
-        for _ in range(100):
-            nxt = next_jump_time(clock, last, rng)
-            gaps.append(nxt - last)
-            last = nxt
-        gaps = np.array(gaps)
+        times = list(islice(clock.jump_times(), 100))
+        gaps = np.diff([0.0, *times])
         assert np.all(gaps >= 0.1) and np.all(gaps <= 0.3)
-        rng2 = clock.make_rng()
-        assert next_jump_time(clock, 0.0, rng2) == pytest.approx(gaps[0])
+        assert list(islice(clock.jump_times(), 100)) == times
 
 
 class TestSimulate:
@@ -173,6 +165,14 @@ class TestSimulate:
             simulate(lambda x: [-v for v in x], lambda t, j, x: x, np.array([1.0]), clock,
                      horizon, dt=dt)
 
+    @pytest.mark.parametrize("horizon,dt", [(1.0, 0.0), (1.0, -1e-3), (0.0, 1e-3)])
+    def test_non_positive_horizon_or_dt_rejected(self, horizon, dt):
+        clock = ClockConfig(0.1, 0.1, "periodic", 0.1, 0)
+        with pytest.raises(InvalidConfigError,
+                           match="^dt and horizon must be positive and finite$"):
+            simulate(lambda x: [-v for v in x], lambda t, j, x: x, np.array([1.0]), clock,
+                     horizon, dt=dt)
+
     def test_arc_past_what_an_array_can_index_rejected(self):
         # 1e303 rows: rejected before anything is allocated, naming the keys
         clock = ClockConfig(0.1, 0.1, "periodic", 0.1, 0)
@@ -209,17 +209,56 @@ class TestSimulate:
         want = simulate(*args)
         calls = []
 
-        def counting(field, state, dt, t=0.0):
-            calls.append(t)
-            return rk4_step(field, state, dt, t=t)
+        def counting(field, state, dt):
+            calls.append(list(state))
+            return rk4_step(field, state, dt)
 
         monkeypatch.setattr(hybrid, "rk4_step", counting)
         arc = simulate(*args)
-        # every row but the first and the post-jump rows ends one step
+        # every row but the first and the post-jump rows ends one step, which
+        # starts from the row before it
         assert len(calls) == arc.t.size - 1 - jump_rows(arc).size
-        assert calls == [arc.t[i] for i in range(arc.t.size - 1)
+        assert calls == [arc.states[i].tolist() for i in range(arc.t.size - 1)
                          if arc.j[i + 1] == arc.j[i]]
         assert np.array_equal(arc.states, want.states)
+
+    def test_blowup_raises(self):
+        # x holds at 0 until the second jump, at t = 2.5, sets it to 1e160,
+        # whose cube overflows in the first step after it
+        clock = ClockConfig(1.25, 1.25, "periodic", 1.25, 0)
+        big = [1e160]
+        with pytest.raises(IntegrationBlowupError) as exc:
+            simulate(lambda s: [v * v * v for v in s], lambda t, j, x: big if j == 1 else x,
+                     np.array([0.0]), clock, 5.0, dt=0.125)
+        assert exc.value.t == 2.625  # the step's end
+        assert exc.value.j == 2
+        assert exc.value.state is big  # the pre-step state
+        assert not np.isfinite(exc.value.output).all()
+
+    def test_finite_entries_whose_sum_overflows_do_not_raise(self):
+        clock = ClockConfig(0.1, 0.1, "periodic", 0.1, 0)
+        state = [1e308, 1.5e308, -1.0, 2.0]
+        args = (lambda s: [0.0] * len(s), lambda t, j, x: x)
+        arc = simulate(*args, np.array(state), clock, 0.25, dt=1e-2)
+        assert np.array_equal(arc.states, np.tile(state, (arc.t.size, 1)))
+        with pytest.raises(IntegrationBlowupError) as exc:
+            simulate(*args, np.array([*state, np.inf]), clock, 0.25, dt=1e-2)
+        assert (exc.value.t, exc.value.j) == (1e-2, 0)
+
+    def test_overflowing_field_raises_with_the_numpy_steps_output(self, numpy_rk4_step):
+        clock = ClockConfig(1.0, 1.0, "periodic", 1.0, 0)
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            state = rng.standard_normal(5) * 1e100
+            field = lambda s: s * s * s  # noqa: E731
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = numpy_rk4_step(field, state, 0.1)
+                with pytest.raises(IntegrationBlowupError) as got:
+                    simulate(lambda s: field(np.asarray(s)).tolist(), lambda t, j, x: x, state,
+                             clock, 1.0, dt=0.1)
+            assert (got.value.t, got.value.j) == (0.1, 0)
+            assert got.value.state == state.tolist()
+            assert np.array(got.value.output).tobytes() == want.tobytes()
 
     def test_produced_arc_validates(self):
         clock = ClockConfig(0.1, 0.3, "uniform", None, 3)

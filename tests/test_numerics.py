@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from adreg.errors import IntegrationBlowupError, InvalidConfigError, InvalidInputError
+from adreg.errors import InvalidConfigError, InvalidInputError
 from adreg.numerics import (
     is_controllable,
     place_poles,
@@ -158,18 +158,6 @@ class TestRk4Step:
             assert got.tobytes() == want.tobytes()
             assert state.tobytes() == before
 
-    def test_blowup_raises(self):
-        state = [1e160]
-        with pytest.raises(IntegrationBlowupError) as exc, np.errstate(over="ignore"):
-            rk4_step(lambda s: [v * v * v for v in s], state, 1.0, t=2.5)
-        assert exc.value.t == pytest.approx(3.5)
-        assert exc.value.state is state
-        assert not np.isfinite(exc.value.output).all()
-
-    def test_bad_dt_rejected(self):
-        with pytest.raises(InvalidInputError):
-            rk4_step(lambda s: [-v for v in s], [1.0], 0.0)
-
     @pytest.mark.parametrize("stage", range(4))
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_field_of_another_length_rejected(self, stage, extra):
@@ -186,25 +174,6 @@ class TestRk4Step:
                            match=f"field returned {3 + extra} components for a state of 3"):
             rk4_step(field, [1.0, 2.0, 3.0], 0.1)
         assert calls == [3] * (stage + 1)
-
-
-def _numpy_rk4_step(field, state, dt, t=0.0):
-    """The RK4 step on numpy arrays that the list step replaced: the stages
-    combined in place in the arrays the field returns."""
-    k1 = field(state)
-    k2 = field(state + 0.5 * dt * k1)
-    k3 = field(state + 0.5 * dt * k2)
-    k4 = field(state + dt * k3)
-    k2 *= 2.0
-    k1 += k2
-    k3 *= 2.0
-    k1 += k3
-    k1 += k4
-    k1 *= dt / 6.0
-    k1 += state
-    if not np.isfinite(k1).all():
-        raise IntegrationBlowupError(t + dt, 0, state, k1)
-    return k1
 
 
 def _rk4_stability(z):
@@ -242,33 +211,26 @@ class TestRk4StepOnLists:
         yield lambda s: np.tanh(b * s) * (a @ s) + 1e-3 * s**3
         yield lambda s: np.cos(s) - a @ (s * b)
 
-    def test_equals_the_numpy_step_bit_for_bit(self):
+    def test_equals_the_numpy_step_bit_for_bit(self, numpy_rk4_step):
         rng = np.random.default_rng(11)
         for n in (1, 2, 7, 13, 307):
             for field in self._fields(rng, n):
                 for _ in range(10):
                     state = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 2)
                     dt = float(rng.choice([1e-3, 0.05, 0.37]))
-                    want = _numpy_rk4_step(field, state, dt)
+                    want = numpy_rk4_step(field, state, dt)
                     got = rk4_step(lambda s: field(np.asarray(s)).tolist(), state.tolist(), dt)
                     assert type(got) is list
                     assert np.array(got).tobytes() == want.tobytes()
 
-    def test_finite_entries_whose_sum_overflows_do_not_raise(self):
-        state = [1e308, 1.5e308, -1.0, 2.0]
-        assert rk4_step(lambda s: [0.0] * len(s), state, 0.1) == state
-        with pytest.raises(IntegrationBlowupError):
-            rk4_step(lambda s: [0.0] * len(s), [*state, np.inf], 0.1)
-
-    def test_overflowing_field_raises_with_the_numpy_steps_output(self):
+    def test_overflowing_field_returns_the_numpy_steps_output(self, numpy_rk4_step):
+        # the step checks nothing: simulate checks its output
         rng = np.random.default_rng(12)
         for _ in range(10):
             state = rng.standard_normal(5) * 1e100
             field = lambda s: s * s * s  # noqa: E731
             with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(IntegrationBlowupError) as want:
-                    _numpy_rk4_step(field, state, 0.1, t=1.0)
-                with pytest.raises(IntegrationBlowupError) as got:
-                    rk4_step(lambda s: field(np.asarray(s)).tolist(), state.tolist(), 0.1, t=1.0)
-            assert got.value.t == want.value.t
-            assert np.array_equal(got.value.output, want.value.output, equal_nan=True)
+                want = numpy_rk4_step(field, state, 0.1)
+                got = rk4_step(lambda s: field(np.asarray(s)).tolist(), state.tolist(), 0.1)
+            assert not np.isfinite(want).all()
+            assert np.array(got).tobytes() == want.tobytes()
