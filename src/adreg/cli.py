@@ -69,8 +69,8 @@ CORE_PROCESS_S = 10.0  # check-identifier's core process, whatever sim.horizon i
 
 def cmd_check_identifier(args):
     """Verify the configured identifier on the synthetic core process: its
-    samples are at the clock's jumps in CORE_PROCESS_S s at step sim.dt, and
-    a window of n_window samples must fill, for the oracle to compare theta once."""
+    samples are tau(w) and u*(w) on the pre-jump rows of w in CORE_PROCESS_S s
+    at step sim.dt, and a window of n_window must fill, for the oracle to compare."""
     cfg = _load_config(args.config)
     if cfg.identifier["kind"] == "none":
         raise InvalidConfigError("check-identifier needs an identifier kind != none")
@@ -79,18 +79,18 @@ def cmd_check_identifier(args):
     given = {key: cfg.plant[key] for key in ("rho", "p0", "w0") if key in cfg.plant}
     cell = _wire(replace(cfg, plant={"kind": "synthetic-linear", **given}, output={}))
     plant, clock = cell.plant, cell.clock
-    samples = run_core_process(clock, plant.eval_s, cell.v0[cell.lay.w], plant.tau, plant.ustar,
-                               horizon=CORE_PROCESS_S, dt=cfg.sim["dt"])
-    if not samples:
+    etas, us = run_core_process(clock, plant.eval_s, cell.v0[cell.lay.w], plant.tau_rows,
+                                plant.ustar_rows, horizon=CORE_PROCESS_S, dt=cfg.sim["dt"])
+    if not us.size:
         period = f", clock.period = {clock.period!r}" if clock.period is not None else ""
         raise InvalidConfigError(f"clock.t_low = {clock.t_low!r}{period}: the clock makes no "
                                  f"jump in check-identifier's {CORE_PROCESS_S:g} s core process")
-    if len(samples) < (cell.ident.n_window or 0):
+    if us.size < (cell.ident.n_window or 0):
         raise InvalidConfigError(f"identifier.N_w = {cell.ident.n_window} is more than the "
-                                 f"{len(samples)} samples of check-identifier's "
+                                 f"{us.size} samples of check-identifier's "
                                  f"{CORE_PROCESS_S:g} s core process")
     try:
-        report = verify_identifier_requirement(cell.ident, samples)
+        report = verify_identifier_requirement(cell.ident, etas, us)
     except InvalidInputError as exc:  # a Gram of samples past the float range
         raise InvalidConfigError(f"plant.w0 = {cell.v0[cell.lay.w].tolist()}: the identifier's "
                                  f"jump on check-identifier's {CORE_PROCESS_S:g} s core process "

@@ -1,10 +1,11 @@
 """Core-process data generation, identifier-requirement verification, and the
 brute-force cost oracle used by the acceptance tests.
 
-A sample is what an identifier takes at a jump: (j, eta, float u). The maps
-tau and u* are existential in general, so the harness accepts user-supplied
-evaluators; the closed-loop simulator never needs them. Their sole role is
-posing a well-defined optimization problem for testing.
+The samples an identifier takes are two arrays: eta rows, one per jump, and
+the float u of each. The maps tau and u* are existential in general, so the
+harness accepts user-supplied row maps; the closed-loop simulator never
+needs them. Their sole role is posing a well-defined optimization problem
+for testing.
 """
 
 import copy
@@ -20,44 +21,42 @@ from .numerics import pseudoinverse
 TRIALS, SEED, OPTIMALITY_TOL = 5, 0, 1e-8
 
 
-def run_core_process(clock, exo, w0, tau_eval, ustar_eval, horizon, dt):
-    """The ideal samples (j, tau(w), float u*(w)) at the jumps of ``clock``
-    over the exosystem flow ``exo`` from ``w0``, integrated at step dt."""
-    samples = []
-
-    def jump(t, j, w):
-        samples.append((j, np.array(tau_eval(w), dtype=float), float(ustar_eval(w))))
-        return w
-
-    simulate(exo, jump, w0, clock, horizon, dt)
-    return samples
+def run_core_process(clock, exo, w0, tau_rows, ustar_rows, horizon, dt):
+    """The ideal samples at the jumps of ``clock`` over the exosystem flow
+    ``exo`` from ``w0``, integrated at step dt: the arc's pre-jump rows of w,
+    mapped by ``tau_rows`` to eta rows (n, d_eta) and by ``ustar_rows`` to
+    the floats u* (n,)."""
+    arc = simulate(exo, lambda t, j, w: w, w0, clock, horizon, dt)
+    w_rows = arc.states[np.flatnonzero(np.diff(arc.j))]
+    return np.asarray(tau_rows(w_rows), dtype=float), np.asarray(ustar_rows(w_rows), dtype=float)
 
 
-def brute_force_cost_minimizer(samples, regressor, mu_f, omega):
+def brute_force_cost_minimizer(etas, us, regressor, mu_f, omega):
     """Direct minimizer of the forgetting-weighted least-squares cost, with
-    Omega = omega I.
+    Omega = omega I, over the samples (etas[i], us[i]), the last one newest.
 
-    Rebuilds the weighted normal equations from the raw samples on every call
-    and solves with the pseudoinverse; intentionally independent of the
-    recursive update it is used to check.
+    Builds the weighted normal equations from the raw samples on every call,
+    as one product over the regressor rows S = sigma(etas) with the weights
+    mu_f^(j-1-i), and solves with the pseudoinverse; intentionally
+    independent of both identifiers' updates, which it is used to check.
     """
-    if not samples:
+    if len(etas) == 0:
         raise InvalidConfigError("need at least one sample")
-    j = len(samples)
-    gram = float(omega) * np.eye(regressor.d_sigma)
-    rhs = np.zeros(regressor.d_sigma)
-    for i, (_, win, wout) in enumerate(samples):
-        sig = regressor(win)
-        gram += mu_f ** (j - i - 1) * np.outer(sig, sig)
-        rhs += mu_f ** (j - i - 1) * sig * wout
-    return pseudoinverse(gram) @ rhs
+    rows = regressor.batch(etas)
+    weights = float(mu_f) ** np.arange(len(rows) - 1, -1, -1)
+    gram = rows.T @ (weights[:, None] * rows)
+    gram += float(omega) * np.eye(regressor.d_sigma)
+    return pseudoinverse(gram) @ (rows.T @ (weights * us))
 
 
-def verify_identifier_requirement(identifier, samples):
+def verify_identifier_requirement(identifier, etas, us):
     """Empirical check of the optimality / stability / regularity triple on
-    ``samples``, a list of (j, eta, float u) such as ``run_core_process``'s,
-    of at least one sample and at least the identifier's ``n_window``
-    (``cli.cmd_check_identifier`` checks that it is).
+    the samples (etas[i], us[i]), eta rows and floats such as
+    ``run_core_process``'s, of at least one sample and at least the
+    identifier's ``n_window`` (``cli.cmd_check_identifier`` checks that it
+    is). 1 + 4 TRIALS identifiers walk them (21 at TRIALS = 5): one for
+    optimality, where the oracle solves at every jump from j* on, and a pair
+    for each of the TRIALS contraction and ISS-gain draws.
 
     Works for any identifier exposing ``regressor``, ``theta``, ``mu_f``,
     ``n_window``, ``omega``, ``jump``, ``perturbed`` and ``gap``, whose
@@ -75,11 +74,12 @@ def verify_identifier_requirement(identifier, samples):
     j_star = identifier.n_window or 0
     ident = copy.copy(identifier)
     worst = 0.0
-    for j, (_, win, wout) in enumerate(samples, start=1):
+    for j, (win, wout) in enumerate(zip(etas, us), start=1):
         ident.jump(win, wout)
         if j >= j_star:
-            window = samples[j - j_star:j] if j_star else samples[:j]
-            th_star = brute_force_cost_minimizer(window, reg, identifier.mu_f, identifier.omega)
+            first = j - j_star if j_star else 0
+            th_star = brute_force_cost_minimizer(etas[first:j], us[first:j], reg,
+                                                 identifier.mu_f, identifier.omega)
             dev = np.linalg.norm(ident.theta - th_star) / (1.0 + np.linalg.norm(th_star))
             worst = max(worst, dev)
     report["optimality"] = worst <= OPTIMALITY_TOL
@@ -94,7 +94,7 @@ def verify_identifier_requirement(identifier, samples):
         a = copy.copy(identifier)
         b = identifier.perturbed(rng)
         gap0 = b.gap(a)
-        for j, (_, win, wout) in enumerate(samples, start=1):
+        for j, (win, wout) in enumerate(zip(etas, us), start=1):
             a.jump(win, wout)
             b.jump(win, wout)
             gap = b.gap(a)
@@ -107,11 +107,11 @@ def verify_identifier_requirement(identifier, samples):
     gains = []
     for _ in range(TRIALS):
         amp = 0.1
-        d_in = rng.uniform(-amp, amp, size=(len(samples), samples[0][1].size))
-        d_out = rng.uniform(-amp, amp, size=len(samples))
+        d_in = rng.uniform(-amp, amp, size=etas.shape)
+        d_out = rng.uniform(-amp, amp, size=len(us))
         a, b = copy.copy(identifier), copy.copy(identifier)
         dev = 0.0
-        for i, (_, win, wout) in enumerate(samples):
+        for i, (win, wout) in enumerate(zip(etas, us)):
             a.jump(win, wout)
             b.jump(win + d_in[i], wout + d_out[i])
             dev = max(dev, b.gap(a))
@@ -126,7 +126,7 @@ def verify_identifier_requirement(identifier, samples):
     h = 1e-6
     for _ in range(TRIALS):
         theta = rng.standard_normal(reg.d_sigma)
-        eta = rng.uniform(-1.0, 1.0, size=samples[0][1].size)
+        eta = rng.uniform(-1.0, 1.0, size=etas.shape[1])
         jac = theta @ reg.jacobian(eta)
         fd = np.array([theta @ reg(eta + e) - theta @ reg(eta - e)
                        for e in h * np.eye(eta.size)]) / (2 * h)

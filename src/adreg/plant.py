@@ -157,8 +157,7 @@ class SyntheticLinearPlant(_Plant):
 
     F and G are a Regulator's. The Sylvester equation is solved in its
     Kronecker form (I_2 (x) F - S' (x) I) vec(M) = vec(-G c'), with
-    column-major vec. The one-row ``ustar`` and ``tau`` are
-    check-identifier's; ``tau`` and ``tau_rows`` differ in the last bit.
+    column-major vec. ``tau_rows(rows)`` is tau on rows of w.
     """
 
     def __init__(self, rho, f, g):
@@ -171,14 +170,8 @@ class SyntheticLinearPlant(_Plant):
         self.rho = rho
         self.q_lines = (f"q = {float_literal(rho)} * w1",)
 
-    def ustar(self, w):
-        return -self.rho * w[0]
-
     def ustar_rows(self, rows):
         return -self.rho * rows[:, 0]
-
-    def tau(self, w):
-        return self.M @ w
 
     def tau_rows(self, rows):
         return rows @ self.M.T

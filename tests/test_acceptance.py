@@ -116,18 +116,19 @@ class TestCriterion2OracleEquivalence:
         t0 = time.perf_counter()
         res = run_scenario(self._short_cfg(
             {"kind": "ls", "N": 1, "mu_f": 0.99, "omega_scale": 1e-3}))
-        samples = fed_samples
-        assert len(samples) >= 50
+        assert len(fed_samples) >= 50
+        etas = np.array([eta for eta, _ in fed_samples])
+        us = np.array([u for _, u in fed_samples])
         reg = build_poly_regressor(6, 1)
         omega = 1e-3
-        for j in range(1, len(samples) + 1):
-            oracle = brute_force_cost_minimizer(samples[:j], reg, 0.99, omega)
+        for j in range(1, len(us) + 1):
+            oracle = brute_force_cost_minimizer(etas[:j], us[:j], reg, 0.99, omega)
             theta_j = res.thetas[j - 1]
             assert np.linalg.norm(theta_j - oracle) <= 1e-8 * (
                 1.0 + np.linalg.norm(oracle)
             )
         # clamps inactive on this data
-        for _, eta, u in samples:
+        for eta, u in fed_samples:
             sig = reg(eta)
             assert np.linalg.norm(np.outer(sig, sig)) < 1e6
             assert np.linalg.norm(sig * u) < 1e6
@@ -149,8 +150,8 @@ class TestCriterion2OracleEquivalence:
                 continue
             window = samples[j - n_w:j]
             # independent ridge oracle via the stacked augmented system
-            a = np.array([reg(eta) for _, eta, _ in window])
-            b = np.array([u for _, _, u in window])
+            a = np.array([reg(eta) for eta, _ in window])
+            b = np.array([u for _, u in window])
             aug_a = np.vstack([a, np.sqrt(omega) * np.eye(reg.d_sigma)])
             aug_b = np.concatenate([b, np.zeros(reg.d_sigma)])
             oracle = np.linalg.lstsq(aug_a, aug_b, rcond=None)[0]

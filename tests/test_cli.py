@@ -14,6 +14,7 @@ import pytest
 
 from adreg import scenario
 from adreg.cli import EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK, EXIT_THRESHOLD, main
+from adreg.harness import OPTIMALITY_TOL
 from adreg.hybrid import ClockConfig, arc_row_bound, jump_bound
 from adreg.numerics import pseudoinverse
 from adreg.regulator import Regulator
@@ -842,6 +843,28 @@ class TestCheckIdentifier:
         assert captured.err == ""
         assert captured.out.splitlines()[:3] == ["optimality: PASS", "stability: PASS",
                                                  "regularity: PASS"]
+
+    def test_fast_clock_passes(self, write_cfg, capsys):
+        # a clock of t_low = 0.005 gives 2,000 samples in the 10 s core
+        # process: the oracle solves at each of them, from one product each
+        path = write_cfg({"identifier": {"kind": "ls", "N": 1},
+                          "clock": {"t_low": 0.005, "t_high": 0.005},
+                          "sim": {"dt": 1e-4, "horizon": 1}})
+        assert main(["check-identifier", path]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[:3] == ["optimality: PASS", "stability: PASS",
+                                                 "regularity: PASS"]
+
+    def test_mini_batch_oracle_is_not_the_solver(self, write_cfg, capsys):
+        # the oracle forms the window's Gram as one product, not by the
+        # solver's own sum of outer products, so theta and theta* differ in
+        # their last bits, within the tolerance
+        path = write_cfg({"identifier": {"kind": "mini-batch", "N": 3, "N_w": 10}})
+        assert main(["check-identifier", path]) == EXIT_OK
+        report = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        assert report["optimality"] == "PASS"
+        assert 0.0 < float(report["optimality_worst_dev"]) <= OPTIMALITY_TOL
 
     def test_window_of_every_sample_passes(self, write_cfg, capsys):
         # the 10 s core process of a 0.1 s clock has 100 samples: a window of

@@ -77,10 +77,7 @@ class TestSyntheticLinearPlant:
         rho = 2.0
         im = _regulator(d_eta=6)
         plant = build_synthetic_linear_plant(rho, im.F, im.G)
-        m = np.column_stack([
-            plant.tau(np.array([1.0, 0.0])),
-            plant.tau(np.array([0.0, 1.0])),
-        ])
+        m = plant.tau_rows(np.eye(2)).T  # columns tau(e1), tau(e2)
         s_mat = np.array([[0.0, 1.0], [-rho, 0.0]])
         c = np.array([-rho, 0.0])
         lhs = im.F @ m - m @ s_mat
@@ -103,20 +100,17 @@ class TestSyntheticLinearPlant:
         im = _regulator(d_eta=6)
         plant = build_synthetic_linear_plant(rho, im.F, im.G)
         theta = plant.theta_star
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            w = rng.normal(size=2)
-            assert float(theta @ plant.tau(w)) == pytest.approx(
-                -rho * w[0], abs=1e-9
-            )
+        rows = np.random.default_rng(0).normal(size=(10, 2))
+        assert np.allclose(plant.tau_rows(rows) @ theta, -rho * rows[:, 0], rtol=0, atol=1e-9)
+        assert np.array_equal(plant.ustar_rows(rows), -rho * rows[:, 0])
 
-    def test_tau_rows_matches_tau(self):
+    def test_tau_rows_is_m_w_on_each_row(self):
         im = _regulator(d_eta=4)
         plant = build_synthetic_linear_plant(1.5, im.F, im.G)
         rows = np.random.default_rng(1).normal(size=(5, 2))
         batch = plant.tau_rows(rows)
         for i, w in enumerate(rows):
-            assert np.allclose(batch[i], plant.tau(w))
+            assert np.allclose(batch[i], plant.M @ w)
 
     def test_invalid_rho(self):
         # the plant section's ranges are the config schema's
@@ -190,7 +184,7 @@ class TestRunScenario:
         reg, lay = _regulator(), state_layout(6)
         pre = np.flatnonzero(np.diff(res.j))
         assert len(fed_samples) == pre.size == res.summary["jumps_total"] > 0
-        for (_, eta, u), row in zip(fed_samples, res.states[pre]):
+        for (eta, u), row in zip(fed_samples, res.states[pre]):
             assert eta.tobytes() == row[lay.eta].tobytes()
             want = -row[lay.sigma_hat:] - reg.K @ row[lay.x_hat]
             norm = np.linalg.norm(want)
