@@ -54,9 +54,10 @@ def verify_identifier_requirement(identifier, etas, us):
     the samples (etas[i], us[i]), eta rows and floats such as
     ``run_core_process``'s, of at least one sample and at least the
     identifier's ``n_window`` (``cli.cmd_check_identifier`` checks that it
-    is). 1 + 4 TRIALS identifiers walk them (21 at TRIALS = 5): one for
-    optimality, where the oracle solves at every jump from j* on, and a pair
-    for each of the TRIALS contraction and ISS-gain draws.
+    is). 1 + 2 TRIALS identifiers walk them once, together (11 at TRIALS =
+    5): a clean clone, whose theta the oracle compares at every jump from j*
+    on, and TRIALS perturbed and TRIALS disturbed clones, each measured
+    against the clean one after each jump.
 
     Works for any identifier exposing ``regressor``, ``theta``, ``mu_f``,
     ``n_window``, ``omega``, ``jump``, ``perturbed`` and ``gap``, whose
@@ -69,54 +70,44 @@ def verify_identifier_requirement(identifier, etas, us):
     report = {"optimality": True, "stability": True, "regularity": True}
     reg = identifier.regressor
 
-    # --- optimality: theta(j) vs the brute-force minimizer of the same cost,
-    # from j* on; a window of n_window samples is full from j* = n_window
+    # --- optimality: the clean clone's theta(j) vs the brute-force minimizer
+    # of the same cost, from j* on; a window of n_window samples is full from
+    # j* = n_window. --- stability, in the same walk: on the clean stream a
+    # perturbed clone's gap to the clean one contracts at the forgetting rate
+    # and vanishes once a window has been replaced; plus an empirical ISS gain
+    # of clones fed bounded input disturbances
     j_star = identifier.n_window or 0
-    ident = copy.copy(identifier)
-    worst = 0.0
+    clean = copy.copy(identifier)
+    perturbed = [identifier.perturbed(rng) for _ in range(TRIALS)]
+    gap0 = [b.gap(clean) for b in perturbed]
+    amp = 0.1
+    disturbed = [(copy.copy(identifier), rng.uniform(-amp, amp, size=etas.shape),
+                  rng.uniform(-amp, amp, size=len(us))) for _ in range(TRIALS)]
+    devs = [0.0] * TRIALS
+    worst, contraction_ok = 0.0, True
     for j, (win, wout) in enumerate(zip(etas, us), start=1):
-        ident.jump(win, wout)
+        clean.jump(win, wout)
         if j >= j_star:
             first = j - j_star if j_star else 0
             th_star = brute_force_cost_minimizer(etas[first:j], us[first:j], reg,
                                                  identifier.mu_f, identifier.omega)
-            dev = np.linalg.norm(ident.theta - th_star) / (1.0 + np.linalg.norm(th_star))
+            dev = np.linalg.norm(clean.theta - th_star) / (1.0 + np.linalg.norm(th_star))
             worst = max(worst, dev)
-    report["optimality"] = worst <= OPTIMALITY_TOL
-    report["optimality_worst_dev"] = worst
-    report["j_star"] = j_star
-
-    # --- stability: on identical streams the state gap contracts at the
-    # forgetting rate and vanishes once a window has been replaced; plus an
-    # empirical ISS gain under bounded input disturbances
-    contraction_ok = True
-    for _ in range(TRIALS):
-        a = copy.copy(identifier)
-        b = identifier.perturbed(rng)
-        gap0 = b.gap(a)
-        for j, (win, wout) in enumerate(zip(etas, us), start=1):
-            a.jump(win, wout)
+        for b, g0 in zip(perturbed, gap0):
             b.jump(win, wout)
-            gap = b.gap(a)
-            if gap > identifier.mu_f ** j * gap0 * (1.0 + 1e-9) + 1e-12:
+            gap = b.gap(clean)
+            if gap > identifier.mu_f ** j * g0 * (1.0 + 1e-9) + 1e-12:
                 contraction_ok = False
             if 0 < j_star <= j and gap > 1e-10:
                 contraction_ok = False
+        for k, (b, d_in, d_out) in enumerate(disturbed):
+            b.jump(win + d_in[j - 1], wout + d_out[j - 1])
+            devs[k] = max(devs[k], b.gap(clean))
+    report["optimality"] = worst <= OPTIMALITY_TOL
+    report["optimality_worst_dev"] = worst
+    report["j_star"] = j_star
     report["stability"] = contraction_ok
-
-    gains = []
-    for _ in range(TRIALS):
-        amp = 0.1
-        d_in = rng.uniform(-amp, amp, size=etas.shape)
-        d_out = rng.uniform(-amp, amp, size=len(us))
-        a, b = copy.copy(identifier), copy.copy(identifier)
-        dev = 0.0
-        for i, (win, wout) in enumerate(zip(etas, us)):
-            a.jump(win, wout)
-            b.jump(win + d_in[i], wout + d_out[i])
-            dev = max(dev, b.gap(a))
-        gains.append(dev / amp)
-    report["iss_gain_estimate"] = float(max(gains))
+    report["iss_gain_estimate"] = float(max(dev / amp for dev in devs))
     if not np.isfinite(report["iss_gain_estimate"]):
         report["stability"] = False
 

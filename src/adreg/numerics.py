@@ -40,23 +40,29 @@ def place_poles(desired):
 
 
 # |R(-x)| <= 1 for 0 <= x <= RK4_REAL_BOUND, the real root of
-# R(-x) = 1 past 0 (Hairer & Wanner, Solving ODEs II, IV.2)
+# R(-x) = 1 past 0, and |R(iy)| <= 1 for |y| <= RK4_IMAG_BOUND = 2 sqrt(2)
+# (Hairer & Wanner, Solving ODEs II, IV.2)
 RK4_REAL_BOUND = 2.785293563405282
+RK4_IMAG_BOUND = 2.8284271247461903
 
 
 def rk4_stable_step(lam):
     """The largest h > 0 such that an RK4 step of any size in (0, h] is stable
-    on y' = lam y, for lam with a negative real part: |R(z)| <= 1 along the
-    ray z = h lam, with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 the step's
-    stability function.
+    on y' = lam y, for lam with a negative real part or a purely imaginary
+    one: |R(z)| <= 1 along the ray z = h lam, with
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 the step's stability function.
 
     For a complex lam, |R(h mu)|^2 - 1 is a polynomial in h on the unit
     direction mu = lam/|lam|, with a root at h = 0; its smallest positive
     root over |lam| is h. A real lam takes the closed form, which spares
-    every shipped config the complex arithmetic and its pages of memory.
+    every shipped config the complex arithmetic and its pages of memory. An
+    imaginary lam takes one too: there |R(h mu)|^2 - 1 = h^8/576 - h^6/72,
+    whose h^5 factor over h gives numpy's roots noise roots near 0.
     """
     if lam.imag == 0.0:
         return RK4_REAL_BOUND / abs(lam)
+    if lam.real == 0.0:
+        return RK4_IMAG_BOUND / abs(lam)
     lam = complex(lam)
     c = (lam / abs(lam)) ** np.arange(5) / [1.0, 1.0, 2.0, 6.0, 24.0]
     p = np.convolve(c, c.conj()).real  # |R(h mu)|^2, ascending powers of h

@@ -180,6 +180,5 @@ class SyntheticLinearPlant(_Plant):
         return float(w[0]), float(w[1])
 
 
-# the names scenario._wire calls; bench/tracer.py replaces the first one
+# the name scenario._wire builds the VdP plant by, which bench/tracer.py replaces
 build_vdp_scenario = VdpPlant
-build_synthetic_linear_plant = SyntheticLinearPlant

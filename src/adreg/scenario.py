@@ -22,7 +22,7 @@ from .hybrid import ClockConfig, arc_bytes, arc_row_bound, check_step, jump_boun
 from .identifier import (LsIdentifier, MiniBatchIdentifier, build_poly_regressor,
                          poly_regressor_size)
 from .numerics import rk4_stable_step
-from .plant import SOURCE_NAMES, build_synthetic_linear_plant, build_vdp_scenario, float_literal
+from .plant import SOURCE_NAMES, SyntheticLinearPlant, build_vdp_scenario, float_literal
 from .regulator import Regulator, saturate
 
 CSV_HEADER = "t,j,y,u,u_star,gamma_hat,err_xhat,err_sigmahat,eps_star"
@@ -606,11 +606,13 @@ def _wire(cfg):
         # reduction.
         w0_default = [1.0 / math.pi, 0.0]
     else:
-        plant = build_synthetic_linear_plant(pcfg["rho"], reg.F, reg.G)
+        plant = SyntheticLinearPlant(pcfg["rho"], reg.F, reg.G)
         w0_default = [1.0, 0.0]
     w0 = pcfg["w0"] if "w0" in pcfg else w0_default
 
-    lambda_dt = _check_rk4_stable(dt, reg.linear_poles)
+    # the exosystem w' = (w2, -rho w1) has the poles +-i sqrt(rho); one stands for both
+    lambda_dt = _check_rk4_stable(dt, {**reg.linear_poles,
+                                       "plant.rho": [1j * math.sqrt(pcfg["rho"])]})
     ident = _build_identifier(cfg.identifier, reg.d_eta)
     v0 = _error_coordinates(plant, pcfg["p0"], w0, lay)
     cost = RunCost(d_sigma, *(nbytes for _, nbytes in parts), total, memory, terms, jumps,

@@ -25,7 +25,7 @@ from adreg.identifier import (
     build_poly_regressor,
 )
 from adreg.numerics import is_controllable, place_poles
-from adreg.plant import build_synthetic_linear_plant
+from adreg.plant import SyntheticLinearPlant
 from adreg.regulator import Regulator
 from adreg.scenario import ScenarioConfig, run_scenario, run_sweep
 
@@ -242,7 +242,7 @@ class TestCriterion5AsymptoticRegulation:
         res = run_scenario(cfg)
         assert res.summary["steady_state_max_y"] <= 1e-4
         im = Regulator(**ScenarioConfig().regulator)
-        theta_star = build_synthetic_linear_plant(2.0, im.F, im.G).theta_star
+        theta_star = SyntheticLinearPlant(2.0, im.F, im.G).theta_star
         theta = np.array(res.summary["final_theta"])
         assert np.linalg.norm(theta - theta_star) <= 1e-2
         # the ideal prediction error is identically ~0 in this model set

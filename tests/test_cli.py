@@ -470,6 +470,25 @@ class TestRk4StepRule:
         lambda_dt = float(cost.rsplit("; largest |lambda| dt = ", 1)[1])
         assert lambda_dt == pytest.approx(3 * ell * dt, rel=1e-3)
 
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_unstable_step_on_the_exosystem_is_config_error(self, write_cfg, capsys, command):
+        # w' = (w2, -rho w1) has the poles +-i sqrt(rho): RK4 is stable on
+        # them while rho dt^2 <= 8
+        path = write_cfg({"plant": {"kind": "synthetic-linear", "rho": 8.1e6},
+                          "sim": {"horizon": 3}})
+        assert main([command, path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: plant.rho gives the linear pole 0+2846.05j, on which an RK4 step of "
+            "sim.dt = 0.001 is unstable (|lambda| dt = 2.846); sim.dt must be at most "
+            "0.000993808\n")
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_stable_step_on_the_exosystem_is_accepted(self, write_cfg, capsys, command):
+        path = write_cfg({"plant": {"kind": "synthetic-linear", "rho": 7.9e6},
+                          "sim": {"horizon": 3}})
+        assert main([command, path]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_sweep_cell_past_the_bound_is_an_error_row(self, write_cfg, capsys):
         path = write_cfg({"sim": SHORT_SIM})
         assert main(["sweep", path, "--axis", "ell", "--values", "20,950"]) == EXIT_OK

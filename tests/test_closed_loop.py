@@ -21,7 +21,7 @@ import pytest
 
 from adreg import scenario
 from adreg.identifier import LsIdentifier, build_poly_regressor
-from adreg.plant import build_synthetic_linear_plant, build_vdp_scenario, p1star_and_lie
+from adreg.plant import SyntheticLinearPlant, build_vdp_scenario, p1star_and_lie
 from adreg.regulator import Regulator
 from adreg.scenario import ScenarioConfig, build_closed_loop, field_terms, state_layout
 
@@ -73,7 +73,7 @@ def oracle_synthetic_q(rho):
 # plant kind -> (the plant for the regulator reg, the oracle's q), a = rho = 2
 PLANTS = {
     "vdp": lambda reg: (build_vdp_scenario(2.0, 2.0), oracle_vdp_q(2.0, 2.0)),
-    "synthetic-linear": lambda reg: (build_synthetic_linear_plant(2.0, reg.F, reg.G),
+    "synthetic-linear": lambda reg: (SyntheticLinearPlant(2.0, reg.F, reg.G),
                                      oracle_synthetic_q(2.0)),
 }
 

@@ -1,11 +1,16 @@
 """Harness tests: ideal data generation and the identifier-requirement
 verification report."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from adreg.errors import InvalidConfigError
 from adreg.harness import (
+    OPTIMALITY_TOL,
+    SEED,
+    TRIALS,
     brute_force_cost_minimizer,
     format_report,
     run_core_process,
@@ -100,6 +105,22 @@ class TestBruteForceCostMinimizer:
                                        0.9, 0.0)
 
 
+class Broken(LsIdentifier):
+    def jump(self, eta_in, u_out):
+        super().jump(eta_in, u_out)
+        self.theta = self.theta + 0.1  # systematic bias
+
+
+class Blended(MiniBatchIdentifier):
+    """theta <- (theta_old + theta_solve) / 2 halves a perturbation of theta
+    at each jump instead of forgetting it once the window is replaced."""
+
+    def jump(self, eta_in, u_out):
+        old = self.theta
+        super().jump(eta_in, u_out)
+        self.theta = 0.5 * old + 0.5 * self.theta
+
+
 class TestVerifyIdentifierRequirement:
     @staticmethod
     def _samples_for(reg, horizon):
@@ -124,30 +145,48 @@ class TestVerifyIdentifierRequirement:
 
     def test_broken_identifier_fails_optimality(self):
         reg = PolyRegressor(2, 1)
-
-        class Broken(LsIdentifier):
-            def jump(self, eta_in, u_out):
-                super().jump(eta_in, u_out)
-                self.theta = self.theta + 0.1  # systematic bias
-
         ident = Broken(reg, mu_f=0.95, omega=1e-3)
         report = verify_identifier_requirement(ident, *self._samples_for(reg, 2.0))
         assert not report["optimality"]
 
     def test_blended_mini_batch_fails_stability(self):
-        # theta <- (theta_old + theta_solve) / 2 halves a perturbation of theta
-        # at each jump instead of forgetting it once the window is replaced
         reg = PolyRegressor(2, 1)
-
-        class Blended(MiniBatchIdentifier):
-            def jump(self, eta_in, u_out):
-                old = self.theta
-                super().jump(eta_in, u_out)
-                self.theta = 0.5 * old + 0.5 * self.theta
-
         ident = Blended(reg, n_window=10, omega=1e-6)
         report = verify_identifier_requirement(ident, *self._samples_for(reg, 5.0))
         assert not report["stability"]
+
+    def test_one_walk_of_eleven_identifiers(self):
+        # a clean clone, TRIALS perturbed and TRIALS disturbed clones, each
+        # jumped once per sample
+        reg = PolyRegressor(2, 3)
+        calls = []
+
+        class Counted(LsIdentifier):
+            def jump(self, eta_in, u_out):
+                calls.append(1)
+                super().jump(eta_in, u_out)
+
+        etas, us = self._samples_for(reg, 2.0)
+        verify_identifier_requirement(Counted(reg, mu_f=0.95, omega=1e-3), etas, us)
+        assert len(calls) == (1 + 2 * TRIALS) * len(us)
+
+    @pytest.mark.parametrize("case", ["ls-N3", "mini-batch-Nw10", "broken", "blended"])
+    def test_report_equals_the_three_walks(self, case):
+        # the one walk's report, PASS or FAIL, equals that of separate walks
+        # for optimality, contraction and ISS gain, each with its own clean clone
+        reg = PolyRegressor(2, 1 if case in ("broken", "blended") else 3)
+        ident = {"ls-N3": lambda: LsIdentifier(reg, mu_f=0.95, omega=1e-3),
+                 "mini-batch-Nw10": lambda: MiniBatchIdentifier(reg, n_window=10, omega=1e-6),
+                 "broken": lambda: Broken(reg, mu_f=0.95, omega=1e-3),
+                 "blended": lambda: Blended(reg, n_window=10, omega=1e-6)}[case]
+        etas, us = self._samples_for(reg, 5.0)
+        report, want = (check(ident(), etas, us)
+                        for check in (verify_identifier_requirement, _three_walks))
+        assert report == want
+        assert list(report) == list(want)  # the key order format_report prints
+        # both wrong identifiers miss the oracle's theta; the blend also fails to contract
+        assert report["optimality"] == (case not in ("broken", "blended"))
+        assert report["stability"] == (case != "blended")
 
     def test_format_report(self):
         report = {"optimality": True, "stability": False, "regularity": True,
@@ -156,3 +195,68 @@ class TestVerifyIdentifierRequirement:
         assert "optimality: PASS" in text
         assert "stability: FAIL" in text
         assert "optimality_worst_dev: 1.2e-09" in text
+
+
+def _three_walks(identifier, etas, us):
+    """The requirement check as separate walks: one for optimality, then a
+    clean and a perturbed clone per contraction trial, then a clean and a
+    disturbed clone per ISS trial (1 + 4 TRIALS identifiers), drawing from
+    the generator in the same order."""
+    rng = np.random.default_rng(SEED)
+    report = {"optimality": True, "stability": True, "regularity": True}
+    reg = identifier.regressor
+    j_star = identifier.n_window or 0
+    ident = copy.copy(identifier)
+    worst = 0.0
+    for j, (win, wout) in enumerate(zip(etas, us), start=1):
+        ident.jump(win, wout)
+        if j >= j_star:
+            first = j - j_star if j_star else 0
+            th_star = brute_force_cost_minimizer(etas[first:j], us[first:j], reg,
+                                                 identifier.mu_f, identifier.omega)
+            dev = np.linalg.norm(ident.theta - th_star) / (1.0 + np.linalg.norm(th_star))
+            worst = max(worst, dev)
+    report["optimality"] = worst <= OPTIMALITY_TOL
+    report["optimality_worst_dev"] = worst
+    report["j_star"] = j_star
+    contraction_ok = True
+    for _ in range(TRIALS):
+        a = copy.copy(identifier)
+        b = identifier.perturbed(rng)
+        gap0 = b.gap(a)
+        for j, (win, wout) in enumerate(zip(etas, us), start=1):
+            a.jump(win, wout)
+            b.jump(win, wout)
+            gap = b.gap(a)
+            if gap > identifier.mu_f ** j * gap0 * (1.0 + 1e-9) + 1e-12:
+                contraction_ok = False
+            if 0 < j_star <= j and gap > 1e-10:
+                contraction_ok = False
+    report["stability"] = contraction_ok
+    gains = []
+    for _ in range(TRIALS):
+        amp = 0.1
+        d_in = rng.uniform(-amp, amp, size=etas.shape)
+        d_out = rng.uniform(-amp, amp, size=len(us))
+        a, b = copy.copy(identifier), copy.copy(identifier)
+        dev = 0.0
+        for i, (win, wout) in enumerate(zip(etas, us)):
+            a.jump(win, wout)
+            b.jump(win + d_in[i], wout + d_out[i])
+            dev = max(dev, b.gap(a))
+        gains.append(dev / amp)
+    report["iss_gain_estimate"] = float(max(gains))
+    if not np.isfinite(report["iss_gain_estimate"]):
+        report["stability"] = False
+    jac_ok = True
+    h = 1e-6
+    for _ in range(TRIALS):
+        theta = rng.standard_normal(reg.d_sigma)
+        eta = rng.uniform(-1.0, 1.0, size=etas.shape[1])
+        jac = theta @ reg.jacobian(eta)
+        fd = np.array([theta @ reg(eta + e) - theta @ reg(eta - e)
+                       for e in h * np.eye(eta.size)]) / (2 * h)
+        if np.abs(jac - fd).max() / (1.0 + np.abs(fd).max()) > 1e-5:
+            jac_ok = False
+    report["regularity"] = jac_ok
+    return report

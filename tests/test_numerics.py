@@ -182,7 +182,7 @@ def _rk4_stability(z):
 
 class TestRk4StableStep:
     @pytest.mark.parametrize("lam", [-1.0, -2850.0, -1.0 + 1.0j, -0.1 + 2.0j, -2.0 + 0.1j,
-                                     -1e-9 + 1.0j, -3.0 - 4.0j])
+                                     -1e-9 + 1.0j, -3.0 - 4.0j, 1.0j, -2846.05j])
     def test_stable_up_to_the_bound_and_not_past_it(self, lam):
         h = rk4_stable_step(lam)
         steps = np.linspace(0.0, h, 2001) * lam
@@ -194,6 +194,12 @@ class TestRk4StableStep:
         assert rk4_stable_step(complex(-1.0, 1e-9)) == pytest.approx(rk4_stable_step(-1.0),
                                                                      rel=1e-8)
         assert rk4_stable_step(-1.0 + 1e-9j) == rk4_stable_step(-1.0 - 1e-9j)
+
+    @pytest.mark.parametrize("y", [1.0, 1000.0, 2.0**-10, 2.0**20])
+    def test_imaginary_closed_form(self, y):
+        # |R(iy)|^2 = 1 - y^6/72 + y^8/576 <= 1 iff y^2 <= 8; the polynomial's
+        # h^5 factor gave numpy's roots a noise root near 0 (6.3e-8 at 1000i)
+        assert rk4_stable_step(1j * y) * y == 2.0 * np.sqrt(2.0)
 
     def test_scales_inversely_with_the_pole(self):
         assert rk4_stable_step(-1e6 + 1e6j) == pytest.approx(rk4_stable_step(-1 + 1j) / 1e6,

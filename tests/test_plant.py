@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from adreg.errors import InvalidConfigError
-from adreg.plant import build_synthetic_linear_plant, build_vdp_scenario, p1star_and_lie
+from adreg.plant import SyntheticLinearPlant, build_vdp_scenario, p1star_and_lie
 from adreg.regulator import Regulator
 from adreg.scenario import ScenarioConfig, _wire, build_closed_loop, state_layout
 
@@ -122,7 +122,7 @@ class TestReference:
 
     def test_synthetic_linear_reference_is_w(self):
         im = Regulator(**{**ScenarioConfig().regulator, "d_eta": 2})
-        plant = build_synthetic_linear_plant(2.0, im.F, im.G)
+        plant = SyntheticLinearPlant(2.0, im.F, im.G)
         assert plant.reference(np.array([0.25, -0.5])) == (0.25, -0.5)
 
 

@@ -15,7 +15,7 @@ import pytest
 from adreg import scenario
 from adreg.errors import AdregError, IntegrationBlowupError, InvalidConfigError, SweepWorkerError
 from adreg.identifier import LsIdentifier, MiniBatchIdentifier
-from adreg.plant import build_synthetic_linear_plant, build_vdp_scenario
+from adreg.plant import SyntheticLinearPlant, build_vdp_scenario
 from adreg.regulator import Regulator
 from adreg.scenario import (
     CSV_HEADER,
@@ -76,7 +76,7 @@ class TestSyntheticLinearPlant:
         # M must satisfy F M - M S = -G c' with c = (-rho, 0)
         rho = 2.0
         im = _regulator(d_eta=6)
-        plant = build_synthetic_linear_plant(rho, im.F, im.G)
+        plant = SyntheticLinearPlant(rho, im.F, im.G)
         m = plant.tau_rows(np.eye(2)).T  # columns tau(e1), tau(e2)
         s_mat = np.array([[0.0, 1.0], [-rho, 0.0]])
         c = np.array([-rho, 0.0])
@@ -88,7 +88,7 @@ class TestSyntheticLinearPlant:
     def test_tau_matches_scipy_solve_sylvester(self, d_eta, rho):
         solve_sylvester = pytest.importorskip("scipy.linalg").solve_sylvester
         im = _regulator(d_eta=d_eta)
-        plant = build_synthetic_linear_plant(rho, im.F, im.G)
+        plant = SyntheticLinearPlant(rho, im.F, im.G)
         m = plant.tau_rows(np.eye(2)).T
         s_mat = np.array([[0.0, 1.0], [-rho, 0.0]])
         c = np.array([-rho, 0.0])
@@ -98,7 +98,7 @@ class TestSyntheticLinearPlant:
     def test_theta_star_reproduces_ustar_on_tau(self):
         rho = 2.0
         im = _regulator(d_eta=6)
-        plant = build_synthetic_linear_plant(rho, im.F, im.G)
+        plant = SyntheticLinearPlant(rho, im.F, im.G)
         theta = plant.theta_star
         rows = np.random.default_rng(0).normal(size=(10, 2))
         assert np.allclose(plant.tau_rows(rows) @ theta, -rho * rows[:, 0], rtol=0, atol=1e-9)
@@ -106,7 +106,7 @@ class TestSyntheticLinearPlant:
 
     def test_tau_rows_is_m_w_on_each_row(self):
         im = _regulator(d_eta=4)
-        plant = build_synthetic_linear_plant(1.5, im.F, im.G)
+        plant = SyntheticLinearPlant(1.5, im.F, im.G)
         rows = np.random.default_rng(1).normal(size=(5, 2))
         batch = plant.tau_rows(rows)
         for i, w in enumerate(rows):
@@ -126,7 +126,7 @@ class TestExosystem:
         rho = 1.7
         im = _regulator(d_eta=4)
         plant = (build_vdp_scenario(2.0, rho) if kind == "vdp"
-                 else build_synthetic_linear_plant(rho, im.F, im.G))
+                 else SyntheticLinearPlant(rho, im.F, im.G))
         one, _ = build_closed_loop(plant, _regulator(d_eta=4, ell=5.0))
         lay = state_layout(4)
         rng = np.random.default_rng(5)
