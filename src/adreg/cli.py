@@ -2,11 +2,14 @@
 verification, and config validation.
 
 Exit codes: 0 success, 1 config or usage error, 2 integration failure or a
-dead sweep worker, 3 acceptance-threshold failure (with --assert).
+dead sweep worker, 3 acceptance-threshold failure (with --assert), 141
+(128 + SIGPIPE) when stdout's reader has gone, as in ``adreg validate
+cfg.json | true``: that prints nothing to stderr.
 """
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -21,6 +24,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INTEGRATION = 2
 EXIT_THRESHOLD = 3
+EXIT_PIPE = 141
 
 
 def _load_config(path):
@@ -31,7 +35,8 @@ def cmd_simulate(args):
     if args.assert_max_y != args.assert_max_y:  # NaN, which no summary exceeds
         raise InvalidConfigError("--assert-max-y must be a number other than NaN")
     cfg = _load_config(args.config)
-    result = run_scenario(cfg)
+    # without a CSV only the summary is printed or written, which t and y give
+    result = run_scenario(cfg, summary_only=cfg.output["csv"] is None)
     print(json.dumps(result.summary, indent=2, sort_keys=True))
     if args.assert_max_y is not None:
         if result.summary["steady_state_max_y"] > args.assert_max_y:
@@ -157,7 +162,14 @@ def main(argv=None):
         # a run that overflows ends as one integration-failure line: the flow's
         # finite check in hybrid.simulate catches every non-finite value numpy makes
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone: the Python docs' SIGPIPE recipe sends the
+        # rest of stdout, flushed at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (InvalidConfigError, InvalidInputError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

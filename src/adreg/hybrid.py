@@ -59,7 +59,8 @@ class ClockConfig:
 class HybridArc:
     """Trajectory samples over a hybrid time domain.
 
-    Rows of ``states`` align with ``t`` and ``j``. Jump instants are stored
+    Rows of ``states`` align with ``t`` and ``j``; each holds the block of
+    state components ``simulate`` was asked to record. Jump instants are stored
     twice: pre-jump at (t, j) and post-jump at (t, j+1), so the pre-jump rows
     are those after which j steps.
     """
@@ -113,29 +114,36 @@ def check_step(clock, horizon, dt, width):
         raise _arc_too_large(horizon, dt)
 
 
-def simulate(flow, jump, x0, clock, horizon, dt):
-    """Integrate a clock-triggered hybrid system and record the full arc.
+def simulate(flow, jump, x0, clock, horizon, dt, record=slice(None)):
+    """Integrate a clock-triggered hybrid system and record its arc.
 
     The state is carried as a list of Python floats through flows and jumps:
     flow(x) -> dx/dt, as a sequence of floats; jump(t, j, x) -> x_plus, a
     list of floats. Components the jump map wants held must be copied
-    through by the caller's jump function. Each row's state, t and j are
+    through by the caller's jump function. ``record``, a slice of step 1,
+    names the components each row keeps: the whole state by default, or
+    ``slice(2, 3)`` for x[2] alone, say. Each row's kept components, t and j are
     written into row n of three buffers of ``arc_row_bound`` rows; the arc
-    holds views of the rows used. A step to a non-finite state raises
-    IntegrationBlowupError with its end t, the flow interval's j, the
+    holds views of the rows used, and ``arc.states`` is 2-D, rows x kept
+    components, whatever is kept. A step to a non-finite state raises
+    IntegrationBlowupError with its end t, the flow interval's j, the whole
     pre-step state and the step's output.
     """
     x = [float(v) for v in x0]
-    check_step(clock, horizon, dt, len(x))
+    width = len(range(len(x))[record])
+    check_step(clock, horizon, dt, width)
 
     rows = arc_row_bound(clock, horizon, dt)
     try:
-        states, ts, js = np.empty((rows, len(x))), np.empty(rows), np.empty(rows, dtype=int)
+        states, ts, js = np.empty((rows, width)), np.empty(rows), np.empty(rows, dtype=int)
     except (MemoryError, ValueError):  # more bytes than memory, or than an array can index
         raise _arc_too_large(horizon, dt) from None
     t, jcnt, n = 0.0, 0, 0
-    states[n], ts[n], js[n] = x, t, jcnt
+    states[n], ts[n], js[n] = x[record], t, jcnt
 
+    # rk4_step is read as this module's global on every step, and the arc's
+    # states stay 2-D: bench/ replaces hybrid.rk4_step to time the first step
+    # and each step, and reads arc.states.shape
     for next_t in clock.jump_times():
         t_end = min(next_t, horizon)
         # flow from t to t_end in steps of dt, shortening the last step
@@ -150,14 +158,14 @@ def simulate(flow, jump, x0, clock, horizon, dt):
             if t_end - t <= 1e-12:
                 t = t_end
             n += 1
-            states[n], ts[n], js[n] = x, t, jcnt
+            states[n], ts[n], js[n] = x[record], t, jcnt
         if next_t > horizon:
             break
         # clock tick: the last row is pre-jump; apply the jump, record post-jump
         x = jump(t, jcnt, x)
         jcnt += 1
         n += 1
-        states[n], ts[n], js[n] = x, t, jcnt
+        states[n], ts[n], js[n] = x[record], t, jcnt
         if next_t >= horizon:
             break
 

@@ -230,39 +230,49 @@ class ScenarioResult:
     The CSV columns past t, j and y (``u``, ``u_star``, ``gamma_hat``,
     ``err_xhat``, ``err_sigmahat`` and ``eps_star``) are computed from the
     stored states on first read, from the run's plant, state layout,
-    controller and regressor: a run that reads only its summary, such as a
-    sweep cell, never builds them.
+    controller and regressor: a run that reads only its summary never builds
+    them. A summary-only run (``run_scenario(cfg, summary_only=True)``, such
+    as a sweep cell) stores t, j and y alone, and ``states`` is None: its
+    summary is the full run's, and reading one of those columns raises
+    ValueError.
     """
 
     t: np.ndarray
     j: np.ndarray
     y: np.ndarray
     summary: dict
-    states: np.ndarray
+    states: np.ndarray  # rows x the whole state, or None for a summary-only run
     thetas: np.ndarray  # jumps x d_sigma; d_sigma is 0 without an identifier
     plant: object = field(repr=False)  # a plant of adreg.plant
     layout: "StateLayout" = field(repr=False)
     control: object = field(repr=False)  # control(xh1, xh2, sigma_hat) -> u
     regressor: object = field(repr=False)  # the identifier's, or None
 
+    def _rows(self, block):
+        """The stored states' columns ``block``; a summary-only run has none."""
+        if self.states is None:
+            raise ValueError("a summary-only run records t, j and y alone: run it with "
+                             "summary_only=False for its other CSV columns")
+        return self.states[:, block]
+
     @cached_property
     def u(self):
         """The input the flow applied: the controller on each stored state."""
-        xh1, xh2 = self.states[:, self.layout.x_hat].T.tolist()
-        sh = self.states[:, self.layout.sigma_hat].tolist()
+        xh1, xh2 = self._rows(self.layout.x_hat).T.tolist()
+        sh = self._rows(self.layout.sigma_hat).tolist()
         return np.fromiter(map(self.control, xh1, xh2, sh), dtype=float, count=self.t.size)
 
     @cached_property
     def u_star(self):
-        return np.asarray(self.plant.ustar_rows(self.states[:, self.layout.w]))
+        return np.asarray(self.plant.ustar_rows(self._rows(self.layout.w)))
 
     @cached_property
     def gamma_hat(self):
         """theta . sigma(eta) on each row, with the theta of its jump
         segment (zero before the first jump)."""
+        eta_rows = self._rows(self.layout.eta)
         gamma_hat = np.zeros(self.t.size)
         if self.thetas.size:
-            eta_rows = self.states[:, self.layout.eta]
             # segment k runs from the post-jump row of jump k to the next, under
             # thetas[k]: theta is constant between jumps
             starts = (np.flatnonzero(np.diff(self.j)) + 1).tolist()
@@ -273,21 +283,22 @@ class ScenarioResult:
     @cached_property
     def err_xhat(self):
         lay = self.layout
-        return np.linalg.norm(self.states[:, lay.x] - self.states[:, lay.x_hat], axis=1)
+        return np.linalg.norm(self._rows(lay.x) - self._rows(lay.x_hat), axis=1)
 
     @cached_property
     def err_sigmahat(self):
-        return np.abs(self.states[:, self.layout.sigma_hat] + self.u_star)
+        return np.abs(self._rows(self.layout.sigma_hat) + self.u_star)
 
     @cached_property
     def eps_star(self):
         """u* - theta* . tau(w) on each row when the plant gives its true map
         and the run identifies one; else empty (size 0)."""
+        w_rows = self._rows(self.layout.w)
         theta_star = self.plant.theta_star
         if theta_star is not None and self.regressor is not None:
             # the true map is linear, and the regressor's first d_eta components
             # are eta itself, so u* - gamma_hat(theta*, tau) is u* - theta* . tau
-            return self.u_star - self.plant.tau_rows(self.states[:, self.layout.w]) @ theta_star
+            return self.u_star - self.plant.tau_rows(w_rows) @ theta_star
         return np.zeros(0)
 
     def write_csv(self, path):
@@ -509,7 +520,7 @@ class RunCost(NamedTuple):
     memory: int
     field_terms: int
     jumps: int  # at most
-    lambda_dt: float  # the largest |lambda| dt over the loop's linear poles
+    lambda_dt: float  # the largest |lambda| dt over the loop's linear poles; None unbuilt
 
 
 class _Cell(NamedTuple):
@@ -554,11 +565,12 @@ def _check_output(out):
                                  f"{os.path.realpath(out['csv'])!r}")
 
 
-def _wire(cfg):
-    """Build the plant, controller, identifier, clock and initial state of
-    ``cfg``; raises the config's errors before anything is integrated, and a
-    memory error, naming each non-zero part's key and bytes largest first."""
-    pcfg, rcfg, horizon, dt = cfg.plant, cfg.regulator, cfg.sim["horizon"], cfg.sim["dt"]
+def _run_cost(cfg):
+    """The clock, state layout and cost of ``cfg``'s run, from the config
+    alone: nothing is built, and the cost's lambda_dt is None. Raises the
+    config's errors found so far, and a memory error, naming each non-zero
+    part's key and bytes largest first."""
+    rcfg, horizon, dt = cfg.regulator, cfg.sim["horizon"], cfg.sim["dt"]
     _check_output(cfg.output)
     d_eta = rcfg["d_eta"]
     if "F" in rcfg and d_eta != len(rcfg["F"]):
@@ -594,7 +606,16 @@ def _wire(cfg):
                  for what, nbytes in sorted(parts, key=lambda part: -part[1]) if nbytes]
         raise InvalidConfigError(f"{'; '.join(named)}; {at_least}{_count(total)} bytes in all, "
                                  f"more than the {memory} bytes of physical memory")
+    return clock, lay, RunCost(d_sigma, *(nbytes for _, nbytes in parts), total, memory, terms,
+                               jumps, None)
 
+
+def _wire(cfg):
+    """Build the plant, controller, identifier, clock and initial state of
+    ``cfg``; raises the config's errors, a memory error among them
+    (``_run_cost``), before anything is integrated."""
+    pcfg, rcfg, dt = cfg.plant, cfg.regulator, cfg.sim["dt"]
+    clock, lay, cost = _run_cost(cfg)
     reg = Regulator(**rcfg)
     if pcfg["kind"] == "vdp":
         plant = build_vdp_scenario(pcfg["a"], pcfg["rho"])
@@ -615,19 +636,26 @@ def _wire(cfg):
                                        "plant.rho": [1j * math.sqrt(pcfg["rho"])]})
     ident = _build_identifier(cfg.identifier, reg.d_eta)
     v0 = _error_coordinates(plant, pcfg["p0"], w0, lay)
-    cost = RunCost(d_sigma, *(nbytes for _, nbytes in parts), total, memory, terms, jumps,
-                   lambda_dt)
-    return _Cell(lay, plant, reg, ident, clock, v0, cost)
+    return _Cell(lay, plant, reg, ident, clock, v0, cost._replace(lambda_dt=lambda_dt))
 
 
-def run_scenario(cfg):
+def run_scenario(cfg, summary_only=False):
     """Simulate the closed loop described by ``cfg`` and reduce the arc.
 
     At each clock jump the identifier, if any, takes the pre-jump eta and
     float u, and ``thetas[j]`` records the theta it gives. A jump whose
     theta is not finite (a non-finite u makes it so; eta is finite, as every
     state is) or whose solve fails raises IntegrationBlowupError.
+
+    With ``summary_only`` the arc records y alone beside t and j, 3 columns
+    instead of the whole state's plus 2: the summary, which reads only t
+    and y, is the full run's in every bit, and the result's other CSV
+    columns raise (``ScenarioResult``). A config that names an output CSV
+    cannot run summary-only (ValueError).
     """
+    if summary_only and cfg.output["csv"] is not None:
+        raise ValueError(f"output.csv = {cfg.output['csv']!r} needs every state: "
+                         "run it with summary_only=False")
     cell = _wire(cfg)
     lay, reg, ident = cell.lay, cell.reg, cell.ident
     field, control = build_closed_loop(cell.plant, reg, ident)
@@ -654,7 +682,8 @@ def run_scenario(cfg):
         return v
 
     try:
-        arc = simulate(field, jump, cell.v0, cell.clock, cfg.sim["horizon"], cfg.sim["dt"])
+        arc = simulate(field, jump, cell.v0, cell.clock, cfg.sim["horizon"], cfg.sim["dt"],
+                       record=slice(lay.x.start, lay.x.start + 1) if summary_only else slice(None))
     except IntegrationBlowupError as exc:
         if exc.output is None:  # the identifier's jump, which names itself
             raise
@@ -666,9 +695,10 @@ def run_scenario(cfg):
 
 def _reduce(arc, cfg, cell, control, thetas):
     """The run's result and summary, from t and y alone; writes the output
-    files the config names."""
+    files the config names. ``arc`` records the whole state, or y alone."""
     lay = cell.lay
-    y = arc.states[:, lay.x.start]
+    full = arc.states.shape[1] == lay.size
+    y = arc.states[:, lay.x.start if full else 0]
     # t never decreases, so the rows from 0.8 horizon on are the last ones
     tail = y[np.searchsorted(arc.t, 0.8 * cfg.sim["horizon"]):]
     tail = tail if tail.size else y
@@ -686,7 +716,8 @@ def _reduce(arc, cfg, cell, control, thetas):
     }
 
     result = ScenarioResult(
-        t=arc.t, j=arc.j, y=y, summary=summary, states=arc.states, thetas=thetas,
+        t=arc.t, j=arc.j, y=y, summary=summary, states=arc.states if full else None,
+        thetas=thetas,
         plant=cell.plant, layout=lay, control=control,
         regressor=None if cell.ident is None else cell.ident.regressor,
     )
@@ -701,17 +732,19 @@ def _reduce(arc, cfg, cell, control, thetas):
 def run_sweep(base, axis, values):
     """Vary one axis (ell or N) and tabulate the steady-state metrics.
 
-    Each cell is one ``run_scenario`` call on ``base`` with the axis set to
-    the cell's value, so its row is that run's. Returns a list of row dicts
-    in value order; a cell that fails gets its error in its row and the
-    sweep continues.
+    Each cell is one summary-only ``run_scenario`` call on ``base`` with the
+    axis set to the cell's value, so its row is that run's. Returns a list
+    of row dicts in value order; a cell that fails gets its error in its row
+    and the sweep continues.
 
-    The cells run in W = min(len(values), CPUs this process may run on)
-    workers: this process is worker 0 and forks the other W - 1 before it
-    runs a cell, and cell i runs in worker i mod W. A child pickles its rows,
-    or the exception that stopped it, to its pipe; the parent re-raises that
-    exception, and raises SweepWorkerError for a child that sent neither (one
-    killed by a signal, say). A row does not depend on the process that ran
+    The cells run in W workers: at most min(len(values), CPUs this process
+    may run on), and fewer if W x the largest cell's memory sum
+    (``RunCost.total_bytes``) would not fit in physical memory; at least one.
+    This process is worker 0 and forks the other W - 1 before it runs a
+    cell, and cell i runs in worker i mod W. A child pickles its rows, or
+    the exception that stopped it, to its pipe; the parent re-raises that
+    exception, and raises SweepWorkerError for a child that sent neither
+    (one killed by a signal, say). A row does not depend on the process that ran
     it, so the rows are those of running the cells one after another, which
     is what W = 1 does, with no child. No child outlives the call.
     """
@@ -723,14 +756,27 @@ def run_sweep(base, axis, values):
         raise InvalidConfigError("sweep axis N needs an identifier kind != none")
     base = replace(base, output={})  # no per-cell files
     section = "regulator" if axis == "ell" else "identifier"
+
+    def cell(val):
+        return base.replace_in(section, **{axis: val})
+
     workers = min(len(values), len(os.sched_getaffinity(0)))
+    costs = []
+    for val in values:
+        try:
+            costs.append(_run_cost(cell(val))[2])
+        except AdregError:  # the cell's run raises it again, into its row
+            pass
+    if costs:
+        largest = max(costs, key=lambda cost: cost.total_bytes)
+        workers = min(workers, max(1, largest.memory // largest.total_bytes))
 
     def run_cells(worker):
         rows = []
         for val in values[worker::workers]:
             row = {"value": val}
             try:
-                summary = run_scenario(base.replace_in(section, **{axis: val})).summary
+                summary = run_scenario(cell(val), summary_only=True).summary
                 row.update({k: summary[k] for k in ("steady_state_max_y", "settling_time_s")})
             except AdregError as exc:  # per-cell failure, sweep continues
                 row["error"] = f"{type(exc).__name__}: {exc}"

@@ -12,8 +12,8 @@ import sys
 import numpy as np
 import pytest
 
-from adreg import scenario
-from adreg.cli import EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK, EXIT_THRESHOLD, main
+from adreg import hybrid, scenario
+from adreg.cli import EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK, EXIT_PIPE, EXIT_THRESHOLD, main
 from adreg.harness import OPTIMALITY_TOL
 from adreg.hybrid import ClockConfig, arc_row_bound, jump_bound
 from adreg.numerics import pseudoinverse
@@ -341,6 +341,35 @@ class TestSimulate:
         assert main(["simulate", path]) == EXIT_OK
         assert csv_path.exists() and summary_path.exists()
         assert csv_path.read_text().startswith("t,j,y,")
+
+    @staticmethod
+    def _run(tmp_path, monkeypatch, capsys, csv):
+        """simulate an LS N = 3 config that writes its summary, and a CSV when
+        ``csv``; returns the arcs' widths, stdout and the summary file."""
+        widths = []
+
+        def recorded(*args, **kw):
+            arc = hybrid.simulate(*args, **kw)
+            widths.append(arc.states.shape[1])
+            return arc
+
+        monkeypatch.setattr(scenario, "simulate", recorded)
+        tmp_path.mkdir()
+        output = {"summary": str(tmp_path / "run.json")}
+        if csv:
+            output["csv"] = str(tmp_path / "run.csv")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sim": SHORT_SIM, "identifier": {"kind": "ls", "N": 3},
+                                    "output": output}))
+        assert main(["simulate", str(path)]) == EXIT_OK
+        assert (tmp_path / "run.csv").exists() == csv
+        return widths, capsys.readouterr().out, (tmp_path / "run.json").read_text()
+
+    def test_arc_is_y_alone_without_a_csv(self, tmp_path, monkeypatch, capsys):
+        brief = self._run(tmp_path / "brief", monkeypatch, capsys, csv=False)
+        full = self._run(tmp_path / "full", monkeypatch, capsys, csv=True)
+        assert brief[0] == [1] and full[0] == [13]  # 13 = the state of d_eta = 6
+        assert brief[1:] == full[1:]  # the printed and the written summary
 
     def test_assert_max_y_pass_and_fail(self, write_cfg, capsys):
         path = write_cfg({"sim": SHORT_SIM})
@@ -791,6 +820,30 @@ class TestImport:
         assert run.stderr.startswith("integration failure: non-finite x at t=")
 
 
+class TestClosedStdout:
+    """A stdout whose reader has gone (``adreg validate cfg.json | true``) ends
+    the command with exit 141, 128 + SIGPIPE, and nothing on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["simulate"], ["sweep", "--axis", "ell", "--values", "10,20"],
+    ], ids=["validate", "simulate", "sweep"])
+    def test_exit_141_and_empty_stderr(self, write_cfg, argv):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = write_cfg({"sim": {"horizon": 0.3, "dt": 1e-3}})
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); from adreg.cli import main; "
+                "sys.exit(main(sys.argv[2:]))")
+        read, write = os.pipe()
+        os.close(read)  # every write to stdout fails with EPIPE
+        try:
+            run = subprocess.run([sys.executable, "-I", "-c", code, src, argv[0], path,
+                                  *argv[1:]], stdout=write, stderr=subprocess.PIPE, text=True,
+                                 timeout=60)
+        finally:
+            os.close(write)
+        assert run.returncode == EXIT_PIPE == 141
+        assert run.stderr == ""
+
+
 class TestSweep:
     def test_ell_sweep_csv(self, write_cfg, capsys):
         path = write_cfg({"sim": SHORT_SIM})
@@ -818,7 +871,8 @@ class TestSweep:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         parent, run = os.getpid(), scenario.run_scenario
         monkeypatch.setattr(scenario, "run_scenario",
-                            lambda cfg: run(cfg) if os.getpid() == parent else os._exit(3))
+                            lambda cfg, **kw: run(cfg, **kw) if os.getpid() == parent
+                            else os._exit(3))
         path = write_cfg({"sim": SHORT_SIM})
         assert main(["sweep", path, "--axis", "ell", "--values", "10,20"]) == EXIT_INTEGRATION
         captured = capsys.readouterr()

@@ -298,6 +298,16 @@ class TestPreallocatedArc:
         assert arc.states.shape == states.shape and arc.j.dtype == j.dtype
 
 
+    @pytest.mark.parametrize("record", [slice(0, 1), slice(1, 3), slice(2, 3), slice(0, 3)])
+    def test_recorded_block_is_the_full_arcs_columns(self, record):
+        clock = ClockConfig(0.07, 0.13, "uniform", None, 2)
+        x0 = np.array([1.0, 0.0, 0.5])
+        full = simulate(self._flow, self._jump, x0, clock, 1.0, 1e-3)
+        arc = simulate(self._flow, self._jump, x0, clock, 1.0, 1e-3, record=record)
+        assert np.array_equal(arc.t, full.t) and np.array_equal(arc.j, full.j)
+        assert arc.states.shape == (full.t.size, record.stop - record.start)
+        assert arc.states.tobytes() == np.ascontiguousarray(full.states[:, record]).tobytes()
+
 class TestValidateArc:
     def test_rejects_unordered(self):
         arc = HybridArc(t=np.array([0.0, 1.0, 0.5]), j=np.array([0, 0, 0]),

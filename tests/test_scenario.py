@@ -391,6 +391,76 @@ class TestColumnsOnDemand:
         assert all("error" not in r for r in rows)
 
 
+def _arc_widths(monkeypatch):
+    """Wrap scenario.simulate to record the column count of each arc it
+    returns in this process; returns that list."""
+    widths, simulate = [], scenario.simulate
+
+    def recorded(*args, **kw):
+        arc = simulate(*args, **kw)
+        widths.append(arc.states.shape[1])
+        return arc
+
+    monkeypatch.setattr(scenario, "simulate", recorded)
+    return widths
+
+
+class TestSummaryOnly:
+    """A summary-only run records y alone beside t and j; its summary is the
+    full run's in every bit, and its other columns raise."""
+
+    CONFIGS = [
+        ScenarioConfig(sim={"horizon": 2.0, "dt": 1e-3}),
+        ScenarioConfig(identifier={"kind": "ls", "N": 3}, sim={"horizon": 2.0, "dt": 1e-3}),
+        ScenarioConfig(identifier={"kind": "mini-batch", "N": 3},
+                       clock={"t_low": 0.05, "t_high": 0.15, "strategy": "uniform", "seed": 3},
+                       sim={"horizon": 2.0, "dt": 1e-3}),
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["baseline", "ls-n3", "mini-batch-n3-uniform"])
+    def test_summary_equals_the_full_runs(self, cfg, monkeypatch):
+        widths = _arc_widths(monkeypatch)
+        full, brief = run_scenario(cfg), run_scenario(cfg, summary_only=True)
+        assert brief.summary == full.summary
+        assert brief.y.tobytes() == full.y.tobytes()
+        assert brief.t.tobytes() == full.t.tobytes() and brief.j.tobytes() == full.j.tobytes()
+        assert brief.thetas.tobytes() == full.thetas.tobytes()
+        assert widths == [state_layout(cfg.regulator["d_eta"]).size, 1]
+        assert brief.states is None
+
+    def test_blowup_text_equals_the_full_runs(self):
+        cfg = ScenarioConfig(plant={"p0": [1e200, 0.0]}, sim={"horizon": 1.0, "dt": 1e-3})
+        texts = []
+        for summary_only in (False, True):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(IntegrationBlowupError) as exc:
+                    run_scenario(cfg, summary_only=summary_only)
+            texts.append(str(exc.value))
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("non-finite x at t=")
+
+    @pytest.mark.parametrize("name", TestColumnsOnDemand.COLUMNS)
+    def test_columns_raise(self, name):
+        res = run_scenario(self.CONFIGS[1], summary_only=True)
+        with pytest.raises(ValueError, match="summary-only run records t, j and y alone"):
+            getattr(res, name)
+
+    def test_output_csv_is_refused_before_the_run(self, tmp_path):
+        path = tmp_path / "run.csv"
+        cfg = ScenarioConfig(sim={"horizon": 0.3, "dt": 1e-3}, output={"csv": str(path)})
+        with pytest.raises(ValueError, match="needs every state"):
+            run_scenario(cfg, summary_only=True)
+        assert not path.exists()
+
+    def test_sweep_cells_record_one_column(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # every cell here
+        widths = _arc_widths(monkeypatch)
+        base = ScenarioConfig(identifier={"kind": "ls", "N": 1}, sim={"horizon": 0.3, "dt": 1e-3})
+        rows = run_sweep(base, "ell", [10.0, 20.0, 40.0])
+        assert all("error" not in r for r in rows)
+        assert widths == [1, 1, 1]
+
+
 # Prints the growth of peak RSS over one run_scenario call and the run's
 # memory sum. The peak is VmHWM, the high-water mark of this process's own
 # memory map: ru_maxrss would also count the parent's RSS, which a forked
@@ -555,10 +625,10 @@ class TestEnsembleSweep:
         which calls made in forked workers reach too; returns a reader."""
         run = scenario.run_scenario
 
-        def counted(cfg):
+        def counted(cfg, **kw):
             with open(path, "a") as fh:
                 fh.write(f"{cfg.regulator['ell']!r}\n")
-            return run(cfg)
+            return run(cfg, **kw)
 
         monkeypatch.setattr(scenario, "run_scenario", counted)
         return lambda: [float(line) for line in path.read_text().split()]
@@ -590,6 +660,36 @@ class TestEnsembleSweep:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestSweepMemory:
+    """W x the largest cell's memory sum fits in physical memory: a sweep
+    forks only the workers whose cells fit beside this process's."""
+
+    @pytest.mark.parametrize("cells, forks", [(1.5, 0), (2.5, 1)])
+    def test_workers_fit_in_memory(self, monkeypatch, cells, forks):
+        base = ScenarioConfig(sim={"horizon": 0.3, "dt": 1e-3})
+        total = scenario._wire(base).cost.total_bytes  # the same for every ell
+        monkeypatch.setattr(scenario, "physical_memory", lambda: int(cells * total))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forked, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+        values = [5.0, 10.0, 20.0, 40.0]
+        rows = run_sweep(base, "ell", values)
+        assert len(forked) == forks
+        assert rows == [TestEnsembleSweep._serial_row(base, "ell", v) for v in values]
+
+    def test_cells_that_fail_to_wire_are_not_sized(self, monkeypatch):
+        # N = 41 is past physical memory: its row is the memory error, and
+        # the N = 1 cells still run in two workers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forked, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+        base = ScenarioConfig(identifier={"kind": "ls"}, sim={"horizon": 0.3, "dt": 1e-3})
+        rows = run_sweep(base, "N", [1, 41, 1])
+        assert len(forked) == 1
+        assert "more than the" in rows[1]["error"]
+        assert rows[0] == rows[2] == TestEnsembleSweep._serial_row(base, "N", 1)
+
+
 class Unpicklable(Exception):
     def __init__(self):
         super().__init__("holds a lambda", lambda: None)
@@ -619,8 +719,8 @@ class TestSweepWorkers:
         ``act(cfg)`` instead; this process's cells run as before."""
         parent, run = os.getpid(), scenario.run_scenario
 
-        def patched(cfg):
-            return run(cfg) if os.getpid() == parent else act(cfg)
+        def patched(cfg, **kw):
+            return run(cfg, **kw) if os.getpid() == parent else act(cfg)
 
         monkeypatch.setattr(scenario, "run_scenario", patched)
 
@@ -666,7 +766,7 @@ class TestSweepWorkers:
     def test_interrupt_in_this_process_kills_the_children(self, monkeypatch):
         parent = os.getpid()
 
-        def patched(cfg):
+        def patched(cfg, **kw):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             time.sleep(60)  # killed long before
