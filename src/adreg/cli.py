@@ -18,7 +18,8 @@ import numpy as np
 from .errors import (IntegrationBlowupError, InvalidConfigError, InvalidInputError,
                      SweepWorkerError)
 from .harness import format_report, run_core_process, verify_identifier_requirement
-from .scenario import ScenarioConfig, _wire, run_scenario, run_sweep
+from .hybrid import arc_bytes, check_step
+from .scenario import ScenarioConfig, _wire, physical_memory, run_scenario, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -35,8 +36,7 @@ def cmd_simulate(args):
     if args.assert_max_y != args.assert_max_y:  # NaN, which no summary exceeds
         raise InvalidConfigError("--assert-max-y must be a number other than NaN")
     cfg = _load_config(args.config)
-    # without a CSV only the summary is printed or written, which t and y give
-    result = run_scenario(cfg, summary_only=cfg.output["csv"] is None)
+    result = run_scenario(cfg)
     print(json.dumps(result.summary, indent=2, sort_keys=True))
     if args.assert_max_y is not None:
         if result.summary["steady_state_max_y"] > args.assert_max_y:
@@ -83,9 +83,18 @@ def cmd_check_identifier(args):
     # p0 and, if given, w0 (its default depends on the kind)
     given = {key: cfg.plant[key] for key in ("rho", "p0", "w0") if key in cfg.plant}
     cell = _wire(replace(cfg, plant={"kind": "synthetic-linear", **given}, output={}))
-    plant, clock = cell.plant, cell.clock
+    plant, clock, dt = cell.plant, cell.clock, cfg.sim["dt"]
+    try:  # _wire checked the config's own arc; the core process's, of w, t and j, is another
+        check_step(clock, CORE_PROCESS_S, dt, 2)
+        fits = arc_bytes(clock, CORE_PROCESS_S, dt, 2) <= physical_memory()
+    except InvalidConfigError:  # more bytes than an array can index
+        fits = False
+    if not fits:
+        raise InvalidConfigError(f"sim.dt = {dt!r}: the arc of check-identifier's "
+                                 f"{CORE_PROCESS_S:g} s core process does not fit in the "
+                                 f"{physical_memory()} bytes of physical memory")
     etas, us = run_core_process(clock, plant.eval_s, cell.v0[cell.lay.w], plant.tau_rows,
-                                plant.ustar_rows, horizon=CORE_PROCESS_S, dt=cfg.sim["dt"])
+                                plant.ustar_rows, horizon=CORE_PROCESS_S, dt=dt)
     if not us.size:
         period = f", clock.period = {clock.period!r}" if clock.period is not None else ""
         raise InvalidConfigError(f"clock.t_low = {clock.t_low!r}{period}: the clock makes no "
@@ -110,7 +119,8 @@ def cmd_validate(args):
     step, and print the run's cost (README, ``validate``) and the resolved
     config."""
     cfg = _load_config(args.config)
-    cost = _wire(cfg).cost
+    cell = _wire(cfg)
+    cost = cell.cost
     print(f"config ok: {args.config}")
     print(f"cost: d_sigma = {cost.d_sigma}; F {cost.f_bytes} bytes, arc buffer "
           f"{cost.arc_bytes} bytes, compiling {cost.compile_bytes} bytes, identifier jump "
@@ -118,7 +128,7 @@ def cmd_validate(args):
           f"of {cost.memory} bytes of physical memory; closed-loop field {cost.field_terms} "
           f"terms; at most {cost.jumps} jumps, "
           f"d_sigma^3 x jumps = {cost.d_sigma**3 * cost.jumps}; largest |lambda| dt = "
-          f"{cost.lambda_dt:.4g}")
+          f"{cell.lambda_dt:.4g}")
     print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 

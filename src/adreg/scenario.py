@@ -231,17 +231,15 @@ class ScenarioResult:
     ``err_xhat``, ``err_sigmahat`` and ``eps_star``) are computed from the
     stored states on first read, from the run's plant, state layout,
     controller and regressor: a run that reads only its summary never builds
-    them. A summary-only run (``run_scenario(cfg, summary_only=True)``, such
-    as a sweep cell) stores t, j and y alone, and ``states`` is None: its
-    summary is the full run's, and reading one of those columns raises
-    ValueError.
+    them. A run without its states (``run_scenario``), such as a sweep cell,
+    has ``states`` None, and reading one of those columns raises ValueError.
     """
 
     t: np.ndarray
     j: np.ndarray
     y: np.ndarray
     summary: dict
-    states: np.ndarray  # rows x the whole state, or None for a summary-only run
+    states: np.ndarray  # rows x the whole state, or None for a run of t, j and y alone
     thetas: np.ndarray  # jumps x d_sigma; d_sigma is 0 without an identifier
     plant: object = field(repr=False)  # a plant of adreg.plant
     layout: "StateLayout" = field(repr=False)
@@ -249,10 +247,9 @@ class ScenarioResult:
     regressor: object = field(repr=False)  # the identifier's, or None
 
     def _rows(self, block):
-        """The stored states' columns ``block``; a summary-only run has none."""
+        """The stored states' columns ``block``; a run of t, j and y alone has none."""
         if self.states is None:
-            raise ValueError("a summary-only run records t, j and y alone: run it with "
-                             "summary_only=False for its other CSV columns")
+            raise ValueError("this run records t, j and y alone: run it with states=True")
         return self.states[:, block]
 
     @cached_property
@@ -508,7 +505,7 @@ def _error_coordinates(plant, p0, w0, lay):
 
 class RunCost(NamedTuple):
     """What a wired config's run holds in memory at most, by part, in all and
-    against physical memory; its field's terms, its jumps and its largest |lambda| dt."""
+    against physical memory; its field's terms and its jumps."""
 
     d_sigma: int  # regressor components; 0 without an identifier
     f_bytes: int
@@ -520,7 +517,6 @@ class RunCost(NamedTuple):
     memory: int
     field_terms: int
     jumps: int  # at most
-    lambda_dt: float  # the largest |lambda| dt over the loop's linear poles; None unbuilt
 
 
 class _Cell(NamedTuple):
@@ -533,6 +529,7 @@ class _Cell(NamedTuple):
     clock: ClockConfig
     v0: np.ndarray
     cost: RunCost
+    lambda_dt: float  # the largest |lambda| dt over the loop's linear poles
 
 
 def _check_rk4_stable(dt, poles):
@@ -567,9 +564,8 @@ def _check_output(out):
 
 def _run_cost(cfg):
     """The clock, state layout and cost of ``cfg``'s run, from the config
-    alone: nothing is built, and the cost's lambda_dt is None. Raises the
-    config's errors found so far, and a memory error, naming each non-zero
-    part's key and bytes largest first."""
+    alone: nothing is built. Raises the config's errors found so far, and a
+    memory error, naming each non-zero part's key and bytes largest first."""
     rcfg, horizon, dt = cfg.regulator, cfg.sim["horizon"], cfg.sim["dt"]
     _check_output(cfg.output)
     d_eta = rcfg["d_eta"]
@@ -581,7 +577,6 @@ def _run_cost(cfg):
     clock = ClockConfig(**{"period": None, **cfg.clock})  # a uniform clock has none
     lay = state_layout(d_eta)
     check_step(clock, horizon, dt, 1)  # keeps an overflowing horizon / dt out of arc_row_bound
-    # what the run holds in memory at most, from the config alone: nothing is built yet
     rows, terms, memory = arc_row_bound(clock, horizon, dt), field_terms(rcfg), physical_memory()
     jumps = jump_bound(clock, horizon)
     n = cfg.identifier.get("N", 0)  # order 0: no identifier, no jump
@@ -607,7 +602,7 @@ def _run_cost(cfg):
         raise InvalidConfigError(f"{'; '.join(named)}; {at_least}{_count(total)} bytes in all, "
                                  f"more than the {memory} bytes of physical memory")
     return clock, lay, RunCost(d_sigma, *(nbytes for _, nbytes in parts), total, memory, terms,
-                               jumps, None)
+                               jumps)
 
 
 def _wire(cfg):
@@ -636,10 +631,10 @@ def _wire(cfg):
                                        "plant.rho": [1j * math.sqrt(pcfg["rho"])]})
     ident = _build_identifier(cfg.identifier, reg.d_eta)
     v0 = _error_coordinates(plant, pcfg["p0"], w0, lay)
-    return _Cell(lay, plant, reg, ident, clock, v0, cost._replace(lambda_dt=lambda_dt))
+    return _Cell(lay, plant, reg, ident, clock, v0, cost, lambda_dt)
 
 
-def run_scenario(cfg, summary_only=False):
+def run_scenario(cfg, states=False):
     """Simulate the closed loop described by ``cfg`` and reduce the arc.
 
     At each clock jump the identifier, if any, takes the pre-jump eta and
@@ -647,15 +642,11 @@ def run_scenario(cfg, summary_only=False):
     theta is not finite (a non-finite u makes it so; eta is finite, as every
     state is) or whose solve fails raises IntegrationBlowupError.
 
-    With ``summary_only`` the arc records y alone beside t and j, 3 columns
-    instead of the whole state's plus 2: the summary, which reads only t
-    and y, is the full run's in every bit, and the result's other CSV
-    columns raise (``ScenarioResult``). A config that names an output CSV
-    cannot run summary-only (ValueError).
+    The arc records every state when the config names an output CSV, whose
+    columns read them, or when ``states`` is true; otherwise y alone beside
+    t and j. The summary reads t and y alone, so its every bit is the same.
     """
-    if summary_only and cfg.output["csv"] is not None:
-        raise ValueError(f"output.csv = {cfg.output['csv']!r} needs every state: "
-                         "run it with summary_only=False")
+    states = states or cfg.output["csv"] is not None
     cell = _wire(cfg)
     lay, reg, ident = cell.lay, cell.reg, cell.ident
     field, control = build_closed_loop(cell.plant, reg, ident)
@@ -683,7 +674,7 @@ def run_scenario(cfg, summary_only=False):
 
     try:
         arc = simulate(field, jump, cell.v0, cell.clock, cfg.sim["horizon"], cfg.sim["dt"],
-                       record=slice(lay.x.start, lay.x.start + 1) if summary_only else slice(None))
+                       record=slice(None) if states else slice(lay.x.start, lay.x.start + 1))
     except IntegrationBlowupError as exc:
         if exc.output is None:  # the identifier's jump, which names itself
             raise
@@ -717,10 +708,8 @@ def _reduce(arc, cfg, cell, control, thetas):
 
     result = ScenarioResult(
         t=arc.t, j=arc.j, y=y, summary=summary, states=arc.states if full else None,
-        thetas=thetas,
-        plant=cell.plant, layout=lay, control=control,
-        regressor=None if cell.ident is None else cell.ident.regressor,
-    )
+        thetas=thetas, plant=cell.plant, layout=lay, control=control,
+        regressor=None if cell.ident is None else cell.ident.regressor)
     out = cfg.output
     if out["csv"] is not None:
         result.write_csv(out["csv"])
@@ -732,10 +721,10 @@ def _reduce(arc, cfg, cell, control, thetas):
 def run_sweep(base, axis, values):
     """Vary one axis (ell or N) and tabulate the steady-state metrics.
 
-    Each cell is one summary-only ``run_scenario`` call on ``base`` with the
-    axis set to the cell's value, so its row is that run's. Returns a list
-    of row dicts in value order; a cell that fails gets its error in its row
-    and the sweep continues.
+    Each cell is one ``run_scenario`` call on ``base`` with the axis set to
+    the cell's value and no output file, so its row is that run's and its
+    arc records y alone. Returns a list of row dicts in value order; a cell
+    that fails gets its error in its row and the sweep continues.
 
     The cells run in W workers: at most min(len(values), CPUs this process
     may run on), and fewer if W x the largest cell's memory sum
@@ -776,7 +765,7 @@ def run_sweep(base, axis, values):
         for val in values[worker::workers]:
             row = {"value": val}
             try:
-                summary = run_scenario(cell(val), summary_only=True).summary
+                summary = run_scenario(cell(val)).summary
                 row.update({k: summary[k] for k in ("steady_state_max_y", "settling_time_s")})
             except AdregError as exc:  # per-cell failure, sweep continues
                 row["error"] = f"{type(exc).__name__}: {exc}"

@@ -57,7 +57,7 @@ def benchmark_runs():
     runs = {}
     for case in CASES:
         t0 = time.perf_counter()
-        res = run_scenario(_benchmark_config(case))
+        res = run_scenario(_benchmark_config(case), states=True)
         runs[case] = (res, time.perf_counter() - t0)
     return runs
 
@@ -239,7 +239,7 @@ class TestCriterion5AsymptoticRegulation:
                         "omega_scale": 1e-6},
             sim={"horizon": 60.0, "dt": DT},
         )
-        res = run_scenario(cfg)
+        res = run_scenario(cfg, states=True)
         assert res.summary["steady_state_max_y"] <= 1e-4
         im = Regulator(**ScenarioConfig().regulator)
         theta_star = SyntheticLinearPlant(2.0, im.F, im.G).theta_star

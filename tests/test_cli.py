@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from adreg import hybrid, scenario
+from adreg import cli, hybrid, scenario
 from adreg.cli import EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK, EXIT_PIPE, EXIT_THRESHOLD, main
 from adreg.harness import OPTIMALITY_TOL
 from adreg.hybrid import ClockConfig, arc_row_bound, jump_bound
@@ -983,6 +983,25 @@ class TestCheckIdentifier:
         assert captured.err == ("config error: plant.w0 = [1e+160, 0.0]: the identifier's jump "
                                 "on check-identifier's 10 s core process from it fails: matrix "
                                 "contains non-finite entries\n")
+
+    @pytest.mark.parametrize("t_low,sim", [
+        (1e-16, {"horizon": 1e-15, "dt": 1e-18}),  # more rows than an array can index
+        (1e-9, {"horizon": 1e-8, "dt": 1e-10}),  # 4.16e12 bytes
+    ], ids=["past-an-array", "past-memory"])
+    def test_core_process_arc_too_large_names_dt(self, write_cfg, capsys, monkeypatch,
+                                                 t_low, sim):
+        # the config's own arc fits; the 10 s core process's at its sim.dt does not
+        monkeypatch.setattr(cli, "physical_memory", lambda: 2**33)
+        path = write_cfg({"identifier": {"kind": "ls", "N": 1},
+                          "clock": {"t_low": t_low, "t_high": t_low}, "sim": sim})
+        assert main(["validate", path]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["check-identifier", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: sim.dt = {sim['dt']!r}: the arc of "
+                                "check-identifier's 10 s core process does not fit in the "
+                                "8589934592 bytes of physical memory\n")
 
     def test_f_without_g_is_config_error(self, write_cfg, capsys):
         path = write_cfg({"regulator": {"F": [[-1, 1], [0, -1]]},

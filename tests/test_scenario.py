@@ -145,7 +145,7 @@ class TestRunScenario:
         )
 
     def test_baseline_runs_and_is_finite(self):
-        res = run_scenario(self._short_cfg())
+        res = run_scenario(self._short_cfg(), states=True)
         assert np.all(np.isfinite(res.states))
         assert res.t[-1] == pytest.approx(2.05)
         assert res.summary["jumps_total"] == 20
@@ -155,18 +155,18 @@ class TestRunScenario:
         assert np.all(res.gamma_hat == 0.0)
 
     def test_default_exosystem_start_is_unit_amplitude(self):
-        res = run_scenario(self._short_cfg())
+        res = run_scenario(self._short_cfg(), states=True)
         assert res.states[0, 0] == pytest.approx(1.0 / np.pi)
         assert res.states[0, 1] == pytest.approx(0.0)
 
     def test_ls_identifier_updates_theta_each_jump(self):
-        res = run_scenario(self._short_cfg(kind="ls", N=1))
+        res = run_scenario(self._short_cfg(kind="ls", N=1), states=True)
         assert res.thetas.shape == (res.summary["jumps_total"], 6)
         assert res.thetas[-1].tolist() == res.summary["final_theta"]
         assert np.any(res.gamma_hat != 0.0)
 
     def test_mini_batch_runs(self):
-        res = run_scenario(self._short_cfg(kind="mini-batch", N=1, N_w=5))
+        res = run_scenario(self._short_cfg(kind="mini-batch", N=1, N_w=5), states=True)
         assert np.all(np.isfinite(res.states))
         assert len(res.summary["final_theta"]) == 6
 
@@ -180,7 +180,7 @@ class TestRunScenario:
         # each jump feeds the identifier the pre-jump row's eta, bit for bit,
         # and the vector form of the controller on that row as a float
         res = run_scenario(ScenarioConfig(identifier=identifier, clock=clock,
-                                          sim={"horizon": 2.05, "dt": 1e-3}))
+                                          sim={"horizon": 2.05, "dt": 1e-3}), states=True)
         reg, lay = _regulator(), state_layout(6)
         pre = np.flatnonzero(np.diff(res.j))
         assert len(fed_samples) == pre.size == res.summary["jumps_total"] > 0
@@ -199,7 +199,7 @@ class TestRunScenario:
             identifier={"kind": "ls", "N": 1, "mu_f": 0.95, "omega_scale": 1e-6},
             sim={"horizon": 2.0, "dt": 1e-3},
         )
-        res = run_scenario(cfg)
+        res = run_scenario(cfg, states=True)
         assert res.eps_star.size == res.t.size
         # the model set contains the true map, so the ideal error is ~0
         assert np.max(np.abs(res.eps_star)) < 1e-8
@@ -270,7 +270,7 @@ class TestRunScenario:
     def test_csv_u_is_the_applied_u(self, identifier):
         # the u column is the field's controller on each stored state, and
         # the saturation bound holds exactly
-        res = run_scenario(self._short_cfg(**identifier))
+        res = run_scenario(self._short_cfg(**identifier), states=True)
         _, control = build_closed_loop(build_vdp_scenario(2.0, 2.0), _regulator())
         lay = state_layout(6)
         applied = [control(*v[lay.x_hat], v[lay.sigma_hat]) for v in res.states]
@@ -351,7 +351,7 @@ class TestColumnsOnDemand:
         ScenarioConfig(sim={"horizon": 1.05, "dt": 1e-3}),
     ], ids=["vdp-ls-n3", "synthetic-linear-ls", "vdp-baseline"])
     def test_columns_equal_the_eager_reduction(self, cfg):
-        res = run_scenario(cfg)
+        res = run_scenario(cfg, states=True)
         want = self._eager_columns(res, cfg)
         assert res.gamma_hat.any() == bool(res.thetas.size)
         assert (res.eps_star.size > 0) == (cfg.plant["kind"] == "synthetic-linear")
@@ -378,7 +378,7 @@ class TestColumnsOnDemand:
         assert all("error" not in r for r in rows)
         # the patch is in effect: a run's column read calls it
         with pytest.raises(AssertionError, match="u_star built"):
-            run_scenario(base).u_star
+            run_scenario(base, states=True).u_star
 
     def test_sweep_cell_reads_no_column(self, monkeypatch):
         for name in self.COLUMNS:
@@ -406,8 +406,9 @@ def _arc_widths(monkeypatch):
 
 
 class TestSummaryOnly:
-    """A summary-only run records y alone beside t and j; its summary is the
-    full run's in every bit, and its other columns raise."""
+    """A run records y alone beside t and j unless it writes a CSV or is
+    asked for its states; its summary is the same either way, and without
+    the states its other columns raise."""
 
     CONFIGS = [
         ScenarioConfig(sim={"horizon": 2.0, "dt": 1e-3}),
@@ -420,7 +421,7 @@ class TestSummaryOnly:
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["baseline", "ls-n3", "mini-batch-n3-uniform"])
     def test_summary_equals_the_full_runs(self, cfg, monkeypatch):
         widths = _arc_widths(monkeypatch)
-        full, brief = run_scenario(cfg), run_scenario(cfg, summary_only=True)
+        full, brief = run_scenario(cfg, states=True), run_scenario(cfg)
         assert brief.summary == full.summary
         assert brief.y.tobytes() == full.y.tobytes()
         assert brief.t.tobytes() == full.t.tobytes() and brief.j.tobytes() == full.j.tobytes()
@@ -431,26 +432,29 @@ class TestSummaryOnly:
     def test_blowup_text_equals_the_full_runs(self):
         cfg = ScenarioConfig(plant={"p0": [1e200, 0.0]}, sim={"horizon": 1.0, "dt": 1e-3})
         texts = []
-        for summary_only in (False, True):
+        for states in (True, False):
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(IntegrationBlowupError) as exc:
-                    run_scenario(cfg, summary_only=summary_only)
+                    run_scenario(cfg, states=states)
             texts.append(str(exc.value))
         assert texts[0] == texts[1]
         assert texts[0].startswith("non-finite x at t=")
 
     @pytest.mark.parametrize("name", TestColumnsOnDemand.COLUMNS)
     def test_columns_raise(self, name):
-        res = run_scenario(self.CONFIGS[1], summary_only=True)
-        with pytest.raises(ValueError, match="summary-only run records t, j and y alone"):
+        res = run_scenario(self.CONFIGS[1])
+        with pytest.raises(ValueError, match="this run records t, j and y alone"):
             getattr(res, name)
 
-    def test_output_csv_is_refused_before_the_run(self, tmp_path):
+    def test_output_csv_records_every_state(self, tmp_path, monkeypatch):
+        widths = _arc_widths(monkeypatch)
         path = tmp_path / "run.csv"
         cfg = ScenarioConfig(sim={"horizon": 0.3, "dt": 1e-3}, output={"csv": str(path)})
-        with pytest.raises(ValueError, match="needs every state"):
-            run_scenario(cfg, summary_only=True)
-        assert not path.exists()
+        res = run_scenario(cfg)
+        assert widths == [state_layout(cfg.regulator["d_eta"]).size]
+        assert res.states.shape == (res.t.size, widths[0])
+        assert path.read_text().startswith(CSV_HEADER)
+        assert len(path.read_text().splitlines()) == 1 + res.t.size
 
     def test_sweep_cells_record_one_column(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # every cell here
@@ -484,7 +488,7 @@ cfg = scenario.ScenarioConfig.from_dict(json.loads(sys.argv[2]))
 total = scenario._wire(cfg).cost.total_bytes
 pseudoinverse(np.eye(8) + 0.1)
 before = peak()
-scenario.run_scenario(cfg)
+scenario.run_scenario(cfg, states=True)
 print(peak() - before, total)
 """
 
