@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import (IntegrationBlowupError, InvalidConfigError, InvalidInputError,
                      SweepWorkerError)
-from .harness import format_report, run_core_process, verify_identifier_requirement
-from .hybrid import arc_bytes, check_step
-from .scenario import ScenarioConfig, _wire, physical_memory, run_scenario, run_sweep
+from .harness import TRIALS, format_report, run_core_process, verify_identifier_requirement
+from .hybrid import arc_bytes, check_step, jump_bound
+from .scenario import (JUMP_MATRICES, ScenarioConfig, _wire, physical_memory, run_scenario,
+                       run_sweep)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -75,7 +76,9 @@ CORE_PROCESS_S = 10.0  # check-identifier's core process, whatever sim.horizon i
 def cmd_check_identifier(args):
     """Verify the configured identifier on the synthetic core process: its
     samples are tau(w) and u*(w) on the pre-jump rows of w in CORE_PROCESS_S s
-    at step sim.dt, and a window of n_window must fill, for the oracle to compare."""
+    at step sim.dt, and a window of n_window must fill, for the oracle to compare.
+    The core process's arc and the walk's arrays must each fit in physical
+    memory; the walk's error names identifier.N."""
     cfg = _load_config(args.config)
     if cfg.identifier["kind"] == "none":
         raise InvalidConfigError("check-identifier needs an identifier kind != none")
@@ -93,6 +96,19 @@ def cmd_check_identifier(args):
         raise InvalidConfigError(f"sim.dt = {dt!r}: the arc of check-identifier's "
                                  f"{CORE_PROCESS_S:g} s core process does not fit in the "
                                  f"{physical_memory()} bytes of physical memory")
+    # the walk's arrays: 1 + 2 TRIALS identifiers, one jump at a time, and the
+    # oracle's regressor rows of every sample with their Gram
+    d_sigma, samples = cell.cost.d_sigma, jump_bound(clock, CORE_PROCESS_S)
+    parts = [(f"{1 + 2 * TRIALS} identifier states", (1 + 2 * TRIALS) * cell.ident.state_bytes()),
+             ("a jump", JUMP_MATRICES * 8 * d_sigma**2),
+             (f"the oracle's rows of at most {samples} samples and their Gram",
+              8 * (samples + d_sigma) * d_sigma)]
+    total = sum(nbytes for _, nbytes in parts)
+    if total > physical_memory():
+        raise InvalidConfigError(
+            f"identifier.N = {cfg.identifier['N']}: check-identifier's walk at d_sigma = "
+            f"{d_sigma} holds {', '.join(f'{what}, {n} bytes' for what, n in parts)}: "
+            f"{total} bytes in all, more than the {physical_memory()} bytes of physical memory")
     etas, us = run_core_process(clock, plant.eval_s, cell.v0[cell.lay.w], plant.tau_rows,
                                 plant.ustar_rows, horizon=CORE_PROCESS_S, dt=dt)
     if not us.size:

@@ -57,14 +57,16 @@ def verify_identifier_requirement(identifier, etas, us):
     is). 1 + 2 TRIALS identifiers walk them once, together (11 at TRIALS =
     5): a clean clone, whose theta the oracle compares at every jump from j*
     on, and TRIALS perturbed and TRIALS disturbed clones, each measured
-    against the clean one after each jump.
+    against the clean one after each jump. The clean clone jumps; the others
+    only ``advance``, the part of a jump that updates the state ``gap``
+    reads.
 
     Works for any identifier exposing ``regressor``, ``theta``, ``mu_f``,
-    ``n_window``, ``omega``, ``jump``, ``perturbed`` and ``gap``, whose
-    shallow copy (``copy.copy``) is an independent clone. Returns a report
-    dict with three booleans plus supporting numbers. The internal gain
-    estimates are empirical stand-ins for the existential gain functions, not
-    asserted bounds.
+    ``n_window``, ``omega``, ``jump``, ``advance``, ``perturbed`` and
+    ``gap``, whose shallow copy (``copy.copy``) is an independent clone.
+    Returns a report dict with three booleans plus supporting numbers. The
+    internal gain estimates are empirical stand-ins for the existential gain
+    functions, not asserted bounds.
     """
     rng = np.random.default_rng(SEED)
     report = {"optimality": True, "stability": True, "regularity": True}
@@ -94,14 +96,14 @@ def verify_identifier_requirement(identifier, etas, us):
             dev = np.linalg.norm(clean.theta - th_star) / (1.0 + np.linalg.norm(th_star))
             worst = max(worst, dev)
         for b, g0 in zip(perturbed, gap0):
-            b.jump(win, wout)
+            b.advance(win, wout)
             gap = b.gap(clean)
             if gap > identifier.mu_f ** j * g0 * (1.0 + 1e-9) + 1e-12:
                 contraction_ok = False
             if 0 < j_star <= j and gap > 1e-10:
                 contraction_ok = False
         for k, (b, d_in, d_out) in enumerate(disturbed):
-            b.jump(win + d_in[j - 1], wout + d_out[j - 1])
+            b.advance(win + d_in[j - 1], wout + d_out[j - 1])
             devs[k] = max(devs[k], b.gap(clean))
     report["optimality"] = worst <= OPTIMALITY_TOL
     report["optimality_worst_dev"] = worst

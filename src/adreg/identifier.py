@@ -159,10 +159,11 @@ class LsIdentifier:
         self.xi2 = np.zeros(d)
         self.theta = np.zeros(d)
 
-    def jump(self, eta_in, u_out):
-        """Geometric forgetting plus the rank-one accumulation of the sample
-        (eta_in, float u_out), then the output map theta = (xi1 + Omega)^+ xi2;
-        sigma sigma', sigma u and theta are each norm-clamped at CLAMP."""
+    def advance(self, eta_in, u_out):
+        """The jump's update of xi1 and xi2, the state ``gap`` reads:
+        geometric forgetting plus the rank-one accumulation of the sample
+        (eta_in, float u_out), with sigma sigma' and sigma u each
+        norm-clamped at CLAMP."""
         sig = self.regressor(eta_in)
         lam = saturate(sig * u_out, CLAMP)
         big_sigma = np.outer(sig, sig)
@@ -173,19 +174,29 @@ class LsIdentifier:
         # mu X, sigma sigma' and its rescale are.
         xi1 = self.mu_f * self.xi1
         xi1 += big_sigma
-        del big_sigma
-        # rebound before the solve, so the old xi1 is freed unless a clone holds it
+        # rebound before the jump's solve, so the old xi1 is freed unless a clone holds it
         self.xi1 = xi1
-        self.xi2 = xi2 = self.mu_f * self.xi2 + lam
+        self.xi2 = self.mu_f * self.xi2 + lam
+
+    def jump(self, eta_in, u_out):
+        """``advance``, then the output map theta = (xi1 + Omega)^+ xi2,
+        norm-clamped at CLAMP."""
+        self.advance(eta_in, u_out)
+        xi1, on_diagonal = self.xi1, slice(None, None, len(self.xi1) + 1)
         # the solve reads xi1 + Omega: omega on xi1's own diagonal, with the
         # saved diagonal copied back after (exact, where subtracting omega is not)
-        diag = xi1.flat[::sig.size + 1]  # a copy
-        xi1.flat[::sig.size + 1] = diag + self.omega
+        diag = xi1.flat[on_diagonal]  # a copy
+        xi1.flat[on_diagonal] = diag + self.omega
         try:
-            theta = pseudoinverse(xi1) @ xi2
+            theta = pseudoinverse(xi1) @ self.xi2
         finally:
-            xi1.flat[::sig.size + 1] = diag
+            xi1.flat[on_diagonal] = diag
         self.theta = saturate(theta, CLAMP)
+
+    def state_bytes(self):
+        """Bytes of the arrays a clone holds of its own once it has jumped:
+        xi1, xi2 and theta."""
+        return self.xi1.nbytes + self.xi2.nbytes + self.theta.nbytes
 
     def perturbed(self, rng):
         """A clone with a symmetric normal perturbation of xi1 and a normal
@@ -229,6 +240,15 @@ class MiniBatchIdentifier:
         if len(rows) == self.n_window:
             theta = batch_solver_ls(rows, outs, self.omega)
         self.window_rows, self.window_out, self.theta = rows, outs, theta
+
+    def advance(self, eta_in, u_out):
+        """The jump itself: ``gap`` reads theta, which only the solve gives."""
+        self.jump(eta_in, u_out)
+
+    def state_bytes(self):
+        """Bytes of the arrays a clone holds of its own once its window is
+        full: n_window regressor rows and outputs, and theta."""
+        return 8 * (self.n_window * (self.theta.size + 1) + self.theta.size)
 
     def perturbed(self, rng):
         """A clone with a normal perturbation of theta."""

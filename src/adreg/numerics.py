@@ -2,10 +2,11 @@
 
 The pseudoinverse wraps numpy's SVD with a fixed relative cutoff, 1e-12; pole
 placement is for the chain of two integrators every plant has, with real
-negative poles; the RK4 step comes with the step size its stability function
-allows on a linear pole.
+negative poles; a cubic with real roots is solved in closed form; the RK4 step
+comes with the step size its stability function allows on a linear pole.
 """
 
+import math
 from functools import cache
 
 import numpy as np
@@ -37,6 +38,30 @@ def place_poles(desired):
     (s - p1)(s - p2) = s^2 + c1 s + c0, K = [c0, c1]."""
     c1, c0 = np.poly(desired)[1:]
     return np.array([[c0, c1]])
+
+
+def cubic_roots(h1, h2, h3):
+    """The roots of s^3 + h1 s^2 + h2 s + h3, most negative first, for a
+    cubic whose roots are real, in closed form on Python floats: the
+    trigonometric form of Cardano's formula (Nickalls, Math. Gazette 77,
+    1993). With s = t - h1/3 the cubic is t^3 + p t + q, and its roots are
+    2 sqrt(-p/3) cos(phi - 2 pi k/3), k = 0, 1, 2, with
+    phi = acos(3q / (2p) sqrt(-3/p)) / 3 in [0, pi/3].
+
+    Real roots make p <= 0, and p = 0 only for a triple root: a p >= 0
+    gives -h1/3 three times. Rounding can put the arccos argument of a
+    repeated root just past +-1, so it is clamped to [-1, 1]. Distinct roots
+    agree with ``np.roots`` to about 1e-13 of the largest; np.roots splits a
+    repeated root into a complex pair, and enters LAPACK.
+    """
+    shift = h1 / 3.0
+    p = h2 - h1 * shift
+    q = (2.0 * shift * shift - h2) * shift + h3
+    if p >= 0.0:
+        return [-shift] * 3
+    m = 2.0 * math.sqrt(-p / 3.0)
+    phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m)))) / 3.0
+    return [m * math.cos(phi - 2.0 * math.pi * k / 3.0) - shift for k in (2, 1, 0)]
 
 
 # |R(-x)| <= 1 for 0 <= x <= RK4_REAL_BOUND, the real root of

@@ -6,7 +6,7 @@ applies them is ``scenario.build_closed_loop``."""
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .numerics import is_controllable, place_poles
+from .numerics import cubic_roots, is_controllable, place_poles
 
 
 def saturate(s, level):
@@ -41,7 +41,12 @@ class Regulator:
       s^3 + h1 s^2 + h2 s + h3 must be real and negative, and ``psi_bar``
       bounds the consistency term;
     - ``linear_poles`` maps each config key to the linear poles of the closed
-      loop it sets: ell r_i for the roots r_i, F's eigenvalues and ``poles``.
+      loop it sets: ell r_i for the roots r_i, most negative first, F's
+      eigenvalues and ``poles``. The roots come in closed form
+      (``numerics.cubic_roots``), and an upper-triangular F's eigenvalues are
+      its diagonal; only a given F with entries below its diagonal takes
+      ``np.linalg.eigvals``. So a regulator of the default pair enters no
+      LAPACK routine.
     """
 
     def __init__(self, poles, sat_level, d_eta, ell, h_coeffs, psi_bar, F=None, G=None):
@@ -69,14 +74,16 @@ class Regulator:
                 raise InvalidConfigError(f"regulator.F must be square, got shape {F.shape}")
             if G.shape != (len(F), 1):
                 raise InvalidConfigError(f"regulator.G must be {len(F)} x 1, got shape {G.shape}")
-        eigenvalues = np.linalg.eigvals(F)
-        if not np.all(eigenvalues.real < 0.0):  # the default F's are all -1
+        if np.tril(F, -1).any():
+            eigenvalues = np.linalg.eigvals(F).tolist()
+        else:  # upper triangular, as the default F is: its diagonal, in eigvals' order and bits
+            eigenvalues = F.diagonal().tolist()
+        if not all(lam.real < 0.0 for lam in eigenvalues):
             raise InvalidConfigError("regulator.F must be Hurwitz")
         if given and not is_controllable(F, G):
             raise InvalidConfigError("regulator.F and G must be a controllable pair")
         self.F, self.G, self.d_eta = F, G, len(F)
-        roots = np.roots([1.0, *h_coeffs])
-        self.linear_poles = {"regulator.ell": [ell * r for r in roots.real.tolist()],
-                             "regulator.F": eigenvalues.tolist(),
+        self.linear_poles = {"regulator.ell": [ell * r for r in cubic_roots(*h_coeffs)],
+                             "regulator.F": eigenvalues,
                              "regulator.poles": poles}
 

@@ -77,8 +77,10 @@ def _real_negative_roots(h):
     """True iff s^3 + h1 s^2 + h2 s + h3 has real negative roots: its
     discriminant is >= 0 (to DISCRIMINANT_TOL) exactly when they are real,
     and real roots are all negative exactly when every coefficient is
-    positive. A repeated root, which np.roots splits into a complex pair,
-    counts as real."""
+    positive. A repeated root, where the discriminant is 0 and its rounding
+    may fall just below, counts as real. ``Regulator`` then takes the roots
+    in closed form (``numerics.cubic_roots``), which relies on their being
+    real."""
     h1, h2, h3 = h
     terms = (18.0 * h1 * h2 * h3, -4.0 * h1 * h1 * h1 * h3, h1 * h1 * h2 * h2,
              -4.0 * h2 * h2 * h2, -27.0 * h3 * h3)

@@ -820,6 +820,81 @@ class TestImport:
         assert run.stderr.startswith("integration failure: non-finite x at t=")
 
 
+# Runs main() on sys.argv[2:] in a process pinned to one CPU, so that a sweep
+# runs every cell in it, with each numpy.linalg function and numpy.roots
+# wrapped to count its calls by name, and each gufunc of
+# numpy.linalg._umath_linalg, through which numpy.linalg enters LAPACK, counted
+# as "lapack.<name>"; prints the exit code and the counts as its last line.
+_COUNT_LINALG = """
+import collections, json, os, sys
+sys.path.insert(0, sys.argv[1])
+os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])
+import numpy as np
+from numpy.linalg import _umath_linalg
+
+calls = collections.Counter()
+
+def counted(name, fn):
+    def wrapper(*args, **kw):
+        calls[name] += 1
+        return fn(*args, **kw)
+    return wrapper
+
+for name in np.linalg.__all__:
+    if not isinstance(getattr(np.linalg, name), type):
+        setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+for name, fn in vars(_umath_linalg).items():
+    if isinstance(fn, np.ufunc):
+        setattr(_umath_linalg, name, counted("lapack." + name, fn))
+np.roots = counted("roots", np.roots)
+from adreg.cli import main
+code = main(sys.argv[2:])
+print(code, json.dumps(calls, sort_keys=True))
+"""
+
+
+class TestLinalgCalls:
+    """A run of the default regulator pair and observer polynomial enters
+    LAPACK only through its identifier's jump solves: the regulator's linear
+    poles come in closed form."""
+
+    def _counts(self, write_cfg, argv, cfg):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = write_cfg({**cfg, "sim": {"horizon": 0.3, "dt": 1e-3}})
+        out = subprocess.run([sys.executable, "-I", "-c", _COUNT_LINALG, src, argv[0], path,
+                              *argv[1:]], check=True, capture_output=True, text=True,
+                             timeout=60).stdout.splitlines()
+        code, calls = out[-1].split(" ", 1)
+        assert code == "0"
+        return "\n".join(out[:-1]), json.loads(calls)
+
+    @pytest.mark.parametrize("argv,cfg", [
+        (["sweep", "--axis", "ell", "--values", "10,20"], {}),
+        (["simulate"], {"identifier": {"kind": "none"}}),
+    ], ids=["sweep", "simulate-none"])
+    def test_no_identifier_no_call(self, write_cfg, argv, cfg):
+        assert self._counts(write_cfg, argv, cfg)[1] == {}
+
+    def test_ls_run_solves_once_a_jump(self, write_cfg):
+        out, calls = self._counts(write_cfg, ["simulate"], {"identifier": {"kind": "ls", "N": 3}})
+        jumps = json.loads(out)["jumps_total"]
+        assert jumps > 0
+        # saturate's norm of a vector is a dot product, not a LAPACK routine
+        assert calls.pop("norm") > 0
+        lapack = {name: n for name, n in calls.items() if name.startswith("lapack.")}
+        assert {name: n for name, n in calls.items() if name not in lapack} == {"svd": jumps}
+        assert all(name.startswith("lapack.svd") for name in lapack)
+        assert sum(lapack.values()) == jumps
+
+    def test_dense_f_takes_eigvals_and_controllability(self, write_cfg):
+        cfg = {"regulator": {"F": [[-2, 1, 0.5], [0.5, -2, 1], [0.25, 0.5, -2]],
+                             "G": [[0.5], [0.25], [1]]}}
+        calls = self._counts(write_cfg, ["simulate"], cfg)[1]
+        assert calls["eigvals"] == calls["lapack.eigvals"] == 1
+        assert calls["svd"] >= 1  # is_controllable's staircase
+        assert "roots" not in calls
+
+
 class TestClosedStdout:
     """A stdout whose reader has gone (``adreg validate cfg.json | true``) ends
     the command with exit 141, 128 + SIGPIPE, and nothing on stderr."""
@@ -1002,6 +1077,25 @@ class TestCheckIdentifier:
         assert captured.err == (f"config error: sim.dt = {sim['dt']!r}: the arc of "
                                 "check-identifier's 10 s core process does not fit in the "
                                 "8589934592 bytes of physical memory\n")
+
+    def test_walk_past_memory_names_n(self, write_cfg, capsys, monkeypatch):
+        # LS N = 5 over 1 s: validate sums 8,295,048 bytes, check-identifier's
+        # walk 17,659,360 (11 states of xi1, xi2 and theta, a jump, and the
+        # oracle's rows and Gram); a memory between them runs the first only
+        path = write_cfg({"identifier": {"kind": "ls", "N": 5}, "sim": {"horizon": 1}})
+        memory = scenario._run_cost(scenario.ScenarioConfig.from_json(path))[2].total_bytes \
+            + 2**22
+        monkeypatch.setattr(scenario, "physical_memory", lambda: memory)
+        monkeypatch.setattr(cli, "physical_memory", lambda: memory)
+        assert main(["validate", path]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["check-identifier", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: identifier.N = 5: check-identifier's "
+                                       "walk at d_sigma = 314 holds 11 identifier states, ")
+        assert captured.err.endswith(f": 17659360 bytes in all, more than the {memory} bytes "
+                                     "of physical memory\n")
 
     def test_f_without_g_is_config_error(self, write_cfg, capsys):
         path = write_cfg({"regulator": {"F": [[-1, 1], [0, -1]]},

@@ -157,18 +157,23 @@ class TestVerifyIdentifierRequirement:
 
     def test_one_walk_of_eleven_identifiers(self):
         # a clean clone, TRIALS perturbed and TRIALS disturbed clones, each
-        # jumped once per sample
+        # advanced once per sample; only the clean one, whose theta the oracle
+        # reads, jumps and so solves
         reg = PolyRegressor(2, 3)
-        calls = []
+        calls = {"jump": 0, "advance": 0}
 
         class Counted(LsIdentifier):
             def jump(self, eta_in, u_out):
-                calls.append(1)
+                calls["jump"] += 1
                 super().jump(eta_in, u_out)
+
+            def advance(self, eta_in, u_out):
+                calls["advance"] += 1
+                super().advance(eta_in, u_out)
 
         etas, us = self._samples_for(reg, 2.0)
         verify_identifier_requirement(Counted(reg, mu_f=0.95, omega=1e-3), etas, us)
-        assert len(calls) == (1 + 2 * TRIALS) * len(us)
+        assert calls == {"jump": len(us), "advance": (1 + 2 * TRIALS) * len(us)}
 
     @pytest.mark.parametrize("case", ["ls-N3", "mini-batch-Nw10", "broken", "blended"])
     def test_report_equals_the_three_walks(self, case):

@@ -5,7 +5,7 @@ import pytest
 
 from adreg.errors import InvalidConfigError, InvalidInputError
 from adreg.identifier import LsIdentifier, build_poly_regressor
-from adreg.numerics import is_controllable
+from adreg.numerics import cubic_roots, is_controllable
 from adreg.plant import build_vdp_scenario
 from adreg.regulator import Regulator, saturate
 from adreg.scenario import ScenarioConfig, build_closed_loop, state_layout
@@ -149,21 +149,51 @@ class TestInternalModel:
 
 class TestObserverConfig:
     def test_worked_coefficients_have_real_negative_roots(self):
-        # lambda^3 + 6 lambda^2 + 11 lambda + 6: {-1,-2,-3}
+        # lambda^3 + 6 lambda^2 + 11 lambda + 6 = (lambda + 1)(lambda + 2)(lambda + 3):
+        # the closed form gives the exact roots, most negative first, where
+        # np.roots gives -3.0000000000000018
         reg = _regulator(ell=20.0, h_coeffs=[6.0, 11.0, 6.0])
-        roots = np.roots([1.0, 6.0, 11.0, 6.0])
-        assert np.allclose(sorted(roots.real), [-3.0, -2.0, -1.0], atol=1e-9)
-        assert reg.linear_poles["regulator.ell"] == [20.0 * r for r in roots.real.tolist()]
+        assert reg.linear_poles["regulator.ell"] == [-60.0, -40.0, -20.0]
 
-    @pytest.mark.parametrize("h_coeffs", [[3.0, 3.0, 1.0], [6.0, 12.0, 8.0], [0.3, 0.03, 0.001],
-                                          [4.0, 5.0, 2.0]])
+    # the largest |closed form - exact root| / |exact root| measured over these
+    # four: 0 for (s+1)^3 and (s+2)^3, 1.4e-16 for (s+0.1)^3 (-h1/3 is
+    # -0.09999999999999999) and 4.1e-9 for the double root of (s+1)^2 (s+2),
+    # whose conditioning is sqrt(eps)
+    REPEATED_ROOT_RTOL = 1e-8
+
+    # (s+1)^3, (s+2)^3, (s+0.1)^3 and (s+1)^2 (s+2), with their exact roots
+    REPEATED_ROOTS = {(3.0, 3.0, 1.0): [-1.0, -1.0, -1.0], (6.0, 12.0, 8.0): [-2.0, -2.0, -2.0],
+                      (0.3, 0.03, 0.001): [-0.1, -0.1, -0.1], (4.0, 5.0, 2.0): [-2.0, -1.0, -1.0]}
+
+    @pytest.mark.parametrize("h_coeffs", [list(h) for h in REPEATED_ROOTS])
     def test_repeated_roots_accepted(self, h_coeffs):
-        # (s+1)^3, (s+2)^3, (s+0.1)^3 and (s+1)^2 (s+2): np.roots splits a
-        # repeated root into a complex pair, a triple one by up to 2e-5
+        # np.roots splits a repeated root into a complex pair, a triple one by
+        # up to 2e-5; the closed form keeps it real, most negative first
         roots = np.roots([1.0, *h_coeffs])
         assert np.abs(roots.imag).max() > 1e-9 * np.abs(roots.real).max()
-        reg = _regulator(h_coeffs=h_coeffs)
-        assert reg.linear_poles["regulator.ell"] == [20.0 * r for r in roots.real.tolist()]
+        poles = _regulator(h_coeffs=h_coeffs).linear_poles["regulator.ell"]
+        assert poles == sorted(poles)
+        exact = 20.0 * np.array(self.REPEATED_ROOTS[tuple(h_coeffs)])
+        assert np.allclose(poles, exact, rtol=self.REPEATED_ROOT_RTOL, atol=0.0)
+
+    def test_distinct_roots_agree_with_numpy(self):
+        # three negative roots from 1e-2 to 1e2 in magnitude, at most 1000
+        # apart in ratio and at least a tenth of the largest apart: the closed
+        # form and np.roots agree to 1e-12 of the largest root (8.3e-14 measured)
+        rng = np.random.default_rng(0)
+        worst, tried = 0.0, 0
+        for _ in range(2000):
+            exact = -10.0 ** rng.uniform(-2.0, 2.0) * np.sort(rng.uniform(1e-3, 1.0, 3))[::-1]
+            if np.diff(exact).min() < 0.1 * -exact[0]:
+                continue
+            h = np.poly(exact)[1:].tolist()
+            got = cubic_roots(*h)
+            want = np.sort(np.roots([1.0, *h]).real)
+            assert got == sorted(got)
+            worst = max(worst, np.abs(np.array(got) - want).max() / -want[0])
+            tried += 1
+        assert tried > 500
+        assert worst <= 1e-12
 
     def test_complex_roots_rejected(self):
         with pytest.raises(InvalidConfigError):
